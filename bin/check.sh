@@ -147,6 +147,18 @@ cmp /tmp/simulate_seq.out /tmp/simulate_profiled.out \
   || { echo "check.sh: --profile/--progress changed simulate output" >&2; exit 1; }
 rm -f /tmp/simulate_seq.out /tmp/simulate_par.out /tmp/simulate_profiled.out
 
+echo "== solarstorm figures: byte identity at -j 1 and -j 2 =="
+# The whole figure pass must print exactly the bytes the end-to-end
+# benchmark accepts (Workload.figures_digest), whatever the job count.
+FIGURES_MD5=$(grep '^let figures_digest' bench/e2e/workload.ml | grep -o '[0-9a-f]\{32\}')
+[ -n "$FIGURES_MD5" ] \
+  || { echo "check.sh: no figures_digest in bench/e2e/workload.ml" >&2; exit 1; }
+for j in 1 2; do
+  GOT=$(dune exec bin/solarstorm.exe -- figures -j "$j" | md5sum | cut -d ' ' -f 1)
+  [ "$GOT" = "$FIGURES_MD5" ] \
+    || { echo "check.sh: figures -j $j stdout MD5 $GOT, want $FIGURES_MD5" >&2; exit 1; }
+done
+
 echo "== solarstorm serve: smoke gate =="
 # Boot the service on an ephemeral port, exercise every acceptance
 # property over real HTTP, then prove SIGTERM drains to a clean exit 0.
@@ -633,4 +645,4 @@ wait "$SERVE_PID" || { echo "check.sh: self-monitoring serve did not exit 0 on S
 rm -f /tmp/varz1.json /tmp/varz2.json /tmp/dashboard.html /tmp/alertz.json \
   /tmp/loadgen_mon.json /tmp/top_frame.txt "$MON_LOG" "$MON_OUT"
 
-echo "check.sh: all green ($BENCH_JSON, $PROFILE_JSON, serve ok, observability ok, worker pool ok, sweep ok, self-monitoring ok)"
+echo "check.sh: all green ($BENCH_JSON, $PROFILE_JSON, figures ok, serve ok, observability ok, worker pool ok, sweep ok, self-monitoring ok)"

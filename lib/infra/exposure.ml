@@ -54,7 +54,44 @@ let failure_probability ?(scale_a = 30.0) t =
   if scale_a <= 0.0 then invalid_arg "Exposure.failure_probability: scale <= 0";
   1.0 -. exp (-.t.peak_gic_a /. scale_a)
 
+(* Exposures depend only on (network, storm, interval), and a damage-scale
+   study compiles one storm at several [scale_a]s, each compile asking for
+   the same array.  The cache is keyed by network identity (nothing writes
+   into a network after [Network.create]; an equal network built
+   separately just misses) and by storm and interval values.  Plans are
+   compiled on server worker domains too, so a mutex guards the list; it
+   is not held while computing, and two domains missing on one key both
+   compute the same values and the second insert is dropped.  The newest
+   [cache_capacity] entries are kept.  Callers get a copy, so nothing they
+   write can reach the cache. *)
+type key = { net : Network.t; storm : Gic.Disturbance.storm; interval_km : float option }
+
+let same_key a b =
+  a.net == b.net
+  && Float.equal a.storm.Gic.Disturbance.dst_nt b.storm.Gic.Disturbance.dst_nt
+  && Float.equal a.storm.Gic.Disturbance.period_s b.storm.Gic.Disturbance.period_s
+  && Option.equal Float.equal a.interval_km b.interval_km
+
+let cache_capacity = 8
+let cache_mu = Mutex.create ()
+let cache : (key * t array) list ref = ref [] (* newest first *)
+
+let cached key = List.find_map (fun (k, v) -> if same_key k key then Some v else None) !cache
+
 let network_exposures ?interval_km ~storm network =
-  Obs.Span.with_ ~name:"gic.network_exposures" @@ fun () ->
-  Array.init (Network.nb_cables network) (fun i ->
-      of_cable ?interval_km ~storm ~network (Network.cable network i))
+  let key = { net = network; storm; interval_km } in
+  let exposures =
+    match Mutex.protect cache_mu (fun () -> cached key) with
+    | Some v -> v
+    | None ->
+        let v =
+          Obs.Span.with_ ~name:"gic.network_exposures" @@ fun () ->
+          Array.init (Network.nb_cables network) (fun i ->
+              of_cable ?interval_km ~storm ~network (Network.cable network i))
+        in
+        Mutex.protect cache_mu (fun () ->
+            if cached key = None then
+              cache := (key, v) :: List.filteri (fun i _ -> i < cache_capacity - 1) !cache);
+        v
+  in
+  Array.copy exposures

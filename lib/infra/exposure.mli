@@ -33,4 +33,12 @@ val network_exposures :
   storm:Gic.Disturbance.storm ->
   Network.t ->
   t array
-(** Exposure of every cable, indexed by cable id. *)
+(** Exposure of every cable, indexed by cable id.  Memoized: the last
+    {!cache_capacity} distinct [(network, storm, interval_km)] keys are
+    kept, the network compared by physical identity, so repeated calls
+    (one storm compiled at several damage scales) evaluate each cable
+    once.  Each call returns a fresh array.  Safe to call from concurrent
+    domains. *)
+
+val cache_capacity : int
+(** Number of exposure sets {!network_exposures} keeps. *)

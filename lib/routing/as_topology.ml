@@ -59,7 +59,10 @@ let generate ?(seed = 42) ?(n = 2000) () =
       Array.to_list pool
       |> List.filter (fun j -> j <> i && not (List.mem j skip))
       |> List.map (fun j -> (dist2 i j, j))
-      |> List.sort compare
+      |> List.sort (fun (d, j) (d', j') ->
+             (* [dist2] is never NaN, so this is the polymorphic order. *)
+             let c = Float.compare d d' in
+             if c <> 0 then c else Int.compare j j')
     in
     List.filteri (fun idx _ -> idx < k) scored |> List.map snd
   in

@@ -20,6 +20,7 @@ let draw_failures rng (t : As_topology.t) ~dst_nt =
       not (Rng.bernoulli rng ~p))
 
 let compare_protocols ?(seed = 29) ?(pairs = 300) ?(k = 3) t ~dst_nt =
+  if k < 1 then invalid_arg "Storm.compare_protocols: k < 1";
   let rng = Rng.create seed in
   let healthy = Bgp.all_alive t in
   let alive = draw_failures rng t ~dst_nt in
@@ -35,13 +36,12 @@ let compare_protocols ?(seed = 29) ?(pairs = 300) ?(k = 3) t ~dst_nt =
     incr guard;
     let src = Rng.int rng n and dst = Rng.int rng n in
     if src <> dst && alive.(src) && alive.(dst) then begin
-      (* Pre-storm state: best path and k disjoint paths on the healthy
-         topology. *)
-      match Bgp.shortest_path t ~alive:healthy ~src ~dst with
-      | None -> () (* unreachable even before the storm: skip the pair *)
-      | Some best ->
+      (* Pre-storm state: k disjoint paths on the healthy topology.  The
+         first is the shortest path, i.e. BGP's best. *)
+      match Bgp.disjoint_paths ~k t ~alive:healthy ~src ~dst with
+      | [] -> () (* unreachable even before the storm: skip the pair *)
+      | best :: _ as dpaths ->
           incr sampled;
-          let dpaths = Bgp.disjoint_paths ~k t ~alive:healthy ~src ~dst in
           diversity := !diversity +. float_of_int (List.length dpaths);
           if path_alive best then incr bgp_ok;
           if List.exists path_alive dpaths then incr multi_ok;

@@ -36,4 +36,4 @@ val compare_protocols :
   dst_nt:float ->
   outcome
 (** Sample [pairs] (default 300) alive src/dst pairs on one failure draw
-    and measure the four metrics. *)
+    and measure the four metrics.  @raise Invalid_argument if [k < 1]. *)

@@ -51,9 +51,38 @@ let shape_peak_value b =
   done;
   !best
 
+(* The peak depends only on [b], yet [shape] runs once per cycle per
+   sampled month: a decadal-risk study asks for the same handful of
+   peaks tens of thousands of times.  Peaks are memoized per [b] in an
+   immutable list behind an atomic, so readers never block and any
+   domain may call [shape].  Two domains racing on a new [b] both scan
+   and the loser's CAS retries against a list that already holds the
+   bit-identical value.  Past [peak_cache_bound] distinct [b]s (the
+   record has 15 amplitudes) a peak is scanned on every call. *)
+let peak_cache_bound = 32
+let peak_cache : (float * float) list Atomic.t = Atomic.make []
+
+let rec find_peak b = function
+  | [] -> None
+  | (b', v) :: rest -> if Float.equal b b' then Some v else find_peak b rest
+
+let cached_peak_value b =
+  match find_peak b (Atomic.get peak_cache) with
+  | Some v -> v
+  | None ->
+      let v = shape_peak_value b in
+      let rec publish () =
+        let cur = Atomic.get peak_cache in
+        if find_peak b cur = None && List.length cur < peak_cache_bound
+           && not (Atomic.compare_and_set peak_cache cur ((b, v) :: cur))
+        then publish ()
+      in
+      publish ();
+      v
+
 let shape ~amplitude ~months_since_min =
   let b = shape_b amplitude in
-  let peak = shape_peak_value b in
+  let peak = cached_peak_value b in
   if peak <= 0.0 then 0.0
   else raw_shape ~a:(amplitude /. peak) ~b months_since_min
 

@@ -271,6 +271,47 @@ let test_scale_a_sweep_monotone () =
   in
   Alcotest.(check bool) "tougher repeaters, fewer failures" true (decreasing rows)
 
+let exposure_evals () =
+  match Obs.Metrics.find (Obs.Metrics.snapshot ()) "gic.exposure_evals" with
+  | Some (Obs.Metrics.Counter n) -> n
+  | _ -> 0
+
+let test_scale_a_sweep_evaluates_each_cable_once () =
+  let net = Lazy.force submarine in
+  let m = Infra.Network.nb_cables net in
+  (* A Dst no other test compiles, so the first scale starts cold. *)
+  let dst_nt = -1111.0 in
+  let rows =
+    Obs.enable ();
+    Fun.protect ~finally:Obs.disable @@ fun () ->
+    let before = exposure_evals () in
+    let rows = Sensitivity.scale_a_sweep ~network:net ~dst_nt () in
+    Alcotest.(check int) "six scales, one exposure pass" m (exposure_evals () - before);
+    rows
+  in
+  let storm = Gic.Disturbance.storm_of_dst dst_nt in
+  let fresh =
+    Array.init m (fun i -> Infra.Exposure.of_cable ~storm ~network:net (Infra.Network.cable net i))
+  in
+  Alcotest.(check bool) "cached exposures = fresh" true
+    (Infra.Exposure.network_exposures ~storm net = fresh);
+  (* Plan.compile + expected_cables_failed_pct, from the fresh exposures. *)
+  List.iter
+    (fun (scale_a, pct) ->
+      let sum = ref 0.0 in
+      for c = 0 to m - 1 do
+        let per_repeater = Infra.Exposure.failure_probability ~scale_a fresh.(c) in
+        sum :=
+          !sum
+          +. Failure_model.cable_death_prob ~per_repeater ~spacing_km:150.0
+               (Infra.Network.cable net c)
+      done;
+      Alcotest.(check bool)
+        (Printf.sprintf "scale %.0f A bit-equal" scale_a)
+        true
+        (Float.equal pct (100.0 *. !sum /. float_of_int m)))
+    rows
+
 (* --- Segment-level ablation --- *)
 
 let test_segment_trial_shape () =
@@ -494,7 +535,11 @@ let test_events_validation () =
   let rng = Rng.create 1 in
   Alcotest.check_raises "inverted"
     (Invalid_argument "Event_generator.generate: stop < start") (fun () ->
-      ignore (Spaceweather.Event_generator.generate ~rng ~start:2030.0 ~stop:2020.0 ()))
+      ignore (Spaceweather.Event_generator.generate ~rng ~start:2030.0 ~stop:2020.0 ()));
+  Alcotest.check_raises "negative min_dst"
+    (Invalid_argument "Event_generator.generate: min_dst must be positive") (fun () ->
+      ignore
+        (Spaceweather.Event_generator.generate ~min_dst:(-1.0) ~rng ~start:2020.0 ~stop:2030.0 ()))
 
 let test_carrington_window_probability () =
   (* Current (Gleissberg-suppressed) decade sits below the long-run 12%. *)
@@ -586,5 +631,7 @@ let () =
           Alcotest.test_case "geomag direction" `Quick test_geomag_ablation_direction;
           Alcotest.test_case "spacing sweep" `Quick test_spacing_sweep_monotone;
           Alcotest.test_case "seed sensitivity" `Slow test_seed_sensitivity_small;
-          Alcotest.test_case "scale sweep" `Quick test_scale_a_sweep_monotone ] );
+          Alcotest.test_case "scale sweep" `Quick test_scale_a_sweep_monotone;
+          Alcotest.test_case "scale sweep, one exposure pass" `Quick
+            test_scale_a_sweep_evaluates_each_cable_once ] );
     ]

@@ -284,6 +284,66 @@ let test_network_exposures_indexed () =
     (fun i e -> Alcotest.(check int) "indexed by cable id" i e.Infra.Exposure.cable_id)
     exposures
 
+(* [f ()] and the cable evaluations it ran, from [gic.exposure_evals]. *)
+let evals_during f =
+  let evals () =
+    match Obs.Metrics.find (Obs.Metrics.snapshot ()) "gic.exposure_evals" with
+    | Some (Obs.Metrics.Counter n) -> n
+    | _ -> 0
+  in
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable @@ fun () ->
+  let before = evals () in
+  let v = f () in
+  (v, evals () - before)
+
+let test_network_exposures_cache_keys () =
+  let net = mini_network () in
+  let m = Infra.Network.nb_cables net in
+  let storm = Gic.Disturbance.storm_of_dst (-611.0) in
+  let exposures ?interval_km ?(storm = storm) net () =
+    Infra.Exposure.network_exposures ?interval_km ~storm net
+  in
+  let first, cold = evals_during (exposures net) in
+  Alcotest.(check int) "cold key evaluates every cable" m cold;
+  let fresh =
+    Array.init m (fun i -> Infra.Exposure.of_cable ~storm ~network:net (Infra.Network.cable net i))
+  in
+  Alcotest.(check bool) "equal to a fresh computation" true (first = fresh);
+  (* The caller owns the returned array: a write must not reach the cache. *)
+  let kept = Array.copy first in
+  first.(0) <- { (first.(0)) with Infra.Exposure.peak_gic_a = 1e9 };
+  let again, warm = evals_during (exposures net) in
+  Alcotest.(check int) "same key evaluates nothing" 0 warm;
+  Alcotest.(check bool) "same values" true (again = kept);
+  let misses name f = Alcotest.(check int) name m (snd (evals_during f)) in
+  misses "other Dst" (exposures ~storm:(Gic.Disturbance.storm_of_dst (-612.0)) net);
+  misses "other period"
+    (exposures ~storm:(Gic.Disturbance.storm_of_dst ~period_s:60.0 (-611.0)) net);
+  misses "other interval" (exposures ~interval_km:50.0 net);
+  let twin = mini_network () in
+  let twin_values, twin_evals = evals_during (exposures twin) in
+  Alcotest.(check int) "equal network, distinct value" m twin_evals;
+  Alcotest.(check bool) "twin values" true (twin_values = kept)
+
+let test_network_exposures_cache_bound () =
+  let net = mini_network () in
+  let cap = Infra.Exposure.cache_capacity in
+  let storms =
+    List.init (3 * cap) (fun i -> Gic.Disturbance.storm_of_dst (-700.0 -. float_of_int i))
+  in
+  List.iter (fun storm -> ignore (Infra.Exposure.network_exposures ~storm net)) storms;
+  (* Newest first: the kept entries hit (no evaluation); once one misses,
+     every older key was evicted long ago. *)
+  let hits =
+    List.fold_left
+      (fun acc storm ->
+        let _, evals = evals_during (fun () -> Infra.Exposure.network_exposures ~storm net) in
+        if evals = 0 then acc + 1 else acc)
+      0 (List.rev storms)
+  in
+  Alcotest.(check int) "only the newest keys kept" cap hits
+
 (* --- QCheck --- *)
 
 let prop_repeater_count_monotone_in_length =
@@ -363,6 +423,8 @@ let () =
           Alcotest.test_case "failure probability" `Quick
             test_exposure_failure_probability_properties;
           Alcotest.test_case "storm monotone" `Quick test_exposure_storm_monotone;
-          Alcotest.test_case "indexed exposures" `Quick test_network_exposures_indexed ] );
+          Alcotest.test_case "indexed exposures" `Quick test_network_exposures_indexed;
+          Alcotest.test_case "cache keys" `Quick test_network_exposures_cache_keys;
+          Alcotest.test_case "cache bound" `Quick test_network_exposures_cache_bound ] );
       ("properties", qcheck_tests);
     ]

@@ -141,6 +141,29 @@ let test_probability_table_values () =
   Alcotest.(check bool) "kirchen" true (contains text "0.016");
   Alcotest.(check bool) "bernoulli" true (contains text "0.096")
 
+(* Byte goldens measured before the figure pass cached its invariants
+   (sunspot shape peaks, GIC exposures, the interdomain BFS workspace):
+   those caches must not move a single output byte. *)
+let golden name expected text =
+  Alcotest.(check string) name expected (Digest.to_hex (Digest.string text))
+
+let test_risk_horizon_golden () =
+  golden "risk-horizon" "37bc0283a214b9b28b39d90525806b86" (Report.Figures.risk_horizon ())
+
+let test_probability_golden () =
+  golden "probability" "645ee504e37df2a99e3cd30c608d8390" (Report.Figures.probability ())
+
+let test_interdomain_golden () =
+  golden "interdomain" "d8708614f99f673fdfbac0c9dc6cad97" (Report.Figures.interdomain ())
+
+let test_ablations_golden () =
+  golden "ablations" "4c127fc3a6b5939c7f707dc51a6f3fa1"
+    (Report.Figures.ablations ~trials:10 (Lazy.force ctx))
+
+let test_mitigation_golden () =
+  golden "mitigation" "1881d938f9ff6feb373278ba95266044"
+    (Report.Figures.mitigation (Lazy.force ctx))
+
 let test_systems_output () =
   let text = Report.Figures.systems (Lazy.force ctx) in
   Alcotest.(check bool) "google" true (contains text "Google");
@@ -175,5 +198,10 @@ let () =
           Alcotest.test_case "fig8 states" `Quick test_fig8_mentions_states;
           Alcotest.test_case "countries table" `Quick test_countries_table_has_cases;
           Alcotest.test_case "probability table" `Quick test_probability_table_values;
-          Alcotest.test_case "systems output" `Quick test_systems_output ] );
+          Alcotest.test_case "systems output" `Quick test_systems_output;
+          Alcotest.test_case "risk-horizon golden" `Quick test_risk_horizon_golden;
+          Alcotest.test_case "probability golden" `Quick test_probability_golden;
+          Alcotest.test_case "interdomain golden" `Quick test_interdomain_golden;
+          Alcotest.test_case "ablations golden" `Quick test_ablations_golden;
+          Alcotest.test_case "mitigation golden" `Quick test_mitigation_golden ] );
     ]

@@ -209,6 +209,175 @@ let test_compare_protocols_storm_ordering () =
     (strong.Storm.bgp_continuity_pct <= weak.Storm.bgp_continuity_pct);
   Alcotest.(check bool) "mild storm barely hurts" true (weak.Storm.bgp_continuity_pct > 85.0)
 
+let test_compare_protocols_needs_a_path () =
+  Alcotest.check_raises "k = 0" (Invalid_argument "Storm.compare_protocols: k < 1") (fun () ->
+      ignore (Storm.compare_protocols ~k:0 tiny ~dst_nt:(-300.0)))
+
+(* --- Oracle: the allocation-per-call phase BFS --- *)
+
+(* A copy of the original [Bgp] search, which allocated fresh
+   3n [seen]/[parent] arrays and a boxed queue entry per state on every
+   query and always ran the BFS to completion.  The workspace rewrite
+   must answer every query exactly as this does. *)
+module Oracle = struct
+  let phase_bfs (t : As_topology.t) ~alive ~src =
+    let n = t.As_topology.n in
+    let parent = Array.make (3 * n) (-1) in
+    let seen = Array.make (3 * n) false in
+    let q = Queue.create () in
+    let idx phase x = (phase * n) + x in
+    if alive.(src) then begin
+      seen.(idx 0 src) <- true;
+      Queue.add (src, 0) q
+    end;
+    while not (Queue.is_empty q) do
+      let x, phase = Queue.pop q in
+      let push y phase' =
+        if alive.(y) && not seen.(idx phase' y) then begin
+          seen.(idx phase' y) <- true;
+          parent.(idx phase' y) <- idx phase x;
+          Queue.add (y, phase') q
+        end
+      in
+      (match phase with
+      | 0 ->
+          List.iter (fun p -> push p 0) t.As_topology.providers.(x);
+          List.iter (fun p -> push p 1) t.As_topology.peers.(x);
+          List.iter (fun c -> push c 2) t.As_topology.customers.(x)
+      | 1 | 2 -> List.iter (fun c -> push c 2) t.As_topology.customers.(x)
+      | _ -> ())
+    done;
+    (seen, parent)
+
+  let reach_state (t : As_topology.t) seen dst =
+    let n = t.As_topology.n in
+    let rec find phase =
+      if phase > 2 then None else if seen.((phase * n) + dst) then Some phase else find (phase + 1)
+    in
+    find 0
+
+  let reachable t ~alive ~src ~dst =
+    if not (alive.(src) && alive.(dst)) then false
+    else if src = dst then true
+    else
+      let seen, _ = phase_bfs t ~alive ~src in
+      reach_state t seen dst <> None
+
+  let reachability_fraction t ~alive ~dst =
+    if not alive.(dst) then 0.0
+    else begin
+      let seen, _ = phase_bfs t ~alive ~src:dst in
+      let n = t.As_topology.n in
+      let total = ref 0 and ok = ref 0 in
+      for x = 0 to n - 1 do
+        if alive.(x) && x <> dst then begin
+          incr total;
+          if seen.(x) || seen.(n + x) || seen.((2 * n) + x) then incr ok
+        end
+      done;
+      if !total = 0 then 0.0 else float_of_int !ok /. float_of_int !total
+    end
+
+  let shortest_path t ~alive ~src ~dst =
+    if not (alive.(src) && alive.(dst)) then None
+    else if src = dst then Some [ src ]
+    else begin
+      let n = t.As_topology.n in
+      let seen, parent = phase_bfs t ~alive ~src in
+      match reach_state t seen dst with
+      | None -> None
+      | Some phase ->
+          let rec build acc state =
+            let x = state mod n in
+            let p = parent.(state) in
+            if p = -1 then x :: acc else build (x :: acc) p
+          in
+          Some (build [] ((phase * n) + dst))
+    end
+
+  let disjoint_paths ?(k = 3) t ~alive ~src ~dst =
+    let alive = Array.copy alive in
+    let rec collect acc remaining =
+      if remaining = 0 then List.rev acc
+      else
+        match shortest_path t ~alive ~src ~dst with
+        | None -> List.rev acc
+        | Some path ->
+            List.iter (fun x -> if x <> src && x <> dst then alive.(x) <- false) path;
+            collect (path :: acc) (remaining - 1)
+    in
+    collect [] k
+end
+
+(* One query of each kind against the oracle; the first mismatch is
+   reported by name. *)
+let agrees_with_oracle t ~alive ~src ~dst =
+  let check name ok = if not ok then QCheck.Test.fail_reportf "%s(%d, %d) differs" name src dst in
+  check "shortest_path"
+    (Bgp.shortest_path t ~alive ~src ~dst = Oracle.shortest_path t ~alive ~src ~dst);
+  check "reachable" (Bgp.reachable t ~alive ~src ~dst = Oracle.reachable t ~alive ~src ~dst);
+  check "disjoint_paths"
+    (Bgp.disjoint_paths ~k:3 t ~alive ~src ~dst = Oracle.disjoint_paths ~k:3 t ~alive ~src ~dst);
+  check "reachability_fraction"
+    (Float.equal
+       (Bgp.reachability_fraction t ~alive ~dst)
+       (Oracle.reachability_fraction t ~alive ~dst));
+  true
+
+let storms = [| -300.0; -600.0; -1200.0 |]
+
+(* A generated topology (n in 20..400), one storm failure mask over it,
+   and a seed for the query pairs. *)
+let topology_case =
+  QCheck.make
+    ~print:(fun (seed, n, storm, qseed) ->
+      Printf.sprintf "seed=%d n=%d storm=%d qseed=%d" seed n storm qseed)
+    QCheck.Gen.(quad (int_bound 1000) (int_range 20 400) (int_bound 2) (int_bound 1000))
+
+let instance (seed, n, storm, qseed) =
+  let t = As_topology.generate ~seed ~n () in
+  let rng = Rng.create qseed in
+  let alive = Storm.draw_failures rng t ~dst_nt:storms.(storm) in
+  (t, alive, rng)
+
+let queries (t, alive, rng) count =
+  let n = t.As_topology.n in
+  List.init count (fun _ -> (t, alive, Rng.int rng n, Rng.int rng n))
+
+let run_queries qs =
+  List.for_all (fun (t, alive, src, dst) -> agrees_with_oracle t ~alive ~src ~dst) qs
+
+let prop_bfs_matches_oracle =
+  QCheck.Test.make ~name:"phase BFS matches the allocating oracle" ~count:25 topology_case
+    (fun case ->
+      let inst = instance case in
+      (* Healthy queries too: under a storm mask many pairs end at a dead
+         AS and return before any search. *)
+      run_queries (queries inst 12)
+      && run_queries
+           (List.map (fun (t, _, s, d) -> (t, Bgp.all_alive t, s, d)) (queries inst 6)))
+
+let interleave a b =
+  let rec go acc = function
+    | x :: xs, y :: ys -> go (y :: x :: acc) (xs, ys)
+    | xs, [] | [], xs -> List.rev_append acc xs
+  in
+  go [] (a, b)
+
+let prop_bfs_alternating_topologies =
+  QCheck.Test.make ~name:"phase BFS alternating between two topology sizes" ~count:15
+    (QCheck.pair topology_case topology_case)
+    (fun (a, b) -> run_queries (interleave (queries (instance a) 10) (queries (instance b) 10)))
+
+let prop_bfs_two_domains =
+  QCheck.Test.make ~name:"phase BFS from two domains at once" ~count:8
+    (QCheck.pair topology_case topology_case)
+    (fun (a, b) ->
+      let qa = queries (instance a) 15 and qb = queries (instance b) 15 in
+      let other = Domain.spawn (fun () -> run_queries (interleave qb qa)) in
+      let here = run_queries (interleave qa qb) in
+      Domain.join other && here)
+
 (* --- QCheck --- *)
 
 let prop_paths_are_simple =
@@ -229,7 +398,9 @@ let prop_reachability_symmetric =
       Bgp.reachable t ~alive ~src ~dst = Bgp.reachable t ~alive ~src:dst ~dst:src)
 
 let qcheck_tests =
-  List.map QCheck_alcotest.to_alcotest [ prop_paths_are_simple; prop_reachability_symmetric ]
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_paths_are_simple; prop_reachability_symmetric; prop_bfs_matches_oracle;
+      prop_bfs_alternating_topologies; prop_bfs_two_domains ]
 
 let () =
   Alcotest.run "interdomain"
@@ -257,6 +428,7 @@ let () =
         [ Alcotest.test_case "tier probabilities" `Quick test_tier_probabilities_ordering;
           Alcotest.test_case "latitude bias" `Quick test_draw_failures_latitude_bias;
           Alcotest.test_case "protocol invariants" `Quick test_compare_protocols_invariants;
-          Alcotest.test_case "storm ordering" `Quick test_compare_protocols_storm_ordering ] );
+          Alcotest.test_case "storm ordering" `Quick test_compare_protocols_storm_ordering;
+          Alcotest.test_case "k validation" `Quick test_compare_protocols_needs_a_path ] );
       ("properties", qcheck_tests);
     ]

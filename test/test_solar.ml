@@ -117,6 +117,54 @@ let test_shape_properties () =
   in
   check_close 2.0 "shape peaks near amplitude" 150.0 peak_val
 
+(* The shape as it was computed before peaks were memoized: a copy of
+   the 1200-point peak scan, re-run on every call. *)
+let scanned_shape ~amplitude ~months_since_min =
+  let b = Float.max 36.0 (Float.min 50.0 (50.0 -. (amplitude /. 25.0))) in
+  let raw ~a t =
+    if t <= 0.0 then 0.0
+    else
+      let x = t /. b in
+      a *. (x ** 3.0) /. (exp (x *. x) -. 0.71)
+  in
+  let peak = ref 0.0 in
+  for i = 1 to 1200 do
+    let v = raw ~a:1.0 (float_of_int i /. 10.0) in
+    if v > !peak then peak := v
+  done;
+  if !peak <= 0.0 then 0.0 else raw ~a:(amplitude /. !peak) months_since_min
+
+let shape_months = [ -5.0; 0.0; 0.5; 13.7; 41.0; 52.3; 100.0; 179.9 ]
+
+(* Bit-equal to the scan, not merely close: the figure pass prints these. *)
+let shape_matches_scan amplitude =
+  List.for_all
+    (fun months_since_min ->
+      Int64.equal
+        (Int64.bits_of_float (Sunspot.shape ~amplitude ~months_since_min))
+        (Int64.bits_of_float (scanned_shape ~amplitude ~months_since_min)))
+    shape_months
+
+let test_shape_matches_scan_for_record () =
+  List.iter
+    (fun (c : Sunspot.cycle) ->
+      (* Twice: the first call fills the peak cache, the second reads it. *)
+      for _ = 1 to 2 do
+        Alcotest.(check bool)
+          (Printf.sprintf "cycle %d (%.1f)" c.Sunspot.number c.Sunspot.peak_ssn)
+          true (shape_matches_scan c.Sunspot.peak_ssn)
+      done)
+    (Sunspot.cycle_25_strong :: Sunspot.cycles)
+
+let test_shape_matches_scan_two_domains () =
+  (* Amplitudes no other test uses, so both domains race to fill. *)
+  let amplitudes = List.init 12 (fun i -> 7.25 +. (float_of_int i *. 29.5)) in
+  let all_match () = List.for_all shape_matches_scan amplitudes in
+  let other = Domain.spawn all_match in
+  let here = all_match () in
+  Alcotest.(check bool) "this domain" true here;
+  Alcotest.(check bool) "other domain" true (Domain.join other)
+
 let test_ssn_at_known_epochs () =
   (* Cycle 19 max (~1958) far exceeds the 2008-2019 cycle-24 max. *)
   let c19 = Sunspot.ssn_at 1958.0 and c24 = Sunspot.ssn_at 2014.0 in
@@ -386,6 +434,10 @@ let prop_ssn_nonnegative =
   QCheck.Test.make ~name:"SSN never negative" ~count:200 (QCheck.float_range 1850.0 2040.0)
     (fun y -> Sunspot.ssn_at y >= 0.0)
 
+let prop_shape_matches_scan =
+  QCheck.Test.make ~name:"sunspot shape bit-equal to the peak scan" ~count:100
+    (QCheck.float_range 0.0 400.0) shape_matches_scan
+
 let prop_ccdf_decreasing =
   QCheck.Test.make ~name:"power-law CCDF in [0,1]" ~count:200 (QCheck.float_range 1.0 10000.0)
     (fun x ->
@@ -394,7 +446,8 @@ let prop_ccdf_decreasing =
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_severity_total; prop_transit_bounded; prop_ssn_nonnegative; prop_ccdf_decreasing ]
+    [ prop_severity_total; prop_transit_bounded; prop_ssn_nonnegative; prop_ccdf_decreasing;
+      prop_shape_matches_scan ]
 
 let () =
   Alcotest.run "spaceweather"
@@ -424,7 +477,10 @@ let () =
           Alcotest.test_case "series" `Quick test_series_shape;
           Alcotest.test_case "series invalid" `Quick test_series_invalid;
           Alcotest.test_case "peak year" `Quick test_cycle_peak_year_inside_cycle;
-          Alcotest.test_case "cme rate" `Quick test_cme_rate_increases_with_ssn ] );
+          Alcotest.test_case "cme rate" `Quick test_cme_rate_increases_with_ssn;
+          Alcotest.test_case "shape = scan, record" `Quick test_shape_matches_scan_for_record;
+          Alcotest.test_case "shape = scan, two domains" `Quick
+            test_shape_matches_scan_two_domains ] );
       ( "gleissberg",
         [ Alcotest.test_case "phase range" `Quick test_gleissberg_phase_range;
           Alcotest.test_case "modulation bounds" `Quick test_gleissberg_modulation_bounds;
