@@ -159,6 +159,21 @@ for j in 1 2; do
     || { echo "check.sh: figures -j $j stdout MD5 $GOT, want $FIGURES_MD5" >&2; exit 1; }
 done
 
+echo "== solarstorm sweep: cross-network byte identity at -j 1 and -j 2 =="
+# The 18-cell grid over all three maps must print exactly the bytes
+# pinned in test/test_sweep.ml (cross_network_digest), whatever the job
+# count: the trial kernel skips death-0 cables, which are most of ITU.
+SWEEP_MD5=$(grep '^let cross_network_digest' test/test_sweep.ml | grep -o '[0-9a-f]\{32\}')
+[ -n "$SWEEP_MD5" ] \
+  || { echo "check.sh: no cross_network_digest in test/test_sweep.ml" >&2; exit 1; }
+for j in 1 2; do
+  GOT=$(dune exec bin/solarstorm.exe -- sweep --axis network=submarine,intertubes,itu \
+    --axis model=0.005,0.01,0.02,0.05,s1,s2 --axis trials=50 -j "$j" 2> /dev/null \
+    | md5sum | cut -d ' ' -f 1)
+  [ "$GOT" = "$SWEEP_MD5" ] \
+    || { echo "check.sh: cross-network sweep -j $j stdout MD5 $GOT, want $SWEEP_MD5" >&2; exit 1; }
+done
+
 echo "== solarstorm serve: smoke gate =="
 # Boot the service on an ephemeral port, exercise every acceptance
 # property over real HTTP, then prove SIGTERM drains to a clean exit 0.

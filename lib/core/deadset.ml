@@ -2,8 +2,8 @@
    byte (plus header) — an 8× smaller per-trial footprint, a memset
    [clear], and a table-driven popcount for the failed-cable count the
    drivers take after every trial.  The trial kernel clears and then
-   sets bits only for deaths, so the common (surviving) cable costs no
-   write at all. *)
+   ORs a 0/1 bit per uncertain cable into [bits] directly
+   ([unsafe_bits]). *)
 
 type t = { bits : Bytes.t; length : int }
 
@@ -38,6 +38,8 @@ let set t i v =
   let byte = Char.code (Bytes.unsafe_get t.bits b) in
   Bytes.unsafe_set t.bits b
     (Char.unsafe_chr (if v then byte lor mask else byte land lnot mask))
+
+let unsafe_bits t = t.bits
 
 let popcount8 =
   Array.init 256 (fun i ->

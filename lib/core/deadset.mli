@@ -5,9 +5,11 @@
     trial, and a counting fold per consumer.  A bitvector is 8× denser
     (the whole submarine network's flags fit in a few cache lines),
     clears with one [Bytes.fill], and counts deaths with a table-driven
-    popcount; the sampling loop writes only on death, so surviving
-    cables — the overwhelming majority in the sparse-failure regime —
-    cost no store at all.
+    popcount.  The trial kernel ({!Plan.sample_into}) ORs one 0/1 bit per
+    cable that can die into its byte, with no branch on the outcome, and
+    never touches the bits of cables whose death probability is 0; the
+    reachability count ({!Plan.unreachable_attached_pct}) skips whole
+    zero bytes and visits only the dead bits.
 
     Indices are cable ids, [0 .. length - 1].  A [Deadset.t] is a
     mutable scratch buffer with the same ownership contract the [bool
@@ -42,6 +44,14 @@ val unsafe_get : t -> int -> bool
 
 val unsafe_set_dead : t -> int -> unit
 (** {!set_dead} without the bounds check. *)
+
+val unsafe_bits : t -> Bytes.t
+(** The backing store itself, not a copy: cable [c] is bit [c land 7]
+    (least significant first) of byte [c lsr 3], and there are
+    [(length + 7) / 8] bytes.  For the bulk kernels that write it
+    ({!Rng.Raw.fill_bernoulli}) and scan it byte by byte.  A writer must
+    leave the bits past [length] clear: {!count_dead} counts whole
+    bytes. *)
 
 val count_dead : t -> int
 (** Number of dead cables (popcount). *)

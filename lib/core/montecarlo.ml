@@ -51,8 +51,8 @@ let trial rng ~plan =
       {
         dead = Deadset.to_bool_array dead;
         cables_failed_pct = cables_failed_pct (Plan.network plan) dead;
-        (* The compiled CSR incidence: same value as
-           [nodes_unreachable_pct], no per-trial allocation. *)
+        (* The compiled owner index: same value as
+           [nodes_unreachable_pct], visiting only dead cables' nodes. *)
         nodes_unreachable_pct = Plan.unreachable_attached_pct plan dead;
       })
 

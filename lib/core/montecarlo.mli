@@ -35,9 +35,10 @@ val cables_failed_pct : Infra.Network.t -> Deadset.t -> float
 val nodes_unreachable_pct : Infra.Network.t -> Deadset.t -> float
 (** Percentage of {e cable-bearing} nodes whose every incident cable is
     dead (nodes without any cable are excluded from the denominator).
-    Network-only reference path; trial loops holding a compiled plan use
-    the allocation-free {!Plan.unreachable_attached_pct}, which computes
-    the same value. *)
+    Network-only reference path that walks every node, kept as the test
+    oracle: trial loops holding a compiled plan use
+    {!Plan.unreachable_attached_pct}, which computes the same value
+    visiting only the nodes of dead cables. *)
 
 val run_plan : ?trials:int -> ?jobs:int -> seed:int -> Plan.t -> series
 (** [run_plan plan] aggregates [trials] (default 10) independent trials

@@ -7,19 +7,29 @@ type t = {
   death_max : float; (* max of [death]: the skip-sampler's envelope *)
   per_repeater_fn : Infra.Cable.t -> float;
       (* kept for [sample_recompute_into], the legacy reference path *)
-  (* Node→cable incidence in CSR form, computed eagerly at compile time
-     (a lazily published mutable field would be a data race under the
-     OCaml 5 memory model once worker domains read it).  Lets
-     [unreachable_attached_pct] walk each attached node's incident
-     cables with early exit instead of allocating two bool arrays and
-     chasing landing lists per trial. *)
+  uncertain : int array;
+      (* cables with [death > 0], ascending: the only ones a trial draws *)
+  (* Two CSR indices, computed eagerly at compile time (a lazily
+     published mutable field would be a data race under the OCaml 5
+     memory model once worker domains read it).  [node_off]/[node_cables]
+     is the node->cable incidence; [own_off]/[owned] lists, per cable,
+     the attached nodes it owns.  A node's owner is its incident cable
+     least likely to die, so [unreachable_attached_pct] starts from the
+     dead cables and checks only the nodes they own. *)
   node_off : int array; (* length nb_nodes + 1 *)
-  node_cables : int array; (* incident cable ids, grouped per node *)
-  attached : int; (* nodes with >= 1 incident cable *)
+  node_cables : int array; (* incident cable ids per node, its owner first *)
+  own_off : int array; (* length nb_cables + 1 *)
+  owned : int array; (* every attached node once, grouped per owner *)
 }
 
 let compiles = Obs.Metrics.counter "plan.compiles"
 let trials_total = Obs.Metrics.counter "plan.trials"
+
+(* In place: [a.(k)] becomes [a.(0) + ... + a.(k)]. *)
+let prefix_sum a =
+  for k = 1 to Array.length a - 1 do
+    a.(k) <- a.(k) + a.(k - 1)
+  done
 
 let compile ?(spacing_km = 150.0) ~network ~model () =
   if spacing_km <= 0.0 then invalid_arg "Plan.compile: spacing_km <= 0";
@@ -30,36 +40,74 @@ let compile ?(spacing_km = 150.0) ~network ~model () =
   let per_repeater = Array.make m 0.0 in
   let death = Array.make m 0.0 in
   let death_max = ref 0.0 in
+  let nuncertain = ref 0 in
   for c = 0 to m - 1 do
     let cable = Infra.Network.cable network c in
     let p = per_repeater_fn cable in
     per_repeater.(c) <- p;
     let d = Failure_model.cable_death_prob ~per_repeater:p ~spacing_km cable in
     death.(c) <- d;
-    if d > !death_max then death_max := d
+    if d > !death_max then death_max := d;
+    if d > 0.0 then incr nuncertain
   done;
-  (* CSR incidence: two passes — per-node degree, prefix sum, fill. *)
+  let uncertain = Array.make !nuncertain 0 in
+  let j = ref 0 in
+  for c = 0 to m - 1 do
+    if death.(c) > 0.0 then begin
+      uncertain.(!j) <- c;
+      incr j
+    end
+  done;
+  (* Both CSR indices are built without scratch arrays: count per group
+     into the offsets, prefix-sum so [off.(k)] is the end of group [k],
+     then fill backwards, which leaves [off.(k)] at the group's start
+     and each group in increasing order. *)
   let n = Infra.Network.nb_nodes network in
-  let deg = Array.make n 0 in
-  for c = 0 to m - 1 do
-    List.iter
-      (fun l -> deg.(l) <- deg.(l) + 1)
-      (Infra.Network.cable network c).Infra.Cable.landings
-  done;
+  let landings c = (Infra.Network.cable network c).Infra.Cable.landings in
   let node_off = Array.make (n + 1) 0 in
-  for v = 0 to n - 1 do
-    node_off.(v + 1) <- node_off.(v) + deg.(v)
-  done;
-  let node_cables = Array.make node_off.(n) 0 in
-  let cursor = Array.copy node_off in
   for c = 0 to m - 1 do
-    List.iter
-      (fun l ->
-        node_cables.(cursor.(l)) <- c;
-        cursor.(l) <- cursor.(l) + 1)
-      (Infra.Network.cable network c).Infra.Cable.landings
+    List.iter (fun v -> node_off.(v) <- node_off.(v) + 1) (landings c)
   done;
-  let attached = Array.fold_left (fun acc d -> if d > 0 then acc + 1 else acc) 0 deg in
+  prefix_sum node_off;
+  let node_cables = Array.make node_off.(n) 0 in
+  for c = m - 1 downto 0 do
+    List.iter
+      (fun v ->
+        node_off.(v) <- node_off.(v) - 1;
+        node_cables.(node_off.(v)) <- c)
+      (landings c)
+  done;
+  (* The owner of an attached node is its incident cable least likely to
+     die, the first in cable order on ties.  It is swapped to the front
+     of the node's group, where the owner index reads it. *)
+  for v = 0 to n - 1 do
+    let s = node_off.(v) and e = node_off.(v + 1) in
+    if e > s then begin
+      let best = ref s in
+      for i = s + 1 to e - 1 do
+        if death.(node_cables.(i)) < death.(node_cables.(!best)) then best := i
+      done;
+      let o = node_cables.(!best) in
+      node_cables.(!best) <- node_cables.(s);
+      node_cables.(s) <- o
+    end
+  done;
+  let own_off = Array.make (m + 1) 0 in
+  for v = 0 to n - 1 do
+    if node_off.(v + 1) > node_off.(v) then begin
+      let o = node_cables.(node_off.(v)) in
+      own_off.(o) <- own_off.(o) + 1
+    end
+  done;
+  prefix_sum own_off;
+  let owned = Array.make own_off.(m) 0 in
+  for v = n - 1 downto 0 do
+    if node_off.(v + 1) > node_off.(v) then begin
+      let o = node_cables.(node_off.(v)) in
+      own_off.(o) <- own_off.(o) - 1;
+      owned.(own_off.(o)) <- v
+    end
+  done;
   {
     network;
     model;
@@ -68,9 +116,11 @@ let compile ?(spacing_km = 150.0) ~network ~model () =
     death;
     death_max = !death_max;
     per_repeater_fn;
+    uncertain;
     node_off;
     node_cables;
-    attached;
+    own_off;
+    owned;
   }
 
 let network t = t.network
@@ -91,13 +141,11 @@ let check_buffer name t dead =
 
 let sample_exact_raw t rng dead =
   Deadset.clear dead;
-  let death = t.death in
-  (* The batched sweep keeps the generator state in unboxed locals —
-     per-draw [Raw.bernoulli] calls cost ~10 words of Int64 boxes each,
-     which at one draw per cable per trial was most of the trial loop's
-     allocation (and, under many domains, its minor-GC barriers). *)
-  Rng.Raw.fill_bernoulli rng death ~set:(fun c -> Deadset.unsafe_set_dead dead c);
-  Array.length death
+  (* Only the uncertain cables are drawn, each at its own stream
+     position, so skipping a death-0 cable moves no other cable's draw;
+     the generator still advances [nb_cables] positions. *)
+  Rng.Raw.fill_bernoulli rng t.death ~idx:t.uncertain (Deadset.unsafe_bits dead);
+  Array.length t.uncertain
 
 (* Geometric skip-sampling under the envelope [p_max = death_max]: draw
    the gap to the next *candidate* cable from Geometric(p_max) — in the
@@ -172,28 +220,44 @@ let sample_recompute_into t rng dead =
     Deadset.set dead c (Rng.bernoulli rng ~p)
   done
 
+(* [lowest_bit.(x)]: index of the lowest set bit of the byte [x > 0]. *)
+let lowest_bit =
+  Array.init 256 (fun x ->
+      let rec go k = if k >= 8 || x land (1 lsl k) <> 0 then k else go (k + 1) in
+      go 0)
+
 let unreachable_attached_pct t dead =
   check_buffer "Plan.unreachable_attached_pct" t dead;
-  if t.attached = 0 then 0.0
+  let attached = Array.length t.owned in
+  if attached = 0 then 0.0
   else begin
+    let bits = Deadset.unsafe_bits dead in
+    let own_off = t.own_off and owned = t.owned in
     let off = t.node_off and cables = t.node_cables in
-    let n = Array.length off - 1 in
     let unreachable = ref 0 in
-    for v = 0 to n - 1 do
-      let s = Array.unsafe_get off v and e = Array.unsafe_get off (v + 1) in
-      if e > s then begin
-        (* Early exit on the first live cable: in the common regime most
-           nodes keep a live cable within their first few incidences.
-           A while loop, not a local rec — the closure capture allocated
-           per node and this runs once per node per trial. *)
-        let i = ref s in
-        while !i < e && Deadset.unsafe_get dead (Array.unsafe_get cables !i) do
-          incr i
-        done;
-        if !i = e then incr unreachable
-      end
+    (* A node is unreachable only if all its cables died, its owner
+       included, and it has exactly one owner: visiting the nodes owned
+       by dead cables counts each unreachable node once.  Plain loops
+       over the dead bits, not a closure, so nothing is allocated. *)
+    for byte = 0 to Bytes.length bits - 1 do
+      let x = ref (Char.code (Bytes.unsafe_get bits byte)) in
+      while !x <> 0 do
+        let c = (byte lsl 3) lor Array.unsafe_get lowest_bit !x in
+        x := !x land (!x - 1);
+        for j = own_off.(c) to own_off.(c + 1) - 1 do
+          let v = Array.unsafe_get owned j in
+          let e = Array.unsafe_get off (v + 1) in
+          (* [v]'s owner, first in its group, is [c]: dead.  Check the
+             rest, with early exit on the first live cable. *)
+          let i = ref (Array.unsafe_get off v + 1) in
+          while !i < e && Deadset.unsafe_get dead (Array.unsafe_get cables !i) do
+            incr i
+          done;
+          if !i = e then incr unreachable
+        done
+      done
     done;
-    100.0 *. float_of_int !unreachable /. float_of_int t.attached
+    100.0 *. float_of_int !unreachable /. float_of_int attached
   end
 
 let expected_cables_failed_pct t =
@@ -258,8 +322,9 @@ let run_trials_par ?jobs ?(sampling = `Exact) t ~trials ~seed ~init ~map ~merge 
       (* One dead buffer per claimed chunk: worker-owned, so [map] sees
          the same reused-buffer contract as [run_trials]'s [f].  Counter
          updates are batched per chunk — the sequential engine pays one
-         counted draw per split plus [m] per exact sample, so credit
-         exactly that many raw draws here to keep totals identical. *)
+         counted draw per split plus one per uncertain cable per exact
+         sample, so credit exactly that many raw draws here to keep
+         totals identical. *)
       let dead = Deadset.create m in
       let draws = ref 0 in
       let run_one i =

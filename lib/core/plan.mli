@@ -7,23 +7,36 @@
     repeater-spacing)] triple once: the per-repeater and per-cable death
     probabilities become flat [float array]s indexed by cable id, so the
     hot loop of a trial is an array read and one Bernoulli draw per cable
-    instead of a closure application and a [**] per cable per trial.
-    Compilation also precomputes the node→cable incidence (CSR), giving
-    {!unreachable_attached_pct} an allocation-free per-trial reachability
-    metric.
+    that can die, instead of a closure application and a [**] per cable
+    per trial.  Compilation also indexes what a trial touches, so that a
+    trial costs what the storm touches rather than the size of the map:
+    - the {e uncertain} cables, whose death probability is above 0 —
+      the only ones {!sample} draws;
+    - the node→cable incidence (CSR), and for every cable-bearing node
+      one {e owner}: its incident cable least likely to die, the first
+      in cable order on ties.  {!unreachable_attached_pct} scans the
+      dead set and checks only the nodes that dead cables own.
+    These indices add [nb_cables + 1 + attached + uncertain] words to a
+    plan ([attached] cable-bearing nodes, [uncertain] cables that can
+    die).
 
     Trial outcomes are {!Deadset.t} bitvectors — see that module for the
     representation and the reuse contract ([dead] buffers are scratch;
     copy what must outlive a callback).
 
-    Draw-order contract: {!sample} performs exactly one Bernoulli draw
-    per cable, in cable-index order — byte-identical to the historical
-    [Failure_model.compile]-per-consumer loops, so seeds reproduce the
-    published numbers unchanged.  {!run_trials} reproduces the historical
-    master-RNG pattern: [Rng.create seed], then one [Rng.split] per trial.
-    The opt-in [`Skip] sampling mode (geometric skip-sampling for the
-    sparse-failure regime) draws in a different order by design and is
-    pinned by its own golden hashes.
+    Draw-order contract: in {!sample}, cable [c] reads stream position
+    [c] of the trial generator — the draw the [(c+1)]-th of
+    [nb_cables] successive [Rng.bernoulli] calls would make.  Death-0
+    cables are not drawn (such a draw can never kill), and skipping one
+    moves no other cable's draw; the generator still advances
+    [nb_cables] positions, so callbacks that keep drawing from it see
+    the same stream.  The dead sets are therefore byte-identical to the
+    historical [Failure_model.compile]-per-consumer loops, and seeds
+    reproduce the published numbers unchanged.  {!run_trials} reproduces
+    the historical master-RNG pattern: [Rng.create seed], then one
+    [Rng.split] per trial.  The opt-in [`Skip] sampling mode (geometric
+    skip-sampling for the sparse-failure regime) draws in a different
+    order by design and is pinned by its own golden hashes.
 
     Observability: compiles and trials are counted on the [plan.compiles]
     and [plan.trials] metrics ([plan.par_runs] counts {!run_trials_par}
@@ -31,11 +44,13 @@
     off-by-default, see DESIGN.md).  Hot loops draw through the
     uncounted {!Rng.Raw} stream and settle [rng.draws] in batched
     {!Rng.note_draws} calls — per trial sequentially, per work-stealing
-    chunk in the parallel driver — so counter totals stay exactly equal
-    across job counts without a sharded-atomic hit per draw.  Both trial
-    drivers feed the live progress meter ({!Obs.Progress}, batched per
-    chunk in the parallel driver), rendered on stderr under the
-    [--progress] CLI flag and costing one branch per batch otherwise. *)
+    chunk in the parallel driver — so [rng.draws] counts the draws made
+    (one per uncertain cable per trial, plus one per split) and its
+    totals stay exactly equal across job counts without a sharded-atomic
+    hit per draw.  Both trial drivers feed the live progress meter
+    ({!Obs.Progress}, batched per chunk in the parallel driver), rendered
+    on stderr under the [--progress] CLI flag and costing one branch per
+    batch otherwise. *)
 
 type t
 
@@ -46,9 +61,10 @@ val compile :
   unit ->
   t
 (** Precompute per-cable probabilities (default spacing 150 km, the
-    paper's baseline) and the node→cable incidence.  For
-    {!Failure_model.Gic_physical} this runs the full GIC exposure
-    pipeline once.  @raise Invalid_argument if [spacing_km <= 0.]. *)
+    paper's baseline), the uncertain-cable index, the node→cable
+    incidence and the node owners.  For {!Failure_model.Gic_physical}
+    this runs the full GIC exposure pipeline once.
+    @raise Invalid_argument if [spacing_km <= 0.]. *)
 
 val network : t -> Infra.Network.t
 val model : t -> Failure_model.t
@@ -67,13 +83,15 @@ val per_repeater_prob : t -> int -> float
     returned). *)
 
 val sample : t -> Rng.t -> Deadset.t
-(** One storm trial: a fresh per-cable death set.  Exactly one Bernoulli
-    draw per cable, in cable-index order. *)
+(** One storm trial: a fresh per-cable death set.  Cable [c] reads
+    stream position [c] of the generator; death-0 cables are not drawn;
+    the generator advances [nb_cables] positions either way. *)
 
 val sample_into : t -> Rng.t -> Deadset.t -> unit
 (** {!sample} into a caller-owned buffer of length {!nb_cables} — the
-    zero-allocation per-trial path.  @raise Invalid_argument on size
-    mismatch. *)
+    per-trial path.  Its cost follows the uncertain cables, and it
+    allocates the same few words on any network.  @raise
+    Invalid_argument on size mismatch. *)
 
 val sample_skip_into : t -> Rng.t -> Deadset.t -> unit
 (** Geometric skip-sampling under the plan's max death probability
@@ -88,17 +106,22 @@ val sample_skip_into : t -> Rng.t -> Deadset.t -> unit
 
 val sample_recompute_into : t -> Rng.t -> Deadset.t -> unit
 (** Reference implementation of the pre-plan hot loop: re-applies the
-    model closure and recomputes [1 - (1-p)^n] for every cable on every
-    call.  Draw-for-draw identical to {!sample_into}; it exists so the
-    bench can quantify the compiled plan's win and tests can assert
-    equivalence.  Not for production use. *)
+    model closure, recomputes [1 - (1-p)^n] and draws through the
+    counted [Rng.bernoulli] for every cable, death-0 ones included, on
+    every call.  It leaves the same dead set and the same generator
+    state as {!sample_into}; it exists so the bench can quantify the
+    compiled plan's win and tests can assert equivalence.  Not for
+    production use. *)
 
 val unreachable_attached_pct : t -> Deadset.t -> float
 (** Percentage of cable-bearing nodes whose every incident cable is dead
     — the same value as [Montecarlo.nodes_unreachable_pct] on the plan's
-    network, computed allocation-free from the compiled CSR incidence
-    with early exit on the first live cable.  @raise Invalid_argument on
-    size mismatch. *)
+    network.  A node can only be unreachable if its owner died, and each
+    node has one owner, so the count visits only the nodes owned by dead
+    cables (early exit on their first live cable) and counts each
+    unreachable node once.  The cost follows the dead cables, not the
+    node count; the only allocation is the result.  @raise
+    Invalid_argument on size mismatch. *)
 
 val expected_cables_failed_pct : t -> float
 (** Closed-form expectation (no sampling): mean of the per-cable death

@@ -271,6 +271,12 @@ let run ?jobs ~cells ~emit () =
   in
   let reps = Array.of_list (List.rev !reps) in
   let results : Montecarlo.series option array = Array.make !nbatches None in
+  (* A plan is dropped after the last batch that uses it, so a grid
+     holds only the plans still ahead of it, not every plan it has
+     compiled. *)
+  let rep_plan_keys = Array.map plan_key reps in
+  let last_use : (string, int) Hashtbl.t = Hashtbl.create 16 in
+  Array.iteri (fun b pk -> Hashtbl.replace last_use pk b) rep_plan_keys;
   let plan_tbl : (string, Plan.t) Hashtbl.t = Hashtbl.create 16 in
   let plans_compiled = ref 0 in
   let progress = Obs.Progress.start ~label:"sweep" ~total:n in
@@ -291,8 +297,8 @@ let run ?jobs ~cells ~emit () =
   in
   Array.iteri
     (fun b rep ->
+      let pk = rep_plan_keys.(b) in
       let plan =
-        let pk = plan_key rep in
         match Hashtbl.find_opt plan_tbl pk with
         | Some plan -> plan
         | None ->
@@ -306,6 +312,7 @@ let run ?jobs ~cells ~emit () =
             plan
       in
       let stats = Montecarlo.run_plan ?jobs ~trials:rep.trials ~seed:rep.seed plan in
+      if Hashtbl.find last_use pk = b then Hashtbl.remove plan_tbl pk;
       Obs.Metrics.incr c_batches;
       results.(b) <- Some stats;
       emit_ready ())

@@ -16,7 +16,9 @@
       one {!Plan.t} no matter how many cells share it, and cells that
       are statistically identical ({!batch_key}: same plan {e and} same
       trial count) share one [run_trials_par] pass — the per-cell
-      statistics fan out of a single batch.
+      statistics fan out of a single batch.  A plan is dropped after the
+      last batch that uses it, so a run holds only the plans still ahead
+      of it, however many distinct plans the grid has.
     - {b Determinism.}  Trials run on the persistent {!Exec} domain
       pool ([jobs] only changes how many domains sample), batches run
       in first-occurrence order, and rows are emitted in cell order

@@ -45,13 +45,26 @@ module Raw : sig
   (** Same draw pattern (one [next_float53]) and results as
       {!val:bernoulli}. *)
 
-  val fill_bernoulli : t -> float array -> set:(int -> unit) -> unit
-  (** [fill_bernoulli t probs ~set] makes one raw float53 draw per entry
-      of [probs] — the exact stream [Array.length probs] successive
-      {!bernoulli} calls would consume — and calls [set i] where draw
-      [i] lands below [probs.(i)].  Probabilities must already be in
-      [[0, 1]] (no clamping).  The loop keeps the generator state in
-      unboxed locals, so the sweep itself allocates nothing. *)
+  val fill_bernoulli : t -> float array -> idx:int array -> Bytes.t -> unit
+  (** [fill_bernoulli t probs ~idx bits] is [Array.length probs]
+      successive {!bernoulli} calls with only the positions in [idx]
+      drawn.  Position [i] reads stream position [i] — the float53 of
+      [mix (state + (i+1)·gamma)], the draw the [(i+1)]-th call would
+      make — so leaving a position out moves no other position's draw.
+      For each [i] in [idx], bit [i land 7] of byte [i lsr 3] of [bits]
+      is ORed with [draw i < probs.(i)]; no other bit is touched.
+      Afterwards [t] has advanced [Array.length probs] positions, drawn
+      or not, so later draws from [t] are unchanged.
+
+      A position whose probability is [0.] can never come out true, so
+      leaving it out of [idx] gives the same bits; a position left out
+      with a positive probability is simply never set.  Probabilities
+      must already be in [[0, 1]] (no clamping).  The loop keeps the
+      generator state in unboxed locals and has no branch on the
+      outcome, so it allocates nothing.
+      @raise Invalid_argument if an entry of [idx] is outside
+      [[0, Array.length probs)] or [bits] has fewer than
+      [(Array.length probs + 7) / 8] bytes. *)
 end
 
 val copy : t -> t

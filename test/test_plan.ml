@@ -123,20 +123,42 @@ let test_golden_expected g () =
 
 (* --- sample vs the reference recompute path: draw-for-draw equal --- *)
 
+(* [sample_recompute_into] draws every cable, in cable order, through
+   the counted [Rng.bernoulli]; [sample_into] draws only the cables that
+   can die, each at its own stream position.  They must agree on every
+   network, including the ones with many death-0 cables (ITU: ~3 in 4),
+   and leave their generators in the same state. *)
+let oracle_networks =
+  [ ("submarine", network);
+    ("intertubes", lazy (Datasets.Cache.intertubes ()));
+    ("itu", lazy (Datasets.Cache.itu ())) ]
+
+let oracle_models =
+  [ ("0.005", Failure_model.uniform 0.005); ("0.05", Failure_model.uniform 0.05);
+    ("s1", Failure_model.s1); ("s2", Failure_model.s2) ]
+
 let test_sample_matches_recompute () =
-  let network = Lazy.force network in
-  let plan = Plan.compile ~network ~model:Failure_model.s1 () in
-  let n = Plan.nb_cables plan in
-  let rng_a = Rng.create 5 and rng_b = Rng.create 5 in
-  let a = Deadset.create n and b = Deadset.create n in
-  for trial = 1 to 5 do
-    Plan.sample_into plan rng_a a;
-    Plan.sample_recompute_into plan rng_b b;
-    Alcotest.(check int64)
-      (Printf.sprintf "trial %d identical" trial)
-      (hash_dead (Deadset.to_bool_array a))
-      (hash_dead (Deadset.to_bool_array b))
-  done
+  List.iter
+    (fun (net_name, network) ->
+      let network = Lazy.force network in
+      List.iter
+        (fun (model_name, model) ->
+          let plan = Plan.compile ~network ~model () in
+          let n = Plan.nb_cables plan in
+          let rng_a = Rng.create 5 and rng_b = Rng.create 5 in
+          let a = Deadset.create n and b = Deadset.create n in
+          for trial = 1 to 5 do
+            Plan.sample_into plan rng_a a;
+            Plan.sample_recompute_into plan rng_b b;
+            Alcotest.(check (array bool))
+              (Printf.sprintf "%s %s trial %d identical" net_name model_name trial)
+              (Deadset.to_bool_array b) (Deadset.to_bool_array a)
+          done;
+          Alcotest.(check int64)
+            (Printf.sprintf "%s %s generators in step" net_name model_name)
+            (Rng.Raw.next_int64 rng_b) (Rng.Raw.next_int64 rng_a))
+        oracle_models)
+    oracle_networks
 
 (* --- skip-sampling goldens: its own pinned stream --- *)
 
@@ -298,6 +320,114 @@ let test_traffic_baseline_per_network () =
   Alcotest.(check bool) "healthy small peak < storm load" true
     (2.0 *. healthy.Traffic.max_cable_load < storm.Traffic.max_cable_load)
 
+(* --- reachability from dead cables vs the allocating network oracle --- *)
+
+(* Small networks in which every kind of cable and node turns up.  Nodes
+   [2k] and [2k+1] sit 0.01 degrees of longitude apart, so a cable
+   between them needs no repeater (death 0); every other cable spans at
+   least 20 degrees and has repeaters.  Each pair's latitude comes from
+   one of the S1/S2 tiers, so a tiered model with [high = 1.0] kills the
+   polar cables surely.  Endpoints are drawn freely over a few nodes:
+   parallel cables between one pair and nodes without any cable both
+   occur. *)
+type small = { lats : float array; ends : (int * int) list; model : Failure_model.t; seed : int }
+
+let small_models =
+  [ Failure_model.uniform 0.0; Failure_model.uniform 1.0; Failure_model.uniform 0.3;
+    Failure_model.tiered ~high:1.0 ~mid:0.5 ~low:0.0; Failure_model.s1; Failure_model.s2 ]
+
+let small_network sp =
+  let lat i = sp.lats.(i / 2) in
+  let lon i = (20.0 *. float_of_int (i / 2)) +. (0.01 *. float_of_int (i mod 2)) in
+  let coord i = Geo.Coord.make ~lat:(lat i) ~lon:(lon i) in
+  let nodes =
+    List.init (2 * Array.length sp.lats) (fun i ->
+        node i (Printf.sprintf "n%d" i) "XX" ~lat:(lat i) ~lon:(lon i))
+  in
+  let cables =
+    List.mapi (fun c (a, b) -> cable c (Printf.sprintf "c%d" c) a (coord a) b (coord b)) sp.ends
+  in
+  Infra.Network.create ~name:"small" ~nodes ~cables
+
+let small_arb =
+  let open QCheck.Gen in
+  let gen =
+    let* pairs = int_range 1 4 in
+    let* lats = array_size (return pairs) (oneofl [ 10.0; 50.0; 70.0; -65.0 ]) in
+    let n = 2 * pairs in
+    let* ends =
+      list_size (int_range 0 10)
+        (let* a = int_bound (n - 1) in
+         let* b = int_bound (n - 2) in
+         return (a, if b >= a then b + 1 else b))
+    in
+    let* model = oneofl small_models in
+    let* seed = int_bound 10_000 in
+    return { lats; ends; model; seed }
+  in
+  let print sp =
+    Printf.sprintf "lats=[%s] ends=[%s] model=%s seed=%d"
+      (String.concat ";" (Array.to_list (Array.map string_of_float sp.lats)))
+      (String.concat ";" (List.map (fun (a, b) -> Printf.sprintf "%d-%d" a b) sp.ends))
+      (Failure_model.to_string sp.model) sp.seed
+  in
+  QCheck.make ~print gen
+
+let prop_unreachable_matches_oracle =
+  QCheck.Test.make ~name:"unreachable_attached_pct = nodes_unreachable_pct" ~count:500
+    small_arb (fun sp ->
+      let network = small_network sp in
+      let plan = Plan.compile ~network ~model:sp.model () in
+      let m = Plan.nb_cables plan in
+      let same dead =
+        Int64.equal
+          (Int64.bits_of_float (Plan.unreachable_attached_pct plan dead))
+          (Int64.bits_of_float (Montecarlo.nodes_unreachable_pct network dead))
+      in
+      let sampled =
+        Plan.run_trials plan ~trials:5 ~seed:sp.seed ~init:true ~f:(fun ok ~rng:_ ~dead ->
+            ok && same dead)
+      in
+      let rng = Rng.create sp.seed in
+      let arbitrary =
+        [ Deadset.of_bool_array (Array.make m true);
+          Deadset.create m;
+          Deadset.of_bool_array (Array.init m (fun _ -> Rng.bool rng)) ]
+      in
+      sampled && List.for_all same arbitrary)
+
+(* --- allocation per call: independent of the network's size --- *)
+
+let minor_words_per_call f =
+  let k = 1000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to k do
+    f ()
+  done;
+  Float.round ((Gc.minor_words () -. w0) /. float_of_int k)
+
+let test_trial_allocation () =
+  let words network model =
+    let plan = Plan.compile ~network ~model () in
+    let dead = Deadset.create (Plan.nb_cables plan) in
+    let rng = Rng.create 11 in
+    ( minor_words_per_call (fun () -> Plan.sample_into plan rng dead),
+      minor_words_per_call (fun () -> ignore (Plan.unreachable_attached_pct plan dead)) )
+  in
+  let submarine = Lazy.force network in
+  let u = Failure_model.uniform 0.05 in
+  let sub_sample, sub_unreach = words submarine u in
+  let itu_sample, itu_unreach = words (Datasets.Cache.itu ~scale:1.0 ()) u in
+  Alcotest.(check (float 0.0)) "sample_into: submarine = full ITU" sub_sample itu_sample;
+  Alcotest.(check (float 0.0)) "unreachable: submarine = full ITU" sub_unreach itu_unreach;
+  (* The bounds are what both calls allocated before the kernel was
+     rewritten, measured on submarine S1. *)
+  let s1_sample, s1_unreach = words submarine Failure_model.s1 in
+  Alcotest.(check bool) (Printf.sprintf "sample_into %g <= 7 words" s1_sample) true
+    (s1_sample <= 7.0);
+  Alcotest.(check bool) (Printf.sprintf "unreachable %g <= 2 words" s1_unreach) true
+    (s1_unreach <= 2.0)
+
 (* --- Distribution.mass_above derives bin widths from the grid --- *)
 
 let test_mass_above_nonuniform_grid () =
@@ -345,7 +475,9 @@ let () =
       ("golden expected", per_model test_golden_expected);
       ( "engine",
         [ Alcotest.test_case "sample = recompute" `Quick test_sample_matches_recompute;
-          Alcotest.test_case "validation" `Quick test_compile_validates ] );
+          Alcotest.test_case "validation" `Quick test_compile_validates;
+          QCheck_alcotest.to_alcotest prop_unreachable_matches_oracle;
+          Alcotest.test_case "allocation per call" `Quick test_trial_allocation ] );
       ( "skip sampling",
         List.map
           (fun (gname, _, _, _ as g) ->

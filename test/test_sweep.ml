@@ -230,6 +230,81 @@ let test_row_line_shape () =
   (* itu_scale is unused on submarine and stays out of the row. *)
   Alcotest.(check bool) "no itu_scale field" false (contains !line "itu_scale")
 
+(* --- pinned bytes across networks --- *)
+
+(* MD5 of the concatenated [row_line]s at [~jobs:1], measured before the
+   trial kernel started skipping death-0 cables; [bin/check.sh] reads
+   [cross_network_digest] from this file and compares the CLI's
+   [sweep -j 1] and [-j 2] stdout with it.  ITU at full scale has ~4 in
+   5 cables that cannot die. *)
+let cross_network_axes =
+  [ "network=submarine,intertubes,itu"; "model=0.005,0.01,0.02,0.05,s1,s2"; "trials=50" ]
+
+let cross_network_digest = "9d30f43bbed8062a28207db9f35c038b"
+
+let full_itu_axes = [ "network=itu"; "itu_scale=1.0"; "model=0.01,s1"; "trials=20" ]
+
+let full_itu_digest = "dbb9e802665afb68eeb253b641656efc"
+
+let test_pinned_digest (axes, rows, digest) () =
+  let cells = expand_ok axes in
+  let summary, body = run_to_string ~jobs:1 cells in
+  Alcotest.(check int) "rows" rows summary.Sweep.rows;
+  Alcotest.(check int) "one plan per cell" rows summary.Sweep.plans_compiled;
+  Alcotest.(check string) "md5 of the rows" digest (Digest.to_hex (Digest.string body))
+
+(* --- plan lifetime --- *)
+
+let test_recurring_plan_kept () =
+  (* Batches run (A,2) (B,2) (A,3) (B,3): plan A recurs after B, so it
+     must survive B's batch, and each row must equal its cell run on its
+     own. *)
+  let cells = expand_ok [ "trials=2,3"; "model=0.01,s1" ] in
+  let rows = ref [] in
+  let summary = Sweep.run ~jobs:1 ~cells () ~emit:(fun r -> rows := r :: !rows) in
+  Alcotest.(check int) "2 plans compiled" 2 summary.Sweep.plans_compiled;
+  Alcotest.(check int) "4 batches" 4 summary.Sweep.batches;
+  List.iter
+    (fun (r : Sweep.row) ->
+      let alone = ref None in
+      ignore (Sweep.run ~jobs:1 ~cells:[| r.cell |] () ~emit:(fun a -> alone := Some a));
+      match !alone with
+      | Some a ->
+          Alcotest.(check bool)
+            (Printf.sprintf "row %d = its cell alone" r.cell_index)
+            true (a.Sweep.stats = r.stats)
+      | None -> Alcotest.fail "no row")
+    !rows
+
+let test_plans_released () =
+  (* 40 distinct plans over one small ITU map.  Live words at the last
+     row must be within one plan's own words of the first row; while
+     every plan was kept until the end they grew by ~5.7 K words a plan. *)
+  let spacings = String.concat "," (List.init 40 (fun i -> string_of_int (100 + i))) in
+  let cells =
+    expand_ok [ "network=itu"; "itu_scale=0.1"; "spacing_km=" ^ spacings; "trials=1" ]
+  in
+  let n = Array.length cells in
+  let live = Array.make n 0 in
+  let summary =
+    Sweep.run ~jobs:1 ~cells () ~emit:(fun r ->
+        if r.cell_index = 0 || r.cell_index = n - 1 then begin
+          Gc.full_major ();
+          live.(r.cell_index) <- (Gc.stat ()).Gc.live_words
+        end)
+  in
+  Alcotest.(check int) "40 plans" 40 summary.Sweep.plans_compiled;
+  let one_plan =
+    let c = cells.(0) in
+    let network = Datasets.Cache.itu ~seed:c.seed ~scale:c.itu_scale () in
+    let plan = Plan.compile ~spacing_km:c.spacing_km ~network ~model:c.model () in
+    Obj.reachable_words (Obj.repr plan) - Obj.reachable_words (Obj.repr network)
+  in
+  let grown = live.(n - 1) - live.(0) in
+  Alcotest.(check bool)
+    (Printf.sprintf "grew %d words, one plan is %d" grown one_plan)
+    true (grown < one_plan)
+
 (* --- HTTP: POST /sweep --- *)
 
 let dispatch ?(body = "") target =
@@ -322,7 +397,14 @@ let () =
           Alcotest.test_case "jobs byte identity" `Quick test_jobs_byte_identity;
           Alcotest.test_case "shared batch rows identical" `Quick
             test_shared_batch_rows_identical;
-          Alcotest.test_case "row line shape" `Quick test_row_line_shape ] );
+          Alcotest.test_case "row line shape" `Quick test_row_line_shape;
+          Alcotest.test_case "recurring plan kept" `Quick test_recurring_plan_kept;
+          Alcotest.test_case "plans released" `Quick test_plans_released ] );
+      ( "pinned bytes",
+        [ Alcotest.test_case "cross-network grid" `Quick
+            (test_pinned_digest (cross_network_axes, 18, cross_network_digest));
+          Alcotest.test_case "full-scale ITU" `Quick
+            (test_pinned_digest (full_itu_axes, 2, full_itu_digest)) ] );
       ( "http",
         [ Alcotest.test_case "parity with CLI" `Quick test_http_parity_with_cli;
           Alcotest.test_case "empty body -> default cell" `Quick
