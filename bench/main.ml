@@ -114,9 +114,6 @@ let kernels ctx ~port ~port_par : (string * (unit -> unit)) list =
     ("plan.sample", fun () -> Stormsim.Plan.sample_into uniform_plan rng dead_buf);
     ( "plan.sample-recompute",
       fun () -> Stormsim.Plan.sample_recompute_into uniform_plan rng dead_buf );
-    (* Opt-in geometric skip-sampling: candidate gaps under the plan's
-       max death prob instead of one draw per cable. *)
-    ("plan.sample-skip", fun () -> Stormsim.Plan.sample_skip_into uniform_plan rng dead_buf);
     ( "fig6-uniform-trial",
       fun () -> ignore (Stormsim.Montecarlo.trial rng ~plan:uniform_plan) );
     (* The same 200-trial Monte-Carlo workload three ways: a plain

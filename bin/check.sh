@@ -174,6 +174,22 @@ for j in 1 2; do
     || { echo "check.sh: cross-network sweep -j $j stdout MD5 $GOT, want $SWEEP_MD5" >&2; exit 1; }
 done
 
+echo "== solarstorm simulate: one-cell sweep parity and tiny spacing =="
+# A simulate body is the sweep row of its one cell with "endpoint" in
+# place of "cell".  A spacing far below a metre must still fail every
+# repeatered cable: the repeater count saturates instead of wrapping.
+dune exec bin/solarstorm.exe -- sweep --axis network=itu --axis model=s1 --axis seed=11 \
+  --axis trials=37 2> /dev/null \
+  | sed 's/^{"cell":0.0,/{"endpoint":"simulate",/' > /tmp/onecell_sweep.json
+dune exec bin/solarstorm.exe -- simulate --json --network itu --model s1 --seed 11 \
+  --trials 37 > /tmp/onecell_simulate.json
+cmp /tmp/onecell_sweep.json /tmp/onecell_simulate.json \
+  || { echo "check.sh: simulate --json differs from its one-cell sweep row" >&2; exit 1; }
+dune exec bin/solarstorm.exe -- simulate --json --spacing 1e-300 \
+  | grep -q -F '"cables_failed_pct":{"mean":100.0' \
+  || { echo "check.sh: simulate --spacing 1e-300 did not fail every cable" >&2; exit 1; }
+rm -f /tmp/onecell_sweep.json /tmp/onecell_simulate.json
+
 echo "== solarstorm serve: smoke gate =="
 # Boot the service on an ephemeral port, exercise every acceptance
 # property over real HTTP, then prove SIGTERM drains to a clean exit 0.

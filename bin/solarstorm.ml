@@ -213,19 +213,22 @@ let figures_cmd =
 
 (* map *)
 let network_conv =
-  Arg.enum [ ("submarine", `Submarine); ("intertubes", `Intertubes); ("itu", `Itu) ]
+  Arg.enum
+    Stormsim.Sweep.
+      [ ("submarine", Submarine); ("intertubes", Intertubes); ("itu", Itu) ]
 
 let map_cmd =
   let net_t =
-    Arg.(value & opt network_conv `Submarine & info [ "network" ] ~doc:"Network to draw.")
+    Arg.(value & opt network_conv Stormsim.Sweep.Submarine
+         & info [ "network" ] ~doc:"Network to draw.")
   in
   let run seed net jobs progress metrics trace profile log =
     with_obs ~cmd:"map" jobs progress metrics trace profile log @@ fun () ->
     let network =
       match net with
-      | `Submarine -> Datasets.Cache.submarine ~seed ()
-      | `Intertubes -> Datasets.Cache.intertubes ~seed ()
-      | `Itu -> Datasets.Cache.itu ~seed ~scale:0.1 ()
+      | Stormsim.Sweep.Submarine -> Datasets.Cache.submarine ~seed ()
+      | Intertubes -> Datasets.Cache.intertubes ~seed ()
+      | Itu -> Datasets.Cache.itu ~seed ~scale:0.1 ()
     in
     print_string (Report.Worldmap.render (Report.Worldmap.network_layers network))
   in
@@ -248,11 +251,6 @@ let json_t =
                to the $(b,serve) endpoint's response body for the same \
                parameters.")
 
-let api_network = function
-  | `Submarine -> Server.Api.Submarine
-  | `Intertubes -> Server.Api.Intertubes
-  | `Itu -> Server.Api.Itu
-
 let simulate_cmd =
   let model_t =
     Arg.(value & opt model_conv (Stormsim.Failure_model.uniform 0.01)
@@ -262,32 +260,27 @@ let simulate_cmd =
     Arg.(value & opt float 150.0 & info [ "spacing" ] ~doc:"Inter-repeater distance (km).")
   in
   let net_t =
-    Arg.(value & opt network_conv `Submarine & info [ "network" ] ~doc:"Network.")
+    Arg.(value & opt network_conv Stormsim.Sweep.Submarine
+         & info [ "network" ] ~doc:"Network.")
   in
-  let run seed trials itu_scale model spacing net json jobs progress metrics trace profile log =
+  let run seed trials itu_scale model spacing network json jobs progress metrics trace
+      profile log =
     with_obs ~cmd:"simulate" jobs progress metrics trace profile log @@ fun () ->
-    if json then
-      print_string
-        (Server.Api.simulate_body
-           { Server.Api.network = api_network net; model; spacing_km = spacing;
-             itu_scale; seed; trials })
-    else begin
-      let name, network =
-        match net with
-        | `Submarine -> ("submarine", Datasets.Cache.submarine ~seed ())
-        | `Intertubes -> ("intertubes", Datasets.Cache.intertubes ~seed ())
-        | `Itu -> ("itu", Datasets.Cache.itu ~seed ~scale:itu_scale ())
-      in
-      let s =
-        Stormsim.Montecarlo.run ~trials ~seed ~network ~spacing_km:spacing ~model ()
-      in
-      Printf.printf "%s under %s at %.0f km spacing (%d trials):\n" name
-        (Stormsim.Failure_model.to_string model) spacing trials;
-      Printf.printf "  cables failed     %.1f%% +- %.1f\n" s.Stormsim.Montecarlo.cables_mean
-        s.Stormsim.Montecarlo.cables_std;
-      Printf.printf "  nodes unreachable %.1f%% +- %.1f\n" s.Stormsim.Montecarlo.nodes_mean
-        s.Stormsim.Montecarlo.nodes_std
-    end
+    let cell =
+      { Stormsim.Sweep.network; model; spacing_km = spacing; itu_scale; seed; trials }
+    in
+    if json then print_string (Server.Api.simulate_body cell)
+    else
+      ignore
+        (Stormsim.Sweep.run ~cells:[| cell |] () ~emit:(fun row ->
+             let s = row.Stormsim.Sweep.stats in
+             Printf.printf "%s under %s at %.0f km spacing (%d trials):\n"
+               (Stormsim.Sweep.network_id_to_string network)
+               (Stormsim.Failure_model.to_string model) spacing trials;
+             Printf.printf "  cables failed     %.1f%% +- %.1f\n"
+               s.Stormsim.Montecarlo.cables_mean s.Stormsim.Montecarlo.cables_std;
+             Printf.printf "  nodes unreachable %.1f%% +- %.1f\n"
+               s.Stormsim.Montecarlo.nodes_mean s.Stormsim.Montecarlo.nodes_std))
   in
   Cmd.v (Cmd.info "simulate" ~doc:"Monte-Carlo failure simulation")
     (obs_args

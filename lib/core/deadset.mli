@@ -42,9 +42,6 @@ val unsafe_get : t -> int -> bool
 (** {!get} without the bounds check — for kernel loops whose index range
     is already validated. *)
 
-val unsafe_set_dead : t -> int -> unit
-(** {!set_dead} without the bounds check. *)
-
 val unsafe_bits : t -> Bytes.t
 (** The backing store itself, not a copy: cable [c] is bit [c land 7]
     (least significant first) of byte [c lsr 3], and there are

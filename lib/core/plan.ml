@@ -4,7 +4,6 @@ type t = {
   spacing_km : float;
   per_repeater : float array;
   death : float array;
-  death_max : float; (* max of [death]: the skip-sampler's envelope *)
   per_repeater_fn : Infra.Cable.t -> float;
       (* kept for [sample_recompute_into], the legacy reference path *)
   uncertain : int array;
@@ -39,7 +38,6 @@ let compile ?(spacing_km = 150.0) ~network ~model () =
   let m = Infra.Network.nb_cables network in
   let per_repeater = Array.make m 0.0 in
   let death = Array.make m 0.0 in
-  let death_max = ref 0.0 in
   let nuncertain = ref 0 in
   for c = 0 to m - 1 do
     let cable = Infra.Network.cable network c in
@@ -47,7 +45,6 @@ let compile ?(spacing_km = 150.0) ~network ~model () =
     per_repeater.(c) <- p;
     let d = Failure_model.cable_death_prob ~per_repeater:p ~spacing_km cable in
     death.(c) <- d;
-    if d > !death_max then death_max := d;
     if d > 0.0 then incr nuncertain
   done;
   let uncertain = Array.make !nuncertain 0 in
@@ -114,7 +111,6 @@ let compile ?(spacing_km = 150.0) ~network ~model () =
     spacing_km;
     per_repeater;
     death;
-    death_max = !death_max;
     per_repeater_fn;
     uncertain;
     node_off;
@@ -134,12 +130,11 @@ let check_buffer name t dead =
   if Deadset.length dead <> Array.length t.death then
     invalid_arg (name ^ ": buffer size mismatch")
 
-(* The uncounted kernels: no metrics traffic at all; they return the
+(* The uncounted kernel: no metrics traffic at all; it returns the
    number of raw RNG draws made so callers can settle [rng.draws] in one
-   batched [Rng.note_draws] per trial (or per chunk, in the parallel
-   driver). *)
+   batched [Rng.note_draws] per trial (or per chunk, in the driver). *)
 
-let sample_exact_raw t rng dead =
+let sample_raw t rng dead =
   Deadset.clear dead;
   (* Only the uncertain cables are drawn, each at its own stream
      position, so skipping a death-0 cable moves no other cable's draw;
@@ -147,61 +142,10 @@ let sample_exact_raw t rng dead =
   Rng.Raw.fill_bernoulli rng t.death ~idx:t.uncertain (Deadset.unsafe_bits dead);
   Array.length t.uncertain
 
-(* Geometric skip-sampling under the envelope [p_max = death_max]: draw
-   the gap to the next *candidate* cable from Geometric(p_max) — in the
-   sparse-failure regime almost every cable survives, so we sample the
-   gaps instead of every cable — then thin the candidate to its true
-   probability by accepting with [death.(c) / p_max].  Marginally each
-   cable dies with exactly [death.(c)], independently; the *draw order*
-   differs from the exact kernel, which is why this mode is opt-in with
-   its own golden hashes. *)
-let sample_skip_raw t rng dead =
-  Deadset.clear dead;
-  let death = t.death in
-  let m = Array.length death in
-  let p_max = t.death_max in
-  if p_max <= 0.0 then 0 (* nothing can die; no draws *)
-  else if p_max >= 1.0 then
-    (* Degenerate envelope: every cable is a candidate (log (1 - p_max)
-       is -inf), so gap draws are pure overhead — thin directly. *)
-    sample_exact_raw t rng dead
-  else begin
-    let q = log1p (-.p_max) in (* ln (1 - p_max) < 0 *)
-    let draws = ref 0 in
-    let c = ref 0 in
-    while !c < m do
-      let u = Rng.Raw.next_float53 rng in
-      incr draws;
-      (* floor (ln u / ln (1-p)) is Geometric(p) on {0, 1, ...}; u = 0
-         (possible: 53-bit grid) means an infinite gap — no candidate
-         left in range. *)
-      if u = 0.0 then c := m
-      else begin
-        let gap = log u /. q in
-        if gap >= float_of_int (m - !c) then c := m
-        else begin
-          c := !c + int_of_float gap;
-          let pc = Array.unsafe_get death !c in
-          if pc > 0.0 then begin
-            incr draws;
-            if Rng.Raw.next_float53 rng *. p_max < pc then Deadset.unsafe_set_dead dead !c
-          end;
-          incr c
-        end
-      end
-    done;
-    !draws
-  end
-
 let sample_into t rng dead =
   check_buffer "Plan.sample_into" t dead;
   Obs.Metrics.incr trials_total;
-  Rng.note_draws (sample_exact_raw t rng dead)
-
-let sample_skip_into t rng dead =
-  check_buffer "Plan.sample_skip_into" t dead;
-  Obs.Metrics.incr trials_total;
-  Rng.note_draws (sample_skip_raw t rng dead)
+  Rng.note_draws (sample_raw t rng dead)
 
 let sample t rng =
   let dead = Deadset.create (Array.length t.death) in
@@ -271,27 +215,9 @@ let expected_cables_failed_pct t =
     100.0 *. !sum /. float_of_int m
   end
 
-let run_trials ?(sampling = `Exact) t ~trials ~seed ~init ~f =
-  if trials <= 0 then invalid_arg "Plan.run_trials: trials <= 0";
-  Obs.Span.with_ ~name:"plan.run_trials" @@ fun () ->
-  let progress = Obs.Progress.start ~label:"trials" ~total:trials in
-  let master = Rng.create seed in
-  let dead = Deadset.create (Array.length t.death) in
-  let acc = ref init in
-  for _ = 1 to trials do
-    let rng = Rng.split master in
-    (match sampling with
-    | `Exact -> sample_into t rng dead
-    | `Skip -> sample_skip_into t rng dead);
-    acc := f !acc ~rng ~dead;
-    Obs.Progress.tick progress
-  done;
-  Obs.Progress.finish progress;
-  !acc
-
 let par_runs = Obs.Metrics.counter "plan.par_runs"
 
-let run_trials_par ?jobs ?(sampling = `Exact) t ~trials ~seed ~init ~map ~merge =
+let run_trials_par ?jobs t ~trials ~seed ~init ~map ~merge =
   if trials <= 0 then invalid_arg "Plan.run_trials_par: trials <= 0";
   let jobs =
     match jobs with
@@ -301,10 +227,11 @@ let run_trials_par ?jobs ?(sampling = `Exact) t ~trials ~seed ~init ~map ~merge 
   Obs.Metrics.incr par_runs;
   Obs.Span.with_ ~name:"plan.run_trials" @@ fun () ->
   (* Determinism, part 1 — indexed splits: trial [i] draws from
-     [Rng.split_ith master i], the exact stream the sequential engine's
-     i-th [Rng.split master] yields, computed without mutating the
-     master.  No pre-split pass, no array of [trials] generators: a
-     worker derives any trial's stream from two integers. *)
+     [Rng.split_ith master i], the stream the i-th of successive
+     [Rng.split master] calls yields (the historical per-trial pattern),
+     computed without mutating the master.  No pre-split pass, no array
+     of [trials] generators: a worker derives any trial's stream from
+     two integers. *)
   let master = Rng.create seed in
   let m = Array.length t.death in
   (* [Exec.parallel_for] inlines [jobs = 1] as a single [body ~lo:0
@@ -319,22 +246,15 @@ let run_trials_par ?jobs ?(sampling = `Exact) t ~trials ~seed ~init ~map ~merge 
   let chunk_results = Array.make nchunks [||] in
   let progress = Obs.Progress.start ~label:"trials" ~total:trials in
   Exec.parallel_for ~chunk ~jobs ~n:trials (fun ~lo ~hi ->
-      (* One dead buffer per claimed chunk: worker-owned, so [map] sees
-         the same reused-buffer contract as [run_trials]'s [f].  Counter
-         updates are batched per chunk — the sequential engine pays one
-         counted draw per split plus one per uncertain cable per exact
-         sample, so credit exactly that many raw draws here to keep
-         totals identical. *)
+      (* One dead buffer per claimed chunk, reused across its trials and
+         owned by the worker.  Counter updates are batched per chunk:
+         one draw per split plus one per uncertain cable, the count the
+         counted [Rng.split] and {!sample_into} would make. *)
       let dead = Deadset.create m in
       let draws = ref 0 in
       let run_one i =
         let rng = Rng.split_ith master i in
-        incr draws;
-        draws :=
-          !draws
-          + (match sampling with
-            | `Exact -> sample_exact_raw t rng dead
-            | `Skip -> sample_skip_raw t rng dead);
+        draws := !draws + 1 + sample_raw t rng dead;
         map ~rng ~dead
       in
       let count = hi - lo in

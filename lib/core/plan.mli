@@ -32,25 +32,22 @@
     [nb_cables] positions, so callbacks that keep drawing from it see
     the same stream.  The dead sets are therefore byte-identical to the
     historical [Failure_model.compile]-per-consumer loops, and seeds
-    reproduce the published numbers unchanged.  {!run_trials} reproduces
-    the historical master-RNG pattern: [Rng.create seed], then one
-    [Rng.split] per trial.  The opt-in [`Skip] sampling mode (geometric
-    skip-sampling for the sparse-failure regime) draws in a different
-    order by design and is pinned by its own golden hashes.
+    reproduce the published numbers unchanged.  {!run_trials_par}, the
+    one trial driver, reproduces the historical master-RNG pattern:
+    [Rng.create seed], then the stream of one [Rng.split] per trial.
 
     Observability: compiles and trials are counted on the [plan.compiles]
     and [plan.trials] metrics ([plan.par_runs] counts {!run_trials_par}
     invocations), and compilation runs under a ["plan.compile"] span (all
     off-by-default, see DESIGN.md).  Hot loops draw through the
     uncounted {!Rng.Raw} stream and settle [rng.draws] in batched
-    {!Rng.note_draws} calls — per trial sequentially, per work-stealing
-    chunk in the parallel driver — so [rng.draws] counts the draws made
+    {!Rng.note_draws} calls — per call in {!sample_into}, per
+    work-stealing chunk in the driver — so [rng.draws] counts the draws made
     (one per uncertain cable per trial, plus one per split) and its
     totals stay exactly equal across job counts without a sharded-atomic
-    hit per draw.  Both trial drivers feed the live progress meter
-    ({!Obs.Progress}, batched per chunk in the parallel driver), rendered
-    on stderr under the [--progress] CLI flag and costing one branch per
-    batch otherwise. *)
+    hit per draw.  The driver feeds the live progress meter
+    ({!Obs.Progress}, batched per chunk), rendered on stderr under the
+    [--progress] CLI flag and costing one branch per batch otherwise. *)
 
 type t
 
@@ -93,17 +90,6 @@ val sample_into : t -> Rng.t -> Deadset.t -> unit
     allocates the same few words on any network.  @raise
     Invalid_argument on size mismatch. *)
 
-val sample_skip_into : t -> Rng.t -> Deadset.t -> unit
-(** Geometric skip-sampling under the plan's max death probability
-    [p_max]: gaps to the next candidate cable are Geometric([p_max])
-    draws and candidates are thinned by [death/p_max], so expected draw
-    count is about [2·p_max·cables + 1] instead of [cables] — a large
-    win in the sparse-failure regime ([p_max] ≪ 1).  Marginal death
-    probabilities (and independence) match {!sample_into} exactly; the
-    {e draw order} does not, so results for a given seed differ
-    trial-by-trial while agreeing in distribution.  @raise
-    Invalid_argument on size mismatch. *)
-
 val sample_recompute_into : t -> Rng.t -> Deadset.t -> unit
 (** Reference implementation of the pre-plan hot loop: re-applies the
     model closure, recomputes [1 - (1-p)^n] and draws through the
@@ -128,30 +114,8 @@ val expected_cables_failed_pct : t -> float
     probabilities, in percent.  Matches the historical
     [Montecarlo.expected_cables_failed_pct] bit-for-bit. *)
 
-val run_trials :
-  ?sampling:[ `Exact | `Skip ] ->
-  t ->
-  trials:int ->
-  seed:int ->
-  init:'acc ->
-  f:('acc -> rng:Rng.t -> dead:Deadset.t -> 'acc) ->
-  'acc
-(** The shared trial driver: fold [f] over [trials] independent storm
-    trials.  Reproduces the historical pattern exactly — a master
-    generator [Rng.create seed] split once per trial; [dead] is sampled
-    before [f] runs, so [f] may keep drawing from [rng] for its own
-    per-trial randomness (grid outages, repair jitter, ...).
-
-    [sampling] (default [`Exact]) selects the per-trial sampler:
-    [`Exact] is {!sample_into} (the byte-stable historical stream),
-    [`Skip] is {!sample_skip_into}.
-
-    [dead] is a single buffer reused across trials: copy it if it must
-    outlive the callback.  @raise Invalid_argument if [trials <= 0]. *)
-
 val run_trials_par :
   ?jobs:int ->
-  ?sampling:[ `Exact | `Skip ] ->
   t ->
   trials:int ->
   seed:int ->
@@ -159,17 +123,20 @@ val run_trials_par :
   map:(rng:Rng.t -> dead:Deadset.t -> 'a) ->
   merge:('acc -> 'a -> 'acc) ->
   'acc
-(** Domain-parallel {!run_trials}, deterministic by construction: for the
-    same [seed] and [sampling], [~jobs:1] and [~jobs:n] produce
-    byte-identical results — and both match what {!run_trials} computes
-    with [f acc ~rng ~dead = merge acc (map ~rng ~dead)].
+(** The trial driver: run [trials] independent storm trials, [map] each
+    one, and fold the results with [merge] in trial order.  Trial [i]
+    samples its dead set from the generator of the [(i+1)]-th
+    [Rng.split (Rng.create seed)] before [map] runs, so [map] may keep
+    drawing from [rng] for its own per-trial randomness (grid outages,
+    repair jitter, ...).  [~jobs:1] is the sequential path: one chunk on
+    the calling domain, [map] then [merge] in trial order.
 
-    How the determinism is kept (see DESIGN.md §6):
+    Deterministic by construction: for the same [seed], every [jobs]
+    gives byte-identical results (see DESIGN.md §6):
     - {e indexed splits} — trial [i] draws from [Rng.split_ith master i],
-      a pure function of the seed and the trial index equal to the
-      stream the sequential engine's i-th [Rng.split] yields: the
-      historical draw order, so seeds keep reproducing the published
-      numbers, and no pre-split array of [trials] generators is built;
+      a pure function of the seed and the trial index, so seeds keep
+      reproducing the published numbers and no pre-split array of
+      [trials] generators is built;
     - {e ordered merge} — each work-stealing chunk accumulates its [map]
       results into its own array (no shared option-array, no false
       sharing) and the chunks are folded left-to-right in trial order,
@@ -181,9 +148,8 @@ val run_trials_par :
     pool).  [map] runs on worker domains: it must not touch shared
     mutable state — [Obs] metrics are fine (atomic), [Obs.Span] records
     into a per-domain ring (worker spans show up in profiles with their
-    domain id), and [dead] is a worker-owned buffer valid only for the
-    duration of the call (copy it to keep it).  [map] may keep drawing
-    from [rng] for its own per-trial randomness, exactly like [f] in
-    {!run_trials}.
+    domain id), and [dead] is a worker-owned buffer reused across that
+    worker's trials, valid only for the duration of the call (copy it
+    to keep it).  [merge] runs on the calling domain.
 
     @raise Invalid_argument if [trials <= 0] or [jobs <= 0]. *)

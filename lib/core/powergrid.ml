@@ -118,26 +118,17 @@ let simulate ?(trials = 30) ?(seed = 31) ?(backup_days = 3.0) ?(spacing_km = 150
   let node_region =
     Array.init n (fun i -> region_of_node (Infra.Network.node network i))
   in
-  let cables_acc = ref 0.0 in
-  let cable_dark = ref 0.0 and grid_dark = ref 0.0 and dark = ref 0.0 in
-  let region_down_count = Hashtbl.create 16 in
-  Plan.run_trials p ~trials ~seed ~init:() ~f:(fun () ~rng ~dead ->
-    cables_acc := !cables_acc +. Montecarlo.cables_failed_pct network dead;
-    (* Grid outcomes for this trial. *)
-    let grid_out = Hashtbl.create 16 in
-    List.iter
-      (fun reg ->
-        let p = failure_probability reg ~dst_nt in
-        if Rng.bernoulli rng ~p then begin
-          let days = outage_days rng reg ~dst_nt in
-          if days > backup_days then begin
-            Hashtbl.replace grid_out reg.name ();
-            Hashtbl.replace region_down_count reg.name
-              (1 + Option.value ~default:0 (Hashtbl.find_opt region_down_count reg.name))
-          end
-        end)
-      world_regions;
-    (* Node darkness. *)
+  (* One trial: the grids that stay down past the backup window, drawn
+     from the trial's own stream after its cable deaths, then the dark
+     node percentages. *)
+  let trial ~rng ~dead =
+    let down =
+      List.filter
+        (fun reg ->
+          Rng.bernoulli rng ~p:(failure_probability reg ~dst_nt)
+          && outage_days rng reg ~dst_nt > backup_days)
+        world_regions
+    in
     let has_cable = Array.make n false and has_live = Array.make n false in
     for c = 0 to Infra.Network.nb_cables network - 1 do
       let cable = Infra.Network.cable network c in
@@ -154,7 +145,7 @@ let simulate ?(trials = 30) ?(seed = 31) ?(backup_days = 3.0) ?(spacing_km = 150
         let cable_down = not has_live.(i) in
         let grid_down =
           match node_region.(i) with
-          | Some reg -> Hashtbl.mem grid_out reg.name
+          | Some reg -> List.exists (fun d -> d.name = reg.name) down
           | None -> false
         in
         if cable_down then incr cdark;
@@ -163,20 +154,31 @@ let simulate ?(trials = 30) ?(seed = 31) ?(backup_days = 3.0) ?(spacing_km = 150
       end
     done;
     let pct x = 100.0 *. float_of_int x /. float_of_int (Int.max 1 !total) in
-    cable_dark := !cable_dark +. pct !cdark;
-    grid_dark := !grid_dark +. pct !gdark;
-    dark := !dark +. pct !either);
+    ( Montecarlo.cables_failed_pct network dead,
+      pct !cdark,
+      pct !gdark,
+      pct !either,
+      List.map (fun reg -> reg.name) down )
+  in
+  (* Summed in trial order, on this domain. *)
+  let cables, cable_dark, grid_dark, dark, downs =
+    Plan.run_trials_par ~jobs:1 p ~trials ~seed ~init:(0.0, 0.0, 0.0, 0.0, [])
+      ~map:trial
+      ~merge:(fun (c, cd, gd, d, downs) (c', cd', gd', d', down) ->
+        (c +. c', cd +. cd', gd +. gd', d +. d', down @ downs))
+  in
   let t = float_of_int trials in
-  let cable_dark = !cable_dark /. t and grid_dark = !grid_dark /. t and dark = !dark /. t in
+  let cable_dark = cable_dark /. t and grid_dark = grid_dark /. t and dark = dark /. t in
+  let down_count name = List.length (List.filter (String.equal name) downs) in
   {
-    cables_failed_pct = !cables_acc /. t;
+    cables_failed_pct = cables /. t;
     nodes_cable_dark_pct = cable_dark;
     nodes_grid_dark_pct = grid_dark;
     nodes_dark_pct = dark;
     amplification = dark /. Float.max 0.1 cable_dark;
     regions_down =
-      Hashtbl.fold
-        (fun name count acc -> if 2 * count > trials then name :: acc else acc)
-        region_down_count []
+      List.filter_map
+        (fun reg -> if 2 * down_count reg.name > trials then Some reg.name else None)
+        world_regions
       |> List.sort String.compare;
   }

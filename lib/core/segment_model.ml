@@ -59,10 +59,11 @@ let nodes_unreachable_pct_segments network dead_hops =
   done;
   if !total = 0 then 0.0 else 100.0 *. float_of_int !unreachable /. float_of_int !total
 
-(* Not Plan.run_trials: the segment comparison consumes TWO master splits
-   per trial (one for the cable-level trial, one for the segment-level
-   re-roll), which the shared driver's one-split-per-trial contract can't
-   express without changing the historical draw sequence. *)
+(* A local loop, not Plan.run_trials_par: the segment comparison
+   consumes TWO master splits per trial (one for the cable-level trial,
+   one for the segment-level re-roll), which the driver's
+   one-split-per-trial contract can't express without changing the
+   historical draw sequence. *)
 let compare_models ?(trials = 10) ?(seed = 83) ?(spacing_km = 150.0) ~network ~model () =
   let plan = Plan.compile ~spacing_km ~network ~model () in
   let master = Rng.create seed in

@@ -206,31 +206,27 @@ let batch_key c = Printf.sprintf "%s|trials=%d" (plan_key c) c.trials
 
 type row = { cell_index : int; cell : cell; stats : Montecarlo.series }
 
-let row_line r =
+let row_fields r =
   let open Obs.Json in
   let c = r.cell in
   let s = r.stats in
   let mean_std mean std = Object [ ("mean", Number mean); ("std", Number std) ] in
-  to_string
-    (Object
-       ([
-          ("cell", Number (float_of_int r.cell_index));
-          ("network", String (network_id_to_string c.network));
-          ("model", String (Failure_model.to_string c.model));
-          ("spacing_km", Number c.spacing_km);
-        ]
-       @ (match c.network with
-         | Itu -> [ ("itu_scale", Number c.itu_scale) ]
-         | _ -> [])
-       @ [
-           ("seed", Number (float_of_int c.seed));
-           ("trials", Number (float_of_int c.trials));
-           ( "cables_failed_pct",
-             mean_std s.Montecarlo.cables_mean s.Montecarlo.cables_std );
-           ( "nodes_unreachable_pct",
-             mean_std s.Montecarlo.nodes_mean s.Montecarlo.nodes_std );
-         ]))
-  ^ "\n"
+  [
+    ("network", String (network_id_to_string c.network));
+    ("model", String (Failure_model.to_string c.model));
+    ("spacing_km", Number c.spacing_km);
+  ]
+  @ (match c.network with Itu -> [ ("itu_scale", Number c.itu_scale) ] | _ -> [])
+  @ [
+      ("seed", Number (float_of_int c.seed));
+      ("trials", Number (float_of_int c.trials));
+      ("cables_failed_pct", mean_std s.Montecarlo.cables_mean s.Montecarlo.cables_std);
+      ("nodes_unreachable_pct", mean_std s.Montecarlo.nodes_mean s.Montecarlo.nodes_std);
+    ]
+
+let row_line r =
+  let open Obs.Json in
+  to_string (Object (("cell", Number (float_of_int r.cell_index)) :: row_fields r)) ^ "\n"
 
 type summary = { cells : int; rows : int; plans_compiled : int; batches : int }
 

@@ -27,9 +27,14 @@
     - {b Streaming.}  [emit] fires as soon as a cell's batch completes,
       so a 1000-cell sweep shows progress instead of a long silence.
 
+    A simulate request ([/simulate], [solarstorm simulate]) is a
+    one-cell sweep: it runs through {!run} and encodes its row with
+    {!row_fields}.
+
     Counters: [sweep.runs], [sweep.cells], [sweep.batches],
     [sweep.plans_compiled] and [sweep.rows_streamed] land on
-    {!Obs.Metrics}; a [sweep] progress run ticks once per emitted row. *)
+    {!Obs.Metrics}; a [sweep] progress run ticks once per emitted row.
+    Both count simulate requests too. *)
 
 type network_id = Submarine | Intertubes | Itu
 
@@ -114,9 +119,14 @@ val batch_key : cell -> string
 
 type row = { cell_index : int; cell : cell; stats : Montecarlo.series }
 
+val row_fields : row -> (string * Obs.Json.t) list
+(** The cell's parameters and statistics as JSON fields, in output
+    order: the one encoding of a cell result, shared by {!row_line} and
+    the [/simulate] body. *)
+
 val row_line : row -> string
-(** The cell's result as one compact JSON line ([\n]-terminated) —
-    the same field shape as the [/simulate] body, plus ["cell"]. *)
+(** [{"cell":i,] then {!row_fields}, as one compact JSON line
+    ([\n]-terminated). *)
 
 type summary = {
   cells : int;

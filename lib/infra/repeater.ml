@@ -23,9 +23,11 @@ let count_for_length ~spacing_km ~length_km =
   if length_km < 0.0 then invalid_arg "Repeater.count_for_length: negative length";
   if length_km <= spacing_km then 0
   else
-    (* Repeaters at spacing, 2*spacing, ... strictly inside the cable. *)
-    let n = int_of_float (Float.ceil (length_km /. spacing_km)) - 1 in
-    Int.max 0 n
+    (* Repeaters at spacing, 2*spacing, ... strictly inside the cable.
+       [int_of_float] is unspecified past [max_int], so the count
+       saturates there instead of falling as the spacing shrinks. *)
+    let slots = Float.ceil (length_km /. spacing_km) in
+    if slots >= float_of_int max_int then max_int else Int.max 0 (int_of_float slots - 1)
 
 let positions_for_path ~spacing_km path =
   Geo.Geodesic.positions_along path ~spacing_km

@@ -23,6 +23,8 @@ val count_for_length : spacing_km:float -> length_km:float -> int
 (** Number of repeaters a cable of the given length needs: one per full
     [spacing_km] of length, none for cables at or below one spacing
     (matching the paper: 82/441 submarine cables need none at 150 km).
+    Never increases with [spacing_km]: it saturates at [max_int] for a
+    spacing vanishingly small against the length.
     @raise Invalid_argument on non-positive spacing or negative length. *)
 
 val positions_for_path : spacing_km:float -> Geo.Coord.t list -> (float * Geo.Coord.t) list

@@ -4,7 +4,7 @@
 
    Runs are handles, not process state: [start] returns a [run] that the
    driver threads to whatever domain ticks it.  Two concurrent
-   [run_trials] calls (e.g. two server worker domains each running a
+   [run_trials_par] calls (e.g. two server worker domains each running a
    plan) therefore own independent meters — a second [start] can never
    clobber an unfinished run, which it silently did when the current run
    lived in one process-wide atomic.  Each run's counter is an [Atomic]

@@ -4,9 +4,12 @@
     of the metrics/span layer, off by default, and a single branch per
     {!tick} while disabled — trial loops call {!tick} unconditionally.
 
-    Runs are handles: {!Plan.run_trials} / {!Plan.run_trials_par} call
-    [start ~label ~total], thread the returned {!run} to whichever
-    domains complete work, tick it per finished batch, and [finish] it.
+    Runs are handles: a driver calls [start ~label ~total], threads the
+    returned {!run} to whichever domains complete work, ticks it per
+    finished batch, and [finish]es it.  [Plan.run_trials_par] runs a
+    ["trials"] meter ticked per chunk, and [Sweep.run] a ["sweep"] meter
+    ticked per emitted row — a [/simulate] request or a CLI [simulate]
+    is a one-cell sweep, so it runs both.
     Because a run is not process state, concurrent drivers (e.g. two
     server worker domains each running a plan) own independent meters
     and cannot clobber each other.  Rendering — ["label done/total

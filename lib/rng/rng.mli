@@ -37,13 +37,9 @@ module Raw : sig
 
   val next_int64 : t -> int64
 
-  val next_float53 : t -> float
-  (** 53 uniform bits in [[0, 1)] — the primitive behind [bernoulli],
-      [float] and friends. *)
-
   val bernoulli : t -> p:float -> bool
-  (** Same draw pattern (one [next_float53]) and results as
-      {!val:bernoulli}. *)
+  (** Same draw pattern (one 53-bit uniform float in [[0, 1)]) and
+      results as {!val:bernoulli}. *)
 
   val fill_bernoulli : t -> float array -> idx:int array -> Bytes.t -> unit
   (** [fill_bernoulli t probs ~idx bits] is [Array.length probs]

@@ -20,7 +20,6 @@ open Obs.Json
    layers share one type and one canonical-key discipline. *)
 type network = Stormsim.Sweep.network_id = Submarine | Intertubes | Itu
 
-let network_to_string = Stormsim.Sweep.network_id_to_string
 let network_of_string = Stormsim.Sweep.network_id_of_string
 
 type sim_params = Stormsim.Sweep.cell = {
@@ -228,13 +227,12 @@ let scenario_key p =
 let countries_key p =
   Printf.sprintf "countries|seed=%d|trials=%d" p.co_seed p.co_trials
 
-(* --- process-wide caches --- *)
+(* --- the result cache --- *)
 
 let hits = Obs.Metrics.counter "server.cache.hits"
 let misses = Obs.Metrics.counter "server.cache.misses"
 let evictions = Obs.Metrics.counter "server.cache.evictions"
 let entries_gauge = Obs.Metrics.gauge "server.cache.entries"
-let plan_reuses = Obs.Metrics.counter "server.plan.reuses"
 
 (* The result cache is lock-striped ({!Lru.Sharded}) because N worker
    domains consult it concurrently; the ref swap in [set_cache_capacity]
@@ -267,32 +265,10 @@ let take_cache_outcome () =
   cell := None;
   o
 
-(* Compiled-plan memo.  The mutex is held across [Plan.compile]
-   (single-flight): compiles take orders of magnitude longer than the
-   table probe, and letting two workers race the same key would burn a
-   core per duplicate compile for no byte of benefit. *)
-let plans : (string, Stormsim.Plan.t) Hashtbl.t = Hashtbl.create 16
-let plans_mu = Mutex.create ()
-
 let reset () =
   Lru.Sharded.clear !result_cache;
   sync_entries ();
-  Domain.DLS.get outcome_key := None;
-  Mutex.lock plans_mu;
-  Hashtbl.reset plans;
-  Mutex.unlock plans_mu
-
-let plan_for ~plan_key ~network ~model ~spacing_km =
-  Mutex.lock plans_mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock plans_mu) @@ fun () ->
-  match Hashtbl.find_opt plans plan_key with
-  | Some plan ->
-      Obs.Metrics.incr plan_reuses;
-      plan
-  | None ->
-      let plan = Stormsim.Plan.compile ~spacing_km ~network ~model () in
-      Hashtbl.replace plans plan_key plan;
-      plan
+  Domain.DLS.get outcome_key := None
 
 let with_cache ~key compute =
   let outcome = Domain.DLS.get outcome_key in
@@ -317,39 +293,14 @@ let with_cache ~key compute =
 
 let doc fields = Obs.Json.to_string (Object fields) ^ "\n"
 
-let mean_std mean std = Object [ ("mean", Number mean); ("std", Number std) ]
-
-let build_network p =
-  match p.network with
-  | Submarine -> Datasets.Cache.submarine ~seed:p.seed ()
-  | Intertubes -> Datasets.Cache.intertubes ~seed:p.seed ()
-  | Itu -> Datasets.Cache.itu ~seed:p.seed ~scale:p.itu_scale ()
-
+(* A simulate request is a one-cell sweep: the same run, and the row's
+   fields behind an ["endpoint"] head instead of its ["cell"] index. *)
 let simulate_body p =
-  let network = build_network p in
-  let plan =
-    plan_for ~plan_key:(Stormsim.Sweep.plan_key p) ~network ~model:p.model
-      ~spacing_km:p.spacing_km
-  in
-  let s = Stormsim.Montecarlo.run_plan ~trials:p.trials ~seed:p.seed plan in
-  doc
-    ([
-       ("endpoint", String "simulate");
-       ("network", String (network_to_string p.network));
-       ("model", String (Stormsim.Failure_model.to_string p.model));
-       ("spacing_km", Number p.spacing_km);
-     ]
-    @ (match p.network with
-      | Itu -> [ ("itu_scale", Number p.itu_scale) ]
-      | _ -> [])
-    @ [
-        ("seed", Number (float_of_int p.seed));
-        ("trials", Number (float_of_int p.trials));
-        ( "cables_failed_pct",
-          mean_std s.Stormsim.Montecarlo.cables_mean s.Stormsim.Montecarlo.cables_std );
-        ( "nodes_unreachable_pct",
-          mean_std s.Stormsim.Montecarlo.nodes_mean s.Stormsim.Montecarlo.nodes_std );
-      ])
+  let body = ref "" in
+  ignore
+    (Stormsim.Sweep.run ~cells:[| p |] () ~emit:(fun row ->
+         body := doc (("endpoint", String "simulate") :: Stormsim.Sweep.row_fields row)));
+  !body
 
 let scenario_body p =
   let cme =

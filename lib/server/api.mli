@@ -9,19 +9,17 @@
     newline.
 
     Process-wide reuse: dataset builds go through {!Datasets.Cache},
-    compiled {!Stormsim.Plan}s are memoized here per canonical
-    [(network, model, spacing)] key, and whole response bodies live in
-    a lock-striped LRU ({!Lru.Sharded}) keyed by the canonical request
-    ({!sim_key} & friends) — a repeated request is answered
-    byte-identically without re-running trials.  Every entry point is
-    safe to call from any number of worker domains concurrently: the
-    result cache is sharded, the plan memo is mutex-single-flighted,
-    and the per-request cache outcome is domain-local. *)
+    and whole response bodies live in a lock-striped LRU
+    ({!Lru.Sharded}) keyed by the canonical request ({!sim_key} &
+    friends) — a repeated request is answered byte-identically without
+    re-running trials.  That bounded cache is the only state that
+    outlives a request: a compiled {!Stormsim.Plan} lives for one run.
+    Every entry point is safe to call from any number of worker domains
+    concurrently: the result cache is sharded and the per-request cache
+    outcome is domain-local. *)
 
 type network = Stormsim.Sweep.network_id = Submarine | Intertubes | Itu
 (** Re-export: the core sweep engine owns the network vocabulary. *)
-
-val network_to_string : network -> string
 
 val network_of_string : string -> (network, string) result
 
@@ -52,7 +50,10 @@ val sim_key : sim_params -> string
     networks so equivalent requests share one entry. *)
 
 val simulate_body : sim_params -> string
-(** Compile (or reuse) the plan, run the trials, encode. *)
+(** Run the request as a one-cell {!Stormsim.Sweep.run} and encode the
+    row: [{"endpoint":"simulate",] then {!Stormsim.Sweep.row_fields} —
+    the cell's {!Stormsim.Sweep.row_line} with ["endpoint"] in place of
+    ["cell"]. *)
 
 type scenario_source =
   | Event of string  (** {!Spaceweather.Storm_catalog} lookup *)
@@ -131,4 +132,4 @@ val cache_capacity : unit -> int
 val cache_shards : unit -> int
 
 val reset : unit -> unit
-(** Drop the result cache and the compiled-plan memo (tests). *)
+(** Drop the result cache (tests). *)

@@ -72,6 +72,40 @@ let test_coupled_simulation_mild_storm () =
     (not (List.mem "Southeast Asia" r.Powergrid.regions_down));
   Alcotest.(check bool) "little darkness" true (r.Powergrid.nodes_dark_pct < 30.0)
 
+(* Bit patterns of every float field and the regions down, for two
+   inputs: the per-trial sums must accumulate in trial order, so not
+   even the last bit may move. *)
+let powergrid_pins =
+  [ ( "s1 at -1200 nT",
+      (10, 31, Failure_model.s1, -1200.0),
+      [ 0x403e15c9882b9312L; 0x4038a64412fa6e28L; 0x40513f892e00699eL;
+        0x40527472b1d16129L; 0x4007f549ba8a1597L ],
+      [ "Canada"; "Central America"; "Continental Europe"; "ERCOT-Texas"; "East Asia";
+        "Middle East"; "Nordic"; "Oceania"; "Russia-CIS"; "UK-Ireland"; "US-Eastern";
+        "US-Western" ] );
+    ( "uniform 0.05 at -589 nT",
+      (12, 7, Failure_model.uniform 0.05, -589.0),
+      [ 0x404260ae4c415c99L; 0x403ce3538ba7b5bdL; 0x404780a73a8428fcL;
+        0x404ffcaa410c7224L; 0x4001b766b59db1b0L ],
+      [ "Canada"; "Continental Europe"; "Nordic"; "Russia-CIS"; "UK-Ireland";
+        "US-Eastern"; "US-Western" ] ) ]
+
+let test_coupled_simulation_pinned () =
+  let net = Lazy.force submarine in
+  List.iter
+    (fun (name, (trials, seed, model, dst_nt), bits, regions) ->
+      let r = Powergrid.simulate ~trials ~seed ~network:net ~model ~dst_nt () in
+      Alcotest.(check (list int64))
+        (name ^ ": float bits")
+        bits
+        (List.map Int64.bits_of_float
+           [ r.Powergrid.cables_failed_pct; r.Powergrid.nodes_cable_dark_pct;
+             r.Powergrid.nodes_grid_dark_pct; r.Powergrid.nodes_dark_pct;
+             r.Powergrid.amplification ]);
+      Alcotest.(check (list string)) (name ^ ": regions down") regions
+        r.Powergrid.regions_down)
+    powergrid_pins
+
 (* --- Traffic --- *)
 
 let test_gravity_demands_normalized () =
@@ -606,7 +640,8 @@ let () =
           Alcotest.test_case "monotone in storm" `Quick test_grid_failure_monotone_in_storm;
           Alcotest.test_case "outage durations" `Quick test_outage_duration_scales;
           Alcotest.test_case "coupling amplifies" `Quick test_coupled_simulation_amplifies;
-          Alcotest.test_case "mild storm" `Quick test_coupled_simulation_mild_storm ] );
+          Alcotest.test_case "mild storm" `Quick test_coupled_simulation_mild_storm;
+          Alcotest.test_case "pinned outputs" `Quick test_coupled_simulation_pinned ] );
       ( "traffic",
         [ Alcotest.test_case "demands normalized" `Quick test_gravity_demands_normalized;
           Alcotest.test_case "healthy delivery" `Quick test_healthy_routing_delivers_everything;

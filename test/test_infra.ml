@@ -362,6 +362,19 @@ let prop_repeater_count_antitone_in_spacing =
       Infra.Repeater.count_for_length ~spacing_km:hi ~length_km:8000.0
       <= Infra.Repeater.count_for_length ~spacing_km:lo ~length_km:8000.0)
 
+(* Spacings log-uniform over 1e-300 .. 1e6 km: below ~1e-15 km the
+   ratio length / spacing passes max_int, where the count must saturate
+   rather than wrap to a smaller number. *)
+let prop_repeater_count_antitone_down_to_tiny_spacing =
+  QCheck.Test.make ~name:"repeater count antitone in spacing, 1e-300 to 1e6 km"
+    ~count:500
+    QCheck.(triple (float_range (-300.0) 6.0) (float_range (-300.0) 6.0)
+              (float_range 1.0 30000.0))
+    (fun (e1, e2, length_km) ->
+      let lo = 10.0 ** Float.min e1 e2 and hi = 10.0 ** Float.max e1 e2 in
+      Infra.Repeater.count_for_length ~spacing_km:hi ~length_km
+      <= Infra.Repeater.count_for_length ~spacing_km:lo ~length_km)
+
 let prop_grounding_sorted_and_bounded =
   QCheck.Test.make ~name:"grounding chainages sorted within cable" ~count:200
     (QCheck.float_range 50.0 30000.0)
@@ -375,7 +388,7 @@ let prop_grounding_sorted_and_bounded =
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_repeater_count_monotone_in_length; prop_repeater_count_antitone_in_spacing;
-      prop_grounding_sorted_and_bounded ]
+      prop_repeater_count_antitone_down_to_tiny_spacing; prop_grounding_sorted_and_bounded ]
 
 let () =
   Alcotest.run "infra"

@@ -785,8 +785,9 @@ let test_progress_through_trial_drivers () =
   let network = Datasets.Submarine.build ~seed:7 () in
   let plan = Stormsim.Plan.compile ~network ~model:Stormsim.Failure_model.s1 () in
   let seq =
-    Stormsim.Plan.run_trials plan ~trials:5 ~seed:1 ~init:0
-      ~f:(fun acc ~rng:_ ~dead:_ -> acc + 1)
+    Stormsim.Plan.run_trials_par ~jobs:1 plan ~trials:5 ~seed:1 ~init:0
+      ~map:(fun ~rng:_ ~dead:_ -> 1)
+      ~merge:( + )
   in
   Alcotest.(check int) "sequential trials" 5 seq;
   Alcotest.(check bool) "sequential meter" true (contains (Buffer.contents buf) "trials 5/5 (100%)");

@@ -1,12 +1,12 @@
 (* Domain-parallel trial engine suite.
 
    The contract under test: [Plan.run_trials_par] produces byte-identical
-   results to the sequential [Plan.run_trials] fold for ANY job count —
-   trial RNGs are pre-split sequentially from the master and results are
-   merged in trial order, so parallelism never shows in the output.  The
-   suite pins that identity across every failure-model constructor, checks
-   Obs counter totals are exact under domains, and exercises the Exec
-   pool's coverage / shutdown / exception behaviour.
+   results to a plain sequential fold ([seq_fold] below) for ANY job
+   count — trial [i] draws the stream of the master's (i+1)-th split and
+   results are merged in trial order, so parallelism never shows in the
+   output.  The suite pins that identity across every failure-model
+   constructor, checks Obs counter totals are exact under domains, and
+   exercises the Exec pool's coverage / shutdown / exception behaviour.
 
    The "satellites" section holds the regression tests for the latent-bug
    sweep that rode along with the engine: weighted_choice's trailing
@@ -39,7 +39,20 @@ let models =
     ("carrington-physical", Failure_model.carrington_physical);
   ]
 
-(* --- run_trials_par ≡ run_trials, per model, per job count --- *)
+(* The oracle: the historical trial loop, one [Rng.split] of the master
+   per trial and the dead set sampled before [f] runs. *)
+let seq_fold plan ~trials ~seed ~init ~f =
+  let master = Rng.create seed in
+  let dead = Deadset.create (Plan.nb_cables plan) in
+  let acc = ref init in
+  for _ = 1 to trials do
+    let rng = Rng.split master in
+    Plan.sample_into plan rng dead;
+    acc := f !acc ~rng ~dead
+  done;
+  !acc
+
+(* --- run_trials_par ≡ seq_fold, per model, per job count --- *)
 
 let test_par_identity (mname, model) () =
   let network = Lazy.force network in
@@ -47,7 +60,7 @@ let test_par_identity (mname, model) () =
   let trials = 7 and seed = 99 in
   let seq =
     List.rev
-      (Plan.run_trials plan ~trials ~seed ~init:[] ~f:(fun acc ~rng:_ ~dead ->
+      (seq_fold plan ~trials ~seed ~init:[] ~f:(fun acc ~rng:_ ~dead ->
            hash_dead dead :: acc))
   in
   List.iter

@@ -160,60 +160,6 @@ let test_sample_matches_recompute () =
         oracle_models)
     oracle_networks
 
-(* --- skip-sampling goldens: its own pinned stream --- *)
-
-(* Geometric skip-sampling draws a different (shorter) RNG stream than
-   the exact per-cable path, so it gets its own golden hashes (captured
-   from the first implementation; same seed discipline as the exact
-   goldens: master = Rng.create 1234, rng = split master).  Models whose
-   envelope saturates (death_max >= 1) delegate to the exact sampler, so
-   their skip goldens deliberately equal the exact ones above. *)
-let skip_goldens =
-  [
-    ("uniform-0.01", Failure_model.uniform 0.01, 62, 6703796285628778726L);
-    ("s2", Failure_model.s2, 44, 977401448827320740L);
-    ("s1", Failure_model.s1, 149, -8462356478488360431L);
-    ("s1-geomag", Failure_model.s1_geomag, 160, -5830886797912768062L);
-    ("carrington-physical", Failure_model.carrington_physical, 212,
-     -111982140042745036L);
-  ]
-
-let test_skip_golden (gname, model, g_dead, g_hash) () =
-  let network = Lazy.force network in
-  let plan = Plan.compile ~network ~model () in
-  let master = Rng.create 1234 in
-  let rng = Rng.split master in
-  let dead = Deadset.create (Plan.nb_cables plan) in
-  Plan.sample_skip_into plan rng dead;
-  let flags = Deadset.to_bool_array dead in
-  Alcotest.(check int) (gname ^ " dead count") g_dead (dead_count flags);
-  Alcotest.(check int64) (gname ^ " dead hash") g_hash (hash_dead flags)
-
-let test_skip_par_identity () =
-  (* The byte-identity contract holds on the skip path too: pre-split
-     trial RNGs and ordered merge, so the job count never shows. *)
-  let network = Lazy.force network in
-  let plan = Plan.compile ~network ~model:(Failure_model.uniform 0.01) () in
-  let trials = 7 and seed = 99 in
-  let hash dead = hash_dead (Deadset.to_bool_array dead) in
-  let seq =
-    List.rev
-      (Plan.run_trials ~sampling:`Skip plan ~trials ~seed ~init:[]
-         ~f:(fun acc ~rng:_ ~dead -> hash dead :: acc))
-  in
-  List.iter
-    (fun jobs ->
-      let par =
-        List.rev
-          (Plan.run_trials_par ~jobs ~sampling:`Skip plan ~trials ~seed ~init:[]
-             ~map:(fun ~rng:_ ~dead -> hash dead)
-             ~merge:(fun acc h -> h :: acc))
-      in
-      Alcotest.(check (list int64))
-        (Printf.sprintf "skip path: jobs=%d = seq" jobs)
-        seq par)
-    [ 1; 2; 4 ]
-
 let test_compile_validates () =
   let network = Lazy.force network in
   Alcotest.check_raises "spacing <= 0"
@@ -221,9 +167,10 @@ let test_compile_validates () =
     (fun () -> ignore (Plan.compile ~spacing_km:0.0 ~network ~model:Failure_model.s1 ()));
   let plan = Plan.compile ~network ~model:Failure_model.s1 () in
   Alcotest.check_raises "trials <= 0"
-    (Invalid_argument "Plan.run_trials: trials <= 0")
+    (Invalid_argument "Plan.run_trials_par: trials <= 0")
     (fun () ->
-      ignore (Plan.run_trials plan ~trials:0 ~seed:1 ~init:() ~f:(fun () ~rng:_ ~dead:_ -> ())))
+      Plan.run_trials_par plan ~trials:0 ~seed:1 ~init:() ~map:(fun ~rng:_ ~dead:_ -> ())
+        ~merge:(fun () () -> ()))
 
 (* --- Recovery.storm_recovery returns the median trial's curve --- *)
 
@@ -237,8 +184,10 @@ let test_recovery_median_series () =
   let p = Plan.compile ~network ~model () in
   let tls =
     List.rev
-      (Plan.run_trials p ~trials ~seed ~init:[] ~f:(fun acc ~rng:_ ~dead ->
-           Recovery.plan ~network ~dead:(Deadset.to_bool_array dead) () :: acc))
+      (Plan.run_trials_par ~jobs:1 p ~trials ~seed ~init:[]
+         ~map:(fun ~rng:_ ~dead ->
+           Recovery.plan ~network ~dead:(Deadset.to_bool_array dead) ())
+         ~merge:(fun acc tl -> tl :: acc))
   in
   let sorted =
     List.sort compare
@@ -385,8 +334,9 @@ let prop_unreachable_matches_oracle =
           (Int64.bits_of_float (Montecarlo.nodes_unreachable_pct network dead))
       in
       let sampled =
-        Plan.run_trials plan ~trials:5 ~seed:sp.seed ~init:true ~f:(fun ok ~rng:_ ~dead ->
-            ok && same dead)
+        Plan.run_trials_par ~jobs:1 plan ~trials:5 ~seed:sp.seed ~init:true
+          ~map:(fun ~rng:_ ~dead -> same dead)
+          ~merge:( && )
       in
       let rng = Rng.create sp.seed in
       let arbitrary =
@@ -478,12 +428,6 @@ let () =
           Alcotest.test_case "validation" `Quick test_compile_validates;
           QCheck_alcotest.to_alcotest prop_unreachable_matches_oracle;
           Alcotest.test_case "allocation per call" `Quick test_trial_allocation ] );
-      ( "skip sampling",
-        List.map
-          (fun (gname, _, _, _ as g) ->
-            Alcotest.test_case gname `Quick (test_skip_golden g))
-          skip_goldens
-        @ [ Alcotest.test_case "par = seq on skip path" `Quick test_skip_par_identity ] );
       ( "satellites",
         [ Alcotest.test_case "recovery median series" `Quick test_recovery_median_series;
           Alcotest.test_case "traffic per-network baseline" `Quick

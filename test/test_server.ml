@@ -321,6 +321,68 @@ let test_cache_does_not_store_errors () =
   Alcotest.(check int) "errors recompute" 2 !calls;
   Alcotest.(check int) "nothing cached" 0 (Server.Api.cache_length ())
 
+(* The cells' statistics, the fields after the parameters. *)
+let stats_of body =
+  match Obs.Json.parse body with
+  | Error e -> Alcotest.fail e
+  | Ok doc ->
+      List.map
+        (fun k -> Option.map Obs.Json.to_string (Obs.Json.member k doc))
+        [ "cables_failed_pct"; "nodes_unreachable_pct" ]
+
+let test_simulate_tiny_spacing () =
+  (* Below ~1e-15 km a cable's repeater count passes max_int; it must
+     saturate, not wrap, so 1e-300 km fails every cable as 1e-12 km does. *)
+  let body spacing =
+    let resp =
+      dispatch ~meth:Server.Http.POST
+        ~body:(Printf.sprintf {|{"spacing_km":%s}|} spacing)
+        "/simulate"
+    in
+    Alcotest.(check int) (spacing ^ " status") 200 resp.Server.Http.status;
+    resp.Server.Http.body
+  in
+  let tiny = body "1e-300" in
+  Alcotest.(check (list (option string))) "1e-300 km = 1e-12 km" (stats_of (body "1e-12"))
+    (stats_of tiny);
+  Alcotest.(check bool) "every cable failed" true
+    (contains tiny {|"cables_failed_pct":{"mean":100.0,|})
+
+let test_simulate_plans_released () =
+  (* 40 misses with distinct plan keys over one small ITU map: a plan
+     lives for its request, so live words after the last miss must be
+     within one plan's own words of the first (the cached bodies are a
+     few dozen words each). *)
+  Server.Api.reset ();
+  Fun.protect ~finally:Server.Api.reset @@ fun () ->
+  let routes = Server.Handlers.routes () in
+  let body i =
+    Printf.sprintf {|{"network":"itu","itu_scale":0.1,"spacing_km":%d,"trials":1}|} (100 + i)
+  in
+  let live_after i =
+    let req = request ~meth:Server.Http.POST ~body:(body i) "/simulate" in
+    let resp = Server.Router.to_response (Server.Router.dispatch ~routes req) in
+    Alcotest.(check int) "status" 200 resp.Server.Http.status;
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let first = live_after 0 in
+  for i = 1 to 38 do
+    ignore (live_after i)
+  done;
+  let grown = live_after 39 - first in
+  Alcotest.(check int) "40 misses cached" 40 (Server.Api.cache_length ());
+  let one_plan =
+    let network = Datasets.Cache.itu ~seed:Datasets.default_seed ~scale:0.1 () in
+    let plan =
+      Stormsim.Plan.compile ~spacing_km:100.0 ~network ~model:Server.Api.sim_defaults.model ()
+    in
+    Obj.reachable_words (Obj.repr plan) - Obj.reachable_words (Obj.repr network)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "grew %d words, one plan is %d" grown one_plan)
+    true (grown < one_plan)
+
 let test_cache_eviction_is_counted () =
   with_server_state @@ fun () ->
   (* One shard: global LRU order, so exactly the third insert evicts. *)
@@ -1440,6 +1502,8 @@ let () =
         [ Alcotest.test_case "key canonicalization" `Quick test_cache_key_canonicalization;
           Alcotest.test_case "hit skips trials" `Quick test_cache_hit_skips_trials;
           Alcotest.test_case "errors not stored" `Quick test_cache_does_not_store_errors;
+          Alcotest.test_case "tiny spacing saturates" `Quick test_simulate_tiny_spacing;
+          Alcotest.test_case "simulate plans released" `Quick test_simulate_plans_released;
           Alcotest.test_case "eviction counted" `Quick test_cache_eviction_is_counted;
           Alcotest.test_case "counters under concurrency" `Quick
             test_cache_counters_concurrent;

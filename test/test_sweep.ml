@@ -305,6 +305,67 @@ let test_plans_released () =
     (Printf.sprintf "grew %d words, one plan is %d" grown one_plan)
     true (grown < one_plan)
 
+(* --- one simulate path --- *)
+
+(* The six models of the golden suites. *)
+let named_models =
+  [ Failure_model.uniform 0.01; Failure_model.s1; Failure_model.s2; Failure_model.s1_geomag;
+    Failure_model.Geomag_tiered
+      { high = 0.5; mid = 0.05; low = 0.005; mid_threshold = 40.0; high_threshold = 60.0 };
+    Failure_model.carrington_physical ]
+
+(* Seeds and ITU scales come from small pools: each distinct pair builds
+   (and caches) a dataset. *)
+let cell_gen =
+  let open QCheck.Gen in
+  let* network = oneofl [ Sweep.Submarine; Intertubes; Itu ] in
+  let* itu_scale = oneofl [ 0.05; 0.1; 0.2 ] in
+  let* model =
+    oneof [ oneofl named_models; map Failure_model.uniform (float_bound_inclusive 1.0) ]
+  in
+  let* spacing_km = float_range 50.0 500.0 in
+  let* seed = int_range 41 43 in
+  let+ trials = int_range 1 20 in
+  { Sweep.network; model; spacing_km; itu_scale; seed; trials }
+
+let cell_arb = QCheck.make ~print:Sweep.batch_key cell_gen
+
+let prop_simulate_is_one_cell_sweep =
+  QCheck.Test.make ~name:"simulate body = one-cell sweep row" ~count:60 cell_arb (fun c ->
+      let _, row = run_to_string ~jobs:1 [| c |] in
+      let head = {|{"cell":0.0,|} in
+      let n = String.length head in
+      String.sub row 0 n = head
+      && Server.Api.simulate_body c
+         = {|{"endpoint":"simulate",|} ^ String.sub row n (String.length row - n))
+
+(* Up to 2 values on each of three axes over a random base cell: grids
+   of 1 to 8 cells, often sharing plans and batches. *)
+let grid_arb =
+  let open QCheck.Gen in
+  let values pool = list_size (int_range 1 2) (oneofl pool) in
+  let gen =
+    let* base = cell_gen in
+    let* networks = values [ "submarine"; "intertubes"; "itu" ] in
+    let* models = values [ "0.01"; "0.05"; "s1"; "s2"; "physical" ] in
+    let+ trials = values [ "1"; "7"; "20" ] in
+    let spec key vs = key ^ "=" ^ String.concat "," vs in
+    (base, [ spec "network" networks; spec "model" models; spec "trials" trials ])
+  in
+  QCheck.make
+    ~print:(fun (base, specs) -> Sweep.batch_key base ^ " " ^ String.concat " " specs)
+    gen
+
+let prop_grid_jobs_identity =
+  QCheck.Test.make ~name:"grid bytes identical for jobs 1, 2, 4" ~count:30 grid_arb
+    (fun (base, specs) ->
+      match Sweep.expand ~base (List.map axis specs) with
+      | Error e -> QCheck.Test.fail_report e
+      | Ok cells ->
+          let _, one = run_to_string ~jobs:1 cells in
+          Array.length cells <= 8
+          && List.for_all (fun jobs -> snd (run_to_string ~jobs cells) = one) [ 2; 4 ])
+
 (* --- HTTP: POST /sweep --- *)
 
 let dispatch ?(body = "") target =
@@ -359,6 +420,31 @@ let test_http_bad_grids_are_400 () =
     [ "{"; "[1,2]"; "\"grid\""; "{\"bogus\":[1]}"; "{\"trials\":[0]}";
       "{\"model\":{}}"; "{\"trials\":[true]}"; "{\"trials\":1,\"trials\":2}" ]
 
+let test_http_tiny_spacing () =
+  (* 1e-300 km must give the 1e-12 km result: the repeater count
+     saturates instead of wrapping past max_int. *)
+  with_state @@ fun () ->
+  let resp =
+    Server.Router.to_response (dispatch ~body:{|{"spacing_km":[1e-300,1e-12]}|} "/sweep")
+  in
+  Alcotest.(check int) "status" 200 resp.Server.Http.status;
+  let stats line =
+    match Obs.Json.parse line with
+    | Error e -> Alcotest.fail e
+    | Ok doc ->
+        List.map
+          (fun k -> Option.map Obs.Json.to_string (Obs.Json.member k doc))
+          [ "cables_failed_pct"; "nodes_unreachable_pct" ]
+  in
+  match String.split_on_char '\n' resp.Server.Http.body with
+  | [ tiny; small; "" ] ->
+      Alcotest.(check (list (option string))) "1e-300 km = 1e-12 km" (stats small)
+        (stats tiny);
+      Alcotest.(check (option string)) "every cable failed"
+        (Some {|{"mean":100.0,"std":0.0}|})
+        (List.hd (stats tiny))
+  | lines -> Alcotest.failf "expected 2 rows, got %d lines" (List.length lines)
+
 let test_http_sweep_wrong_method_405 () =
   with_state @@ fun () ->
   let resp =
@@ -399,7 +485,10 @@ let () =
             test_shared_batch_rows_identical;
           Alcotest.test_case "row line shape" `Quick test_row_line_shape;
           Alcotest.test_case "recurring plan kept" `Quick test_recurring_plan_kept;
-          Alcotest.test_case "plans released" `Quick test_plans_released ] );
+          Alcotest.test_case "plans released" `Quick test_plans_released;
+          QCheck_alcotest.to_alcotest prop_grid_jobs_identity ] );
+      ( "simulate",
+        [ QCheck_alcotest.to_alcotest prop_simulate_is_one_cell_sweep ] );
       ( "pinned bytes",
         [ Alcotest.test_case "cross-network grid" `Quick
             (test_pinned_digest (cross_network_axes, 18, cross_network_digest));
@@ -412,6 +501,7 @@ let () =
           Alcotest.test_case "empty axis -> empty stream" `Quick
             test_http_empty_axis_streams_nothing;
           Alcotest.test_case "bad grids are 400" `Quick test_http_bad_grids_are_400;
+          Alcotest.test_case "tiny spacing saturates" `Quick test_http_tiny_spacing;
           Alcotest.test_case "GET /sweep is 405" `Quick test_http_sweep_wrong_method_405 ]
       );
     ]
