@@ -32,36 +32,25 @@ let print_figures () =
 
 (* A live loopback server for the serve.throughput kernels: one domain
    running the real Service acceptor loop (plus [workers] handler
-   domains), an ephemeral port reported through [on_ready].  The
-   returned closure stops and joins it. *)
+   domains) on an ephemeral port.  The returned closure stops and joins
+   it. *)
 let boot_server ~workers () =
-  let port_box = Atomic.make 0 in
   let server =
-    Domain.spawn (fun () ->
-        Server.Service.run
-          ~on_ready:(fun ~port -> Atomic.set port_box port)
-          {
-            Server.Service.default_config with
-            Server.Service.port = 0;
-            workers;
-            idle_poll_s = 0.01;
-            drain_grace_s = 0.5;
-            log = ignore;
-          })
+    Server.Service.create
+      {
+        Server.Service.default_config with
+        Server.Service.port = 0;
+        workers;
+        idle_poll_s = 0.01;
+        drain_grace_s = 0.5;
+        log = ignore;
+      }
   in
-  let rec wait () =
-    let p = Atomic.get port_box in
-    if p = 0 then begin
-      Domain.cpu_relax ();
-      wait ()
-    end
-    else p
-  in
-  let port = wait () in
-  ( port,
+  let d = Domain.spawn (fun () -> Server.Service.run server) in
+  ( Server.Service.port server,
     fun () ->
-      Server.Service.stop ();
-      Domain.join server )
+      Server.Service.stop server;
+      Domain.join d )
 
 (* The sweep kernels' grid: 4 models x 4 itu scales x 4 duplicate trial
    values = 64 cells over the default submarine network, where itu_scale
@@ -78,6 +67,13 @@ let sweep_grid () =
       specs
   in
   match Stormsim.Sweep.expand axes with Ok cells -> cells | Error e -> failwith e
+
+(* One Monte-Carlo trial as [Segment_model.compare_models] runs it: a
+   fresh dead set, then both percentages. *)
+let trial plan rng =
+  let dead = Stormsim.Plan.sample plan rng in
+  ignore (Stormsim.Montecarlo.cables_failed_pct (Stormsim.Plan.network plan) dead);
+  ignore (Stormsim.Plan.unreachable_attached_pct plan dead)
 
 (* One kernel per table/figure, shared by the Bechamel pass and the
    single-run --fast timings. *)
@@ -114,8 +110,7 @@ let kernels ctx ~port ~port_par : (string * (unit -> unit)) list =
     ("plan.sample", fun () -> Stormsim.Plan.sample_into uniform_plan rng dead_buf);
     ( "plan.sample-recompute",
       fun () -> Stormsim.Plan.sample_recompute_into uniform_plan rng dead_buf );
-    ( "fig6-uniform-trial",
-      fun () -> ignore (Stormsim.Montecarlo.trial rng ~plan:uniform_plan) );
+    ("fig6-uniform-trial", fun () -> trial uniform_plan rng);
     (* The same 200-trial Monte-Carlo workload three ways: a plain
        sequential loop, the Domain engine at one job (its overhead over
        the loop), and at four jobs (scaling, bounded by the machine's
@@ -123,7 +118,7 @@ let kernels ctx ~port ~port_par : (string * (unit -> unit)) list =
     ( "plan.trials-seq",
       fun () ->
         for _ = 1 to 200 do
-          ignore (Stormsim.Montecarlo.trial rng ~plan:tiered_plan)
+          trial tiered_plan rng
         done );
     ( "plan.trials-par1",
       fun () -> ignore (Stormsim.Montecarlo.run_plan ~trials:200 ~jobs:1 ~seed:13 tiered_plan) );
@@ -141,7 +136,7 @@ let kernels ctx ~port ~port_par : (string * (unit -> unit)) list =
     ( "sweep.grid-par4",
       let cells = sweep_grid () in
       fun () -> ignore (Stormsim.Sweep.run ~jobs:4 ~cells ~emit:ignore ()) );
-    ("fig8-tiered-trial", fun () -> ignore (Stormsim.Montecarlo.trial rng ~plan:tiered_plan));
+    ("fig8-tiered-trial", fun () -> trial tiered_plan rng);
     ("fig9-as-analysis", fun () -> ignore (Stormsim.Systems.analyze_ases (Report.Figures.ases ctx)));
     ( "country-case-study",
       fun () ->
@@ -345,8 +340,7 @@ let () =
   if !json <> None then Obs.enable ();
   let ctx = print_figures () in
   (* Two live servers: the single-worker reference and the 4-worker
-     pool.  Service.stop is process-wide, so stop both only after every
-     kernel has run. *)
+     pool, both stopped once every kernel has run. *)
   let port, stop_server = boot_server ~workers:1 () in
   let port_par, stop_server_par = boot_server ~workers:4 () in
   let ks = kernels ctx ~port ~port_par in

@@ -190,22 +190,33 @@ dune exec bin/solarstorm.exe -- simulate --json --spacing 1e-300 \
   || { echo "check.sh: simulate --spacing 1e-300 did not fail every cable" >&2; exit 1; }
 rm -f /tmp/onecell_sweep.json /tmp/onecell_simulate.json
 
+# Start `solarstorm serve --port 0 ARGS...` in the background with its
+# output in LOG, wait for its `listening on` line, and set SERVE_PID,
+# SERVE_PORT and BASE.  WHAT names the server in the not-ready message.
+# Usage: boot_serve LOG WHAT [ARGS...]
+boot_serve() {
+  boot_log=$1
+  boot_what=$2
+  shift 2
+  _build/default/bin/solarstorm.exe serve --port 0 "$@" > "$boot_log" 2>&1 &
+  SERVE_PID=$!
+  i=0
+  until grep -q 'listening on' "$boot_log" 2> /dev/null; do
+    i=$((i + 1))
+    [ "$i" -le 100 ] || { echo "check.sh: $boot_what never became ready" >&2; kill "$SERVE_PID" 2> /dev/null; exit 1; }
+    sleep 0.1
+  done
+  SERVE_PORT=$(sed -n 's|.*listening on http://127\.0\.0\.1:\([0-9]*\).*|\1|p' "$boot_log")
+  BASE="http://127.0.0.1:$SERVE_PORT"
+}
+
 echo "== solarstorm serve: smoke gate =="
 # Boot the service on an ephemeral port, exercise every acceptance
 # property over real HTTP, then prove SIGTERM drains to a clean exit 0.
 SERVE_LOG=/tmp/serve_gate.log
 SERVE_TRIALS=25
 rm -f "$SERVE_LOG" /tmp/serve_sim1.json /tmp/serve_sim2.json /tmp/serve_cli.json /tmp/serve_metrics.txt
-_build/default/bin/solarstorm.exe serve --port 0 > "$SERVE_LOG" 2>&1 &
-SERVE_PID=$!
-i=0
-until grep -q 'listening on' "$SERVE_LOG" 2> /dev/null; do
-  i=$((i + 1))
-  [ "$i" -le 100 ] || { echo "check.sh: serve never became ready" >&2; kill "$SERVE_PID" 2> /dev/null; exit 1; }
-  sleep 0.1
-done
-SERVE_PORT=$(sed -n 's|.*listening on http://127\.0\.0\.1:\([0-9]*\).*|\1|p' "$SERVE_LOG")
-BASE="http://127.0.0.1:$SERVE_PORT"
+boot_serve "$SERVE_LOG" "serve"
 
 curl -fsS "$BASE/healthz" | grep -q '"status":"ok"' \
   || { echo "check.sh: /healthz not ok" >&2; kill "$SERVE_PID" 2> /dev/null; exit 1; }
@@ -252,17 +263,8 @@ SERVE_TRACE=/tmp/serve_trace.json
 OBS_LOG=/tmp/serve_obs.log
 rm -f "$ACCESS_LOG" "$SERVE_TRACE" "$OBS_LOG" /tmp/serve_obs_headers.txt \
   /tmp/serve_obs_sim.json /tmp/serve_obs_cli.json /tmp/loadgen_gate.json
-_build/default/bin/solarstorm.exe serve --port 0 --trace-seed 42 \
-  --log "$ACCESS_LOG" --profile "$SERVE_TRACE" > "$OBS_LOG" 2>&1 &
-SERVE_PID=$!
-i=0
-until grep -q 'listening on' "$OBS_LOG" 2> /dev/null; do
-  i=$((i + 1))
-  [ "$i" -le 100 ] || { echo "check.sh: observability serve never became ready" >&2; kill "$SERVE_PID" 2> /dev/null; exit 1; }
-  sleep 0.1
-done
-SERVE_PORT=$(sed -n 's|.*listening on http://127\.0\.0\.1:\([0-9]*\).*|\1|p' "$OBS_LOG")
-BASE="http://127.0.0.1:$SERVE_PORT"
+boot_serve "$OBS_LOG" "observability serve" --trace-seed 42 \
+  --log "$ACCESS_LOG" --profile "$SERVE_TRACE"
 
 # One traced request, response headers captured.
 curl -fsS -D /tmp/serve_obs_headers.txt -d "$SERVE_BODY" "$BASE/simulate" > /tmp/serve_obs_sim.json
@@ -356,34 +358,16 @@ W4_LOG=/tmp/serve_w4.log
 rm -f "$W1_LOG" "$W4_LOG" /tmp/w1_*.json /tmp/w4_*.json /tmp/conc_*.json \
   /tmp/pool_warm.json /tmp/pool_statusz.json /tmp/loadgen_pool.json /tmp/pool_metrics.txt
 
-_build/default/bin/solarstorm.exe serve --port 0 --workers 1 > "$W1_LOG" 2>&1 &
-SERVE_PID=$!
-i=0
-until grep -q 'listening on' "$W1_LOG" 2> /dev/null; do
-  i=$((i + 1))
-  [ "$i" -le 100 ] || { echo "check.sh: --workers 1 serve never became ready" >&2; kill "$SERVE_PID" 2> /dev/null; exit 1; }
-  sleep 0.1
-done
-SERVE_PORT=$(sed -n 's|.*listening on http://127\.0\.0\.1:\([0-9]*\).*|\1|p' "$W1_LOG")
-BASE="http://127.0.0.1:$SERVE_PORT"
+boot_serve "$W1_LOG" "--workers 1 serve" --workers 1
 curl -fsS -d "$SERVE_BODY" "$BASE/simulate" > /tmp/w1_sim.json
 curl -fsS -d '{"event":"carrington","trials":25}' "$BASE/scenario" > /tmp/w1_scn.json
 curl -fsS -d '{"trials":25}' "$BASE/countries" > /tmp/w1_cty.json
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" || { echo "check.sh: --workers 1 serve did not exit 0" >&2; exit 1; }
 
-_build/default/bin/solarstorm.exe serve --port 0 --workers 4 > "$W4_LOG" 2>&1 &
-SERVE_PID=$!
-i=0
-until grep -q 'listening on' "$W4_LOG" 2> /dev/null; do
-  i=$((i + 1))
-  [ "$i" -le 100 ] || { echo "check.sh: --workers 4 serve never became ready" >&2; kill "$SERVE_PID" 2> /dev/null; exit 1; }
-  sleep 0.1
-done
+boot_serve "$W4_LOG" "--workers 4 serve" --workers 4
 grep -q 'listening on .*(4 workers)' "$W4_LOG" \
   || { echo "check.sh: --workers 4 serve did not report its pool size" >&2; kill "$SERVE_PID" 2> /dev/null; exit 1; }
-SERVE_PORT=$(sed -n 's|.*listening on http://127\.0\.0\.1:\([0-9]*\).*|\1|p' "$W4_LOG")
-BASE="http://127.0.0.1:$SERVE_PORT"
 
 curl -fsS -d "$SERVE_BODY" "$BASE/simulate" > /tmp/w4_sim.json
 curl -fsS -d '{"event":"carrington","trials":25}' "$BASE/scenario" > /tmp/w4_scn.json
@@ -475,16 +459,7 @@ cmp /tmp/sweep_j1.jsonl /tmp/sweep_j4.jsonl \
 [ "$(wc -l < /tmp/sweep_j1.jsonl)" = "64" ] \
   || { echo "check.sh: sweep CLI streamed $(wc -l < /tmp/sweep_j1.jsonl) rows, want 64" >&2; exit 1; }
 
-_build/default/bin/solarstorm.exe serve --port 0 > "$SWEEP_LOG" 2>&1 &
-SERVE_PID=$!
-i=0
-until grep -q 'listening on' "$SWEEP_LOG" 2> /dev/null; do
-  i=$((i + 1))
-  [ "$i" -le 100 ] || { echo "check.sh: sweep serve never became ready" >&2; kill "$SERVE_PID" 2> /dev/null; exit 1; }
-  sleep 0.1
-done
-SERVE_PORT=$(sed -n 's|.*listening on http://127\.0\.0\.1:\([0-9]*\).*|\1|p' "$SWEEP_LOG")
-BASE="http://127.0.0.1:$SERVE_PORT"
+boot_serve "$SWEEP_LOG" "sweep serve"
 
 # Exactly one POST of the grid, streamed (-N disables curl buffering).
 curl -fsSN -D /tmp/sweep_headers.txt --data-binary "@$SWEEP_GRID" "$BASE/sweep" > /tmp/sweep_http.jsonl \
@@ -565,18 +540,8 @@ MON_LOG=/tmp/serve_mon.jsonl
 MON_OUT=/tmp/serve_mon.log
 rm -f "$MON_LOG" "$MON_OUT" /tmp/varz1.json /tmp/varz2.json /tmp/dashboard.html \
   /tmp/alertz.json /tmp/loadgen_mon.json /tmp/top_frame.txt
-_build/default/bin/solarstorm.exe serve --port 0 --workers 4 \
-  --sampler-step 0.2 --slo 'server.requests:rate<40:2s' \
-  --log "$MON_LOG" > "$MON_OUT" 2>&1 &
-SERVE_PID=$!
-i=0
-until grep -q 'listening on' "$MON_OUT" 2> /dev/null; do
-  i=$((i + 1))
-  [ "$i" -le 100 ] || { echo "check.sh: self-monitoring serve never became ready" >&2; kill "$SERVE_PID" 2> /dev/null; exit 1; }
-  sleep 0.1
-done
-SERVE_PORT=$(sed -n 's|.*listening on http://127\.0\.0\.1:\([0-9]*\).*|\1|p' "$MON_OUT")
-BASE="http://127.0.0.1:$SERVE_PORT"
+boot_serve "$MON_OUT" "self-monitoring serve" --workers 4 \
+  --sampler-step 0.2 --slo 'server.requests:rate<40:2s' --log "$MON_LOG"
 
 # First /varz scrape before any load.
 curl -fsS "$BASE/varz?window=60s" > /tmp/varz1.json \

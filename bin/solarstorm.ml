@@ -598,12 +598,15 @@ let serve_cmd =
     Obs.enable ();
     with_log log @@ fun () ->
     Server.Api.set_cache_capacity cache_entries;
-    Server.Service.install_signal_handlers ();
-    Server.Service.run
-      { Server.Service.default_config with
-        Server.Service.host; port; workers; max_pending; max_body;
-        read_timeout_s = read_timeout; trace_seed;
-        sampler_step_s = sampler_step; slo_rules; retention };
+    let server =
+      Server.Service.create
+        { Server.Service.default_config with
+          Server.Service.host; port; workers; max_pending; max_body;
+          read_timeout_s = read_timeout; trace_seed;
+          sampler_step_s = sampler_step; slo_rules; retention }
+    in
+    Server.Service.install_signal_handlers server;
+    Server.Service.run server;
     (* After the drain: every request span (tagged with its trace id) is
        still in the rings, so the profile covers the whole serving run. *)
     Option.iter

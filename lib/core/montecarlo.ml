@@ -1,9 +1,3 @@
-type trial_result = {
-  dead : bool array;
-  cables_failed_pct : float;
-  nodes_unreachable_pct : float;
-}
-
 type series = {
   cables_mean : float;
   cables_std : float;
@@ -43,18 +37,6 @@ let observe_trial dead =
     Obs.Metrics.incr trials_total;
     Obs.Metrics.add cables_failed_total (Deadset.count_dead dead)
   end
-
-let trial rng ~plan =
-  Obs.Span.with_ ~name:"mc.trial" (fun () ->
-      let dead = Plan.sample plan rng in
-      observe_trial dead;
-      {
-        dead = Deadset.to_bool_array dead;
-        cables_failed_pct = cables_failed_pct (Plan.network plan) dead;
-        (* The compiled owner index: same value as
-           [nodes_unreachable_pct], visiting only dead cables' nodes. *)
-        nodes_unreachable_pct = Plan.unreachable_attached_pct plan dead;
-      })
 
 let run_plan ?(trials = 10) ?jobs ~seed plan =
   if trials <= 0 then invalid_arg "Montecarlo.run: trials <= 0";

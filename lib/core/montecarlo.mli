@@ -11,14 +11,6 @@
     once and pass the plan around; {!run} is the convenience wrapper that
     compiles and immediately runs. *)
 
-type trial_result = {
-  dead : bool array;
-      (** per-cable death flags, indexed by cable id (a snapshot of the
-          trial's {!Deadset.t}, safe to keep) *)
-  cables_failed_pct : float;
-  nodes_unreachable_pct : float;
-}
-
 type series = {
   cables_mean : float;
   cables_std : float;
@@ -26,9 +18,6 @@ type series = {
   nodes_std : float;
 }
 (** Mean ± stddev over the trials, in percent. *)
-
-val trial : Rng.t -> plan:Plan.t -> trial_result
-(** One trial against a compiled plan. *)
 
 val cables_failed_pct : Infra.Network.t -> Deadset.t -> float
 

@@ -69,10 +69,9 @@ let compare_models ?(trials = 10) ?(seed = 83) ?(spacing_km = 150.0) ~network ~m
   let master = Rng.create seed in
   let cn = ref 0.0 and sn = ref 0.0 and cc = ref 0.0 and ss = ref 0.0 in
   for _ = 1 to trials do
-    let rng = Rng.split master in
-    let cable_trial = Montecarlo.trial rng ~plan in
-    cn := !cn +. cable_trial.Montecarlo.nodes_unreachable_pct;
-    cc := !cc +. cable_trial.Montecarlo.cables_failed_pct;
+    let dead = Plan.sample plan (Rng.split master) in
+    cn := !cn +. Plan.unreachable_attached_pct plan dead;
+    cc := !cc +. Montecarlo.cables_failed_pct network dead;
     let rng2 = Rng.split master in
     let hops = trial_segments rng2 ~plan in
     sn := !sn +. nodes_unreachable_pct_segments network hops;

@@ -105,6 +105,8 @@ let parse_rule src =
 
 type state = Ok_state | Firing
 
+let state_to_string = function Ok_state -> "ok" | Firing -> "firing"
+
 type status = {
   st_rule : rule;
   st_state : state;

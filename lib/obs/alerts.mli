@@ -43,6 +43,9 @@ val cmp_to_string : cmp -> string
 
 type state = Ok_state | Firing
 
+val state_to_string : state -> string
+(** ["ok"] or ["firing"]. *)
+
 type status = {
   st_rule : rule;
   st_state : state;

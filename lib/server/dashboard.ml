@@ -5,7 +5,9 @@
    so no JavaScript is needed at all.
 
    Rendering is split pure-side: [spark_svg] and [render] map plain
-   data to markup, so tests can assert on the output without a socket. *)
+   data to markup, so tests can assert on the output without a socket.
+   [render] draws one row per metric of a {!Monitor.window}: the
+   windowed rate, the gauge value or the p99, with its series. *)
 
 let html_escape s =
   let buf = Buffer.create (String.length s) in
@@ -51,20 +53,9 @@ let spark_svg ?(w = 240) ?(h = 36) vs =
          fill=\"none\" stroke=\"#2b6cb0\" stroke-width=\"1.5\"/></svg>"
         w h w h pts
 
-type row = {
-  row_name : string;
-  row_kind : string;  (* "rate", "gauge", "p99", ... *)
-  row_value : string; (* latest reading, pre-formatted *)
-  row_series : float list;
-}
-
-type alert_row = {
-  al_rule : string;
-  al_state : string; (* "ok" | "firing" *)
-  al_value : string;
-}
-
-let render ~window_s ~step_s ~samples ~rows ~alerts =
+let render ~step_s (w : Monitor.window) (alerts : Obs.Alerts.status list) =
+  let fmt v = Printf.sprintf "%.4g" v in
+  let fmt_opt = function Some v -> fmt v | None -> "-" in
   let buf = Buffer.create 4096 in
   let add = Buffer.add_string buf in
   add "<!DOCTYPE html><html><head><meta charset=\"utf-8\">";
@@ -83,26 +74,38 @@ let render ~window_s ~step_s ~samples ~rows ~alerts =
   add
     (Printf.sprintf
        "<p class=\"muted\">window %gs &middot; step %gs &middot; %d samples</p>"
-       window_s step_s samples);
+       (Int64.to_float w.Monitor.window_ns /. 1e9)
+       step_s w.Monitor.samples);
   if alerts <> [] then begin
     add "<h2>alerts</h2><table><tr><th>rule</th><th>state</th><th>value</th></tr>";
     List.iter
-      (fun a ->
+      (fun (st : Obs.Alerts.status) ->
+        let state = escape (Obs.Alerts.state_to_string st.st_state) in
         add
           (Printf.sprintf "<tr><td>%s</td><td class=\"%s\">%s</td><td>%s</td></tr>"
-             (escape a.al_rule) (escape a.al_state) (escape a.al_state)
-             (escape a.al_value)))
+             (escape st.st_rule.r_src) state state
+             (escape (fmt_opt st.st_value))))
       alerts;
     add "</table>"
   end;
   add "<h2>series</h2><table><tr><th>metric</th><th>kind</th><th>now</th><th></th></tr>";
-  if rows = [] then add "<tr><td colspan=\"4\" class=\"muted\">no samples yet</td></tr>";
+  if w.Monitor.series = [] then
+    add "<tr><td colspan=\"4\" class=\"muted\">no samples yet</td></tr>";
   List.iter
-    (fun r ->
+    (fun (name, reading) ->
+      let kind, value, points =
+        match reading with
+        | Monitor.Counter { rate_per_s; points } ->
+            ("rate", Option.fold ~none:"-" ~some:(fun r -> fmt r ^ "/s") rate_per_s, points)
+        | Monitor.Gauge { value; points } -> ("gauge", fmt value, points)
+        | Monitor.Histogram { quantiles; _ } ->
+            let p99 = List.find (fun q -> q.Monitor.label = "p99") quantiles in
+            ("p99", fmt_opt p99.Monitor.estimate, p99.Monitor.q_points)
+      in
       add
         (Printf.sprintf "<tr><td>%s</td><td>%s</td><td>%s</td><td>%s</td></tr>"
-           (escape r.row_name) (escape r.row_kind) (escape r.row_value)
-           (spark_svg r.row_series)))
-    rows;
+           (escape name) (escape kind) (escape value)
+           (spark_svg (List.map (fun (p : Obs.Timeseries.point) -> p.p_v) points))))
+    w.Monitor.series;
   add "</table></body></html>";
   Buffer.contents buf

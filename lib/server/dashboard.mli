@@ -8,20 +8,7 @@ val spark_svg : ?w:int -> ?h:int -> float list -> string
     single-point series renders as a midline, an empty one as an empty
     [<svg>]. *)
 
-type row = {
-  row_name : string;
-  row_kind : string;
-  row_value : string;  (** latest reading, pre-formatted *)
-  row_series : float list;
-}
-
-type alert_row = { al_rule : string; al_state : string; al_value : string }
-
-val render :
-  window_s:float ->
-  step_s:float ->
-  samples:int ->
-  rows:row list ->
-  alerts:alert_row list ->
-  string
-(** The full page.  All caller-supplied strings are HTML-escaped. *)
+val render : step_s:float -> Monitor.window -> Obs.Alerts.status list -> string
+(** The full page: the alert rules, then one row per metric of the
+    window — its windowed rate, gauge value or p99, with that series as
+    a sparkline.  All caller-supplied strings are HTML-escaped. *)

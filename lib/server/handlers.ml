@@ -8,7 +8,7 @@ let version = "1.0.0"
    close enough to exec time and needs no plumbing through Service. *)
 let started_ns = Obs.Clock.monotonic ()
 
-let statusz _req =
+let statusz m _req =
   Obs.Resource.sample ();
   let snap = Obs.Metrics.snapshot () in
   let counter name =
@@ -59,7 +59,7 @@ let statusz _req =
              ])
   in
   let alerts_summary =
-    let a = Monitor.alerts () in
+    let a = m.Monitor.alerts in
     Object
       [
         ("rules", int (List.length (Obs.Alerts.rules a)));
@@ -76,7 +76,7 @@ let statusz _req =
               ("version", String version);
               ("ocaml", String Sys.ocaml_version);
               ("workers", int (int_of_float (gauge "server.workers")));
-              ("sampler_step_s", Number (Monitor.step_s ()));
+              ("sampler_step_s", Number m.Monitor.step_s);
             ] );
         ("alerts", alerts_summary);
         ( "uptime_s",
@@ -134,102 +134,66 @@ let metrics _req =
 
 let default_window_ns = 60_000_000_000L
 
-let parse_window_param req =
-  match Http.query_param req "window" with
-  | None -> Ok default_window_ns
-  | Some s -> Obs.Alerts.parse_window s
+let opt_num = function Some v -> Obs.Json.Number v | None -> Obs.Json.Null
 
-let state_name = function Obs.Alerts.Firing -> "firing" | Obs.Alerts.Ok_state -> "ok"
+(* /varz and /dashboard: parse [?window=], sample the ring on scrape (so
+   both stay live without the background sampler; under it, an extra
+   timestamped sample only refines the series), then answer from the
+   one windowed query. *)
+let windowed m req answer =
+  match
+    Option.fold ~none:(Ok default_window_ns) ~some:Obs.Alerts.parse_window
+      (Http.query_param req "window")
+  with
+  | Error msg -> Http.response ~status:400 (Http.error_body msg)
+  | Ok window_ns ->
+      Obs.Resource.sample ();
+      Monitor.sample_now m;
+      answer (Monitor.window m ~window_ns)
 
 (* /varz points are [t_rel_s, v] pairs with t relative to the newest
    sample (0 = now, older is negative): raw monotonic nanosecond stamps
    exceed the 2^53 float mantissa, so encoding them as JSON numbers
    would silently round. *)
-let varz req =
-  match parse_window_param req with
-  | Error msg -> Http.response ~status:400 (Http.error_body msg)
-  | Ok window_ns ->
-      Obs.Resource.sample ();
-      (* Sample on scrape too: /varz stays live for sampler-less
-         (one-shot) processes, and under the background sampler an extra
-         timestamped sample only refines the series. *)
-      Monitor.sample_now ();
-      let m = Monitor.current () in
-      let ts = m.Monitor.ts in
-      let open Obs.Json in
-      let now_ns =
-        match Obs.Timeseries.latest ts with Some (t, _) -> t | None -> 0L
-      in
-      let rel t = Int64.to_float (Int64.sub t now_ns) /. 1e9 in
-      let points pts =
-        Array
-          (List.map
-             (fun p ->
-               Array [ Number (rel p.Obs.Timeseries.p_ts_ns); Number p.Obs.Timeseries.p_v ])
-             pts)
-      in
-      let opt_num = function Some v -> Number v | None -> Null in
-      let series =
-        match Obs.Timeseries.latest ts with
-        | None -> []
-        | Some (_, snap) ->
-            List.map
-              (fun (name, v) ->
-                match v with
-                | Obs.Metrics.Counter _ ->
-                    ( name,
-                      Object
-                        [
-                          ("kind", String "counter");
-                          ( "rate_per_s",
-                            opt_num (Obs.Timeseries.windowed_rate ts ~window_ns name) );
-                          ("points", points (Obs.Timeseries.rate_series ts ~window_ns name));
-                        ] )
-                | Obs.Metrics.Gauge g ->
-                    ( name,
-                      Object
-                        [
-                          ("kind", String "gauge");
-                          ("value", Number g);
-                          ("points", points (Obs.Timeseries.gauge_series ts ~window_ns name));
-                        ] )
-                | Obs.Metrics.Histogram _ ->
-                    let q p =
-                      opt_num (Obs.Timeseries.windowed_quantile ts ~window_ns ~q:p name)
-                    in
-                    let qp p =
-                      points (Obs.Timeseries.quantile_series ts ~window_ns ~q:p name)
-                    in
-                    ( name,
-                      Object
-                        [
-                          ("kind", String "histogram");
-                          ( "count",
-                            match Obs.Timeseries.windowed_count ts ~window_ns name with
-                            | Some n -> Number (float_of_int n)
-                            | None -> Null );
-                          ("p50", q 0.5);
-                          ("p95", q 0.95);
-                          ("p99", q 0.99);
-                          ("p50_points", qp 0.5);
-                          ("p95_points", qp 0.95);
-                          ("p99_points", qp 0.99);
-                        ] ))
-              snap
-      in
-      let body =
-        Object
-          [
-            ("window_s", Number (Int64.to_float window_ns /. 1e9));
-            ("step_s", Number m.Monitor.step_s);
-            ("samples", Number (float_of_int (Obs.Timeseries.length ts)));
-            ("series", Object series);
-          ]
-      in
-      Http.response ~status:200 (to_string body ^ "\n")
+let varz m req =
+  windowed m req @@ fun w ->
+  let open Obs.Json in
+  let rel t = Int64.to_float (Int64.sub t w.Monitor.newest_ns) /. 1e9 in
+  let points pts =
+    Array
+      (List.map
+         (fun (p : Obs.Timeseries.point) -> Array [ Number (rel p.p_ts_ns); Number p.p_v ])
+         pts)
+  in
+  let series (name, reading) =
+    ( name,
+      Object
+        (match reading with
+        | Monitor.Counter { rate_per_s; points = pts } ->
+            [ ("kind", String "counter"); ("rate_per_s", opt_num rate_per_s);
+              ("points", points pts) ]
+        | Monitor.Gauge { value; points = pts } ->
+            [ ("kind", String "gauge"); ("value", Number value); ("points", points pts) ]
+        | Monitor.Histogram { count; quantiles } ->
+            [ ("kind", String "histogram");
+              ("count", opt_num (Option.map float_of_int count)) ]
+            @ List.map (fun q -> (q.Monitor.label, opt_num q.Monitor.estimate)) quantiles
+            @ List.map
+                (fun q -> (q.Monitor.label ^ "_points", points q.Monitor.q_points))
+                quantiles) )
+  in
+  let body =
+    Object
+      [
+        ("window_s", Number (Int64.to_float w.Monitor.window_ns /. 1e9));
+        ("step_s", Number m.Monitor.step_s);
+        ("samples", Number (float_of_int w.Monitor.samples));
+        ("series", Object (List.map series w.Monitor.series));
+      ]
+  in
+  Http.response ~status:200 (to_string body ^ "\n")
 
-let alertz _req =
-  let m = Monitor.current () in
+let alertz m _req =
   let now_ns =
     match Obs.Timeseries.latest m.Monitor.ts with Some (t, _) -> t | None -> 0L
   in
@@ -246,15 +210,15 @@ let alertz _req =
             (Printf.sprintf "%s%s%g" (agg_to_string r.r_agg) (cmp_to_string r.r_cmp)
                r.r_threshold) );
         ("window_s", Number (window_s r));
-        ("state", String (state_name st.st_state));
+        ("state", String (state_to_string st.st_state));
         ( "since_age_s",
-          match st.st_since_ns with
-          | Some t -> Number (Int64.to_float (Int64.sub now_ns t) /. 1e9)
-          | None -> Null );
+          opt_num
+            (Option.map
+               (fun t -> Int64.to_float (Int64.sub now_ns t) /. 1e9)
+               st.st_since_ns) );
         ("transitions", Number (float_of_int st.st_transitions));
-        ("value", match st.st_value with Some v -> Number v | None -> Null);
-        ( "short_value",
-          match st.st_short_value with Some v -> Number v | None -> Null );
+        ("value", opt_num st.st_value);
+        ("short_value", opt_num st.st_short_value);
       ]
   in
   let body =
@@ -266,74 +230,12 @@ let alertz _req =
   in
   Http.response ~status:200 (to_string body ^ "\n")
 
-let dashboard req =
-  match parse_window_param req with
-  | Error msg -> Http.response ~status:400 (Http.error_body msg)
-  | Ok window_ns ->
-      Obs.Resource.sample ();
-      Monitor.sample_now ();
-      let m = Monitor.current () in
-      let ts = m.Monitor.ts in
-      let fmt v = Printf.sprintf "%.4g" v in
-      let values pts = List.map (fun p -> p.Obs.Timeseries.p_v) pts in
-      let rows =
-        match Obs.Timeseries.latest ts with
-        | None -> []
-        | Some (_, snap) ->
-            List.map
-              (fun (name, v) ->
-                match v with
-                | Obs.Metrics.Counter _ ->
-                    {
-                      Dashboard.row_name = name;
-                      row_kind = "rate";
-                      row_value =
-                        (match Obs.Timeseries.windowed_rate ts ~window_ns name with
-                        | Some r -> fmt r ^ "/s"
-                        | None -> "-");
-                      row_series = values (Obs.Timeseries.rate_series ts ~window_ns name);
-                    }
-                | Obs.Metrics.Gauge g ->
-                    {
-                      Dashboard.row_name = name;
-                      row_kind = "gauge";
-                      row_value = fmt g;
-                      row_series = values (Obs.Timeseries.gauge_series ts ~window_ns name);
-                    }
-                | Obs.Metrics.Histogram _ ->
-                    {
-                      Dashboard.row_name = name;
-                      row_kind = "p99";
-                      row_value =
-                        (match
-                           Obs.Timeseries.windowed_quantile ts ~window_ns ~q:0.99 name
-                         with
-                        | Some v -> fmt v
-                        | None -> "-");
-                      row_series =
-                        values (Obs.Timeseries.quantile_series ts ~window_ns ~q:0.99 name);
-                    })
-              snap
-      in
-      let alerts =
-        List.map
-          (fun st ->
-            let open Obs.Alerts in
-            {
-              Dashboard.al_rule = st.st_rule.r_src;
-              al_state = state_name st.st_state;
-              al_value = (match st.st_value with Some v -> fmt v | None -> "-");
-            })
-          (Obs.Alerts.statuses m.Monitor.alerts)
-      in
-      Http.response
-        ~content_type:"text/html; charset=utf-8"
-        ~status:200
-        (Dashboard.render
-           ~window_s:(Int64.to_float window_ns /. 1e9)
-           ~step_s:m.Monitor.step_s
-           ~samples:(Obs.Timeseries.length ts)
-           ~rows ~alerts)
+let dashboard m req =
+  windowed m req @@ fun w ->
+  Http.response
+    ~content_type:"text/html; charset=utf-8"
+    ~status:200
+    (Dashboard.render ~step_s:m.Monitor.step_s w (Obs.Alerts.statuses m.Monitor.alerts))
 
 (* One shape for the three analysis endpoints: decode the body over the
    defaults, derive the canonical key, and answer through the result
@@ -410,12 +312,16 @@ let routes () =
   [
     { Router.meth = Http.GET; route_path = "/healthz"; handler = fixed healthz };
     { Router.meth = Http.GET; route_path = "/metrics"; handler = fixed metrics };
-    { Router.meth = Http.GET; route_path = "/statusz"; handler = fixed statusz };
-    { Router.meth = Http.GET; route_path = "/varz"; handler = fixed varz };
-    { Router.meth = Http.GET; route_path = "/alertz"; handler = fixed alertz };
-    { Router.meth = Http.GET; route_path = "/dashboard"; handler = fixed dashboard };
     { Router.meth = Http.POST; route_path = "/simulate"; handler = fixed simulate };
     { Router.meth = Http.POST; route_path = "/scenario"; handler = fixed scenario };
     { Router.meth = Http.POST; route_path = "/countries"; handler = fixed countries };
     { Router.meth = Http.POST; route_path = "/sweep"; handler = sweep };
+  ]
+
+let monitor_routes m =
+  [
+    { Router.meth = Http.GET; route_path = "/statusz"; handler = fixed (statusz m) };
+    { Router.meth = Http.GET; route_path = "/varz"; handler = fixed (varz m) };
+    { Router.meth = Http.GET; route_path = "/alertz"; handler = fixed (alertz m) };
+    { Router.meth = Http.GET; route_path = "/dashboard"; handler = fixed (dashboard m) };
   ]

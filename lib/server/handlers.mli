@@ -1,4 +1,6 @@
-(** The service's endpoints, as a {!Router} route table.
+(** The service's endpoints, as {!Router} route tables: {!routes} for
+    the stateless ones, {!monitor_routes} for the four that read one
+    server's {!Monitor}.
 
     - [GET /healthz] — liveness: [{"status":"ok"}];
     - [GET /metrics] — live Prometheus exposition of the Obs registry
@@ -10,15 +12,16 @@
       class, request-latency p50/p95/p99 (estimated from the
       [server.request.ms] histogram), result-cache occupancy and GC
       gauges;
-    - [GET /varz?window=60s] — windowed self-monitoring JSON from the
-      {!Monitor} ring: per-metric series as [[t_rel_s, v]] points
-      (t relative to the newest sample) plus windowed counter rates and
-      histogram p50/p95/p99; samples the ring on scrape, so it works
+    - [GET /varz?window=60s] — {!Monitor.window} as JSON: per metric,
+      its kind, its windowed counter rate, gauge value or histogram
+      p50/p95/p99, and its series as [[t_rel_s, v]] points (t relative
+      to the newest sample); samples the ring on scrape, so it works
       without the background sampler too.  Bad [window] → 400;
     - [GET /alertz] — SLO rule states (ok/firing, last measurement,
       transition count, state age);
-    - [GET /dashboard?window=60s] — the {!Dashboard} HTML/SVG sparkline
-      page over the same windowed data, zero client-side dependencies;
+    - [GET /dashboard?window=60s] — the same {!Monitor.window} rendered
+      by {!Dashboard} as an HTML/SVG sparkline page, zero client-side
+      dependencies;
     - [POST /simulate], [POST /scenario], [POST /countries] — run (or
       serve from the result cache) the corresponding analysis; the JSON
       request body overlays {!Api} defaults, and the response body is
@@ -42,3 +45,10 @@ val version : string
     /statusz build block. *)
 
 val routes : unit -> Router.route list
+(** [/healthz], [/metrics], [/simulate], [/scenario], [/countries] and
+    [/sweep]: they read only process-wide state (the metrics registry,
+    the result cache). *)
+
+val monitor_routes : Monitor.t -> Router.route list
+(** [/statusz], [/varz], [/alertz] and [/dashboard] over one server's
+    monitor. *)

@@ -1,13 +1,12 @@
-(* Process-global self-monitoring state: one {!Obs.Timeseries} ring and
-   one {!Obs.Alerts} engine shared by the sampler domain, the /varz,
-   /alertz and /dashboard handlers, and one-shot CLI consumers.
+(* One server's self-monitoring state: an {!Obs.Timeseries} ring and an
+   {!Obs.Alerts} engine, shared by that server's sampler domain and its
+   /statusz, /varz, /alertz and /dashboard handlers.  Each
+   [Service.create] makes its own, so two servers in one process keep
+   separate rings and rule sets; only the metrics registry they sample
+   is process-wide.
 
-   Global for the same reason the metrics registry is global: handlers
-   are plain [request -> response] functions with no channel back to the
-   [Service.run] invocation that owns them.  [configure] replaces the
-   whole state atomically (handlers grab the record once per request),
-   and [Service.run] reconfigures at startup, so tests that boot
-   multiple loopback servers in sequence each get a fresh ring. *)
+   [window] is the one windowed query over the ring: /varz encodes its
+   result as JSON and /dashboard renders it as HTML. *)
 
 type t = {
   ts : Obs.Timeseries.t;
@@ -15,7 +14,7 @@ type t = {
   step_s : float;
 }
 
-let make ?clock ?(step_s = 1.0) ?(retention = 600) ?(rules = []) () =
+let create ?clock ?(step_s = 1.0) ?(retention = 600) ?(rules = []) () =
   let step_s = if step_s > 0.0 then step_s else 1.0 in
   let ts =
     Obs.Timeseries.create ?clock
@@ -24,23 +23,60 @@ let make ?clock ?(step_s = 1.0) ?(retention = 600) ?(rules = []) () =
   in
   { ts; alerts = Obs.Alerts.create rules; step_s }
 
-let state = Atomic.make (lazy (make ()))
-
-let configure ?clock ?step_s ?retention ?rules () =
-  let m = make ?clock ?step_s ?retention ?rules () in
-  Atomic.set state (lazy m);
-  m
-
-let current () = Lazy.force (Atomic.get state)
-
 (* One sampler tick: freeze a snapshot, then judge every rule against
-   the updated ring.  Also the one-shot path for CLI consumers that have
-   no background sampler. *)
-let sample_now () =
-  let m = current () in
+   the updated ring. *)
+let sample_now m =
   Obs.Timeseries.sample m.ts;
   Obs.Alerts.evaluate m.alerts m.ts
 
-let timeseries () = (current ()).ts
-let alerts () = (current ()).alerts
-let step_s () = (current ()).step_s
+type quantile = {
+  label : string;
+  estimate : float option;
+  q_points : Obs.Timeseries.point list;
+}
+
+type reading =
+  | Counter of { rate_per_s : float option; points : Obs.Timeseries.point list }
+  | Gauge of { value : float; points : Obs.Timeseries.point list }
+  | Histogram of { count : int option; quantiles : quantile list }
+
+type window = {
+  window_ns : int64;
+  samples : int;
+  newest_ns : int64;
+  series : (string * reading) list;
+}
+
+let quantiles = [ ("p50", 0.5); ("p95", 0.95); ("p99", 0.99) ]
+
+let window m ~window_ns =
+  let ts = m.ts in
+  let reading name = function
+    | Obs.Metrics.Counter _ ->
+        Counter
+          {
+            rate_per_s = Obs.Timeseries.windowed_rate ts ~window_ns name;
+            points = Obs.Timeseries.rate_series ts ~window_ns name;
+          }
+    | Obs.Metrics.Gauge value ->
+        Gauge { value; points = Obs.Timeseries.gauge_series ts ~window_ns name }
+    | Obs.Metrics.Histogram _ ->
+        Histogram
+          {
+            count = Obs.Timeseries.windowed_count ts ~window_ns name;
+            quantiles =
+              List.map
+                (fun (label, q) ->
+                  {
+                    label;
+                    estimate = Obs.Timeseries.windowed_quantile ts ~window_ns ~q name;
+                    q_points = Obs.Timeseries.quantile_series ts ~window_ns ~q name;
+                  })
+                quantiles;
+          }
+  in
+  let newest_ns, snap =
+    match Obs.Timeseries.latest ts with Some latest -> latest | None -> (0L, [])
+  in
+  let series = List.map (fun (name, v) -> (name, reading name v)) snap in
+  { window_ns; samples = Obs.Timeseries.length ts; newest_ns; series }

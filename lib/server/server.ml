@@ -5,9 +5,10 @@
     ({!Api}, {!Lru}), the bounded MPSC channel ({!Chan}) feeding an
     acceptor + worker-domain-pool socket loop with backpressure and
     graceful drain ({!Service}), the pipelined loopback load generator
-    ({!Loadgen}), and the windowed self-monitoring surface: the global
-    sampler state ({!Monitor}), the /dashboard renderer ({!Dashboard})
-    and the live terminal view ({!Top}).
+    ({!Loadgen}), and the windowed self-monitoring surface: each
+    server's ring, rules and windowed query ({!Monitor}), the
+    /dashboard renderer ({!Dashboard}) and the live terminal view
+    ({!Top}).
 
     Design notes in DESIGN.md §8; quickstart in README "Serving". *)
 

@@ -67,32 +67,22 @@ let default_config =
     retention = 600;
   }
 
-(* Per-request trace ids: one SplitMix64 stream, rendered as 16 hex
-   chars.  With [trace_seed] set the n-th handoff of every run gets the
-   same id (reproducible tests and CI gates); otherwise the stream is
-   seeded from wall clock ⊕ pid at [run] time.  A plain ref is still
-   correct with N workers because ids are only drawn by the single
-   acceptor domain, BEFORE handoff — the id travels with the job and the
-   worker installs it as its domain-local trace context. *)
-let trace_state = ref 0L
-
+(* Per-request trace ids: one SplitMix64 stream per server, rendered as
+   16 hex chars.  With [trace_seed] set the n-th handoff of every server
+   gets the same id (reproducible tests and CI gates); otherwise the
+   stream is seeded from wall clock ⊕ pid at [create] time. *)
 let mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let seed_traces = function
-  | Some seed -> trace_state := mix64 (Int64.of_int seed)
+let trace_origin = function
+  | Some seed -> mix64 (Int64.of_int seed)
   | None ->
-      trace_state :=
-        mix64
-          (Int64.logxor
-             (Int64.of_float (Unix.gettimeofday () *. 1e6))
-             (Int64.of_int (Unix.getpid ())))
-
-let next_trace_id () =
-  trace_state := Int64.add !trace_state 0x9e3779b97f4a7c15L;
-  Printf.sprintf "%016Lx" (mix64 !trace_state)
+      mix64
+        (Int64.logxor
+           (Int64.of_float (Unix.gettimeofday () *. 1e6))
+           (Int64.of_int (Unix.getpid ())))
 
 let m_requests = Obs.Metrics.counter "server.requests"
 let m_accepted = Obs.Metrics.counter "server.conns.accepted"
@@ -114,14 +104,6 @@ let h_request_ms =
 let count_status status =
   Obs.Metrics.incr
     (if status >= 500 then m_5xx else if status >= 400 then m_4xx else m_2xx)
-
-let stop_flag = Atomic.make false
-let stop () = Atomic.set stop_flag true
-
-let install_signal_handlers () =
-  let h = Sys.Signal_handle (fun _ -> stop ()) in
-  Sys.set_signal Sys.sigint h;
-  Sys.set_signal Sys.sigterm h
 
 type client = { fd : Unix.file_descr; conn : Http.conn; mutable last_active : float }
 
@@ -297,17 +279,17 @@ let worker_loop ~routes ~limits ~slot ~work ~done_q ~wake_w () =
    [Monitor.sample_now] every [step_s].  Sleeps in ≤50 ms slices so a
    SIGTERM parks it within one slice, not one step — a 30 s step must
    not add 30 s to shutdown. *)
-let sampler_loop ~step_s () =
+let sampler_loop ~stopping ~monitor ~step_s () =
   let rec nap remaining =
-    if remaining > 0.0 && not (Atomic.get stop_flag) then begin
+    if remaining > 0.0 && not (Atomic.get stopping) then begin
       let slice = Float.min 0.05 remaining in
       (try Unix.sleepf slice with Unix.Unix_error (Unix.EINTR, _, _) -> ());
       nap (remaining -. slice)
     end
   in
   let rec loop () =
-    if not (Atomic.get stop_flag) then begin
-      Monitor.sample_now ();
+    if not (Atomic.get stopping) then begin
+      Monitor.sample_now monitor;
       nap step_s;
       loop ()
     end
@@ -322,18 +304,60 @@ let select_readable fds timeout =
   | ready, _, _ -> ready
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
 
-let run ?on_ready cfg =
-  Atomic.set stop_flag false;
-  seed_traces cfg.trace_seed;
-  (* Fresh ring + alert engine per server run: stale samples from a
-     previous run in this process (tests, bench) must not leak into
-     /varz windows. *)
-  ignore
-    (Monitor.configure ~step_s:cfg.sampler_step_s ~retention:cfg.retention
-       ~rules:cfg.slo_rules ());
+let close_quietly fd = try Unix.close fd with Unix.Unix_error (_, _, _) -> ()
+
+(* One server: its bound listener, its stop flag, its trace-id stream
+   and its monitor.  [trace_state] is a plain mutable field because ids
+   are only drawn by the acceptor domain, BEFORE handoff — the id
+   travels with the job and the worker installs it as its domain-local
+   trace context. *)
+type t = {
+  cfg : config;
+  lsock : Unix.file_descr;
+  port : int;
+  stopping : bool Atomic.t;
+  mutable trace_state : int64;
+  monitor : Monitor.t;
+}
+
+let create cfg =
+  let lsock = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  (try
+     Unix.setsockopt lsock Unix.SO_REUSEADDR true;
+     Unix.bind lsock (Unix.ADDR_INET (Unix.inet_addr_of_string cfg.host, cfg.port));
+     Unix.listen lsock 64;
+     Unix.set_nonblock lsock
+   with e ->
+     close_quietly lsock;
+     raise e);
+  {
+    cfg;
+    lsock;
+    port = (match Unix.getsockname lsock with Unix.ADDR_INET (_, p) -> p | _ -> cfg.port);
+    stopping = Atomic.make false;
+    trace_state = trace_origin cfg.trace_seed;
+    monitor =
+      Monitor.create ~step_s:cfg.sampler_step_s ~retention:cfg.retention
+        ~rules:cfg.slo_rules ();
+  }
+
+let port t = t.port
+let stop t = Atomic.set t.stopping true
+
+let install_signal_handlers t =
+  let h = Sys.Signal_handle (fun _ -> stop t) in
+  Sys.set_signal Sys.sigint h;
+  Sys.set_signal Sys.sigterm h
+
+let next_trace_id t =
+  t.trace_state <- Int64.add t.trace_state 0x9e3779b97f4a7c15L;
+  Printf.sprintf "%016Lx" (mix64 t.trace_state)
+
+let run t =
+  let cfg = t.cfg and lsock = t.lsock in
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let limits = { Http.max_head = cfg.max_head; Http.max_body = cfg.max_body } in
-  let routes = Handlers.routes () in
+  let routes = Handlers.routes () @ Handlers.monitor_routes t.monitor in
   let nworkers = if cfg.workers > 0 then cfg.workers else Exec.default_jobs () in
   let depth = if cfg.queue_depth > 0 then cfg.queue_depth else cfg.max_pending in
   let work : job Chan.t = Chan.create ~capacity:depth () in
@@ -343,23 +367,12 @@ let run ?on_ready cfg =
   Unix.set_nonblock wake_w;
   let slots = Array.init nworkers worker_slot in
   Obs.Metrics.set g_workers (float_of_int nworkers);
-  let lsock = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  let close_quietly fd = try Unix.close fd with Unix.Unix_error (_, _, _) -> () in
   Fun.protect
     ~finally:(fun () ->
       close_quietly lsock;
       close_quietly wake_r;
       close_quietly wake_w)
     (fun () ->
-      Unix.setsockopt lsock Unix.SO_REUSEADDR true;
-      Unix.bind lsock (Unix.ADDR_INET (Unix.inet_addr_of_string cfg.host, cfg.port));
-      Unix.listen lsock 64;
-      Unix.set_nonblock lsock;
-      let port =
-        match Unix.getsockname lsock with
-        | Unix.ADDR_INET (_, p) -> p
-        | _ -> cfg.port
-      in
       let domains =
         Array.map
           (fun slot -> Domain.spawn (worker_loop ~routes ~limits ~slot ~work ~done_q ~wake_w))
@@ -367,7 +380,10 @@ let run ?on_ready cfg =
       in
       let sampler =
         if cfg.sampler_step_s > 0.0 then
-          Some (Domain.spawn (sampler_loop ~step_s:cfg.sampler_step_s))
+          Some
+            (Domain.spawn
+               (sampler_loop ~stopping:t.stopping ~monitor:t.monitor
+                  ~step_s:cfg.sampler_step_s))
         else None
       in
       let joined = ref false in
@@ -381,15 +397,14 @@ let run ?on_ready cfg =
           (* The sampler parks on the stop flag alone; raise it here so
              an exceptional unwind (flag still false) cannot hang the
              join. *)
-          Atomic.set stop_flag true;
+          Atomic.set t.stopping true;
           Option.iter Domain.join sampler
         end
       in
       Fun.protect ~finally:join_workers @@ fun () ->
-      Option.iter (fun f -> f ~port) on_ready;
       cfg.log
         (Printf.sprintf "solarstorm serve: listening on http://%s:%d (%d workers)\n"
-           cfg.host port nworkers);
+           cfg.host t.port nworkers);
       (* Acceptor state: [idle] connections are owned here; a handoff
          transfers ownership to a worker until the connection comes back
          through [done_q].  [in_flight] is only ever touched by this
@@ -398,7 +413,7 @@ let run ?on_ready cfg =
       let idle = ref [] in
       let in_flight = ref 0 in
       let handoff ~force_close c =
-        let trace = next_trace_id () in
+        let trace = next_trace_id t in
         if Chan.try_push work (Job { c; trace; force_close }) then incr in_flight
         else begin
           (* Queue full: shed load now rather than buffering a backlog
@@ -460,7 +475,7 @@ let run ?on_ready cfg =
               accept_burst ()
             end
       in
-      while not (Atomic.get stop_flag) do
+      while not (Atomic.get t.stopping) do
         Obs.Metrics.set g_pending (float_of_int (List.length !idle + !in_flight));
         let ready_fds =
           select_readable

@@ -27,6 +27,12 @@
     new work is answered [503 Service Unavailable] immediately instead
     of queueing without bound.
 
+    A server is a value: {!create} binds and listens, {!run} serves
+    until {!stop}.  Each [t] owns its listener, its stop flag, its
+    trace-id stream and its {!Monitor}, so servers in one process stop,
+    alert and number their requests independently.  The metrics
+    registry and the result cache stay process-wide.
+
     Shutdown: {!stop} (or SIGINT/SIGTERM via {!install_signal_handlers})
     makes the acceptor stop accepting, serve in-flight and
     already-readable work for a grace period with [Connection: close],
@@ -36,7 +42,7 @@
 
 type config = {
   host : string;  (** bind address, default ["127.0.0.1"] *)
-  port : int;  (** 0 = ephemeral (the OS picks; see [on_ready]) *)
+  port : int;  (** 0 = ephemeral (the OS picks; see {!port}) *)
   workers : int;
       (** worker domains serving requests; [0] (default) =
           {!Exec.default_jobs} — i.e. [--jobs]/[SOLARSTORM_JOBS], else 1 *)
@@ -55,15 +61,15 @@ type config = {
   trace_seed : int option;
       (** seed for per-request trace ids: [Some s] makes the n-th
           request's id identical across runs (tests, CI); [None]
-          (default) seeds from wall clock ⊕ pid at {!run} time.  Ids are
-          drawn by the acceptor in handoff order, so they stay
-          deterministic for any worker count when requests arrive
-          sequentially *)
+          (default) seeds from wall clock ⊕ pid at {!create} time.  Each
+          server draws its own stream, in handoff order on its
+          acceptor, so ids stay deterministic for any worker count when
+          requests arrive sequentially *)
   sampler_step_s : float;
       (** self-monitoring sampling step (default 1 s): a dedicated
-          sampler domain freezes a metrics snapshot into the {!Monitor}
-          ring and evaluates SLO rules every step.  [0] disables the
-          sampler ([/varz] still samples on scrape) *)
+          sampler domain freezes a metrics snapshot into the server's
+          {!Monitor} ring and evaluates SLO rules every step.  [0]
+          disables the sampler ([/varz] still samples on scrape) *)
   slo_rules : Obs.Alerts.rule list;
       (** burn-rate alert rules evaluated each sampler step (the CLI
           parses [--slo] strings with {!Obs.Alerts.parse_rule}) *)
@@ -72,24 +78,35 @@ type config = {
 
 val default_config : config
 
-val run : ?on_ready:(port:int -> unit) -> config -> unit
-(** Bind, listen, spawn the worker pool (plus the self-monitoring
-    sampler domain unless [sampler_step_s = 0]) and serve until {!stop};
-    all spawned domains are joined before returning.  [on_ready] fires once
-    with the actually-bound port (useful with [port = 0]) right before
-    the first accept.  Per-worker activity lands on the
-    [server.worker.<i>.requests] counters and
-    [server.worker.<i>.busy_ms] gauges (surfaced by [/statusz]); the
-    pool size is on the [server.workers] gauge.
+type t
+(** One bound server. *)
+
+val create : config -> t
+(** Bind and listen on [host:port], and make the server's stop flag,
+    trace-id stream and {!Monitor} (from [sampler_step_s], [retention]
+    and [slo_rules]).  Clients may connect at once; they are served
+    when {!run} starts.
     @raise Unix.Unix_error when the bind/listen itself fails (address
     in use, permission). *)
 
-val stop : unit -> unit
-(** Ask a running {!run} to drain and return.  Safe to call from a
-    signal handler or another domain; takes effect within
+val port : t -> int
+(** The bound port — the one the OS picked when [config.port = 0]. *)
+
+val run : t -> unit
+(** Spawn the worker pool (plus the self-monitoring sampler domain
+    unless [sampler_step_s = 0]), serve until {!stop}, join every
+    spawned domain and close the listener.  A server runs once.  Also
+    ignores SIGPIPE for the process, so writing to a disconnected peer
+    surfaces as [EPIPE] instead of a kill.  Per-worker activity lands
+    on the [server.worker.<i>.requests] counters and
+    [server.worker.<i>.busy_ms] gauges (surfaced by [/statusz]); the
+    pool size is on the [server.workers] gauge. *)
+
+val stop : t -> unit
+(** Ask this server's {!run} to drain and return; other servers keep
+    serving.  Safe to call from a signal handler or another domain, and
+    before {!run} (which then returns at once); takes effect within
     [idle_poll_s]. *)
 
-val install_signal_handlers : unit -> unit
-(** Route SIGINT and SIGTERM to {!stop} (and ignore SIGPIPE, which
-    writing to a disconnected peer would otherwise raise as a process
-    kill). *)
+val install_signal_handlers : t -> unit
+(** Route SIGINT and SIGTERM to [stop t]. *)

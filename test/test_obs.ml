@@ -1125,6 +1125,46 @@ let test_timeseries_windowed_quantile_agrees () =
             (Float.abs (est -. exact) <= 5.0))
     [ 0.5; 0.9; 0.95; 0.99 ]
 
+(* Over any per-step observations in [0, 100] and any window, the
+   windowed estimate lies within one bucket width of the window's exact
+   nearest-rank quantile: the observation of rank ceil(q·n) sits in the
+   very bucket the estimator interpolates inside. *)
+let prop_windowed_quantile_within_a_bucket =
+  let width = 10.0 in
+  let bounds = Array.init 10 (fun i -> width *. float_of_int (i + 1)) in
+  QCheck.Test.make ~name:"windowed quantile within one bucket of exact" ~count:300
+    QCheck.(
+      triple
+        (list_of_size Gen.(int_range 1 8)
+           (list_of_size Gen.(int_range 0 12) (float_range 0.0 100.0)))
+        (int_range 1 9) (float_range 0.0 1.0))
+    (fun (steps, k, q) ->
+      with_obs_enabled @@ fun () ->
+      let h = Obs.Metrics.histogram "tsq.prop" ~buckets:bounds in
+      let ts = ts_with_fake ~retention:16 () in
+      Obs.Timeseries.record ts (Obs.Metrics.snapshot ());
+      List.iter
+        (fun obs ->
+          List.iter (Obs.Metrics.observe h) obs;
+          Obs.Timeseries.record ts (Obs.Metrics.snapshot ()))
+        steps;
+      (* A k-second window ending at the newest sample covers the last
+         k steps. *)
+      let inside =
+        List.filteri (fun i _ -> i >= List.length steps - k) steps
+        |> List.concat |> Array.of_list
+      in
+      Array.sort compare inside;
+      let n = Array.length inside in
+      match
+        Obs.Timeseries.windowed_quantile ts ~window_ns:(Int64.mul (Int64.of_int k) second_ns)
+          ~q "tsq.prop"
+      with
+      | None -> n = 0
+      | Some est ->
+          let exact = inside.(max 1 (int_of_float (Float.ceil (q *. float_of_int n))) - 1) in
+          n > 0 && Float.abs (est -. exact) <= width +. 1e-9)
+
 let test_timeseries_quantile_series_skips_empty_steps () =
   with_obs_enabled @@ fun () ->
   let h = Obs.Metrics.histogram "tsq.sparse" ~buckets:[| 1.0; 10.0; 100.0 |] in
@@ -1357,7 +1397,8 @@ let () =
             test_timeseries_windowed_quantile_agrees;
           Alcotest.test_case "quantile series skips empty steps" `Quick
             test_timeseries_quantile_series_skips_empty_steps;
-          Alcotest.test_case "rejects bad shape" `Quick test_timeseries_rejects_bad_shape ] );
+          Alcotest.test_case "rejects bad shape" `Quick test_timeseries_rejects_bad_shape;
+          QCheck_alcotest.to_alcotest prop_windowed_quantile_within_a_bucket ] );
       ( "alerts",
         [ Alcotest.test_case "rule grammar" `Quick test_alerts_parse_rules;
           Alcotest.test_case "fire and resolve" `Quick test_alerts_fire_and_resolve;

@@ -14,7 +14,7 @@ let counter_value name =
   | Some (Obs.Metrics.Counter n) -> n
   | _ -> 0
 
-(* Server state is process-global (metrics, result cache, plan memo);
+(* The metrics registry and the result cache are process-global;
    every test starts clean and leaves the layer off. *)
 let with_server_state f =
   Obs.reset ();
@@ -552,9 +552,7 @@ let send_all fd s =
   in
   go 0 (String.length s)
 
-let with_loopback_server ?trace_seed ?(workers = 1) ?(sampler_step = 0.0) ?(slo = []) f =
-  with_server_state @@ fun () ->
-  let port_box = Atomic.make 0 in
+let loopback_config ?trace_seed ?(workers = 1) ?(sampler_step = 0.0) ?(slo = []) () =
   let slo_rules =
     List.map
       (fun src ->
@@ -563,36 +561,33 @@ let with_loopback_server ?trace_seed ?(workers = 1) ?(sampler_step = 0.0) ?(slo 
         | Error e -> Alcotest.fail e)
       slo
   in
-  let cfg =
-    {
-      Server.Service.default_config with
-      port = 0;
-      workers;
-      idle_poll_s = 0.01;
-      drain_grace_s = 0.5;
-      log = ignore;
-      trace_seed;
-      sampler_step_s = sampler_step;
-      slo_rules;
-    }
-  in
-  let server =
-    Domain.spawn (fun () ->
-        Server.Service.run ~on_ready:(fun ~port -> Atomic.set port_box port) cfg)
-  in
-  let rec wait_port tries =
-    if Atomic.get port_box <> 0 then Atomic.get port_box
-    else if tries = 0 then failwith "server never became ready"
-    else begin
-      Unix.sleepf 0.01;
-      wait_port (tries - 1)
-    end
-  in
+  {
+    Server.Service.default_config with
+    port = 0;
+    workers;
+    idle_poll_s = 0.01;
+    drain_grace_s = 0.5;
+    log = ignore;
+    trace_seed;
+    sampler_step_s = sampler_step;
+    slo_rules;
+  }
+
+(* [f server] with [server] running on its own domain; stopped and
+   joined afterwards. *)
+let with_running cfg f =
+  let server = Server.Service.create cfg in
+  let d = Domain.spawn (fun () -> Server.Service.run server) in
   Fun.protect
     ~finally:(fun () ->
-      Server.Service.stop ();
-      Domain.join server)
-    (fun () -> f (wait_port 500))
+      Server.Service.stop server;
+      Domain.join d)
+    (fun () -> f server)
+
+let with_loopback_server ?trace_seed ?workers ?sampler_step ?slo f =
+  with_server_state @@ fun () ->
+  with_running (loopback_config ?trace_seed ?workers ?sampler_step ?slo ()) @@ fun server ->
+  f (Server.Service.port server)
 
 let with_client port f =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -744,9 +739,12 @@ let jmem path doc =
 
 let jnum path doc = Option.bind (jmem path doc) Obs.Json.number
 
+let parse_json body =
+  match Obs.Json.parse body with Ok d -> d | Error e -> Alcotest.fail e
+
 let test_statusz_shape () =
   with_server_state @@ fun () ->
-  let routes = Server.Handlers.routes () in
+  let routes = Server.Handlers.monitor_routes (Server.Monitor.create ()) in
   let resp = Server.Router.to_response (Server.Router.dispatch ~routes (request "/statusz")) in
   Alcotest.(check int) "status" 200 resp.Server.Http.status;
   match Obs.Json.parse resp.Server.Http.body with
@@ -856,6 +854,64 @@ let test_trace_id_header () =
   (* Same seed, fresh server: the n-th request gets the same id. *)
   Alcotest.(check string) "deterministic under --trace-seed" (first_of_run ())
     (first_of_run ())
+
+(* --- two servers in one process --- *)
+
+let trace_of_healthz server =
+  let _, head, _ = get_response (Server.Service.port server) "/healthz" in
+  match header_value head "x-trace-id" with
+  | Some id -> id
+  | None -> Alcotest.fail "response carries no X-Trace-Id"
+
+let test_two_servers_stop_independently () =
+  with_server_state @@ fun () ->
+  with_running (loopback_config ()) @@ fun other ->
+  (with_running (loopback_config ()) @@ fun first ->
+   let status, _, _ = get_response (Server.Service.port first) "/healthz" in
+   Alcotest.(check int) "first server answers" 200 status);
+  (* The first server is stopped and its run has returned. *)
+  let status, _, body = get_response (Server.Service.port other) "/healthz" in
+  Alcotest.(check int) "other server still answers" 200 status;
+  Alcotest.(check string) "healthz body" "{\"status\":\"ok\"}\n" body
+
+let test_two_servers_own_rules () =
+  with_server_state @@ fun () ->
+  let rules server =
+    let status, _, body = get_response (Server.Service.port server) "/alertz" in
+    Alcotest.(check int) "alertz status" 200 status;
+    match Option.bind (Obs.Json.member "rules" (parse_json body)) Obs.Json.array with
+    | None -> Alcotest.fail "no rules array"
+    | Some rows ->
+        List.filter_map (fun r -> Option.bind (Obs.Json.member "rule" r) Obs.Json.string_) rows
+  in
+  let slo_a = [ "server.requests:rate<100:1s" ] in
+  let slo_b = [ "server.request.ms:p99<50:5m"; "gc.heap_words:value<1e12:1m" ] in
+  with_running (loopback_config ~slo:slo_a ()) @@ fun a ->
+  with_running (loopback_config ~slo:slo_b ()) @@ fun b ->
+  Alcotest.(check (list string)) "first server lists its own rules" slo_a (rules a);
+  Alcotest.(check (list string)) "second server lists its own rules" slo_b (rules b)
+
+let test_two_servers_own_trace_streams () =
+  with_server_state @@ fun () ->
+  (* The seed's stream, as a lone server draws it. *)
+  let stream =
+    with_running (loopback_config ~trace_seed:7 ()) @@ fun lone ->
+    List.init 3 (fun _ -> trace_of_healthz lone)
+  in
+  with_running (loopback_config ~trace_seed:7 ()) @@ fun a ->
+  with_running (loopback_config ~trace_seed:7 ()) @@ fun b ->
+  (* Interleaved requests: neither server's draws move the other's
+     stream. *)
+  let pairs =
+    List.init 3 (fun _ ->
+        let id_a = trace_of_healthz a in
+        let id_b = trace_of_healthz b in
+        (id_a, id_b))
+  in
+  Alcotest.(check (list string)) "first server draws the seed's stream" stream
+    (List.map fst pairs);
+  Alcotest.(check (list string)) "second server draws the seed's stream" stream
+    (List.map snd pairs)
 
 let test_access_log_matches_trace_header () =
   let log_buf = Buffer.create 512 in
@@ -1284,9 +1340,6 @@ let test_loadgen_warmup_excluded () =
 
 (* --- windowed self-monitoring: /varz, /alertz, /dashboard --- *)
 
-let parse_json body =
-  match Obs.Json.parse body with Ok d -> d | Error e -> Alcotest.fail e
-
 let test_varz_end_to_end () =
   with_loopback_server @@ fun port ->
   (* Traffic first, so the windowed series have something to show. *)
@@ -1520,6 +1573,12 @@ let () =
         [ Alcotest.test_case "X-Trace-Id header" `Quick test_trace_id_header;
           Alcotest.test_case "access log matches header" `Quick
             test_access_log_matches_trace_header ] );
+      ( "two servers",
+        [ Alcotest.test_case "stop one, the other answers" `Quick
+            test_two_servers_stop_independently;
+          Alcotest.test_case "alertz lists own rules" `Quick test_two_servers_own_rules;
+          Alcotest.test_case "own trace-id streams" `Quick
+            test_two_servers_own_trace_streams ] );
       ( "loadgen",
         [ Alcotest.test_case "parse url" `Quick test_loadgen_parse_url;
           Alcotest.test_case "exact quantiles" `Quick test_loadgen_quantile_exact;
