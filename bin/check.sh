@@ -443,9 +443,9 @@ echo "== solarstorm sweep: streaming grid gate =="
 # values) collapses to exactly 4 compiled plans.  The gate proves the
 # whole sweep contract over real interfaces: CLI output is byte-identical
 # for any --jobs count, the de-chunked POST /sweep body equals the CLI
-# bytes, the response really is chunked JSONL, the dedup counters are
-# exact on /metrics, and loadgen can drive the streaming endpoint from a
-# --body-file grid.
+# bytes, the response really is chunked JSONL with the pinned framing,
+# the dedup counters are exact on /metrics, and loadgen can drive the
+# streaming endpoint from a --body-file grid.
 SWEEP_LOG=/tmp/serve_sweep.log
 SWEEP_GRID=/tmp/sweep_grid.json
 rm -f "$SWEEP_LOG" "$SWEEP_GRID" /tmp/sweep_j1.jsonl /tmp/sweep_j4.jsonl \
@@ -495,6 +495,15 @@ for i, line in enumerate(lines):
             "cables_failed_pct", "nodes_unreachable_pct"} <= doc.keys(), doc
 EOF
 fi
+
+# The wire framing itself, not just the de-chunked body: one chunk per
+# row and the terminal chunk, byte for byte as before rows were written
+# in per-batch bursts (MD5 of curl --raw on this grid, measured on the
+# commit before that change).
+SWEEP_RAW_MD5=014a49f626382583b29b1c0b88008110
+GOT=$(curl -fsSN --raw --data-binary "@$SWEEP_GRID" "$BASE/sweep" | md5sum | cut -d ' ' -f 1)
+[ "$GOT" = "$SWEEP_RAW_MD5" ] \
+  || { echo "check.sh: raw chunked /sweep MD5 $GOT, want $SWEEP_RAW_MD5" >&2; kill "$SERVE_PID" 2> /dev/null; exit 1; }
 
 # A malformed grid is an ordinary fixed 400, not a truncated stream.
 BAD_STATUS=$(curl -s -o /dev/null -w '%{http_code}' -d '{"bogus":[1]}' "$BASE/sweep")

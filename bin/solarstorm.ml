@@ -317,13 +317,12 @@ let sweep_cmd =
           exit 2
     in
     with_obs ~cmd:"sweep" jobs progress metrics trace profile log @@ fun () ->
-    (* One JSONL row per cell, flushed as produced so downstream pipes
-       see results stream in — the same bytes POST /sweep chunks. *)
+    (* One JSONL row per cell, flushed once per trial batch so
+       downstream pipes see each batch's rows as soon as they exist —
+       the same bytes and flush points as POST /sweep. *)
     let summary =
-      Stormsim.Sweep.run ~cells ()
-        ~emit:(fun row ->
-          print_string (Stormsim.Sweep.row_line row);
-          flush stdout)
+      Stormsim.Sweep.run ~cells ~flush:(fun () -> flush stdout) ()
+        ~emit:(fun row -> print_string (Stormsim.Sweep.row_line row))
     in
     Printf.eprintf "sweep: %d cells, %d rows, %d plans compiled, %d batches\n"
       summary.Stormsim.Sweep.cells summary.Stormsim.Sweep.rows

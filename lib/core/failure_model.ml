@@ -58,14 +58,17 @@ let of_string s =
             "expected s1 | s2 | physical | s1-geomag | s2-geomag | probability \
              in [0,1]")
 
-let to_string = function
-  | Uniform p -> Printf.sprintf "uniform(%g)" p
-  | Latitude_tiered { high; mid; low; _ } ->
-      Printf.sprintf "tiered[%g; %g; %g]" high mid low
+let to_string m =
+  let g v = Obs.Json.format_float "%g" v in
+  let tiers name high mid low =
+    String.concat "" [ name; "["; g high; "; "; g mid; "; "; g low; "]" ]
+  in
+  match m with
+  | Uniform p -> "uniform(" ^ g p ^ ")"
+  | Latitude_tiered { high; mid; low; _ } -> tiers "tiered" high mid low
   | Gic_physical { dst_nt; scale_a } ->
-      Printf.sprintf "gic-physical(Dst=%g, scale=%gA)" dst_nt scale_a
-  | Geomag_tiered { high; mid; low; _ } ->
-      Printf.sprintf "geomag-tiered[%g; %g; %g]" high mid low
+      String.concat "" [ "gic-physical(Dst="; g dst_nt; ", scale="; g scale_a; "A)" ]
+  | Geomag_tiered { high; mid; low; _ } -> tiers "geomag-tiered" high mid low
 
 let compiles = Obs.Metrics.counter "fm.compiles"
 

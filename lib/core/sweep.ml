@@ -180,27 +180,30 @@ let expand ?(base = default_cell) axes =
 
 (* --- canonical keys --- *)
 
+let g17 v = Obs.Json.format_float "%.17g" v
+
 let model_key m =
   let open Failure_model in
+  let tiered tag high mid low mid_threshold high_threshold =
+    String.concat ":" [ tag; g17 high; g17 mid; g17 low; g17 mid_threshold; g17 high_threshold ]
+  in
   match m with
-  | Uniform p -> Printf.sprintf "u:%.17g" p
+  | Uniform p -> "u:" ^ g17 p
   | Latitude_tiered { high; mid; low; mid_threshold; high_threshold } ->
-      Printf.sprintf "lt:%.17g:%.17g:%.17g:%.17g:%.17g" high mid low mid_threshold
-        high_threshold
-  | Gic_physical { dst_nt; scale_a } -> Printf.sprintf "gic:%.17g:%.17g" dst_nt scale_a
+      tiered "lt" high mid low mid_threshold high_threshold
+  | Gic_physical { dst_nt; scale_a } -> String.concat ":" [ "gic"; g17 dst_nt; g17 scale_a ]
   | Geomag_tiered { high; mid; low; mid_threshold; high_threshold } ->
-      Printf.sprintf "gt:%.17g:%.17g:%.17g:%.17g:%.17g" high mid low mid_threshold
-        high_threshold
+      tiered "gt" high mid low mid_threshold high_threshold
 
 let network_key c =
   match c.network with
-  | Itu -> Printf.sprintf "itu:%d:%.17g" c.seed c.itu_scale
-  | n -> Printf.sprintf "%s:%d" (network_id_to_string n) c.seed
+  | Itu -> String.concat ":" [ "itu"; string_of_int c.seed; g17 c.itu_scale ]
+  | n -> network_id_to_string n ^ ":" ^ string_of_int c.seed
 
 let plan_key c =
-  Printf.sprintf "%s|%s|spacing=%.17g" (network_key c) (model_key c.model) c.spacing_km
+  String.concat "" [ network_key c; "|"; model_key c.model; "|spacing="; g17 c.spacing_km ]
 
-let batch_key c = Printf.sprintf "%s|trials=%d" (plan_key c) c.trials
+let batch_key c = plan_key c ^ "|trials=" ^ string_of_int c.trials
 
 (* --- execution --- *)
 
@@ -242,7 +245,7 @@ let build_network c =
   | Intertubes -> Datasets.Cache.intertubes ~seed:c.seed ()
   | Itu -> Datasets.Cache.itu ~seed:c.seed ~scale:c.itu_scale ()
 
-let run ?jobs ~cells ~emit () =
+let run ?jobs ?(flush = ignore) ~cells ~emit () =
   let n = Array.length cells in
   Obs.Metrics.incr c_runs;
   Obs.Metrics.add c_cells n;
@@ -311,7 +314,8 @@ let run ?jobs ~cells ~emit () =
       if Hashtbl.find last_use pk = b then Hashtbl.remove plan_tbl pk;
       Obs.Metrics.incr c_batches;
       results.(b) <- Some stats;
-      emit_ready ())
+      emit_ready ();
+      flush ())
     reps;
   Obs.Progress.finish progress;
   { cells = n; rows = !next; plans_compiled = !plans_compiled; batches = !nbatches }

@@ -99,7 +99,8 @@ val expand : ?base:cell -> axis list -> (cell array, string) result
 
 val model_key : Failure_model.t -> string
 (** Collision-free model key: every constructor field printed with
-    [%.17g] (shared with the server's cache keys). *)
+    [%.17g] ({!Obs.Json.format_float}, shared with the server's cache
+    keys). *)
 
 val network_key : cell -> string
 (** Dataset identity: name + build seed, with the ITU scale included
@@ -136,11 +137,21 @@ type summary = {
 }
 
 val run :
-  ?jobs:int -> cells:cell array -> emit:(row -> unit) -> unit -> summary
+  ?jobs:int ->
+  ?flush:(unit -> unit) ->
+  cells:cell array ->
+  emit:(row -> unit) ->
+  unit ->
+  summary
 (** Execute a sweep.  Batches run sequentially in first-occurrence
     order; each batch's trials are parallelized over [jobs] (default
     {!Exec.default_jobs}) worker domains.  [emit] receives rows in
     strict cell order, each as soon as its batch has completed —
-    byte-identical output for any [jobs].  @raise Invalid_argument via
-    the trial engine if a cell is invalid (cells built by {!expand} are
-    always valid). *)
+    byte-identical output for any [jobs].  [flush] (default: nothing)
+    is called once after each batch, when that batch's rows — at least
+    one, the batch's first cell — have all been emitted: the point
+    where a consumer that buffers rows should deliver them, since no
+    further row comes before the next batch's trials have run.  An
+    exception from [emit] or [flush] abandons the remaining batches.
+    @raise Invalid_argument via the trial engine if a cell is invalid
+    (cells built by {!expand} are always valid). *)

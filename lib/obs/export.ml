@@ -3,10 +3,6 @@
    surface. *)
 let json_escape = Json.escape
 
-let finite_repr v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.1f" v
-  else Printf.sprintf "%.17g" v
-
 let json_float = Json.number_repr
 
 let prom_float v =
@@ -14,7 +10,7 @@ let prom_float v =
   if Float.is_nan v then "NaN"
   else if v = Float.infinity then "+Inf"
   else if v = Float.neg_infinity then "-Inf"
-  else finite_repr v
+  else Json.number_repr v
 
 (* Events recorded outside any trace context keep the historical line
    shape; only traced events grow the extra field. *)

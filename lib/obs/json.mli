@@ -32,12 +32,21 @@ val array : t -> t list option
 val escape : string -> string
 (** Escape a string for embedding between JSON double quotes (control
     characters become [\uXXXX] escapes; the quotes themselves are not
-    added). *)
+    added).  A string with nothing to escape is returned as is, without
+    a copy. *)
+
+external format_float : string -> float -> string = "caml_format_float"
+(** The C primitive that [Printf]'s [%f], [%e] and [%g] conversions end
+    in: [format_float "%.17g" v] is byte-identical to
+    [Printf.sprintf "%.17g" v] without the format interpreter.  Every
+    float this repository spells on a hot path — JSON numbers, cache and
+    plan keys, model names — goes through it. *)
 
 val number_repr : float -> string
 (** Canonical JSON spelling of a float: integral values < 10¹⁵ print as
-    ["%.1f"], everything else as ["%.17g"]; non-finite values become
-    ["null"] (JSON has no literal for them). *)
+    ["%.1f"], everything else as ["%.17g"] (both through
+    {!format_float}); non-finite values become ["null"] (JSON has no
+    literal for them). *)
 
 val to_string : ?pretty:bool -> t -> string
 (** Serialize.  Compact by default (no whitespace — the service's wire

@@ -213,7 +213,7 @@ let params_of_body ~base ~of_json body =
    {!Stormsim.Sweep}, shared with the sweep engine's plan dedup) --- *)
 
 let sim_key p =
-  Printf.sprintf "simulate|%s|trials=%d" (Stormsim.Sweep.plan_key p) p.trials
+  String.concat "" [ "simulate|"; Stormsim.Sweep.plan_key p; "|trials="; string_of_int p.trials ]
 
 let scenario_key p =
   let source =

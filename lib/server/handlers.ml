@@ -298,7 +298,8 @@ let sweep (req : Http.request) =
                 (fun emit ->
                   let summary =
                     Obs.Span.with_ ~name:"server.sweep" @@ fun () ->
-                    Stormsim.Sweep.run ~cells () ~emit:(fun row ->
+                    Stormsim.Sweep.run ~cells ~flush:(fun () -> emit "") ()
+                      ~emit:(fun row ->
                         Obs.Metrics.incr sw_rows;
                         emit (Stormsim.Sweep.row_line row))
                   in

@@ -270,10 +270,38 @@ let stream_head ?(content_type = "application/json") ?(headers = []) ~status ~cl
   Buffer.add_string buf "\r\n";
   Buffer.contents buf
 
+let stream_write_bytes = 65536
+
 let respond_stream ?content_type ?headers ~status ~close ~write producer =
-  write (stream_head ?content_type ?headers ~status ~close ());
-  producer (fun s -> if s <> "" then write (chunk s));
-  write last_chunk
+  let buf = Buffer.create 4096 in
+  let send () =
+    if Buffer.length buf > 0 then begin
+      let bytes = Buffer.contents buf in
+      Buffer.clear buf;
+      write bytes
+    end
+  in
+  Buffer.add_string buf (stream_head ?content_type ?headers ~status ~close ());
+  let first = ref true in
+  (match
+     producer (fun s ->
+         if s = "" then send ()
+         else begin
+           Buffer.add_string buf (chunk s);
+           if !first || Buffer.length buf >= stream_write_bytes then begin
+             first := false;
+             send ()
+           end
+         end)
+   with
+  | () -> ()
+  | exception exn ->
+      (* The connection is abandoned either way; the producer's failure,
+         not a write to a peer that may be gone, is the one to report. *)
+      (try send () with _ -> ());
+      raise exn);
+  Buffer.add_string buf last_chunk;
+  send ()
 
 (* Chunked-body reader (client side of [respond_stream]; tests and the
    load generator).  Trailer sections are not supported: the terminal

@@ -141,13 +141,25 @@ val respond_stream :
   write:(string -> unit) ->
   ((string -> unit) -> unit) ->
   unit
-(** [respond_stream ~write producer] writes the {!stream_head}, runs
-    [producer emit] — every non-empty [emit] payload is framed and
-    handed to [write] immediately (per-chunk flush: [write] is expected
-    to push bytes to the peer, not buffer them) — then writes
-    {!last_chunk}.  Usable by any handler; exceptions from [producer]
-    propagate after the head has been written, so the caller must treat
-    them as a dead connection, not as a reportable error. *)
+(** [respond_stream ~write producer] sends the {!stream_head}, then
+    runs [producer emit]: every non-empty payload is framed as its own
+    chunk ({!chunk}) into a per-stream buffer, and an empty payload is
+    a flush point.  [write] is called with the buffered bytes — it is
+    expected to push them to the peer — at four points only: when the
+    first payload has been framed (head and first payload leave
+    together), at each flush point, whenever the buffer reaches 64 KiB
+    (a constant, so a producer that emits many payloads between flush
+    points holds bounded memory), and with {!last_chunk} at the end.
+    So the buffer never holds more than 64 KiB plus one framed payload,
+    and the concatenated writes are the same bytes however the producer
+    places its flush points.
+
+    Each byte is offered to [write] once.  An exception from [producer]
+    propagates after whatever was buffered has been offered to [write]
+    (a failure of that last write is dropped in favour of the
+    producer's), without a terminal chunk: the peer sees a truncated
+    body, never a fresh head, and the caller must close the connection.
+    An exception from [write] propagates as is. *)
 
 val read_chunk : ?limits:limits -> conn -> (string option, parse_error) result
 (** Read one chunk off a connection positioned inside a chunked body:

@@ -5,12 +5,16 @@ type stream = {
   s_content_type : string;
   s_headers : (string * string) list;
   s_body : (string -> unit) -> unit;
-      (** The producer: called once with an [emit] sink; every payload
-          it emits is streamed to the peer as one chunk
-          ({!Http.respond_stream}).  It runs {e after} the handler has
-          returned and the response head is on the wire, so all request
-          validation must happen in the handler — a producer failure
-          can only truncate the stream, never change the status. *)
+      (** The producer: called once with an [emit] sink; every
+          non-empty payload it emits goes to the peer as one chunk, and
+          an empty payload is a flush point — it adds no bytes, but what
+          has been emitted so far is written then rather than later
+          ({!Http.respond_stream}).  A producer that emits in bursts
+          (for [/sweep], one burst per trial batch) emits [""] after
+          each.  It runs {e after} the handler has returned and the
+          status is committed, so all request validation must happen in
+          the handler — a producer failure can only truncate the
+          stream, never change the status. *)
 }
 (** A streamed reply: status and headers now, body incrementally. *)
 
@@ -34,5 +38,6 @@ val dispatch : routes:route list -> Http.request -> reply
 val to_response : reply -> Http.response
 (** Collapse a reply to a fixed response: a [Response] unchanged, a
     [Stream] materialized by running its producer into a buffer — the
-    body is the de-chunked payload bytes.  The CLI's in-process path
-    and tests use this; producer exceptions propagate. *)
+    body is the de-chunked payload bytes (flush points add none).  The
+    CLI's in-process path and tests use this; producer exceptions
+    propagate. *)

@@ -148,6 +148,43 @@ let send_response fd ~close resp =
 
 let close_client c = try Unix.close c.fd with Unix.Unix_error (_, _, _) -> ()
 
+let m_stream_aborted = Obs.Metrics.counter "server.stream.aborted"
+
+exception Peer_gone
+
+(* The status is committed once the producer runs (the head leaves with
+   its first payload), so it is counted up front; a later failure can
+   only truncate the stream (no terminal chunk, connection closed), which
+   the peer detects as a framing error, never a fresh head.  A peer that
+   left is its own business; a producer that raised is a server failure
+   and must not be silent. *)
+let write_stream fd ~trace ~close (s : Router.stream) =
+  count_status s.Router.s_status;
+  let bytes = ref 0 in
+  let write str =
+    try write_all fd str 0 (String.length str)
+    with Unix.Unix_error (_, _, _) -> raise_notrace Peer_gone
+  in
+  let completed =
+    match
+      Http.respond_stream ~content_type:s.Router.s_content_type
+        ~headers:(("X-Trace-Id", trace) :: s.Router.s_headers)
+        ~status:s.Router.s_status ~close ~write
+        (fun emit ->
+          s.Router.s_body (fun payload ->
+              bytes := !bytes + String.length payload;
+              emit payload))
+    with
+    | () -> true
+    | exception Peer_gone -> false
+    | exception exn ->
+        Obs.Metrics.incr m_stream_aborted;
+        Obs.Log.error "http.stream.aborted"
+          [ ("error", Obs.Json.String (Printexc.to_string exn)) ];
+        false
+  in
+  (completed, !bytes)
+
 let meth_string = function Http.GET -> "GET" | Http.POST -> "POST" | Http.Other s -> s
 
 (* One access-log line per request ({!Obs.Log} is a no-op unless the
@@ -207,39 +244,15 @@ let serve_one ~routes ~limits ~force_close ~trace ~slot c =
           c.last_active <- Unix.gettimeofday ();
           if send_response c.fd ~close resp && not close then `Keep else `Close
       | Router.Stream s ->
-          (* The status goes on the wire before the producer runs, so
-             it is counted now; a producer failure can only truncate
-             the stream (no terminal chunk, connection closed) — the
-             peer detects it as a framing error, never a fresh head. *)
-          count_status s.Router.s_status;
           let close = force_close || Http.wants_close req in
-          let bytes = ref 0 in
-          let ok = ref true in
-          let write str =
-            match write_all c.fd str 0 (String.length str) with
-            | () -> ()
-            | exception Unix.Unix_error (_, _, _) ->
-                ok := false;
-                raise_notrace Exit
-          in
-          (try
-             Http.respond_stream ~content_type:s.Router.s_content_type
-               ~headers:(("X-Trace-Id", trace) :: s.Router.s_headers)
-               ~status:s.Router.s_status ~close ~write
-               (fun emit ->
-                 s.Router.s_body (fun payload ->
-                     bytes := !bytes + String.length payload;
-                     emit payload))
-           with
-          | Exit -> ()
-          | _exn -> ok := false);
+          let completed, bytes = write_stream c.fd ~trace ~close s in
           let dur_ms = Int64.to_float (Int64.sub (Obs.Span.now ()) t0) /. 1e6 in
           Obs.Metrics.observe h_request_ms dur_ms;
           access_log ~meth:(meth_string req.Http.meth) ~path:(Http.path req)
-            ~status:s.Router.s_status ~bytes:!bytes ~dur_ms
+            ~status:s.Router.s_status ~bytes ~dur_ms
             ~cache:(Api.take_cache_outcome ());
           c.last_active <- Unix.gettimeofday ();
-          if !ok && not close then `Keep else `Close)
+          if completed && not close then `Keep else `Close)
 
 (* Wake the acceptor out of select() after pushing to the completion
    queue.  The pipe is non-blocking on both ends: a full pipe already

@@ -110,3 +110,22 @@ val stop : t -> unit
 
 val install_signal_handlers : t -> unit
 (** Route SIGINT and SIGTERM to [stop t]. *)
+
+val write_stream :
+  Unix.file_descr -> trace:string -> close:bool -> Router.stream -> bool * int
+(** [write_stream fd ~trace ~close s] answers one request with the
+    stream [s] on [fd], as a worker does: [X-Trace-Id: trace] is added
+    to the head and the status is counted on [server.resp.*] up front.
+    The bytes go out under {!Http.respond_stream}'s write policy — head
+    with the first row, then one write per flush point (for [/sweep],
+    one per trial batch), one per 64 KiB of rows in between, and the
+    terminal chunk — so a 256-row sweep of four
+    batches costs about six writes, not 258.  Returns whether the stream
+    completed (the connection may then be kept) and the payload bytes
+    the producer emitted.  A failed write ends the stream at once —
+    the producer's remaining work is abandoned — and is not an error.
+    A producer exception writes what is buffered, without a terminal
+    chunk, counts [server.stream.aborted] and logs [http.stream.aborted]
+    at error level with the exception text; call it inside the
+    request's trace context ({!Obs.Span.with_trace}), as the worker
+    does, so that line carries the request's id. *)

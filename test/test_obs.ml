@@ -1308,6 +1308,102 @@ let test_alerts_empty_timeseries_noop () =
       Alcotest.(check int) "no transitions" 0 st.Obs.Alerts.st_transitions
   | _ -> Alcotest.fail "one status expected"
 
+(* --- the float and string spellings, against the Printf originals --- *)
+
+(* The writer's spellings before they called [caml_format_float]
+   directly and stopped copying clean strings; kept as oracles. *)
+let printf_finite_repr v =
+  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.1f" v
+  else Printf.sprintf "%.17g" v
+
+let printf_number_repr v =
+  if Float.is_nan v || v = Float.infinity || v = Float.neg_infinity then "null"
+  else printf_finite_repr v
+
+let printf_prom_float v =
+  if Float.is_nan v then "NaN"
+  else if v = Float.infinity then "+Inf"
+  else if v = Float.neg_infinity then "-Inf"
+  else printf_finite_repr v
+
+let printf_escape s =
+  let buf = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+let same_float_spelling v =
+  Obs.Json.number_repr v = printf_number_repr v
+  && Obs.Export.prom_float v = printf_prom_float v
+
+(* Where the two branches meet (10^15, 2^53), the signed zeros, the
+   subnormals and the values JSON cannot spell. *)
+let float_edge_cases =
+  let around x = [ Float.pred x; x; Float.succ x ] in
+  let signed xs = xs @ List.map Float.neg xs in
+  [ 0.0; -0.0; Float.nan; Float.neg Float.nan; Float.infinity; Float.neg_infinity ]
+  @ signed
+      (around 1e15 @ around 0x1p53 @ around Float.min_float
+      @ [ Int64.float_of_bits 1L; Int64.float_of_bits 0x000f_ffff_ffff_ffffL;
+          Float.max_float; Float.epsilon; 0.1; 1.0 /. 3.0 ])
+
+let test_float_spelling_edge_cases () =
+  List.iter
+    (fun v ->
+      Alcotest.(check string) (Printf.sprintf "number_repr %h" v) (printf_number_repr v)
+        (Obs.Json.number_repr v);
+      Alcotest.(check string) (Printf.sprintf "prom_float %h" v) (printf_prom_float v)
+        (Obs.Export.prom_float v))
+    float_edge_cases
+
+let float_gen =
+  let open QCheck.Gen in
+  oneof
+    [ map Int64.float_of_bits int64;
+      float;
+      map float_of_int (int_range (-1_000_000) 1_000_000);
+      map2 (fun m e -> Float.ldexp (float_of_int m) e) (int_range (-9999) 9999) (int_range (-60) 60);
+      oneofl float_edge_cases ]
+
+let prop_float_spelling =
+  QCheck.Test.make ~name:"number_repr and prom_float = Printf spellings" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%h") float_gen)
+    same_float_spelling
+
+let escape_gen =
+  let open QCheck.Gen in
+  let byte =
+    frequency
+      [ (6, printable);
+        (1, oneofl [ '"'; '\\'; '\127' ]);
+        (1, map Char.chr (int_range 0 31));
+        (1, map Char.chr (int_range 128 255)) ]
+  in
+  oneof
+    [ string_size ~gen:byte (int_range 0 40);
+      map (String.concat "")
+        (list_size (int_range 0 8)
+           (oneofl
+              [ "plain"; "\xc3\xa9"; "\xe6\x97\xa5\xe6\x9c\xac"; "\xf0\x9f\x8c\x9e"; "\\"; "\"";
+                "\n"; "\x00" ])) ]
+
+let prop_escape =
+  QCheck.Test.make ~name:"escape = Printf escape; clean strings uncopied" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") escape_gen)
+    (fun s ->
+      let clean = String.for_all (fun c -> c <> '"' && c <> '\\' && Char.code c >= 0x20) s in
+      Obs.Json.escape s = printf_escape s && ((not clean) || Obs.Json.escape s == s))
+
 let () =
   Alcotest.run "obs"
     [
@@ -1382,7 +1478,10 @@ let () =
           Alcotest.test_case "compact golden" `Quick test_json_to_string_compact_golden;
           Alcotest.test_case "non-finite encodes null" `Quick
             test_json_to_string_nonfinite_is_null;
-          Alcotest.test_case "unicode escapes" `Quick test_json_unicode_escapes ] );
+          Alcotest.test_case "unicode escapes" `Quick test_json_unicode_escapes;
+          Alcotest.test_case "float spelling edge cases" `Quick test_float_spelling_edge_cases;
+          QCheck_alcotest.to_alcotest prop_float_spelling;
+          QCheck_alcotest.to_alcotest prop_escape ] );
       ( "pipeline",
         [ Alcotest.test_case "montecarlo metrics" `Quick test_montecarlo_metrics_flow;
           Alcotest.test_case "determinism" `Quick test_montecarlo_determinism_under_instrumentation ] );

@@ -452,6 +452,57 @@ let test_respond_stream_framing () =
   (* Empty emits vanish; each payload is one frame; terminal chunk last. *)
   Alcotest.(check string) "frames" "5\r\nrow1\n\r\n5\r\nrow2\n\r\n0\r\n\r\n" tail
 
+(* Where [respond_stream] calls [write]: head with the first payload,
+   then at each flush point, at the 64 KiB cap, and with the terminal
+   chunk; a producer failure writes what is buffered and no terminator. *)
+let test_respond_stream_write_points () =
+  let writes producer =
+    let ws = ref [] in
+    let outcome =
+      match
+        Server.Http.respond_stream ~status:200 ~close:false
+          ~write:(fun s -> ws := s :: !ws)
+          producer
+      with
+      | () -> Ok ()
+      | exception Failure msg -> Error msg
+    in
+    (outcome, List.rev !ws)
+  in
+  let head = Server.Http.stream_head ~status:200 ~close:false () in
+  let chunk = Server.Http.chunk in
+  let outcome, ws =
+    writes (fun emit ->
+        emit "a\n";
+        emit "b\n";
+        emit "";
+        emit "c\n";
+        emit "d\n";
+        emit "")
+  in
+  Alcotest.(check (result unit string)) "completed" (Ok ()) outcome;
+  Alcotest.(check (list string)) "one write per flush point"
+    [ head ^ chunk "a\n"; chunk "b\n"; chunk "c\n" ^ chunk "d\n"; Server.Http.last_chunk ] ws;
+  let row = String.make 999 'x' ^ "\n" in
+  let _, ws = writes (fun emit -> for _ = 1 to 200 do emit row done) in
+  (* The documented cap: 64 KiB plus the row that crossed it. *)
+  let cap = 65536 + String.length (chunk row) in
+  Alcotest.(check bool) "no write past the cap plus one row" true
+    (List.for_all (fun w -> String.length w <= cap) ws);
+  Alcotest.(check int) "the cap bounds a long burst" 5 (List.length ws);
+  Alcotest.(check string) "same bytes"
+    (head ^ String.concat "" (List.init 200 (fun _ -> chunk row)) ^ Server.Http.last_chunk)
+    (String.concat "" ws);
+  let outcome, ws =
+    writes (fun emit ->
+        emit "a\n";
+        emit "b\n";
+        failwith "boom")
+  in
+  Alcotest.(check (result unit string)) "producer failure propagates" (Error "boom") outcome;
+  Alcotest.(check (list string)) "buffered rows written, no terminal chunk"
+    [ head ^ chunk "a\n"; chunk "b\n" ] ws
+
 let test_read_chunk_roundtrip () =
   let c = Server.Http.conn_of_string "5\r\nhello\r\n6;ext=1\r\n world\r\n0\r\n\r\n" in
   (match Server.Http.read_chunk c with
@@ -718,19 +769,157 @@ let test_loopback_sweep_streams () =
       | Ok cells -> cells
       | Error e -> Alcotest.fail e
     in
-    let buf = Buffer.create 4096 in
+    let lines = ref [] in
     let _ =
       Stormsim.Sweep.run ~jobs:1 ~cells ()
-        ~emit:(fun r -> Buffer.add_string buf (Stormsim.Sweep.row_line r))
+        ~emit:(fun r -> lines := Stormsim.Sweep.row_line r :: !lines)
     in
-    Buffer.contents buf
+    List.rev !lines
   in
-  Alcotest.(check string) "socket bytes = engine bytes" expected body;
+  Alcotest.(check string) "socket bytes = engine bytes" (String.concat "" expected) body;
+  Alcotest.(check string) "one chunk per row, then the terminator"
+    (String.concat "" (List.map Server.Http.chunk expected) ^ "0\r\n\r\n")
+    raw;
   Alcotest.(check int) "served cells counted" 4 (counter_value "server.sweep.cells");
   Alcotest.(check int) "served rows counted" 4
     (counter_value "server.sweep.rows_streamed");
   Alcotest.(check int) "served plans counted" 2
     (counter_value "server.sweep.plans_compiled")
+
+let index_of hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec scan i =
+    if i + nn > nh then None else if String.sub hay i nn = needle then Some i else scan (i + 1)
+  in
+  scan 0
+
+let read_all fd =
+  let buf = Buffer.create 4096 in
+  let chunk = Bytes.create 4096 in
+  let rec go () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 -> Buffer.contents buf
+    | n ->
+        Buffer.add_subbytes buf chunk 0 n;
+        go ()
+  in
+  go ()
+
+(* [f ()] with the structured log captured; returns [f]'s result and the
+   captured lines. *)
+let with_captured_log f =
+  let log_buf = Buffer.create 512 in
+  let log_lock = Mutex.create () in
+  Obs.Log.enable ();
+  Obs.Log.set_sink (fun s ->
+      Mutex.lock log_lock;
+      Buffer.add_string log_buf s;
+      Mutex.unlock log_lock);
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Log.disable ();
+      Obs.Log.set_sink (fun s ->
+          output_string stderr s;
+          flush stderr))
+    (fun () ->
+      let v = f () in
+      Mutex.lock log_lock;
+      let lines = String.split_on_char '\n' (String.trim (Buffer.contents log_buf)) in
+      Mutex.unlock log_lock;
+      (v, lines))
+
+(* A producer that raises after the head is out is a server failure:
+   the buffered rows still go out, no terminal chunk follows, and it is
+   counted and logged with the request's trace id. *)
+let test_stream_abort_is_not_silent () =
+  with_server_state @@ fun () ->
+  let trace = "00000000feedface" in
+  let stream =
+    { Server.Router.s_status = 200; s_content_type = "application/x-ndjson"; s_headers = [];
+      s_body =
+        (fun emit ->
+          emit "row0\n";
+          emit "row1\n";
+          failwith "producer died") }
+  in
+  let r, w = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let (completed, bytes), lines =
+    with_captured_log (fun () ->
+        Obs.Span.with_trace trace (fun () ->
+            Server.Service.write_stream w ~trace ~close:false stream))
+  in
+  Unix.close w;
+  let all = read_all r in
+  Unix.close r;
+  let head =
+    Server.Http.stream_head ~content_type:"application/x-ndjson"
+      ~headers:[ ("X-Trace-Id", trace) ] ~status:200 ~close:false ()
+  in
+  Alcotest.(check string) "head and two framed rows, no terminal chunk"
+    (head ^ Server.Http.chunk "row0\n" ^ Server.Http.chunk "row1\n") all;
+  Alcotest.(check bool) "not completed" false completed;
+  Alcotest.(check int) "payload bytes" 10 bytes;
+  Alcotest.(check int) "counted once" 1 (counter_value "server.stream.aborted");
+  let aborted = List.filter (fun l -> contains l "\"event\":\"http.stream.aborted\"") lines in
+  Alcotest.(check int) "one aborted line" 1 (List.length aborted);
+  match Obs.Json.parse (List.hd aborted) with
+  | Error e -> Alcotest.fail ("aborted line unparseable: " ^ e)
+  | Ok doc ->
+      let str k = Option.bind (Obs.Json.member k doc) Obs.Json.string_ in
+      Alcotest.(check (option string)) "error level" (Some "error") (str "level");
+      Alcotest.(check (option string)) "trace id" (Some trace) (str "trace");
+      Alcotest.(check bool) "exception text" true
+        (match str "error" with Some e -> contains e "producer died" | None -> false)
+
+(* A client that reads the first row of a long sweep and leaves: the
+   failed write abandons the remaining batches, nothing is counted as a
+   server error, and the server goes on answering. *)
+let test_peer_leaves_mid_sweep () =
+  with_loopback_server @@ fun port ->
+  let batches = 20 in
+  let grid =
+    Printf.sprintf "{\"trials\":[%s]}"
+      (String.concat "," (List.init batches (fun i -> string_of_int (2000 + i))))
+  in
+  (with_client port @@ fun fd ->
+   send_all fd
+     (Printf.sprintf "POST /sweep HTTP/1.1\r\ncontent-length: %d\r\n\r\n%s"
+        (String.length grid) grid);
+   (* Read until the head and one whole chunk are in, then leave. *)
+   let buf = Buffer.create 4096 and bytes = Bytes.create 4096 in
+   let rec first_row () =
+     let all = Buffer.contents buf in
+     let row =
+       match index_of all "\r\n\r\n" with
+       | None -> None
+       | Some i -> (
+           let body = String.sub all (i + 4) (String.length all - i - 4) in
+           match Server.Http.read_chunk (Server.Http.conn_of_string body) with
+           | Ok (Some row) -> Some row
+           | _ -> None)
+     in
+     match row with
+     | Some row -> row
+     | None ->
+         let n = Unix.read fd bytes 0 (Bytes.length bytes) in
+         if n = 0 then Alcotest.fail "peer closed before the first row";
+         Buffer.add_subbytes buf bytes 0 n;
+         first_row ()
+   in
+   Alcotest.(check bool) "first row" true (contains (first_row ()) "\"cell\":0.0"));
+  (* One worker: this request is served only once the sweep has given up. *)
+  (with_client port @@ fun fd ->
+   send_all fd "GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n";
+   let status, _, _ = read_response fd in
+   Alcotest.(check int) "healthz on a new connection" 200 status);
+  let ran = counter_value "sweep.batches" in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d batches ran" ran batches)
+    true
+    (ran >= 1 && ran < batches / 2);
+  Alcotest.(check int) "no 5xx" 0 (counter_value "server.resp.5xx");
+  Alcotest.(check int) "a peer leaving is not an abort" 0
+    (counter_value "server.stream.aborted")
 
 (* --- /statusz --- *)
 
@@ -914,51 +1103,29 @@ let test_two_servers_own_trace_streams () =
     (List.map snd pairs)
 
 let test_access_log_matches_trace_header () =
-  let log_buf = Buffer.create 512 in
-  let log_lock = Mutex.create () in
-  Obs.Log.enable ();
-  Obs.Log.set_sink (fun s ->
-      Mutex.lock log_lock;
-      Buffer.add_string log_buf s;
-      Mutex.unlock log_lock);
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.Log.disable ();
-      Obs.Log.set_sink (fun s ->
-          output_string stderr s;
-          flush stderr))
-    (fun () ->
-      with_loopback_server ~trace_seed:7 @@ fun port ->
-      let status, head, _ = post_simulate port "{\"trials\":2,\"seed\":5}" in
-      Alcotest.(check int) "simulate ok" 200 status;
-      let id =
-        match header_value head "x-trace-id" with
-        | Some s -> s
-        | None -> Alcotest.fail "no X-Trace-Id header"
-      in
-      let captured =
-        Mutex.lock log_lock;
-        let s = Buffer.contents log_buf in
-        Mutex.unlock log_lock;
-        s
-      in
-      let access =
-        String.split_on_char '\n' (String.trim captured)
-        |> List.filter (fun l -> contains l "\"event\":\"http.access\"")
-      in
-      Alcotest.(check int) "one access line" 1 (List.length access);
-      match Obs.Json.parse (List.hd access) with
-      | Error e -> Alcotest.fail ("access line unparseable: " ^ e)
-      | Ok doc ->
-          let str k = Option.bind (Obs.Json.member k doc) Obs.Json.string_ in
-          Alcotest.(check (option string)) "log trace = header trace" (Some id)
-            (str "trace");
-          Alcotest.(check (option string)) "method" (Some "POST") (str "method");
-          Alcotest.(check (option string)) "path" (Some "/simulate") (str "path");
-          Alcotest.(check (option string)) "cold request is a miss" (Some "miss")
-            (str "cache");
-          Alcotest.(check (option (float 1e-9))) "status" (Some 200.0)
-            (Option.bind (Obs.Json.member "status" doc) Obs.Json.number))
+  let (status, head, _), lines =
+    with_captured_log (fun () ->
+        with_loopback_server ~trace_seed:7 @@ fun port ->
+        post_simulate port "{\"trials\":2,\"seed\":5}")
+  in
+  Alcotest.(check int) "simulate ok" 200 status;
+  let id =
+    match header_value head "x-trace-id" with
+    | Some s -> s
+    | None -> Alcotest.fail "no X-Trace-Id header"
+  in
+  let access = List.filter (fun l -> contains l "\"event\":\"http.access\"") lines in
+  Alcotest.(check int) "one access line" 1 (List.length access);
+  match Obs.Json.parse (List.hd access) with
+  | Error e -> Alcotest.fail ("access line unparseable: " ^ e)
+  | Ok doc ->
+      let str k = Option.bind (Obs.Json.member k doc) Obs.Json.string_ in
+      Alcotest.(check (option string)) "log trace = header trace" (Some id) (str "trace");
+      Alcotest.(check (option string)) "method" (Some "POST") (str "method");
+      Alcotest.(check (option string)) "path" (Some "/simulate") (str "path");
+      Alcotest.(check (option string)) "cold request is a miss" (Some "miss") (str "cache");
+      Alcotest.(check (option (float 1e-9))) "status" (Some 200.0)
+        (Option.bind (Obs.Json.member "status" doc) Obs.Json.number)
 
 (* --- load generator --- *)
 
@@ -1532,6 +1699,8 @@ let () =
       ( "chunked",
         [ Alcotest.test_case "chunk framing" `Quick test_chunk_framing;
           Alcotest.test_case "respond_stream framing" `Quick test_respond_stream_framing;
+          Alcotest.test_case "respond_stream write points" `Quick
+            test_respond_stream_write_points;
           Alcotest.test_case "read_chunk round-trip" `Quick test_read_chunk_roundtrip;
           Alcotest.test_case "malformed chunks" `Quick test_read_chunk_malformed ] );
       ( "router",
@@ -1564,7 +1733,10 @@ let () =
       ( "loopback",
         [ Alcotest.test_case "end to end" `Quick test_loopback_end_to_end;
           Alcotest.test_case "garbage over socket" `Quick test_loopback_rejects_garbage;
-          Alcotest.test_case "sweep streams chunked" `Quick test_loopback_sweep_streams ] );
+          Alcotest.test_case "sweep streams chunked" `Quick test_loopback_sweep_streams;
+          Alcotest.test_case "stream abort is not silent" `Quick
+            test_stream_abort_is_not_silent;
+          Alcotest.test_case "peer leaves mid-sweep" `Quick test_peer_leaves_mid_sweep ] );
       ( "statusz",
         [ Alcotest.test_case "shape" `Quick test_statusz_shape;
           Alcotest.test_case "end to end" `Quick test_statusz_end_to_end;

@@ -366,6 +366,120 @@ let prop_grid_jobs_identity =
           Array.length cells <= 8
           && List.for_all (fun jobs -> snd (run_to_string ~jobs cells) = one) [ 2; 4 ])
 
+(* Every flush point follows the rows of the batch it closes: one flush
+   per batch, never two in a row or before the first row, the last call
+   a flush, and the rows themselves those of a run without [?flush]. *)
+let prop_flush_per_batch =
+  QCheck.Test.make ~name:"one flush per batch, after its rows" ~count:30 grid_arb
+    (fun (base, specs) ->
+      match Sweep.expand ~base (List.map axis specs) with
+      | Error e -> QCheck.Test.fail_report e
+      | Ok cells ->
+          let calls = ref [] in
+          let summary =
+            Sweep.run ~jobs:1 ~cells
+              ~flush:(fun () -> calls := None :: !calls)
+              ~emit:(fun row -> calls := Some (Sweep.row_line row) :: !calls)
+              ()
+          in
+          let calls = List.rev !calls in
+          let rec flushes_follow_rows after_row = function
+            | [] -> true
+            | None :: rest -> after_row && flushes_follow_rows false rest
+            | Some _ :: rest -> flushes_follow_rows true rest
+          in
+          let _, plain = run_to_string ~jobs:1 cells in
+          List.length (List.filter Option.is_none calls) = summary.Sweep.batches
+          && flushes_follow_rows false calls
+          && List.nth calls (List.length calls - 1) = None
+          && String.concat "" (List.filter_map Fun.id calls) = plain)
+
+(* --- keys and model names, against the Printf originals --- *)
+
+(* The spellings before they called [caml_format_float] directly; kept
+   as oracles. *)
+let printf_model_key m =
+  let open Failure_model in
+  match m with
+  | Uniform p -> Printf.sprintf "u:%.17g" p
+  | Latitude_tiered { high; mid; low; mid_threshold; high_threshold } ->
+      Printf.sprintf "lt:%.17g:%.17g:%.17g:%.17g:%.17g" high mid low mid_threshold
+        high_threshold
+  | Gic_physical { dst_nt; scale_a } -> Printf.sprintf "gic:%.17g:%.17g" dst_nt scale_a
+  | Geomag_tiered { high; mid; low; mid_threshold; high_threshold } ->
+      Printf.sprintf "gt:%.17g:%.17g:%.17g:%.17g:%.17g" high mid low mid_threshold
+        high_threshold
+
+let printf_plan_key (c : Sweep.cell) =
+  let network_key =
+    match c.network with
+    | Sweep.Itu -> Printf.sprintf "itu:%d:%.17g" c.seed c.itu_scale
+    | n -> Printf.sprintf "%s:%d" (Sweep.network_id_to_string n) c.seed
+  in
+  Printf.sprintf "%s|%s|spacing=%.17g" network_key (printf_model_key c.model) c.spacing_km
+
+let printf_batch_key (c : Sweep.cell) = Printf.sprintf "%s|trials=%d" (printf_plan_key c) c.trials
+
+let printf_sim_key (c : Sweep.cell) =
+  Printf.sprintf "simulate|%s|trials=%d" (printf_plan_key c) c.trials
+
+let printf_model_name = function
+  | Failure_model.Uniform p -> Printf.sprintf "uniform(%g)" p
+  | Latitude_tiered { high; mid; low; _ } -> Printf.sprintf "tiered[%g; %g; %g]" high mid low
+  | Gic_physical { dst_nt; scale_a } ->
+      Printf.sprintf "gic-physical(Dst=%g, scale=%gA)" dst_nt scale_a
+  | Geomag_tiered { high; mid; low; _ } ->
+      Printf.sprintf "geomag-tiered[%g; %g; %g]" high mid low
+
+(* Any float at all (keys are pure, so nothing need be a valid cell),
+   with probabilities and integral values weighted in. *)
+let key_float =
+  let open QCheck.Gen in
+  oneof
+    [ map Int64.float_of_bits int64; float; float_bound_inclusive 1.0;
+      map float_of_int (int_range (-100_000) 100_000);
+      oneofl [ 0.0; -0.0; 1e15; 0x1p53; Float.nan; Float.infinity; Float.neg_infinity ] ]
+
+(* Each case builds every model constructor on every network from the
+   same generated fields, so all twelve pairings are checked every time. *)
+let prop_keys_match_printf =
+  let open QCheck.Gen in
+  let gen =
+    let* f = array_size (return 7) key_float in
+    let* seed = int in
+    let+ trials = int in
+    (f, seed, trials)
+  in
+  let print (f, seed, trials) =
+    Printf.sprintf "[%s] seed %d trials %d"
+      (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") f)))
+      seed trials
+  in
+  QCheck.Test.make ~name:"keys and model names = Printf spellings" ~count:300
+    (QCheck.make ~print gen) (fun (f, seed, trials) ->
+      let high = f.(0) and mid = f.(1) and low = f.(2) in
+      let mid_threshold = f.(3) and high_threshold = f.(4) in
+      let models =
+        Failure_model.
+          [ Uniform f.(0);
+            Latitude_tiered { high; mid; low; mid_threshold; high_threshold };
+            Gic_physical { dst_nt = f.(5); scale_a = f.(6) };
+            Geomag_tiered { high; mid; low; mid_threshold; high_threshold } ]
+      in
+      List.for_all
+        (fun model ->
+          Failure_model.to_string model = printf_model_name model
+          && List.for_all
+               (fun network ->
+                 let c =
+                   { Sweep.network; model; spacing_km = f.(6); itu_scale = f.(5); seed; trials }
+                 in
+                 Sweep.plan_key c = printf_plan_key c
+                 && Sweep.batch_key c = printf_batch_key c
+                 && Server.Api.sim_key c = printf_sim_key c)
+               [ Sweep.Submarine; Intertubes; Itu ])
+        models)
+
 (* --- HTTP: POST /sweep --- *)
 
 let dispatch ?(body = "") target =
@@ -476,7 +590,8 @@ let () =
         [ Alcotest.test_case "itu_scale normalized out" `Quick
             test_plan_key_normalizes_itu_scale;
           Alcotest.test_case "batch key includes trials" `Quick
-            test_batch_key_includes_trials ] );
+            test_batch_key_includes_trials;
+          QCheck_alcotest.to_alcotest prop_keys_match_printf ] );
       ( "execution",
         [ Alcotest.test_case "dedup counters exact" `Quick test_dedup_counters_exact;
           Alcotest.test_case "rows in cell order" `Quick test_rows_in_cell_order;
@@ -486,7 +601,8 @@ let () =
           Alcotest.test_case "row line shape" `Quick test_row_line_shape;
           Alcotest.test_case "recurring plan kept" `Quick test_recurring_plan_kept;
           Alcotest.test_case "plans released" `Quick test_plans_released;
-          QCheck_alcotest.to_alcotest prop_grid_jobs_identity ] );
+          QCheck_alcotest.to_alcotest prop_grid_jobs_identity;
+          QCheck_alcotest.to_alcotest prop_flush_per_batch ] );
       ( "simulate",
         [ QCheck_alcotest.to_alcotest prop_simulate_is_one_cell_sweep ] );
       ( "pinned bytes",
