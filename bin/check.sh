@@ -262,7 +262,8 @@ ACCESS_LOG=/tmp/serve_access.jsonl
 SERVE_TRACE=/tmp/serve_trace.json
 OBS_LOG=/tmp/serve_obs.log
 rm -f "$ACCESS_LOG" "$SERVE_TRACE" "$OBS_LOG" /tmp/serve_obs_headers.txt \
-  /tmp/serve_obs_sim.json /tmp/serve_obs_cli.json /tmp/loadgen_gate.json
+  /tmp/serve_obs_sim.json /tmp/serve_obs_cli.json /tmp/loadgen_gate.json \
+  /tmp/loadgen_localhost.json
 boot_serve "$OBS_LOG" "observability serve" --trace-seed 42 \
   --log "$ACCESS_LOG" --profile "$SERVE_TRACE"
 
@@ -334,6 +335,14 @@ assert {"loadgen.latency-mean", "loadgen.latency-p50",
 EOF
 fi
 
+# The same server by host name: loadgen resolves "localhost" and tries
+# each address it lists.
+_build/default/bin/solarstorm.exe loadgen --url "http://localhost:$SERVE_PORT/healthz" \
+  --requests 20 > /tmp/loadgen_localhost.json 2> /dev/null \
+  || { echo "check.sh: loadgen against localhost failed" >&2; kill "$SERVE_PID" 2> /dev/null; exit 1; }
+grep -q -F '"schema":"solarstorm-bench/1"' /tmp/loadgen_localhost.json \
+  || { echo "check.sh: loadgen against localhost printed no solarstorm-bench/1 document" >&2; kill "$SERVE_PID" 2> /dev/null; exit 1; }
+
 # Drain; the profile is written after the listener stops.
 kill -TERM "$SERVE_PID"
 if ! wait "$SERVE_PID"; then
@@ -345,7 +354,8 @@ grep -q "\"args\":{\"trace\":\"$TRACE_ID\"}" "$SERVE_TRACE" \
   || { echo "check.sh: trace $TRACE_ID not findable in $SERVE_TRACE" >&2; exit 1; }
 grep -q '"name":"server.request"' "$SERVE_TRACE" \
   || { echo "check.sh: $SERVE_TRACE has no server.request span" >&2; exit 1; }
-rm -f /tmp/serve_obs_headers.txt /tmp/serve_obs_sim.json /tmp/serve_obs_cli.json /tmp/loadgen_gate.json
+rm -f /tmp/serve_obs_headers.txt /tmp/serve_obs_sim.json /tmp/serve_obs_cli.json \
+  /tmp/loadgen_gate.json /tmp/loadgen_localhost.json
 
 echo "== solarstorm serve: worker pool gate =="
 # The acceptor + worker-domain pool must be invisible in the bytes: every

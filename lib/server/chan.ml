@@ -1,31 +1,13 @@
 (* Mutex + condition over a Queue: the service moves a handful of jobs
-   per request, so a lock-free design would buy nothing — the interesting
-   property is the bound, which is what turns overload into an immediate
-   503 instead of an unbounded backlog. *)
+   per request, so a lock-free design would buy nothing. *)
 
-type 'a t = {
-  mu : Mutex.t;
-  nonempty : Condition.t;
-  q : 'a Queue.t;
-  cap : int; (* 0 = unbounded *)
-}
+type 'a t = { mu : Mutex.t; nonempty : Condition.t; q : 'a Queue.t }
 
-let create ?(capacity = 0) () =
-  if capacity < 0 then invalid_arg "Chan.create: negative capacity";
-  { mu = Mutex.create (); nonempty = Condition.create (); q = Queue.create (); cap = capacity }
+let create () = { mu = Mutex.create (); nonempty = Condition.create (); q = Queue.create () }
 
 let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
-
-let try_push t v =
-  locked t @@ fun () ->
-  if t.cap > 0 && Queue.length t.q >= t.cap then false
-  else begin
-    Queue.push v t.q;
-    Condition.signal t.nonempty;
-    true
-  end
 
 let push t v =
   locked t @@ fun () ->

@@ -1,11 +1,8 @@
 (** A small multi-producer multi-consumer FIFO channel for moving work
-    between the service's acceptor and its worker domains.
-
-    Two flavours share one type: bounded ([capacity > 0]) for the
-    acceptor → worker job queue, where {!try_push} refusing is the
-    backpressure signal (the acceptor answers 503 instead of queueing
-    without bound), and unbounded ([capacity = 0]) for the worker →
-    acceptor completion queue, where {!push} must never block a worker.
+    between the service's acceptor and its worker domains: the acceptor
+    → worker job queue and the worker → acceptor completion queue.
+    Neither needs a bound — every job is a connection the acceptor has
+    already counted against its pending cap — so {!push} never blocks.
 
     FIFO order is total across producers; {!pop} blocks until an
     element is available (workers park here between requests and are
@@ -13,17 +10,10 @@
 
 type 'a t
 
-val create : ?capacity:int -> unit -> 'a t
-(** [capacity] bounds the queue; [0] (default) means unbounded.
-    @raise Invalid_argument if negative. *)
-
-val try_push : 'a t -> 'a -> bool
-(** Enqueue, or return [false] when a bounded channel is full.  Never
-    blocks (beyond the internal lock). *)
+val create : unit -> 'a t
 
 val push : 'a t -> 'a -> unit
-(** Enqueue unconditionally, ignoring any bound — for unbounded
-    channels and for shutdown sentinels that must not be droppable. *)
+(** Enqueue; never blocks (beyond the internal lock). *)
 
 val pop : 'a t -> 'a
 (** Block until an element is available and dequeue it. *)

@@ -1,10 +1,10 @@
-(* Hardened HTTP/1.1 reader/writer.  See the interface for the contract;
-   the implementation notes that matter:
+(* Hardened HTTP/1.1 codec, used by the server and by its clients.  See
+   the interface for the contract; the implementation notes that matter:
 
-   - the head (request line + headers) is accumulated into [pending]
-     until the CRLFCRLF terminator shows up, with a byte cap checked on
-     every refill so a peer streaming garbage can't grow the buffer
-     unboundedly;
+   - a head (start line + headers) is accumulated into [pending] until
+     the CRLFCRLF terminator shows up, with a byte cap checked on every
+     refill so a peer streaming garbage can't grow the buffer
+     unboundedly — one reader for request and response heads alike;
    - [Content-Length] is bounds-checked *before* the body is read, so an
      oversized declaration is rejected for the price of its headers;
    - all reads go through the connection's [src] thunk, which is where
@@ -36,14 +36,14 @@ exception Source_timeout
 
 type conn = { src : unit -> string; mutable pending : string }
 
+let conn_of_source src = { src; pending = "" }
+
 let conn_of_string s =
   let remaining = ref s in
-  let src () =
-    let chunk = !remaining in
-    remaining := "";
-    chunk
-  in
-  { src; pending = "" }
+  conn_of_source (fun () ->
+      let chunk = !remaining in
+      remaining := "";
+      chunk)
 
 let conn_of_fd ?(timeout_s = 5.0) fd =
   let buf = Bytes.create 4096 in
@@ -58,21 +58,62 @@ let conn_of_fd ?(timeout_s = 5.0) fd =
         | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> ""
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> src ())
   in
-  { src; pending = "" }
+  conn_of_source src
 
 let buffered c = c.pending <> ""
 
-(* --- head parsing --- *)
+(* --- reading --- *)
 
 let find_sub s sub from =
   let n = String.length s and m = String.length sub in
   let rec go i = if i + m > n then None else if String.sub s i m = sub then Some i else go (i + 1) in
   go from
 
+(* Append the source's next bytes to [pending]; false at EOF. *)
+let refill c =
+  match c.src () with
+  | "" -> false
+  | chunk ->
+      c.pending <- c.pending ^ chunk;
+      true
+
+let drop c n = c.pending <- String.sub c.pending n (String.length c.pending - n)
+
+(* The next [n] bytes, refilling as needed; [None] when EOF comes first. *)
+let rec take c n =
+  if String.length c.pending >= n then begin
+    let s = String.sub c.pending 0 n in
+    drop c n;
+    Some s
+  end
+  else if refill c then take c n
+  else None
+
+let ( let* ) r f = match r with Ok v -> f v | Error e -> Error e
+
+(* Refill until [term] shows up: [Ok (Some i)] at its offset, [Ok None]
+   at EOF without it, and [Error too_long] once more than [cap] bytes
+   precede it.  The last check allows for a terminator that has only
+   partly arrived, so the answer is the same however the bytes are
+   split across reads. *)
+let rec find_within c term ~cap ~too_long =
+  match find_sub c.pending term 0 with
+  | Some i -> if i > cap then Error too_long else Ok (Some i)
+  | None ->
+      if String.length c.pending > cap + String.length term - 1 then Error too_long
+      else if refill c then find_within c term ~cap ~too_long
+      else Ok None
+
+(* Every reader runs under this: a stalled source is an [Error], never
+   an exception. *)
+let guard f = match f () with r -> r | exception Source_timeout -> Error Timeout
+
 let parse_meth = function
   | "GET" -> GET
   | "POST" -> POST
   | m -> Other m
+
+let meth_to_string = function GET -> "GET" | POST -> "POST" | Other m -> m
 
 let header_line line =
   match String.index_opt line ':' with
@@ -101,27 +142,62 @@ let request_line line =
       else Ok (parse_meth meth, target, version)
   | _ -> Error (Bad_request ("malformed request line: " ^ line))
 
+(* "HTTP/1.1 200 OK": the version and a three-digit code; the reason
+   phrase is not read. *)
+let status_line line =
+  match String.split_on_char ' ' line with
+  | ("HTTP/1.1" | "HTTP/1.0") :: code :: _
+    when String.length code = 3 && String.for_all (fun ch -> ch >= '0' && ch <= '9') code ->
+      Ok (int_of_string code)
+  | _ -> Error (Bad_request ("malformed status line: " ^ line))
+
 let rec split_crlf s =
   match find_sub s "\r\n" 0 with
   | None -> [ s ]
   | Some i -> String.sub s 0 i :: split_crlf (String.sub s (i + 2) (String.length s - i - 2))
 
-let ( let* ) r f = match r with Ok v -> f v | Error e -> Error e
-
-let parse_head head =
+(* The one head reader: refill until CRLFCRLF, at most [max_head] bytes
+   in, consume the head, and parse its first line with [start_line] and
+   every other line with [header_line].  [what] ("request" or
+   "response") names the message in a truncation error. *)
+let read_head ~limits ~what c start_line =
+  let* i =
+    match find_within c "\r\n\r\n" ~cap:limits.max_head ~too_long:Head_too_large with
+    | Ok None when c.pending = "" -> Error Eof
+    | Ok None -> Error (Bad_request ("truncated " ^ what ^ " head"))
+    | Ok (Some i) -> Ok i
+    | Error e -> Error e
+  in
+  let head = String.sub c.pending 0 i in
+  drop c (i + 4);
   match split_crlf head with
-  | [] -> Error (Bad_request "empty request head")
+  | [] -> Error (Bad_request ("empty " ^ what ^ " head"))
   | first :: rest ->
-      let* meth, target, version = request_line first in
-      let* headers =
-        List.fold_left
-          (fun acc line ->
-            let* acc = acc in
+      let* start = start_line first in
+      let rec fields acc = function
+        | [] -> Ok (start, List.rev acc)
+        | line :: rest ->
             let* kv = header_line line in
-            Ok (kv :: acc))
-          (Ok []) rest
+            fields (kv :: acc) rest
       in
-      Ok (meth, target, version, List.rev headers)
+      fields [] rest
+
+let content_length headers =
+  match List.assoc_opt "content-length" headers with
+  | None -> Ok None
+  | Some v -> (
+      match int_of_string_opt (String.trim v) with
+      | Some n when n >= 0 -> Ok (Some n)
+      | _ -> Error (Bad_request ("malformed content-length: " ^ v)))
+
+(* The one Content-Length body reader: the cap is checked before a byte
+   of the body is read. *)
+let read_body ~limits ~what c len =
+  if len > limits.max_body then Error Body_too_large
+  else
+    match take c len with
+    | Some body -> Ok body
+    | None -> Error (Bad_request ("truncated " ^ what ^ " body"))
 
 let header req name =
   List.assoc_opt (String.lowercase_ascii name) req.headers
@@ -157,64 +233,17 @@ let wants_close req =
   | "HTTP/1.0", _ -> true
   | _ -> false
 
-(* Refill [pending] until [want] returns a position, EOF, cap or
-   timeout. *)
 let parse_request ?(limits = default_limits) c =
-  let refill () =
-    match c.src () with
-    | "" -> false
-    | chunk ->
-        c.pending <- c.pending ^ chunk;
-        true
+  guard @@ fun () ->
+  let* (meth, target, version), headers = read_head ~limits ~what:"request" c request_line in
+  let* () =
+    if List.mem_assoc "transfer-encoding" headers then
+      Error (Bad_request "transfer-encoding is not supported")
+    else Ok ()
   in
-  let rec head_end () =
-    match find_sub c.pending "\r\n\r\n" 0 with
-    | Some i -> Ok i
-    | None ->
-        if String.length c.pending > limits.max_head then Error Head_too_large
-        else if refill () then head_end ()
-        else if c.pending = "" then Error Eof
-        else Error (Bad_request "truncated request head")
-  in
-  match
-    let* hd_end = head_end () in
-    if hd_end > limits.max_head then Error Head_too_large
-    else
-      let head = String.sub c.pending 0 hd_end in
-      c.pending <-
-        String.sub c.pending (hd_end + 4) (String.length c.pending - hd_end - 4);
-      let* meth, target, version, headers = parse_head head in
-      let req = { meth; target; version; headers; body = "" } in
-      let* () =
-        match header req "transfer-encoding" with
-        | Some _ -> Error (Bad_request "transfer-encoding is not supported")
-        | None -> Ok ()
-      in
-      let* body_len =
-        match header req "content-length" with
-        | None -> Ok 0
-        | Some v -> (
-            match int_of_string_opt (String.trim v) with
-            | Some n when n >= 0 -> Ok n
-            | _ -> Error (Bad_request ("malformed content-length: " ^ v)))
-      in
-      if body_len > limits.max_body then Error Body_too_large
-      else
-        let rec body () =
-          if String.length c.pending >= body_len then begin
-            let b = String.sub c.pending 0 body_len in
-            c.pending <-
-              String.sub c.pending body_len (String.length c.pending - body_len);
-            Ok b
-          end
-          else if refill () then body ()
-          else Error (Bad_request "truncated request body")
-        in
-        let* body = body () in
-        Ok { req with body }
-  with
-  | r -> r
-  | exception Source_timeout -> Error Timeout
+  let* len = content_length headers in
+  let* body = read_body ~limits ~what:"request" c (Option.value len ~default:0) in
+  Ok { meth; target; version; headers; body }
 
 (* --- responses --- *)
 
@@ -249,6 +278,58 @@ let error_response = function
   | Timeout -> response ~status:408 (error_body "request timed out")
   | Eof -> invalid_arg "Http.error_response: Eof is not a protocol error"
 
+let read_response ~limits c =
+  guard @@ fun () ->
+  let* status, headers = read_head ~limits ~what:"response" c status_line in
+  let r =
+    {
+      status;
+      content_type = Option.value ~default:"" (List.assoc_opt "content-type" headers);
+      extra_headers = List.remove_assoc "content-type" headers;
+      body = "";
+    }
+  in
+  match (List.assoc_opt "transfer-encoding" headers, content_length headers) with
+  | Some te, _ when String.lowercase_ascii te = "chunked" -> Ok (r, `Chunked)
+  | Some te, _ -> Error (Bad_request ("unsupported transfer-encoding: " ^ te))
+  | None, Error e -> Error e
+  | None, Ok None -> Error (Bad_request "response has no content-length")
+  | None, Ok (Some len) ->
+      let* body = read_body ~limits ~what:"response" c len in
+      Ok ({ r with body }, `Fixed)
+
+(* --- writing --- *)
+
+(* A head: the start line, one line per field, a blank line. *)
+let head start fields =
+  String.concat ""
+    ((start :: "\r\n" :: List.concat_map (fun (k, v) -> [ k; ": "; v; "\r\n" ]) fields)
+    @ [ "\r\n" ])
+
+(* The one response-head writer, behind [to_string] and [stream_head]:
+   content-type, the framing field, connection, then the extra headers
+   in order. *)
+let response_head ~status ~content_type ~framing ~close headers =
+  head
+    ("HTTP/1.1 " ^ string_of_int status ^ " " ^ reason status)
+    (("content-type", content_type)
+    :: framing
+    :: ("connection", if close then "close" else "keep-alive")
+    :: headers)
+
+let to_string ~close r =
+  response_head ~status:r.status ~content_type:r.content_type
+    ~framing:("content-length", string_of_int (String.length r.body))
+    ~close r.extra_headers
+  ^ r.body
+
+let request_to_string (r : request) =
+  let length =
+    if r.body = "" then [] else [ ("content-length", string_of_int (String.length r.body)) ]
+  in
+  head (String.concat " " [ meth_to_string r.meth; r.target; r.version ]) (r.headers @ length)
+  ^ r.body
+
 (* --- chunked transfer framing --- *)
 
 let chunk s =
@@ -258,17 +339,8 @@ let last_chunk = "0\r\n\r\n"
 
 let stream_head ?(content_type = "application/json") ?(headers = []) ~status ~close ()
     =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "HTTP/1.1 %d %s\r\n" status (reason status));
-  Buffer.add_string buf (Printf.sprintf "content-type: %s\r\n" content_type);
-  Buffer.add_string buf "transfer-encoding: chunked\r\n";
-  Buffer.add_string buf
-    (Printf.sprintf "connection: %s\r\n" (if close then "close" else "keep-alive"));
-  List.iter
-    (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "%s: %s\r\n" k v))
-    headers;
-  Buffer.add_string buf "\r\n";
-  Buffer.contents buf
+  response_head ~status ~content_type ~framing:("transfer-encoding", "chunked") ~close
+    headers
 
 let stream_write_bytes = 65536
 
@@ -326,59 +398,39 @@ let hex_of_string s =
     go 0 0
 
 let read_chunk ?(limits = default_limits) c =
-  let refill () =
-    match c.src () with
-    | "" -> false
-    | chunk ->
-        c.pending <- c.pending ^ chunk;
-        true
+  guard @@ fun () ->
+  (* A size line is a short hex count plus optional extensions —
+     anything growing past a head's budget is garbage. *)
+  let* le =
+    match
+      find_within c "\r\n" ~cap:limits.max_head
+        ~too_long:(Bad_request "chunk size line too long")
+    with
+    | Ok None -> Error (Bad_request "truncated chunk")
+    | Ok (Some le) -> Ok le
+    | Error e -> Error e
   in
-  let drop n = c.pending <- String.sub c.pending n (String.length c.pending - n) in
-  let rec size_line_end () =
-    match find_sub c.pending "\r\n" 0 with
-    | Some i -> Ok i
-    | None ->
-        (* A size line is a short hex count plus optional extensions —
-           anything growing past a head's budget is garbage. *)
-        if String.length c.pending > limits.max_head then
-          Error (Bad_request "chunk size line too long")
-        else if refill () then size_line_end ()
-        else Error (Bad_request "truncated chunk")
+  let size_line = String.sub c.pending 0 le in
+  let size_str =
+    match String.index_opt size_line ';' with
+    | Some i -> String.sub size_line 0 i
+    | None -> size_line
   in
-  match
-    let* le = size_line_end () in
-    let size_line = String.sub c.pending 0 le in
-    let size_str =
-      match String.index_opt size_line ';' with
-      | Some i -> String.sub size_line 0 i
-      | None -> size_line
-    in
-    let* size =
-      match hex_of_string size_str with
-      | Some n -> Ok n
-      | None -> Error (Bad_request ("malformed chunk size: " ^ size_line))
-    in
-    if size > limits.max_body then Error Body_too_large
-    else begin
-      drop (le + 2);
-      let total = size + 2 in
-      let rec need () =
-        if String.length c.pending >= total then Ok ()
-        else if refill () then need ()
-        else Error (Bad_request "truncated chunk")
-      in
-      let* () = need () in
-      if String.sub c.pending size 2 <> "\r\n" then
+  let* size =
+    match hex_of_string size_str with
+    | Some n -> Ok n
+    | None -> Error (Bad_request ("malformed chunk size: " ^ size_line))
+  in
+  if size > limits.max_body then Error Body_too_large
+  else begin
+    drop c (le + 2);
+    match take c (size + 2) with
+    | None -> Error (Bad_request "truncated chunk")
+    | Some framed when String.sub framed size 2 <> "\r\n" ->
         Error (Bad_request "malformed chunk terminator")
-      else begin
-        let data = String.sub c.pending 0 size in
-        drop total;
-        if size = 0 then Ok None else Ok (Some data)
-      end
-    end
-  with
-  | r -> r
-  | exception Source_timeout -> Error Timeout
+    | Some _ when size = 0 -> Ok None
+    | Some framed -> Ok (Some (String.sub framed 0 size))
+  end
 
 let read_chunked_body ?(limits = default_limits) c =
   let buf = Buffer.create 256 in
@@ -396,16 +448,38 @@ let read_chunked_body ?(limits = default_limits) c =
   in
   go ()
 
-let to_string ~close r =
-  let buf = Buffer.create (String.length r.body + 256) in
-  Buffer.add_string buf (Printf.sprintf "HTTP/1.1 %d %s\r\n" r.status (reason r.status));
-  Buffer.add_string buf (Printf.sprintf "content-type: %s\r\n" r.content_type);
-  Buffer.add_string buf (Printf.sprintf "content-length: %d\r\n" (String.length r.body));
-  Buffer.add_string buf
-    (Printf.sprintf "connection: %s\r\n" (if close then "close" else "keep-alive"));
-  List.iter
-    (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "%s: %s\r\n" k v))
-    r.extra_headers;
-  Buffer.add_string buf "\r\n";
-  Buffer.add_string buf r.body;
-  Buffer.contents buf
+(* --- sockets --- *)
+
+let write_all fd s =
+  let rec from off =
+    if off < String.length s then
+      match Unix.write_substring fd s off (String.length s - off) with
+      | n -> from (off + n)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> from off
+  in
+  from 0
+
+(* Try each resolved address in turn: "localhost" may list ::1 before
+   127.0.0.1, and a server bound to one family refuses the other. *)
+let connect ~host ~port =
+  let open_ ai =
+    let fd = Unix.socket ~cloexec:true ai.Unix.ai_family ai.Unix.ai_socktype 0 in
+    (try Unix.connect fd ai.Unix.ai_addr
+     with e ->
+       Unix.close fd;
+       raise e);
+    (* Small pipelined writes must not wait on Nagle. *)
+    (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error (_, _, _) -> ());
+    fd
+  in
+  let rec first err = function
+    | [] -> Error err
+    | ai :: rest -> (
+        match open_ ai with
+        | fd -> Ok fd
+        | exception Unix.Unix_error (e, _, _) ->
+            first (Printf.sprintf "connect %s:%d: %s" host port (Unix.error_message e)) rest)
+  in
+  first
+    (Printf.sprintf "cannot resolve %s:%d" host port)
+    (Unix.getaddrinfo host (string_of_int port) [ Unix.AI_SOCKTYPE Unix.SOCK_STREAM ])

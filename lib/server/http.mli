@@ -1,18 +1,22 @@
-(** Minimal, hardened HTTP/1.1 reader/writer over anything that can
-    produce bytes.
+(** Minimal, hardened HTTP/1.1 codec over anything that can produce
+    bytes, for both ends of the wire: the server ({!Service}) and its
+    clients ({!Loadgen}, {!Top}).
 
-    This is not a general web server — it parses exactly the requests
-    the simulation service accepts (a request line, CRLF headers, an
-    optional [Content-Length] body) and refuses everything else with a
-    4xx mapping instead of an exception.  Hard bounds on head and body
+    This is not a general HTTP stack — it reads exactly what the
+    service and its clients exchange (a start line, CRLF headers, a
+    [Content-Length] or chunked body) and refuses everything else with
+    an [Error] instead of an exception.  Hard bounds on head and body
     size plus a per-read timeout make a malformed or malicious peer cost
-    a bounded amount of memory and time.
+    a bounded amount of memory and time.  Every reader gives the same
+    answer however the peer's bytes are split across reads.
 
-    A {!conn} buffers leftover bytes between requests, so pipelined
+    A {!conn} buffers leftover bytes between messages, so pipelined
     requests (several requests sent back-to-back on one connection)
     parse one at a time with {!parse_request}. *)
 
 type meth = GET | POST | Other of string
+
+val meth_to_string : meth -> string
 
 type request = {
   meth : meth;
@@ -25,21 +29,25 @@ type request = {
 type limits = { max_head : int; max_body : int }
 
 val default_limits : limits
-(** 8 KiB of request line + headers, 1 MiB of body. *)
+(** 8 KiB of start line + headers, 1 MiB of body. *)
 
 type parse_error =
   | Bad_request of string  (** 400: malformed line, header or body *)
-  | Head_too_large  (** 431: request line + headers over [max_head] *)
-  | Body_too_large  (** 413: declared [Content-Length] over [max_body] *)
+  | Head_too_large  (** 431: start line + headers over [max_head] *)
+  | Body_too_large  (** 413: declared [Content-Length] or chunk over [max_body] *)
   | Timeout  (** 408: peer stalled past the read timeout *)
-  | Eof  (** peer closed cleanly between requests — not an error *)
+  | Eof  (** peer closed cleanly between messages — not an error *)
 
 exception Source_timeout
-(** Raised by a {!conn} source when a read times out; {!parse_request}
-    maps it to {!Timeout}. *)
+(** Raised by a {!conn} source when a read times out; every reader maps
+    it to {!Timeout}. *)
 
 type conn
 (** A byte source plus the unconsumed tail of previous reads. *)
+
+val conn_of_source : (unit -> string) -> conn
+(** Connection over a thunk that yields the peer's next bytes, [""] at
+    EOF. *)
 
 val conn_of_string : string -> conn
 (** In-memory connection (tests, benchmarks): the whole peer input up
@@ -47,7 +55,8 @@ val conn_of_string : string -> conn
 
 val conn_of_fd : ?timeout_s:float -> Unix.file_descr -> conn
 (** Connection over a socket.  Each refill waits at most [timeout_s]
-    (default 5 s) for readability before raising {!Source_timeout}. *)
+    (default 5 s) for readability before raising {!Source_timeout}; a
+    negative [timeout_s] waits without bound. *)
 
 val buffered : conn -> bool
 (** True when bytes from a previous read are waiting — a pipelined
@@ -166,8 +175,34 @@ val read_chunk : ?limits:limits -> conn -> (string option, parse_error) result
     [Ok (Some data)] per chunk, [Ok None] for the terminal chunk (its
     trailing CRLF consumed — trailer sections are not supported).
     Malformed sizes or framing are [Bad_request]; a chunk declared over
-    [max_body] is [Body_too_large]. *)
+    [max_body] is [Body_too_large].  Never raises. *)
 
 val read_chunked_body : ?limits:limits -> conn -> (string, parse_error) result
 (** Concatenate {!read_chunk} until the terminal chunk; the total is
     bounded by [max_body]. *)
+
+(** {2 Client side}
+
+    {!Loadgen} and {!Top} read replies with the server's own head, body
+    and chunk readers.  Neither caps a reply nor sets a read deadline:
+    they pass [max_body = max_int] and [conn_of_fd ~timeout_s:(-1.0)]. *)
+
+val connect : host:string -> port:int -> (Unix.file_descr, string) result
+(** Resolve [host] (a name or an address) and try each address in turn,
+    so a [localhost] that lists [::1] first still reaches a server bound
+    to [127.0.0.1].  The socket has [TCP_NODELAY] set. *)
+
+val write_all : Unix.file_descr -> string -> unit
+(** Write the whole string, retrying short writes and [EINTR].
+    @raise Unix.Unix_error when the peer is gone. *)
+
+val request_to_string : request -> string
+(** Request line, [headers] as given, [content-length] for a non-empty
+    body, blank line, body. *)
+
+val read_response :
+  limits:limits -> conn -> (response * [ `Fixed | `Chunked ], parse_error) result
+(** The next reply's head and, for [`Fixed], its [Content-Length] body;
+    [extra_headers] are every header but [content-type], names
+    lowercased.  For [`Chunked] the body is [""]: read the payloads with
+    {!read_chunk} until [Ok None].  Never raises. *)

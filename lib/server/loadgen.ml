@@ -4,7 +4,9 @@
    Per connection the driver keeps up to [pipeline] requests in flight:
    send timestamps queue up FIFO, responses are read strictly in order
    (HTTP/1.1 pipelining), and a request's latency is the gap between
-   writing its bytes and finishing the read of its response.  Each
+   writing its bytes and finishing the read of its response.  Requests
+   are written and replies read through {!Http}, the codec the server
+   itself runs; this module is only the driver.  Each
    connection runs on its own domain, matching the repo's Domain-based
    concurrency idiom; the last connection runs inline so the common
    [connections = 1] case (the bench kernel) spawns nothing.
@@ -70,145 +72,43 @@ let quantile_exact sorted q =
   sorted.(lo) +. ((sorted.(hi) -. sorted.(lo)) *. frac)
 
 let request_bytes ~target ~body =
-  match body with
-  | None ->
-      Printf.sprintf "GET %s HTTP/1.1\r\nHost: %s:%d\r\n\r\n" target.path target.host
-        target.port
-  | Some b ->
-      Printf.sprintf
-        "POST %s HTTP/1.1\r\nHost: %s:%d\r\nContent-Length: %d\r\nContent-Type: application/json\r\n\r\n%s"
-        target.path target.host target.port (String.length b) b
+  let meth, headers, body =
+    match body with
+    | None -> (Http.GET, [], "")
+    | Some b -> (Http.POST, [ ("content-type", "application/json") ], b)
+  in
+  Http.request_to_string
+    {
+      Http.meth;
+      target = target.path;
+      version = "HTTP/1.1";
+      headers = ("host", target.host ^ ":" ^ string_of_int target.port) :: headers;
+      body;
+    }
 
-(* Minimal in-order response reader over one connection.  Returns the
-   body length; raises [Failure] on protocol surprises and
-   [End_of_file] when the peer closes mid-response. *)
-let rec index_of_terminator buf from =
-  if from + 3 >= Buffer.length buf then None
-  else if
-    Buffer.nth buf from = '\r'
-    && Buffer.nth buf (from + 1) = '\n'
-    && Buffer.nth buf (from + 2) = '\r'
-    && Buffer.nth buf (from + 3) = '\n'
-  then Some from
-  else index_of_terminator buf (from + 1)
+(* No cap on a reply: a /sweep body grows with its grid. *)
+let limits = { Http.default_limits with max_body = max_int }
 
-type rconn = { fd : Unix.file_descr; pending : Buffer.t; chunk : Bytes.t }
-
-let fill rc =
-  let n = Unix.read rc.fd rc.chunk 0 (Bytes.length rc.chunk) in
-  if n = 0 then raise End_of_file;
-  Buffer.add_subbytes rc.pending rc.chunk 0 n
-
-(* Returns (status, body length, chunk count, first-body timestamp).
-   Chunk count is 0 for fixed-length responses; the timestamp is taken
-   when the first chunk of a chunked response has been decoded (= the
-   first streamed row for /sweep), or at body completion for fixed
-   responses, where head and body arrive as one burst anyway. *)
-let read_response rc =
-  let rec head_end () =
-    match index_of_terminator rc.pending 0 with
-    | Some i -> i
-    | None ->
-        fill rc;
-        head_end ()
-  in
-  let he = head_end () in
-  let head = Buffer.sub rc.pending 0 he in
-  let status =
-    (* "HTTP/1.1 200 OK" *)
-    match String.split_on_char ' ' head with
-    | _ :: code :: _ -> (
-        match int_of_string_opt code with
-        | Some s -> s
-        | None -> failwith ("bad status line: " ^ head))
-    | _ -> failwith ("bad status line: " ^ head)
-  in
-  let header_value name =
-    String.split_on_char '\n' head
-    |> List.find_map (fun line ->
-           match String.index_opt line ':' with
-           | Some i when String.lowercase_ascii (String.trim (String.sub line 0 i)) = name
-             ->
-               Some (String.trim (String.sub line (i + 1) (String.length line - i - 1)))
-           | _ -> None)
-  in
-  let consume upto =
-    let rest = Buffer.sub rc.pending upto (Buffer.length rc.pending - upto) in
-    Buffer.clear rc.pending;
-    Buffer.add_string rc.pending rest
-  in
-  let chunked =
-    match header_value "transfer-encoding" with
-    | Some v -> String.lowercase_ascii v = "chunked"
-    | None -> false
-  in
-  if chunked then begin
-    let pos = ref (he + 4) in
-    let nchunks = ref 0 and body_len = ref 0 and t_first = ref 0L in
-    let rec crlf_from i =
-      if i + 1 >= Buffer.length rc.pending then begin
-        fill rc;
-        crlf_from i
-      end
-      else if Buffer.nth rc.pending i = '\r' && Buffer.nth rc.pending (i + 1) = '\n'
-      then i
-      else crlf_from (i + 1)
-    in
-    let hex s =
-      let s = String.trim s in
-      match int_of_string_opt ("0x" ^ s) with
-      | Some n when n >= 0 && not (String.contains s '_') -> n
-      | _ -> failwith ("bad chunk size: " ^ s)
-    in
-    let rec chunks () =
-      let le = crlf_from !pos in
-      let size_line = Buffer.sub rc.pending !pos (le - !pos) in
-      let size_str =
-        match String.index_opt size_line ';' with
-        | Some i -> String.sub size_line 0 i
-        | None -> size_line
+(* One reply off the connection: (status, body length, chunk count,
+   first-body timestamp).  The chunk count is 0 for a fixed-length
+   reply; the timestamp is taken when the first chunk of a chunked reply
+   has been decoded (= the first streamed row for /sweep), or at body
+   completion for a fixed reply, where head and body arrive as one burst
+   anyway.  Raises [Failure] on anything but a well-formed reply. *)
+let read_reply conn =
+  let ok = function Ok v -> v | Error _ -> failwith "malformed reply" in
+  match ok (Http.read_response ~limits conn) with
+  | r, `Fixed -> (r.Http.status, String.length r.Http.body, 0, Obs.Span.now ())
+  | r, `Chunked ->
+      let rec chunks n len t_first =
+        match ok (Http.read_chunk ~limits conn) with
+        | None -> (r.Http.status, len, n, if n = 0 then Obs.Span.now () else t_first)
+        | Some data ->
+            let t_first = if n = 0 then Obs.Span.now () else t_first in
+            chunks (n + 1) (len + String.length data) t_first
       in
-      let size = hex size_str in
-      pos := le + 2;
-      while Buffer.length rc.pending < !pos + size + 2 do
-        fill rc
-      done;
-      pos := !pos + size + 2;
-      if size > 0 then begin
-        if !nchunks = 0 then t_first := Obs.Span.now ();
-        incr nchunks;
-        body_len := !body_len + size;
-        chunks ()
-      end
-    in
-    chunks ();
-    consume !pos;
-    if !t_first = 0L then t_first := Obs.Span.now ();
-    (status, !body_len, !nchunks, !t_first)
-  end
-  else begin
-    let len =
-      match header_value "content-length" with
-      | Some v -> (
-          match int_of_string_opt v with
-          | Some l -> l
-          | None -> failwith ("bad content-length: " ^ v))
-      | None -> failwith "no content-length"
-    in
-    let total = he + 4 + len in
-    while Buffer.length rc.pending < total do
-      fill rc
-    done;
-    consume total;
-    (status, len, 0, Obs.Span.now ())
-  end
+      chunks 0 0 0L
 
-(* One connection's share of the run.  Latencies are reported in send
-   order; an error (connect failure, protocol surprise, non-2xx) stops
-   this connection and forfeits its remaining requests.  The first
-   [warmup] completions are driven and validated like any other but kept
-   out of latencies/bytes — connection setup, first-touch allocation and
-   cold caches land there, not in the quantiles. *)
 (* One connection's tally, merged across connections by [run]. *)
 type part = {
   p_latencies : float list;
@@ -220,36 +120,34 @@ type part = {
   p_chunks : int;
 }
 
+(* One connection's share of the run.  Latencies are reported in send
+   order; an error (connect failure, protocol surprise, non-2xx) stops
+   this connection and forfeits its remaining requests.  The first
+   [warmup] completions are driven and validated like any other but kept
+   out of latencies/bytes — connection setup, first-touch allocation and
+   cold caches land there, not in the quantiles. *)
 let drive_connection ~target ~pipeline ~request ~warmup ~n =
   let latencies = ref [] and ttfbs = ref [] in
   let completed = ref 0 and errors = ref 0 and bytes = ref 0 and chunks = ref 0 in
   (try
-     let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+     let fd =
+       match Http.connect ~host:target.host ~port:target.port with
+       | Ok fd -> fd
+       | Error e -> failwith e
+     in
      Fun.protect
        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error (_, _, _) -> ())
        (fun () ->
-         Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string target.host, target.port));
-         (* Pipelined requests are small writes issued while earlier
-            responses are still in flight — exactly the pattern Nagle
-            holds back until the peer's (delayed, ~40 ms) ACK. *)
-         (try Unix.setsockopt fd Unix.TCP_NODELAY true
-          with Unix.Unix_error (_, _, _) -> ());
-         let rc = { fd; pending = Buffer.create 8192; chunk = Bytes.create 8192 } in
+         (* No read deadline: one /sweep batch can outlast any budget. *)
+         let conn = Http.conn_of_fd ~timeout_s:(-1.0) fd in
          let sent = ref 0 and sent_at = Queue.create () in
          let send_one () =
-           let rec write off len =
-             if len > 0 then begin
-               match Unix.write_substring fd request off len with
-               | n -> write (off + n) (len - n)
-               | exception Unix.Unix_error (Unix.EINTR, _, _) -> write off len
-             end
-           in
            Queue.push (Obs.Span.now ()) sent_at;
-           write 0 (String.length request);
+           Http.write_all fd request;
            incr sent
          in
          let receive_one () =
-           let status, len, nchunks, t_first = read_response rc in
+           let status, len, nchunks, t_first = read_reply conn in
            let t0 = Queue.pop sent_at in
            if status >= 200 && status < 300 then begin
              incr completed;

@@ -5,16 +5,18 @@
     (one domain each; a single connection runs inline), keeping up to
     [pipeline] requests in flight per connection, and times every
     request individually — send-to-response-complete, reads strictly in
-    pipeline order.  Quantiles over the collected latencies are exact
-    (every request is a sample), the ground truth against which the
-    server's bucket-interpolated [server.request.ms] estimates can be
-    judged. *)
+    pipeline order.  Requests are written and replies read with {!Http},
+    the server's own codec; this module is only the driver.  Quantiles
+    over the collected latencies are exact (every request is a sample),
+    the ground truth against which the server's bucket-interpolated
+    [server.request.ms] estimates can be judged. *)
 
 type target = { host : string; port : int; path : string }
 
 val parse_url : string -> (target, string) result
 (** Accepts [http://HOST:PORT] and [http://HOST:PORT/PATH] only — this
-    drives lab servers by address, not the open web. *)
+    drives lab servers, not the open web.  [HOST] is a name or an
+    address ({!Http.connect}). *)
 
 type result = {
   requests : int;  (** completed with a 2xx response and measured *)

@@ -13,11 +13,6 @@ type route = {
   handler : Http.request -> reply;
 }
 
-let meth_name = function
-  | Http.GET -> "GET"
-  | Http.POST -> "POST"
-  | Http.Other m -> m
-
 let dispatch ~routes req =
   let path = Http.path req in
   match List.filter (fun r -> r.route_path = path) routes with
@@ -28,14 +23,15 @@ let dispatch ~routes req =
       | None ->
           let allow =
             String.concat ", "
-              (List.sort_uniq compare (List.map (fun r -> meth_name r.meth) candidates))
+              (List.sort_uniq compare
+                 (List.map (fun r -> Http.meth_to_string r.meth) candidates))
           in
           Response
             (Http.response ~status:405
                ~headers:[ ("allow", allow) ]
                (Http.error_body
                   (Printf.sprintf "%s does not accept %s (allow: %s)" path
-                     (meth_name req.Http.meth) allow)))
+                     (Http.meth_to_string req.Http.meth) allow)))
       | Some r -> (
           try r.handler req
           with exn ->

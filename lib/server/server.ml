@@ -1,13 +1,13 @@
 (** The dependency-free simulation service behind [solarstorm serve]:
-    a hardened HTTP/1.1 layer ({!Http}), method × path routing
-    ({!Router}), the endpoint handlers ({!Handlers}), a lock-striped
-    canonical-key LRU result cache plus the shared compute/encode path
-    ({!Api}, {!Lru}), the bounded MPSC channel ({!Chan}) feeding an
-    acceptor + worker-domain-pool socket loop with backpressure and
-    graceful drain ({!Service}), the pipelined loopback load generator
-    ({!Loadgen}), and the windowed self-monitoring surface: each
-    server's ring, rules and windowed query ({!Monitor}), the
-    /dashboard renderer ({!Dashboard}) and the live terminal view
+    a hardened HTTP/1.1 codec for both ends of the wire ({!Http}),
+    method × path routing ({!Router}), the endpoint handlers
+    ({!Handlers}), a lock-striped canonical-key LRU result cache plus
+    the shared compute/encode path ({!Api}, {!Lru}), the handoff channel
+    ({!Chan}) feeding an acceptor + worker-domain-pool socket loop with
+    backpressure and graceful drain ({!Service}), the pipelined loopback
+    load generator ({!Loadgen}), and the windowed self-monitoring
+    surface: each server's ring, rules and windowed query ({!Monitor}),
+    the /dashboard renderer ({!Dashboard}) and the live terminal view
     ({!Top}).
 
     Design notes in DESIGN.md §8; quickstart in README "Serving". *)

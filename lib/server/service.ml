@@ -3,10 +3,10 @@
    The calling domain is the ACCEPTOR: it owns the listen socket and
    every idle connection, selects for readiness, and hands each
    parse-ready connection — together with a pre-drawn trace id — to a
-   pool of WORKER domains over a bounded job queue.  A worker owns the
+   pool of WORKER domains over a job queue.  A worker owns the
    connection end-to-end for one request (parse, dispatch, write), then
-   returns it through an unbounded completion queue and wakes the
-   acceptor via a self-pipe.  Ownership is strict: a connection is
+   returns it through a completion queue and wakes the acceptor via a
+   self-pipe.  Ownership is strict: a connection is
    touched by exactly one domain at any moment, so the HTTP conn buffer
    needs no lock.
 
@@ -23,21 +23,19 @@
         so a pipelining client cannot starve the rest — and reap those
         idle past [idle_timeout_s].
 
-   Backpressure is the job queue's bound: when [try_push] refuses, the
-   acceptor answers 503 and closes instead of queueing without bound.
-   The loop re-checks the stop flag each tick, so SIGINT/SIGTERM latency
+   Backpressure is the pending cap alone: every queued job is a
+   connection counted against [max_pending], so the job queue can never
+   hold more than the cap and needs no bound of its own.  The loop
+   re-checks the stop flag each tick, so SIGINT/SIGTERM latency
    is bounded by [idle_poll_s] plus the requests in flight. *)
 
 type config = {
   host : string;
   port : int;
   workers : int;
-  queue_depth : int;
   max_pending : int;
-  max_head : int;
   max_body : int;
   read_timeout_s : float;
-  idle_timeout_s : float;
   idle_poll_s : float;
   drain_grace_s : float;
   log : string -> unit;
@@ -52,12 +50,9 @@ let default_config =
     host = "127.0.0.1";
     port = 8080;
     workers = 0;
-    queue_depth = 0;
     max_pending = 64;
-    max_head = Http.default_limits.Http.max_head;
     max_body = Http.default_limits.Http.max_body;
     read_timeout_s = 5.0;
-    idle_timeout_s = 30.0;
     idle_poll_s = 0.25;
     drain_grace_s = 2.0;
     log = (fun s -> print_string s; flush stdout);
@@ -67,22 +62,8 @@ let default_config =
     retention = 600;
   }
 
-(* Per-request trace ids: one SplitMix64 stream per server, rendered as
-   16 hex chars.  With [trace_seed] set the n-th handoff of every server
-   gets the same id (reproducible tests and CI gates); otherwise the
-   stream is seeded from wall clock ⊕ pid at [create] time. *)
-let mix64 z =
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
-let trace_origin = function
-  | Some seed -> mix64 (Int64.of_int seed)
-  | None ->
-      mix64
-        (Int64.logxor
-           (Int64.of_float (Unix.gettimeofday () *. 1e6))
-           (Int64.of_int (Unix.getpid ())))
+(* Silent keep-alive connections are closed after this long. *)
+let idle_timeout_s = 30.0
 
 let m_requests = Obs.Metrics.counter "server.requests"
 let m_accepted = Obs.Metrics.counter "server.conns.accepted"
@@ -132,17 +113,9 @@ type job =
   | Job of { c : client; trace : string; force_close : bool }
   | Stop
 
-let rec write_all fd s off len =
-  if len > 0 then begin
-    match Unix.write_substring fd s off len with
-    | n -> write_all fd s (off + n) (len - n)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd s off len
-  end
-
 let send_response fd ~close resp =
   count_status resp.Http.status;
-  let bytes = Http.to_string ~close resp in
-  match write_all fd bytes 0 (String.length bytes) with
+  match Http.write_all fd (Http.to_string ~close resp) with
   | () -> true
   | exception Unix.Unix_error (_, _, _) -> false
 
@@ -162,8 +135,7 @@ let write_stream fd ~trace ~close (s : Router.stream) =
   count_status s.Router.s_status;
   let bytes = ref 0 in
   let write str =
-    try write_all fd str 0 (String.length str)
-    with Unix.Unix_error (_, _, _) -> raise_notrace Peer_gone
+    try Http.write_all fd str with Unix.Unix_error (_, _, _) -> raise_notrace Peer_gone
   in
   let completed =
     match
@@ -184,8 +156,6 @@ let write_stream fd ~trace ~close (s : Router.stream) =
         false
   in
   (completed, !bytes)
-
-let meth_string = function Http.GET -> "GET" | Http.POST -> "POST" | Http.Other s -> s
 
 (* One access-log line per request ({!Obs.Log} is a no-op unless the
    serve CLI enabled it with [--log]).  Emitted inside the request's
@@ -237,7 +207,7 @@ let serve_one ~routes ~limits ~force_close ~trace ~slot c =
               Http.extra_headers = ("X-Trace-Id", trace) :: resp.Http.extra_headers;
             }
           in
-          access_log ~meth:(meth_string req.Http.meth) ~path:(Http.path req)
+          access_log ~meth:(Http.meth_to_string req.Http.meth) ~path:(Http.path req)
             ~status:resp.Http.status ~bytes:(String.length resp.Http.body) ~dur_ms
             ~cache:(Api.take_cache_outcome ());
           let close = force_close || Http.wants_close req in
@@ -248,7 +218,7 @@ let serve_one ~routes ~limits ~force_close ~trace ~slot c =
           let completed, bytes = write_stream c.fd ~trace ~close s in
           let dur_ms = Int64.to_float (Int64.sub (Obs.Span.now ()) t0) /. 1e6 in
           Obs.Metrics.observe h_request_ms dur_ms;
-          access_log ~meth:(meth_string req.Http.meth) ~path:(Http.path req)
+          access_log ~meth:(Http.meth_to_string req.Http.meth) ~path:(Http.path req)
             ~status:s.Router.s_status ~bytes ~dur_ms
             ~cache:(Api.take_cache_outcome ());
           c.last_active <- Unix.gettimeofday ();
@@ -320,16 +290,16 @@ let select_readable fds timeout =
 let close_quietly fd = try Unix.close fd with Unix.Unix_error (_, _, _) -> ()
 
 (* One server: its bound listener, its stop flag, its trace-id stream
-   and its monitor.  [trace_state] is a plain mutable field because ids
-   are only drawn by the acceptor domain, BEFORE handoff — the id
-   travels with the job and the worker installs it as its domain-local
-   trace context. *)
+   and its monitor.  [trace_ids] is a plain [Rng.t] because ids are only
+   drawn by the acceptor domain, BEFORE handoff — the id travels with
+   the job and the worker installs it as its domain-local trace
+   context. *)
 type t = {
   cfg : config;
   lsock : Unix.file_descr;
   port : int;
   stopping : bool Atomic.t;
-  mutable trace_state : int64;
+  trace_ids : Rng.t;
   monitor : Monitor.t;
 }
 
@@ -348,7 +318,14 @@ let create cfg =
     lsock;
     port = (match Unix.getsockname lsock with Unix.ADDR_INET (_, p) -> p | _ -> cfg.port);
     stopping = Atomic.make false;
-    trace_state = trace_origin cfg.trace_seed;
+    (* With [trace_seed] set the n-th handoff of every server gets the
+       same id (reproducible tests and CI gates); otherwise the stream is
+       seeded from wall clock ⊕ pid. *)
+    trace_ids =
+      Rng.create
+        (match cfg.trace_seed with
+        | Some seed -> seed
+        | None -> int_of_float (Unix.gettimeofday () *. 1e6) lxor Unix.getpid ());
     monitor =
       Monitor.create ~step_s:cfg.sampler_step_s ~retention:cfg.retention
         ~rules:cfg.slo_rules ();
@@ -362,18 +339,16 @@ let install_signal_handlers t =
   Sys.set_signal Sys.sigint h;
   Sys.set_signal Sys.sigterm h
 
-let next_trace_id t =
-  t.trace_state <- Int64.add t.trace_state 0x9e3779b97f4a7c15L;
-  Printf.sprintf "%016Lx" (mix64 t.trace_state)
+(* 16 hex chars per id; a raw draw, so [rng.draws] does not move. *)
+let next_trace_id t = Printf.sprintf "%016Lx" (Rng.Raw.next_int64 t.trace_ids)
 
 let run t =
   let cfg = t.cfg and lsock = t.lsock in
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let limits = { Http.max_head = cfg.max_head; Http.max_body = cfg.max_body } in
+  let limits = { Http.default_limits with max_body = cfg.max_body } in
   let routes = Handlers.routes () @ Handlers.monitor_routes t.monitor in
   let nworkers = if cfg.workers > 0 then cfg.workers else Exec.default_jobs () in
-  let depth = if cfg.queue_depth > 0 then cfg.queue_depth else cfg.max_pending in
-  let work : job Chan.t = Chan.create ~capacity:depth () in
+  let work : job Chan.t = Chan.create () in
   let done_q : (client * [ `Keep | `Close ]) Chan.t = Chan.create () in
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   Unix.set_nonblock wake_r;
@@ -426,15 +401,8 @@ let run t =
       let idle = ref [] in
       let in_flight = ref 0 in
       let handoff ~force_close c =
-        let trace = next_trace_id t in
-        if Chan.try_push work (Job { c; trace; force_close }) then incr in_flight
-        else begin
-          (* Queue full: shed load now rather than buffering a backlog
-             the workers are provably behind on. *)
-          Obs.Metrics.incr m_busy;
-          ignore (send_response c.fd ~close:true busy_response);
-          close_client c
-        end
+        Chan.push work (Job { c; trace = next_trace_id t; force_close });
+        incr in_flight
       in
       let collect ~draining () =
         let rec go () =
@@ -506,7 +474,7 @@ let run t =
                 handoff ~force_close:false c;
                 false
               end
-              else if now -. c.last_active > cfg.idle_timeout_s then begin
+              else if now -. c.last_active > idle_timeout_s then begin
                 close_client c;
                 false
               end

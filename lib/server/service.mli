@@ -5,13 +5,13 @@
     calling domain owns the listen socket and every idle connection; a
     pool of [workers] {e worker domains} owns requests.  The acceptor
     selects for readiness and hands each parse-ready connection — plus a
-    trace id drawn before handoff — to the pool over a bounded job
-    queue; the receiving worker parses, dispatches and writes the
-    response end-to-end, then returns the connection through a
-    completion queue (self-pipe wakeup).  A connection is owned by
-    exactly one domain at any moment.  One request per handoff keeps
-    round-robin fairness: a pipelining client re-queues behind everyone
-    else after each response.
+    trace id drawn before handoff — to the pool over a job queue; the
+    receiving worker parses, dispatches and writes the response
+    end-to-end, then returns the connection through a completion queue
+    (self-pipe wakeup).  A connection is owned by exactly one domain at
+    any moment.  One request per handoff keeps round-robin fairness: a
+    pipelining client re-queues behind everyone else after each
+    response.
 
     Requests on different workers run genuinely in parallel, so
     everything they touch is domain-safe: the result cache is
@@ -23,9 +23,10 @@
     proves per-trial.
 
     Backpressure: accepted connections are capped at [max_pending]
-    (idle + in flight) and the job queue at [queue_depth]; past either,
-    new work is answered [503 Service Unavailable] immediately instead
-    of queueing without bound.
+    (idle + in flight); past it, a new connection is answered [503
+    Service Unavailable] at once and closed.  Every queued job is one of
+    those connections, so the job queue needs no bound of its own.
+    Silent keep-alive connections are closed after 30 s.
 
     A server is a value: {!create} binds and listens, {!run} serves
     until {!stop}.  Each [t] owns its listener, its stop flag, its
@@ -46,15 +47,9 @@ type config = {
   workers : int;
       (** worker domains serving requests; [0] (default) =
           {!Exec.default_jobs} — i.e. [--jobs]/[SOLARSTORM_JOBS], else 1 *)
-  queue_depth : int;
-      (** job-queue bound between acceptor and workers; [0] (default) =
-          [max_pending], which makes the queue bound unreachable (the
-          pending cap trips first) — set lower for earlier shedding *)
   max_pending : int;  (** connections held at once (idle + in flight); over → 503 *)
-  max_head : int;  (** request-line + header byte cap (431 over it) *)
   max_body : int;  (** body byte cap (413 over it) *)
   read_timeout_s : float;  (** per-read stall budget (408 past it) *)
-  idle_timeout_s : float;  (** silent keep-alive connections are closed *)
   idle_poll_s : float;  (** readiness-poll tick; bounds stop latency *)
   drain_grace_s : float;  (** budget for serving in-flight requests on stop *)
   log : string -> unit;  (** service log lines (default: stdout) *)

@@ -6,68 +6,38 @@
    piping `top` into a file records clean frames with no control
    codes — the same gating the progress meter uses. *)
 
-let find_substring s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = if i + m > n then None else if String.sub s i m = sub then Some i else go (i + 1) in
-  go 0
-
 let jpath doc path =
   List.fold_left (fun acc k -> Option.bind acc (Obs.Json.member k)) (Some doc) path
 
 let jnum doc path = Option.bind (jpath doc path) Obs.Json.number
 let jstr doc path = Option.bind (jpath doc path) Obs.Json.string_
 
-(* Minimal one-shot GET: Connection: close, read to EOF, return the
-   body on a 200.  Loadgen owns the heavy client machinery; top only
-   ever needs this. *)
+(* One-shot GET over the shared codec: Connection: close, one reply read
+   without a body cap or a read deadline, its body on a 200. *)
 let fetch ~host ~port path =
-  match Unix.getaddrinfo host (string_of_int port) [ Unix.AI_SOCKTYPE Unix.SOCK_STREAM ] with
-  | [] -> Error (Printf.sprintf "cannot resolve %s:%d" host port)
-  | ai :: _ -> (
-      let fd = Unix.socket ai.Unix.ai_family ai.Unix.ai_socktype 0 in
+  match Http.connect ~host ~port with
+  | Error e -> Error e
+  | Ok fd -> (
       Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error (_, _, _) -> ())
       @@ fun () ->
-      match Unix.connect fd ai.Unix.ai_addr with
+      let req =
+        {
+          Http.meth = GET;
+          target = path;
+          version = "HTTP/1.1";
+          headers = [ ("host", host); ("connection", "close") ];
+          body = "";
+        }
+      in
+      match Http.write_all fd (Http.request_to_string req) with
       | exception Unix.Unix_error (e, _, _) ->
-          Error (Printf.sprintf "connect %s:%d: %s" host port (Unix.error_message e))
+          Error (Printf.sprintf "GET %s: %s" path (Unix.error_message e))
       | () -> (
-          let req =
-            Printf.sprintf "GET %s HTTP/1.1\r\nHost: %s\r\nConnection: close\r\n\r\n" path
-              host
-          in
-          let rec send off =
-            if off < String.length req then
-              send (off + Unix.write_substring fd req off (String.length req - off))
-          in
-          send 0;
-          let buf = Buffer.create 8192 in
-          let chunk = Bytes.create 8192 in
-          let rec recv () =
-            match Unix.read fd chunk 0 8192 with
-            | 0 -> ()
-            | n ->
-                Buffer.add_subbytes buf chunk 0 n;
-                recv ()
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> recv ()
-          in
-          (match recv () with
-          | () -> ()
-          | exception Unix.Unix_error (e, _, _) ->
-              Buffer.clear buf;
-              Buffer.add_string buf (Unix.error_message e));
-          let raw = Buffer.contents buf in
-          match String.index_opt raw ' ' with
-          | None -> Error (Printf.sprintf "GET %s: malformed response" path)
-          | Some sp -> (
-              let status =
-                if String.length raw >= sp + 4 then String.sub raw (sp + 1) 3 else "???"
-              in
-              match find_substring raw "\r\n\r\n" with
-              | None -> Error (Printf.sprintf "GET %s: no header terminator" path)
-              | Some i ->
-                  let body = String.sub raw (i + 4) (String.length raw - i - 4) in
-                  if status = "200" then Ok body
-                  else Error (Printf.sprintf "GET %s: HTTP %s" path status))))
+          let limits = { Http.default_limits with max_body = max_int } in
+          match Http.read_response ~limits (Http.conn_of_fd ~timeout_s:(-1.0) fd) with
+          | Ok ({ Http.status = 200; body; _ }, `Fixed) -> Ok body
+          | Ok (r, _) -> Error (Printf.sprintf "GET %s: HTTP %d" path r.Http.status)
+          | Error _ -> Error (Printf.sprintf "GET %s: malformed response" path)))
 
 let fetch_json ~host ~port path =
   match fetch ~host ~port path with

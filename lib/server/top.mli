@@ -4,7 +4,8 @@
     so redirected output is plain readable frames. *)
 
 val fetch : host:string -> port:int -> string -> (string, string) result
-(** One-shot [GET path] with [Connection: close]; [Ok body] on a 200. *)
+(** One-shot [GET path] with [Connection: close] over {!Http}'s client
+    side; [Ok body] on a 200. *)
 
 val spark : ?width:int -> float list -> string
 (** Unicode block-element sparkline, min–max scaled; at most [width]

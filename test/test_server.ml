@@ -1052,6 +1052,18 @@ let trace_of_healthz server =
   | Some id -> id
   | None -> Alcotest.fail "response carries no X-Trace-Id"
 
+(* The ids a seeded server hands out are pinned, not just repeatable.
+   Every handoff draws one, so these are [Connection: close] requests: a
+   keep-alive client that hangs up after each reply spends a draw on
+   each hang-up, and sees ids 1, 3 and 5 of this list. *)
+let test_trace_ids_pinned () =
+  with_server_state @@ fun () ->
+  with_running (loopback_config ~trace_seed:7 ()) @@ fun server ->
+  Alcotest.(check (list string)) "the first five ids under seed 7"
+    [ "863b891f4c0abd4f"; "4d58fbd282eaf415"; "f0e521070cc03750"; "e21b503436e97f5b";
+      "a9e76cff841529f5" ]
+    (List.init 5 (fun _ -> trace_of_healthz server))
+
 let test_two_servers_stop_independently () =
   with_server_state @@ fun () ->
   with_running (loopback_config ()) @@ fun other ->
@@ -1224,23 +1236,25 @@ let test_loadgen_counts_failures () =
     (Invalid_argument "Loadgen.run: requests <= 0") (fun () ->
       ignore (Server.Loadgen.run ~requests:0 ~body:None target))
 
+(* A host name resolves through the shared connect, which tries each
+   address in turn. *)
+let test_loadgen_host_name () =
+  with_loopback_server @@ fun port ->
+  let target = { Server.Loadgen.host = "localhost"; port; path = "/healthz" } in
+  let r = Server.Loadgen.run ~requests:5 ~body:None target in
+  Alcotest.(check int) "all completed" 5 r.Server.Loadgen.requests;
+  Alcotest.(check int) "no errors" 0 r.Server.Loadgen.errors
+
 (* --- Chan: the acceptor/worker handoff channel --- *)
 
-let test_chan_bounded_fifo () =
-  let c : int Server.Chan.t = Server.Chan.create ~capacity:2 () in
-  Alcotest.(check bool) "push 1" true (Server.Chan.try_push c 1);
-  Alcotest.(check bool) "push 2" true (Server.Chan.try_push c 2);
-  Alcotest.(check bool) "full refuses" false (Server.Chan.try_push c 3);
-  (* The unconditional push (shutdown sentinels) ignores the bound. *)
-  Server.Chan.push c 99;
+let test_chan_fifo () =
+  let c : int Server.Chan.t = Server.Chan.create () in
+  List.iter (Server.Chan.push c) [ 1; 2; 99 ];
   Alcotest.(check int) "length" 3 (Server.Chan.length c);
   Alcotest.(check int) "fifo 1" 1 (Server.Chan.pop c);
   Alcotest.(check int) "fifo 2" 2 (Server.Chan.pop c);
   Alcotest.(check int) "fifo 3" 99 (Server.Chan.pop c);
-  Alcotest.(check (option int)) "empty try_pop" None (Server.Chan.try_pop c);
-  Alcotest.check_raises "negative capacity"
-    (Invalid_argument "Chan.create: negative capacity") (fun () ->
-      ignore (Server.Chan.create ~capacity:(-1) () : int Server.Chan.t))
+  Alcotest.(check (option int)) "empty try_pop" None (Server.Chan.try_pop c)
 
 let test_chan_cross_domain () =
   let c : int Server.Chan.t = Server.Chan.create () in
@@ -1480,6 +1494,37 @@ let test_loadgen_concurrency_exceeds_workers () =
   Alcotest.(check int) "all completed" 40 r.Server.Loadgen.requests;
   Alcotest.(check int) "no errors" 0 r.Server.Loadgen.errors
 
+(* The pending cap is the one shedding path: with room for two
+   connections, two held keep-alive connections are served, a third is
+   refused before it sends a byte, and a slot freed by a close is taken
+   by the next connection. *)
+let test_pending_cap_sheds () =
+  with_server_state @@ fun () ->
+  with_running { (loopback_config ()) with max_pending = 2 } @@ fun server ->
+  let port = Server.Service.port server in
+  let healthz fd =
+    send_all fd "GET /healthz HTTP/1.1\r\n\r\n";
+    let status, _, _ = read_response fd in
+    status
+  in
+  with_client port @@ fun held ->
+  Alcotest.(check int) "first held connection served" 200 (healthz held);
+  (with_client port @@ fun closing ->
+   Alcotest.(check int) "second held connection served" 200 (healthz closing);
+   (with_client port @@ fun refused ->
+    let status, _, body = read_response refused in
+    Alcotest.(check int) "third connection refused" 503 status;
+    Alcotest.(check string) "busy body" "{\"error\":\"server busy: pending queue full\"}\n"
+      body);
+   Alcotest.(check int) "one rejection counted" 1 (counter_value "server.rejected.busy"));
+  (* Wait until the acceptor has reaped the closed connection. *)
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while gauge_value "server.pending" <> Some 1.0 do
+    if Unix.gettimeofday () > deadline then Alcotest.fail "closed connection never reaped";
+    Unix.sleepf 0.01
+  done;
+  with_client port @@ fun fd -> Alcotest.(check int) "freed slot taken" 200 (healthz fd)
+
 (* --- loadgen warmup --- *)
 
 let test_loadgen_warmup_excluded () =
@@ -1682,6 +1727,244 @@ let test_top_end_to_end () =
   (* Not a tty here: no ANSI clear codes in redirected output. *)
   Alcotest.(check bool) "no escape codes" false (contains out "\027[")
 
+(* --- one codec: any split, any damage --- *)
+
+module H = Server.Http
+
+(* [s] cut at [cuts] (each taken modulo its length) into non-empty
+   pieces, in order. *)
+let split_at cuts s =
+  let n = String.length s in
+  let cuts =
+    List.sort_uniq compare (List.filter (fun c -> c > 0) (List.map (fun c -> c mod max n 1) cuts))
+  in
+  let rec go from = function
+    | [] -> [ String.sub s from (n - from) ]
+    | c :: rest -> String.sub s from (c - from) :: go c rest
+  in
+  if n = 0 then [] else go 0 cuts
+
+(* A connection whose reads yield [pieces] one at a time. *)
+let conn_of_pieces pieces =
+  let rest = ref pieces in
+  H.conn_of_source (fun () ->
+      match !rest with
+      | [] -> ""
+      | p :: tl ->
+          rest := tl;
+          p)
+
+(* [read conn] over the whole input and over the input split at [cuts]:
+   the two must agree. *)
+let same_for_split read cuts wire =
+  let whole = read (H.conn_of_string wire) in
+  (whole, read (conn_of_pieces (split_at cuts wire)) = whole)
+
+let token_gen =
+  QCheck.Gen.(
+    string_size
+      ~gen:
+        (oneof
+           [ char_range 'a' 'z'; char_range 'A' 'Z'; char_range '0' '9'; oneofl [ '-'; '_' ] ])
+      (int_range 1 10))
+
+(* Visible ASCII only, so trimming leaves a value as it is. *)
+let value_gen = QCheck.Gen.(string_size ~gen:(char_range '!' '~') (int_range 0 16))
+
+(* Names outside the framing headers, which the writers set themselves. *)
+let header_gen = QCheck.Gen.(pair (map (fun t -> "x-" ^ t) token_gen) value_gen)
+let bytes_gen n = QCheck.Gen.(string_size ~gen:char (int_range 0 n))
+let cuts_gen = QCheck.Gen.(list_size (int_range 0 8) nat)
+
+let request_gen =
+  let open QCheck.Gen in
+  let+ meth = oneof [ return H.GET; return H.POST; map (fun t -> H.Other ("X" ^ t)) token_gen ]
+  and+ target = map (fun p -> "/" ^ p) value_gen
+  and+ version = oneofl [ "HTTP/1.1"; "HTTP/1.0" ]
+  and+ headers = list_size (int_range 0 4) header_gen
+  and+ body = bytes_gen 48 in
+  { H.meth; target; version; headers; body }
+
+(* Every request off the connection until EOF, or the first error. *)
+let parse_all ~limits conn =
+  let rec go acc =
+    match H.parse_request ~limits conn with
+    | Ok r -> go (r :: acc)
+    | Error H.Eof -> Ok (List.rev acc)
+    | Error e -> Error e
+  in
+  go []
+
+(* Every chunk of one chunked body, or the first error. *)
+let read_chunks ~limits conn =
+  let rec go acc =
+    match H.read_chunk ~limits conn with
+    | Ok None -> Ok (List.rev acc)
+    | Ok (Some p) -> go (p :: acc)
+    | Error e -> Error e
+  in
+  go []
+
+let prop_requests_any_split =
+  let print (reqs, cuts) =
+    Printf.sprintf "%S cut at %s"
+      (String.concat "" (List.map H.request_to_string reqs))
+      (String.concat "," (List.map string_of_int cuts))
+  in
+  QCheck.Test.make ~name:"pipelined requests parse the same for any split" ~count:300
+    (QCheck.make ~print QCheck.Gen.(pair (list_size (int_range 1 5) request_gen) cuts_gen))
+    (fun (reqs, cuts) ->
+      (* What the parser adds: lowercased names and the body's length. *)
+      let parsed (r : H.request) =
+        let lower = List.map (fun (k, v) -> (String.lowercase_ascii k, v)) r.headers in
+        let length = string_of_int (String.length r.body) in
+        { r with headers = (if r.body = "" then lower else lower @ [ ("content-length", length) ]) }
+      in
+      let whole, split_agrees =
+        same_for_split (parse_all ~limits:H.default_limits) cuts
+          (String.concat "" (List.map H.request_to_string reqs))
+      in
+      split_agrees && whole = Ok (List.map parsed reqs))
+
+(* A reply as written: a fixed response, or a stream of payloads ([""]
+   is a flush point) with the response's status, type and headers. *)
+type reply = { resp : H.response; close : bool; payloads : string list option }
+
+let reply_gen =
+  let open QCheck.Gen in
+  let+ status = int_range 100 599
+  and+ content_type =
+    oneof [ oneofl [ "application/json"; "text/plain; version=0.0.4" ]; value_gen ]
+  and+ headers = list_size (int_range 0 3) header_gen
+  and+ close = bool
+  and+ body = bytes_gen 48
+  and+ payloads = opt (list_size (int_range 0 5) (bytes_gen 12)) in
+  { resp = H.response ~content_type ~headers ~status body; close; payloads }
+
+let reply_bytes r =
+  match r.payloads with
+  | None -> H.to_string ~close:r.close r.resp
+  | Some ps ->
+      let buf = Buffer.create 256 in
+      H.respond_stream ~content_type:r.resp.content_type ~headers:r.resp.extra_headers
+        ~status:r.resp.status ~close:r.close ~write:(Buffer.add_string buf) (fun emit ->
+          List.iter emit ps);
+      Buffer.contents buf
+
+(* Every reply off the connection until EOF — status, content type, and
+   the body or the payloads — or the first error. *)
+let read_replies ~limits conn =
+  let rec go acc =
+    match H.read_response ~limits conn with
+    | Error H.Eof -> Ok (List.rev acc)
+    | Error e -> Error e
+    | Ok (r, `Fixed) -> go ((r.status, r.content_type, `Body r.body) :: acc)
+    | Ok (r, `Chunked) -> (
+        match read_chunks ~limits conn with
+        | Ok ps -> go ((r.status, r.content_type, `Payloads ps) :: acc)
+        | Error e -> Error e)
+  in
+  go []
+
+let replies_arb =
+  let print (replies, cuts, _, _) =
+    Printf.sprintf "%S cut at %s"
+      (String.concat "" (List.map reply_bytes replies))
+      (String.concat "," (List.map string_of_int cuts))
+  in
+  QCheck.make ~print
+    QCheck.Gen.(
+      quad (list_size (int_range 1 4) reply_gen) cuts_gen (int_range (-4) 4) (int_range 0 16))
+
+(* What a reader with caps [max_head] and [max_body] sees: each reply in
+   turn, up to the first head or chunk over its cap. *)
+let expected_replies ~max_head ~max_body replies =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | r :: rest -> (
+        let head = Option.get (index_of (reply_bytes r) "\r\n\r\n") in
+        let content =
+          match r.payloads with
+          | None -> `Body r.resp.body
+          | Some ps -> `Payloads (List.filter (( <> ) "") ps)
+        in
+        let over = function
+          | `Body b -> String.length b > max_body
+          | `Payloads ps -> List.exists (fun p -> String.length p > max_body) ps
+        in
+        if head > max_head then Error H.Head_too_large
+        else if over content then Error H.Body_too_large
+        else go ((r.resp.status, r.resp.content_type, content) :: acc) rest)
+  in
+  go [] replies
+
+let prop_replies_any_split =
+  QCheck.Test.make ~name:"replies read back the same for any split" ~count:300 replies_arb
+    (fun (replies, cuts, _, _) ->
+      let whole, split_agrees =
+        same_for_split (read_replies ~limits:H.default_limits) cuts
+          (String.concat "" (List.map reply_bytes replies))
+      in
+      split_agrees
+      && whole
+         = expected_replies ~max_head:H.default_limits.max_head
+             ~max_body:H.default_limits.max_body replies)
+
+let prop_reply_caps =
+  QCheck.Test.make ~name:"heads and chunks over their caps are errors for any split" ~count:300
+    replies_arb (fun (replies, cuts, slack, max_body) ->
+      (* A head cap within a few bytes of the first head's length. *)
+      let max_head = Option.get (index_of (reply_bytes (List.hd replies)) "\r\n\r\n") + slack in
+      let limits = { H.max_head; max_body } in
+      let whole, split_agrees =
+        same_for_split (read_replies ~limits) cuts
+          (String.concat "" (List.map reply_bytes replies))
+      in
+      split_agrees && whole = expected_replies ~max_head ~max_body replies)
+
+(* Valid wire of each kind, then damaged: bytes replaced, inserted or
+   deleted, or the tail cut off. *)
+let damaged_gen =
+  let open QCheck.Gen in
+  let concat f gen = map (fun xs -> String.concat "" (List.map f xs)) gen in
+  let wire =
+    oneof
+      [ concat H.request_to_string (list_size (int_range 1 3) request_gen);
+        concat reply_bytes (list_size (int_range 1 3) reply_gen);
+        map (fun s -> s ^ H.last_chunk) (concat H.chunk (list_size (int_range 0 4) (bytes_gen 20)));
+        string_size ~gen:(oneof [ char; oneofl [ '\r'; '\n'; ':'; ' '; ';'; '0'; 'f' ] ])
+          (int_range 0 120) ]
+  in
+  let damage s (op, pos, ch) =
+    let n = String.length s in
+    let i = pos mod (n + 1) in
+    match op with
+    | 0 when i < n -> String.mapi (fun j c -> if j = i then ch else c) s
+    | 1 -> String.sub s 0 i ^ String.make 1 ch ^ String.sub s i (n - i)
+    | 2 when i < n -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+    | _ -> String.sub s 0 i
+  in
+  let+ s = wire
+  and+ ops =
+    list_size (int_range 0 4)
+      (triple (int_range 0 3) nat (oneofl [ '\r'; '\n'; ':'; ' '; 'x'; '0'; ';' ]))
+  and+ cuts = cuts_gen
+  and+ max_head = oneof [ return H.default_limits.max_head; int_range 0 64 ]
+  and+ max_body = oneof [ return H.default_limits.max_body; int_range 0 64 ] in
+  (List.fold_left damage s ops, cuts, { H.max_head; max_body })
+
+let prop_damaged_input_total =
+  let print (s, cuts, (l : H.limits)) =
+    Printf.sprintf "%S cut at %s, max_head %d, max_body %d" s
+      (String.concat "," (List.map string_of_int cuts))
+      l.max_head l.max_body
+  in
+  QCheck.Test.make ~name:"damaged heads and chunks are Ok or Error, never raise" ~count:1000
+    (QCheck.make ~print damaged_gen) (fun (wire, cuts, limits) ->
+      snd (same_for_split (parse_all ~limits) cuts wire)
+      && snd (same_for_split (read_replies ~limits) cuts wire)
+      && snd (same_for_split (read_chunks ~limits) cuts wire))
+
 let () =
   Alcotest.run "server"
     [
@@ -1703,6 +1986,11 @@ let () =
             test_respond_stream_write_points;
           Alcotest.test_case "read_chunk round-trip" `Quick test_read_chunk_roundtrip;
           Alcotest.test_case "malformed chunks" `Quick test_read_chunk_malformed ] );
+      ( "codec",
+        [ QCheck_alcotest.to_alcotest prop_requests_any_split;
+          QCheck_alcotest.to_alcotest prop_replies_any_split;
+          QCheck_alcotest.to_alcotest prop_reply_caps;
+          QCheck_alcotest.to_alcotest prop_damaged_input_total ] );
       ( "router",
         [ Alcotest.test_case "404" `Quick test_router_not_found;
           Alcotest.test_case "405 with allow" `Quick test_router_method_not_allowed;
@@ -1718,7 +2006,7 @@ let () =
           Alcotest.test_case "sharded multi-domain stress" `Quick
             test_sharded_multi_domain_stress ] );
       ( "chan",
-        [ Alcotest.test_case "bounded fifo" `Quick test_chan_bounded_fifo;
+        [ Alcotest.test_case "fifo" `Quick test_chan_fifo;
           Alcotest.test_case "cross domain" `Quick test_chan_cross_domain ] );
       ( "cache",
         [ Alcotest.test_case "key canonicalization" `Quick test_cache_key_canonicalization;
@@ -1736,7 +2024,8 @@ let () =
           Alcotest.test_case "sweep streams chunked" `Quick test_loopback_sweep_streams;
           Alcotest.test_case "stream abort is not silent" `Quick
             test_stream_abort_is_not_silent;
-          Alcotest.test_case "peer leaves mid-sweep" `Quick test_peer_leaves_mid_sweep ] );
+          Alcotest.test_case "peer leaves mid-sweep" `Quick test_peer_leaves_mid_sweep;
+          Alcotest.test_case "pending cap sheds load" `Quick test_pending_cap_sheds ] );
       ( "statusz",
         [ Alcotest.test_case "shape" `Quick test_statusz_shape;
           Alcotest.test_case "end to end" `Quick test_statusz_end_to_end;
@@ -1744,7 +2033,8 @@ let () =
       ( "trace",
         [ Alcotest.test_case "X-Trace-Id header" `Quick test_trace_id_header;
           Alcotest.test_case "access log matches header" `Quick
-            test_access_log_matches_trace_header ] );
+            test_access_log_matches_trace_header;
+          Alcotest.test_case "ids pinned under a seed" `Quick test_trace_ids_pinned ] );
       ( "two servers",
         [ Alcotest.test_case "stop one, the other answers" `Quick
             test_two_servers_stop_independently;
@@ -1756,7 +2046,8 @@ let () =
           Alcotest.test_case "exact quantiles" `Quick test_loadgen_quantile_exact;
           Alcotest.test_case "end to end" `Quick test_loadgen_end_to_end;
           Alcotest.test_case "counts failures" `Quick test_loadgen_counts_failures;
-          Alcotest.test_case "warmup excluded" `Quick test_loadgen_warmup_excluded ] );
+          Alcotest.test_case "warmup excluded" `Quick test_loadgen_warmup_excluded;
+          Alcotest.test_case "host name" `Quick test_loadgen_host_name ] );
       ( "workers",
         [ Alcotest.test_case "byte identity vs single worker" `Quick
             test_workers_byte_identity;
