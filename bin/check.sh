@@ -147,32 +147,59 @@ cmp /tmp/simulate_seq.out /tmp/simulate_profiled.out \
   || { echo "check.sh: --profile/--progress changed simulate output" >&2; exit 1; }
 rm -f /tmp/simulate_seq.out /tmp/simulate_par.out /tmp/simulate_profiled.out
 
-echo "== solarstorm figures: byte identity at -j 1 and -j 2 =="
+echo "== solarstorm figures: byte identity at -j 1, 2 and 4 =="
 # The whole figure pass must print exactly the bytes the end-to-end
-# benchmark accepts (Workload.figures_digest), whatever the job count.
+# benchmark accepts (Workload.figures_digest), whatever the job count:
+# at -j > 1 the figures render as concurrent pool tasks.
 FIGURES_MD5=$(grep '^let figures_digest' bench/e2e/workload.ml | grep -o '[0-9a-f]\{32\}')
 [ -n "$FIGURES_MD5" ] \
   || { echo "check.sh: no figures_digest in bench/e2e/workload.ml" >&2; exit 1; }
-for j in 1 2; do
-  GOT=$(dune exec bin/solarstorm.exe -- figures -j "$j" | md5sum | cut -d ' ' -f 1)
+for j in 1 2 4; do
+  dune exec bin/solarstorm.exe -- figures -j "$j" > "/tmp/figures_j$j.txt"
+  GOT=$(md5sum < "/tmp/figures_j$j.txt" | cut -d ' ' -f 1)
   [ "$GOT" = "$FIGURES_MD5" ] \
     || { echo "check.sh: figures -j $j stdout MD5 $GOT, want $FIGURES_MD5" >&2; exit 1; }
 done
 
-echo "== solarstorm sweep: cross-network byte identity at -j 1 and -j 2 =="
+echo "== solarstorm figures --id: one figure, the same bytes =="
+# --id renders only its own figure; its output must be that figure's
+# block of the full -j 1 pass.  An unknown id must exit 1.
+awk '/^----- /{p = ($0 == "----- fig3 -----")} p' /tmp/figures_j1.txt > /tmp/figures_fig3.txt
+[ -s /tmp/figures_fig3.txt ] || { echo "check.sh: no fig3 block in figures output" >&2; exit 1; }
+dune exec bin/solarstorm.exe -- figures --id fig3 | cmp - /tmp/figures_fig3.txt \
+  || { echo "check.sh: figures --id fig3 differs from the fig3 block of the full pass" >&2; exit 1; }
+RC=0
+dune exec bin/solarstorm.exe -- figures --id nope > /dev/null 2>&1 || RC=$?
+[ "$RC" = 1 ] || { echo "check.sh: figures --id nope exited $RC, want 1" >&2; exit 1; }
+rm -f /tmp/figures_j1.txt /tmp/figures_j2.txt /tmp/figures_j4.txt /tmp/figures_fig3.txt
+
+echo "== solarstorm sweep: cross-network byte identity at -j 1, 2 and 4 =="
 # The 18-cell grid over all three maps must print exactly the bytes
 # pinned in test/test_sweep.ml (cross_network_digest), whatever the job
 # count: the trial kernel skips death-0 cables, which are most of ITU.
 SWEEP_MD5=$(grep '^let cross_network_digest' test/test_sweep.ml | grep -o '[0-9a-f]\{32\}')
 [ -n "$SWEEP_MD5" ] \
   || { echo "check.sh: no cross_network_digest in test/test_sweep.ml" >&2; exit 1; }
-for j in 1 2; do
+for j in 1 2 4; do
   GOT=$(dune exec bin/solarstorm.exe -- sweep --axis network=submarine,intertubes,itu \
     --axis model=0.005,0.01,0.02,0.05,s1,s2 --axis trials=50 -j "$j" 2> /dev/null \
     | md5sum | cut -d ' ' -f 1)
   [ "$GOT" = "$SWEEP_MD5" ] \
     || { echo "check.sh: cross-network sweep -j $j stdout MD5 $GOT, want $SWEEP_MD5" >&2; exit 1; }
 done
+
+echo "== solarstorm sweep: multi-seed grid byte identity at -j 1, 2 and 4 =="
+# The cli-batch shape: 12 distinct networks (3 maps x 4 seeds), which
+# -j > 1 builds concurrently before the first batch.  Concurrent builds
+# once crashed on a lazy value forced from two domains.
+CLI_AXES="--axis network=submarine,intertubes,itu --axis model=0.01,s1 --axis seed=3,4,5,6 --axis trials=50"
+dune exec bin/solarstorm.exe -- sweep $CLI_AXES -j 1 > /tmp/sweep_seeds_j1.jsonl 2> /dev/null
+for j in 2 4; do
+  dune exec bin/solarstorm.exe -- sweep $CLI_AXES -j "$j" 2> /dev/null \
+    | cmp - /tmp/sweep_seeds_j1.jsonl \
+    || { echo "check.sh: multi-seed sweep -j $j differs from -j 1" >&2; exit 1; }
+done
+rm -f /tmp/sweep_seeds_j1.jsonl
 
 echo "== solarstorm simulate: one-cell sweep parity and tiny spacing =="
 # A simulate body is the sweep row of its one cell with "endpoint" in

@@ -45,9 +45,10 @@ let markdown_t =
 let jobs_t =
   Arg.(value & opt (some int) None
        & info [ "jobs"; "j" ] ~docv:"N"
-           ~doc:"Worker domains for Monte-Carlo trials (default: \
-                 $(b,SOLARSTORM_JOBS) when set, else 1).  Results are \
-                 byte-identical for any $(docv).")
+           ~doc:"Worker domains for Monte-Carlo trials, and for the \
+                 figures and dataset builds of $(b,figures) and $(b,sweep) \
+                 (default: $(b,SOLARSTORM_JOBS) when set, else 1).  \
+                 Results are byte-identical for any $(docv).")
 
 (* Observability plumbing, shared by every subcommand:
    --metrics/--trace/--profile switch the Obs layer on for the duration
@@ -117,6 +118,11 @@ let with_log log run =
 
 let with_obs ~cmd jobs progress metrics trace profile log run =
   Option.iter Exec.set_default_jobs jobs;
+  (* With two domains allocating, OCaml 5.1's major GC finishes about half
+     as many cycles over a figure pass, and peak RSS rose from 24.4 to
+     28.8 MB on a 2-CPU VM.  A lower space overhead (default 120) makes
+     it collect sooner: 26.1 MB, at the same wall time. *)
+  if Exec.default_jobs () > 1 then Gc.set { (Gc.get ()) with space_overhead = 80 };
   if progress then Obs.Progress.enable ();
   with_log log @@ fun () ->
   Obs.Log.info "cmd.start" [ ("cmd", Obs.Json.String cmd) ];
@@ -160,18 +166,24 @@ let figures_cmd =
   let run seed trials itu_scale caida_ases id out_dir markdown jobs progress metrics trace profile log =
     with_obs ~cmd:"figures" jobs progress metrics trace profile log @@ fun () ->
     let ctx = ctx_of ~seed ~itu_scale ~caida_ases in
-    let all = Report.Figures.all ~trials ctx in
     (* Validate the id before any side effect: a failed invocation must not
-       clobber the --markdown output file. *)
+       clobber the --markdown output file, nor build a dataset. *)
+    (match id with
+    | Some id when not (List.mem id Report.Figures.ids) ->
+        Printf.eprintf "unknown figure id; known: %s\n"
+          (String.concat ", " Report.Figures.ids);
+        exit 1
+    | _ -> ());
+    (* --id renders its own figure alone, unless --markdown wants them all. *)
+    let all = if id = None || markdown <> None then Report.Figures.all ~trials ctx else [] in
     let selected =
       match id with
       | None -> all
-      | Some id -> List.filter (fun (fid, _) -> fid = id) all
+      | Some id -> (
+          match List.assoc_opt id all with
+          | Some text -> [ (id, text) ]
+          | None -> [ (id, Option.get (Report.Figures.render ~trials ctx id)) ])
     in
-    if selected = [] then (
-      Printf.eprintf "unknown figure id; known: %s\n"
-        (String.concat ", " (List.map fst all));
-      exit 1);
     (match markdown with
     | Some path ->
         Report.Markdown.write_results ~path all;

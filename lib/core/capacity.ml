@@ -51,41 +51,51 @@ type corridor_report = {
 let group_nodes net countries =
   List.concat_map (Datasets.Submarine.nodes_in_country net) countries
 
-(* [dead] is a predicate on cable ids so the trial driver can pass its
-   bitvector dead-set without materializing a bool array per trial. *)
-let flow_between net ~dead ~sources ~sinks =
-  let g = Infra.Network.graph_surviving net ~dead in
-  (* Rebuild the edge -> cable mapping with the same keep predicate the
-     graph used, so capacities line up with edge ids. *)
-  let edge_cable = Hashtbl.create 1024 in
-  let next = ref 0 in
-  for c = 0 to Infra.Network.nb_cables net - 1 do
-    if not (dead c) then begin
-      let cable = Infra.Network.cable net c in
-      let hops = Infra.Cable.hop_count cable in
-      for _ = 1 to hops do
-        Hashtbl.replace edge_cable !next c;
-        incr next
-      done
-    end
-  done;
-  let capacity e =
-    match Hashtbl.find_opt edge_cable e with
-    | Some c -> cable_capacity_tbps (Infra.Network.cable net c)
-    | None -> 0.0
+let terminals ~network corridor =
+  let sources = group_nodes network corridor.from_countries in
+  (* A node can belong to both shores only through data errors; drop
+     overlaps from the sink side. *)
+  let sinks =
+    List.filter (fun n -> not (List.mem n sources)) (group_nodes network corridor.to_countries)
   in
-  Netgraph.Flow.max_flow_multi g ~capacity ~sources ~sinks
+  (sources, sinks)
+
+let total_hops net =
+  let n = ref 0 in
+  for c = 0 to Infra.Network.nb_cables net - 1 do
+    n := !n + Infra.Cable.hop_count (Infra.Network.cable net c)
+  done;
+  !n
+
+(* [dead] is a predicate on cable ids so the trial driver can pass its
+   bitvector dead-set without materializing a bool array per trial.  The
+   arcs come straight from the cable list, in the order
+   [Network.graph_surviving] numbers its edges (live cables by id, hops
+   in landing order), over node ids that are already dense. *)
+let flow_between net ~dead ~sources ~sinks =
+  let edges add =
+    let next = ref 0 in
+    for c = 0 to Infra.Network.nb_cables net - 1 do
+      if not (dead c) then begin
+        let cable = Infra.Network.cable net c in
+        let cap = cable_capacity_tbps cable in
+        let rec hops = function
+          | a :: (b :: _ as rest) ->
+              add a b cap !next;
+              incr next;
+              hops rest
+          | [ _ ] | [] -> ()
+        in
+        hops cable.Infra.Cable.landings
+      end
+    done
+  in
+  Netgraph.Flow.max_flow_multi_edges ~nodes:(Infra.Network.nb_nodes net)
+    ~max_edges:(total_hops net) ~edges ~sources ~sinks
 
 let analyze_corridor ?(trials = 10) ?(seed = 71) ?(spacing_km = 150.0) ?jobs ~network
     ~model corridor =
-  let sources = group_nodes network corridor.from_countries in
-  let sinks =
-    (* A node can belong to both shores only through data errors; drop
-       overlaps from the sink side. *)
-    List.filter
-      (fun n -> not (List.mem n sources))
-      (group_nodes network corridor.to_countries)
-  in
+  let sources, sinks = terminals ~network corridor in
   if sources = [] || sinks = [] then
     { corridor; healthy_tbps = 0.0; expected_tbps = 0.0; surviving_pct = 0.0;
       min_cut_cables = [] }

@@ -37,6 +37,17 @@ type corridor_report = {
   min_cut_cables : string list;  (** bottleneck cables of the healthy corridor *)
 }
 
+val terminals : network:Infra.Network.t -> corridor -> int list * int list
+(** The corridor's [(sources, sinks)]: the landing nodes in its two
+    country groups, with a node on both shores kept as a source only. *)
+
+val flow_between :
+  Infra.Network.t -> dead:(int -> bool) -> sources:int list -> sinks:int list -> float
+(** Max-flow Tbps between two node groups over the cables not [dead],
+    each hop carrying its cable's {!cable_capacity_tbps}: the value
+    {!Netgraph.Flow.max_flow_multi} gives on
+    [Infra.Network.graph_surviving], without building that graph. *)
+
 val analyze_corridor :
   ?trials:int ->
   ?seed:int ->

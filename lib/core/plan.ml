@@ -234,9 +234,12 @@ let run_trials_par ?jobs t ~trials ~seed ~init ~map ~merge =
      two integers. *)
   let master = Rng.create seed in
   let m = Array.length t.death in
-  (* [Exec.parallel_for] inlines [jobs = 1] as a single [body ~lo:0
-     ~hi:trials] call that ignores [~chunk]; pinning [chunk = trials]
-     there keeps [chunk_results] at exactly one slot either way. *)
+  (* [Exec.parallel_for] runs inline, as a single [body ~lo:0 ~hi:trials]
+     call that ignores [~chunk], at [jobs = 1] and also inside another
+     section's body at any [jobs].  Pinning [chunk = trials] at [jobs = 1]
+     keeps [chunk_results] at one slot.  An inline call at [jobs > 1]
+     fills slot 0 with every trial and leaves the rest empty, and the
+     ordered merge below reads the same sequence either way. *)
   let chunk = if jobs = 1 then trials else Int.max 1 (trials / (8 * jobs)) in
   let nchunks = (trials + chunk - 1) / chunk in
   (* Per-chunk result accumulators, one owned array per claimed chunk:

@@ -7,9 +7,12 @@
      cells genuinely share a plan;
    - batches execute sequentially in first-occurrence order, trials
      parallel *within* a batch ({!Montecarlo.run_plan} over the
-     persistent [Exec] pool).  Parallelizing across batches would
-     buy nothing (the pool is already saturated by one batch) and
-     would block streaming behind a join barrier;
+     persistent [Exec] pool).  What a cold multi-network grid spent
+     on one core was its dataset builds, one after another inside the
+     batch loop, so at [jobs > 1] the grid's distinct networks are
+     built as pool tasks before the first batch.  Batches stay
+     sequential: running them concurrently would hold every row
+     behind a join barrier and change where [flush] falls;
    - the reorder buffer is trivial because of that ordering: cell 0's
      batch is batch 0, so after batch [b] completes every cell whose
      batch index <= b that hasn't been emitted yet is ready. *)
@@ -245,6 +248,25 @@ let build_network c =
   | Intertubes -> Datasets.Cache.intertubes ~seed:c.seed ()
   | Itu -> Datasets.Cache.itu ~seed:c.seed ~scale:c.itu_scale ()
 
+(* One task per distinct network of [reps], at most [jobs] at a time;
+   each lands in [Datasets.Cache], where the batches find it. *)
+let prebuild ~jobs reps =
+  let seen = Hashtbl.create 8 and nets = ref [] in
+  Array.iter
+    (fun c ->
+      let k = network_key c in
+      if not (Hashtbl.mem seen k) then begin
+        Hashtbl.add seen k ();
+        nets := c :: !nets
+      end)
+    reps;
+  let nets = Array.of_list (List.rev !nets) in
+  if Array.length nets > 1 then
+    Exec.parallel_for ~chunk:1 ~jobs ~n:(Array.length nets) (fun ~lo ~hi ->
+        for i = lo to hi - 1 do
+          ignore (build_network nets.(i))
+        done)
+
 let run ?jobs ?(flush = ignore) ~cells ~emit () =
   let n = Array.length cells in
   Obs.Metrics.incr c_runs;
@@ -269,6 +291,9 @@ let run ?jobs ?(flush = ignore) ~cells ~emit () =
       cells
   in
   let reps = Array.of_list (List.rev !reps) in
+  (match Option.value jobs ~default:(Exec.default_jobs ()) with
+  | j when j > 1 -> prebuild ~jobs:j reps
+  | _ -> ());
   let results : Montecarlo.series option array = Array.make !nbatches None in
   (* A plan is dropped after the last batch that uses it, so a grid
      holds only the plans still ahead of it, not every plan it has

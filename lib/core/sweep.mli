@@ -145,7 +145,10 @@ val run :
   summary
 (** Execute a sweep.  Batches run sequentially in first-occurrence
     order; each batch's trials are parallelized over [jobs] (default
-    {!Exec.default_jobs}) worker domains.  [emit] receives rows in
+    {!Exec.default_jobs}) worker domains.  At [jobs > 1], a grid that
+    names more than one distinct {!network_key} first builds those
+    networks concurrently, one {!Exec} task each, so its first row waits
+    for every build.  [emit] receives rows in
     strict cell order, each as soon as its batch has completed —
     byte-identical output for any [jobs].  [flush] (default: nothing)
     is called once after each batch, when that batch's rows — at least

@@ -1,30 +1,57 @@
 let builds = ref 0
 
-(* One mutex over every table, held across the build itself
-   (single-flight): concurrent server workers asking for the same
-   dataset must get one build and one shared value, not a race that
-   builds twice and doubles resident memory.  Builds are rare (a
-   handful per process) and reads are one probe, so a single lock is
-   plenty. *)
+(* Single flight per key: one mutex guards the tables, and a key being
+   built holds [Building].  The first caller for a key marks it and
+   builds outside the lock; later callers for that key wait on [built]
+   and get the one physical value, so concurrent server workers never
+   build a dataset twice.  Callers for other keys look up and build
+   meanwhile, so a sweep can build its grid's networks on several
+   domains at once.  A build that raises unmarks its key and wakes the
+   waiters, and the next caller builds again. *)
+type 'v slot = Building | Ready of 'v
+
 let mu = Mutex.create ()
+let built = Condition.create ()
 
 let memo tbl key build =
   Mutex.lock mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock mu) @@ fun () ->
-  match Hashtbl.find_opt tbl key with
-  | Some v -> v
-  | None ->
-      incr builds;
-      let v = build () in
-      Hashtbl.replace tbl key v;
-      v
+  let rec await () =
+    match Hashtbl.find_opt tbl key with
+    | Some (Ready v) ->
+        Mutex.unlock mu;
+        v
+    | Some Building ->
+        Condition.wait built mu;
+        await ()
+    | None -> (
+        Hashtbl.replace tbl key Building;
+        incr builds;
+        Mutex.unlock mu;
+        let settle slot =
+          Mutex.lock mu;
+          (match slot with
+          | Some v -> Hashtbl.replace tbl key (Ready v)
+          | None -> Hashtbl.remove tbl key);
+          Condition.broadcast built;
+          Mutex.unlock mu
+        in
+        match build () with
+        | v ->
+            settle (Some v);
+            v
+        | exception e ->
+            let bt = Printexc.get_raw_backtrace () in
+            settle None;
+            Printexc.raise_with_backtrace e bt)
+  in
+  await ()
 
-let submarine_tbl : (int, Infra.Network.t) Hashtbl.t = Hashtbl.create 4
-let intertubes_tbl : (int, Infra.Network.t) Hashtbl.t = Hashtbl.create 4
-let itu_tbl : (int * float, Infra.Network.t) Hashtbl.t = Hashtbl.create 4
-let caida_tbl : (int * int, Caida.asys array) Hashtbl.t = Hashtbl.create 4
-let dns_tbl : (int, Dns_roots.instance array) Hashtbl.t = Hashtbl.create 4
-let ixp_tbl : (int, Ixp.t array) Hashtbl.t = Hashtbl.create 4
+let submarine_tbl : (int, Infra.Network.t slot) Hashtbl.t = Hashtbl.create 4
+let intertubes_tbl : (int, Infra.Network.t slot) Hashtbl.t = Hashtbl.create 4
+let itu_tbl : (int * float, Infra.Network.t slot) Hashtbl.t = Hashtbl.create 4
+let caida_tbl : (int * int, Caida.asys array slot) Hashtbl.t = Hashtbl.create 4
+let dns_tbl : (int, Dns_roots.instance array slot) Hashtbl.t = Hashtbl.create 4
+let ixp_tbl : (int, Ixp.t array slot) Hashtbl.t = Hashtbl.create 4
 
 (* Defaults mirror the builders' own, so [Cache.submarine ()] and
    [Submarine.build ()] describe the same dataset. *)

@@ -8,9 +8,12 @@
 
     The cache is per-process and unbounded; keys are the full parameter
     tuples, so differently-parameterized builds never collide.  Safe to
-    call from concurrent domains: one mutex guards the tables and is
-    held across the build (single-flight), so two workers asking for
-    the same dataset share one build and one physical value. *)
+    call from concurrent domains, with a single flight per key: the
+    first caller for a key builds it outside the lock, and concurrent
+    callers for the same key wait for that build and share its physical
+    value.  Callers for other keys proceed, so distinct datasets build
+    in parallel.  A build that raises caches nothing: its waiters wake,
+    and the next call builds again (and raises again). *)
 
 val submarine : ?seed:int -> unit -> Infra.Network.t
 val intertubes : ?seed:int -> unit -> Infra.Network.t

@@ -42,8 +42,8 @@ let domains_spawned = Obs.Metrics.counter "exec.domains_spawned"
    attach, and run the same chunked work-stealing loop as the caller.
    The *caller always participates* — helpers are strictly optional —
    so a section completes even when every pool worker is busy on other
-   jobs, and a nested [parallel_for] from inside a body can never
-   deadlock waiting for workers that are waiting for it.
+   jobs.  A [parallel_for] from inside a body publishes no job at all:
+   it runs inline on the domain that opened it (see [in_section]).
 
    Completion: [remaining] counts unfinished chunks; the caller waits on
    [done_cond] until its job has zero attached helpers and either zero
@@ -89,6 +89,13 @@ let pool_size () =
   Mutex.unlock lock;
   s
 
+(* Set while this domain runs a section body.  A section opened from
+   inside a body runs inline: its domain is already one of the section's
+   participants, and opening a second section would only ask the pool
+   for helpers that are busy with the first — [ensure_helpers] counts
+   idle workers, so it would spawn new domains instead. *)
+let in_section = Domain.DLS.new_key (fun () -> false)
+
 (* Run the stealing loop of [job] on the current domain.  Returns the
    exception this participant's body raised, if any, after recording it
    in [job.failed] (first writer wins) so other participants stop
@@ -120,46 +127,47 @@ let execute job =
        concurrently on N server domains. *)
     if job.trace = "" then steal_all () else Obs.Span.with_trace job.trace steal_all
   in
-  try
-    run ();
-    None
-  with e ->
-    ignore (Atomic.compare_and_set job.failed None (Some e));
-    Some e
+  Domain.DLS.set in_section true;
+  let r =
+    try
+      run ();
+      None
+    with e ->
+      ignore (Atomic.compare_and_set job.failed None (Some e));
+      Some e
+  in
+  Domain.DLS.set in_section false;
+  r
 
 let attachable j =
   j.helpers < j.helpers_wanted
   && Atomic.get j.failed = None
   && Atomic.get j.cursor < j.nchunks
 
-let rec worker_main () =
+(* The lock is held from a helper's detach until it waits again as
+   idle, so a caller woken by the detach already counts it as idle: a
+   section that follows at the same width reuses it instead of spawning. *)
+let worker_main () =
   Mutex.lock lock;
-  let job =
-    let rec get () =
-      if !stopping then None
-      else
-        match List.find_opt attachable !open_jobs with
-        | Some j ->
-            j.helpers <- j.helpers + 1;
-            Some j
-        | None ->
-            incr idle;
-            Condition.wait work_cond lock;
-            decr idle;
-            get ()
-    in
-    get ()
+  let rec loop () =
+    if !stopping then Mutex.unlock lock
+    else
+      match List.find_opt attachable !open_jobs with
+      | Some j ->
+          j.helpers <- j.helpers + 1;
+          Mutex.unlock lock;
+          ignore (execute j : exn option);
+          Mutex.lock lock;
+          j.helpers <- j.helpers - 1;
+          Condition.broadcast done_cond;
+          loop ()
+      | None ->
+          incr idle;
+          Condition.wait work_cond lock;
+          decr idle;
+          loop ()
   in
-  Mutex.unlock lock;
-  match job with
-  | None -> () (* shutdown *)
-  | Some j ->
-      ignore (execute j : exn option);
-      Mutex.lock lock;
-      j.helpers <- j.helpers - 1;
-      Condition.broadcast done_cond;
-      Mutex.unlock lock;
-      worker_main ()
+  loop ()
 
 let shutdown_pool () =
   Mutex.lock lock;
@@ -197,7 +205,7 @@ let parallel_for ?chunk ~jobs ~n body =
   if jobs <= 0 then invalid_arg "Exec.parallel_for: jobs <= 0";
   if n < 0 then invalid_arg "Exec.parallel_for: n < 0";
   if n = 0 then ()
-  else if jobs = 1 || n = 1 then body ~lo:0 ~hi:n
+  else if jobs = 1 || n = 1 || Domain.DLS.get in_section then body ~lo:0 ~hi:n
   else begin
     let jobs = Int.min jobs n in
     let chunk =

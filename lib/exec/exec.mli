@@ -20,8 +20,8 @@
     domains running plans at once), and is joined by a [Stdlib.at_exit]
     hook so the process never exits with runnable domains leaked.  The
     calling domain always participates in its own section, so a section
-    completes even with zero free pool workers and nested calls cannot
-    deadlock; helpers are strictly optional accelerators.
+    completes even with zero free pool workers; helpers are strictly
+    optional accelerators.
 
     Observability: each parallel section counts on
     [exec.parallel_sections]; [exec.domains_spawned] counts {e actual}
@@ -74,8 +74,16 @@ val parallel_for : ?chunk:int -> jobs:int -> n:int -> (lo:int -> hi:int -> unit)
     section, even when [body] raises; the first exception (calling
     domain's first, then helper order) is re-raised, and a failure stops
     further chunk claims.  [body] must be safe to run concurrently with
-    itself on disjoint ranges, and may itself call [parallel_for]
-    (nested sections share the pool; the inner caller participates, so
-    progress is guaranteed).
+    itself on disjoint ranges.
+
+    {b Nesting.}  A [parallel_for] called from inside a section body
+    runs inline too, as one [body ~lo:0 ~hi:n] call on that domain,
+    whatever its [jobs].  The outer section already occupies the
+    domains its [jobs] asked for; an inner section could only add
+    domains beyond that (the pool spawns when no worker is idle), not
+    speed.  So the grain of parallelism is the outermost section: a
+    caller that opens sections over whole tasks (figures, dataset
+    builds) gets task parallelism, and the trial loops inside each task
+    run sequentially on the task's domain.
 
     @raise Invalid_argument if [jobs <= 0] or [n < 0]. *)

@@ -1,33 +1,20 @@
-(* Datasets are memoized lazies: a context costs nothing to make, each
-   dataset is built on the first figure that needs it (through the
-   process-wide Datasets.Cache, so contexts with the same parameters
-   share the builds too). *)
-type context = {
-  submarine : Infra.Network.t Lazy.t;
-  intertubes : Infra.Network.t Lazy.t;
-  itu : Infra.Network.t Lazy.t;
-  ases : Datasets.Caida.asys array Lazy.t;
-  dns : Datasets.Dns_roots.instance array Lazy.t;
-  ixps : Datasets.Ixp.t array Lazy.t;
-}
+(* A context is the datasets' parameters; each accessor asks the
+   process-wide Datasets.Cache, so a dataset is built on the first
+   figure that needs it and contexts with the same parameters share the
+   builds.  No [Lazy.t]: figures render on several domains at once, and
+   forcing one lazy value from two domains raises [Lazy.Undefined]. *)
+type context = { seed : int; itu_scale : float; caida_ases : int }
 
 let make_context ?(seed = Datasets.default_seed) ?(itu_scale = 0.3) ?(caida_ases = 8000)
     () =
-  {
-    submarine = lazy (Datasets.Cache.submarine ~seed ());
-    intertubes = lazy (Datasets.Cache.intertubes ~seed ());
-    itu = lazy (Datasets.Cache.itu ~seed ~scale:itu_scale ());
-    ases = lazy (Datasets.Cache.caida ~seed ~ases:caida_ases ());
-    dns = lazy (Datasets.Cache.dns_roots ~seed ());
-    ixps = lazy (Datasets.Cache.ixp ~seed ());
-  }
+  { seed; itu_scale; caida_ases }
 
-let submarine ctx = Lazy.force ctx.submarine
-let intertubes ctx = Lazy.force ctx.intertubes
-let itu ctx = Lazy.force ctx.itu
-let ases ctx = Lazy.force ctx.ases
-let dns ctx = Lazy.force ctx.dns
-let ixps ctx = Lazy.force ctx.ixps
+let submarine ctx = Datasets.Cache.submarine ~seed:ctx.seed ()
+let intertubes ctx = Datasets.Cache.intertubes ~seed:ctx.seed ()
+let itu ctx = Datasets.Cache.itu ~seed:ctx.seed ~scale:ctx.itu_scale ()
+let ases ctx = Datasets.Cache.caida ~seed:ctx.seed ~ases:ctx.caida_ases ()
+let dns ctx = Datasets.Cache.dns_roots ~seed:ctx.seed ()
+let ixps ctx = Datasets.Cache.ixp ~seed:ctx.seed ()
 
 let networks ctx =
   [ ("Submarine", submarine ctx); ("Intertubes", intertubes ctx); ("ITU", itu ctx) ]
@@ -494,39 +481,76 @@ let render_ns =
 
 (* Render one figure under a span named after its id, feeding the
    per-figure render-time histogram.  When observability is off this is
-   the bare [f ()]. *)
-let timed id f =
-  if not (Obs.enabled ()) then (id, f ())
+   the bare [f ctx]. *)
+let timed id f ctx =
+  if not (Obs.enabled ()) then f ctx
   else
     Obs.Span.with_ ~name:("figures." ^ id) (fun () ->
         let t0 = Obs.Span.now () in
-        let text = f () in
+        let text = f ctx in
         Obs.Metrics.observe render_ns (Int64.to_float (Int64.sub (Obs.Span.now ()) t0));
-        (id, text))
+        text)
 
-let all ?(trials = 10) ctx =
+(* The one table of figures, in paper order: [all], [render] and [ids]
+   all read it. *)
+let table trials =
   [
-    timed "fig1" (fun () -> fig1 ctx);
-    timed "fig2" (fun () -> fig2 ctx);
-    timed "fig3" (fun () -> fig3 ctx);
-    timed "fig4a" (fun () -> fig4a ctx);
-    timed "fig4b" (fun () -> fig4b ctx);
-    timed "fig5" (fun () -> fig5 ctx);
-    timed "fig6" (fun () -> fig6 ~trials ctx);
-    timed "fig7" (fun () -> fig7 ~trials ctx);
-    timed "fig8" (fun () -> fig8 ~trials ctx);
-    timed "fig9a" (fun () -> fig9a ctx);
-    timed "fig9b" (fun () -> fig9b ctx);
-    timed "countries" (fun () -> countries ~trials:(Int.max 20 trials) ctx);
-    timed "systems" (fun () -> systems ctx);
-    timed "probability" (fun () -> probability ());
-    timed "mitigation" (fun () -> mitigation ctx);
-    timed "leo" (fun () -> leo ());
-    timed "grid-coupling" (fun () -> grid_coupling ~trials ctx);
-    timed "aftermath" (fun () -> aftermath ~trials:(Int.min 5 trials) ctx);
-    timed "service-resilience" (fun () -> service_resilience ctx);
-    timed "ablations" (fun () -> ablations ~trials ctx);
-    timed "risk-horizon" (fun () -> risk_horizon ());
-    timed "interdomain" (fun () -> interdomain ());
-    timed "capacity" (fun () -> capacity ~trials:(Int.min 5 trials) ctx);
+    ("fig1", fig1);
+    ("fig2", fig2);
+    ("fig3", fig3);
+    ("fig4a", fig4a);
+    ("fig4b", fig4b);
+    ("fig5", fig5);
+    ("fig6", fig6 ~trials);
+    ("fig7", fig7 ~trials);
+    ("fig8", fig8 ~trials);
+    ("fig9a", fig9a);
+    ("fig9b", fig9b);
+    ("countries", countries ~trials:(Int.max 20 trials));
+    ("systems", systems);
+    ("probability", fun _ -> probability ());
+    ("mitigation", mitigation);
+    ("leo", fun _ -> leo ());
+    ("grid-coupling", grid_coupling ~trials);
+    ("aftermath", aftermath ~trials:(Int.min 5 trials));
+    ("service-resilience", service_resilience);
+    ("ablations", ablations ~trials);
+    ("risk-horizon", fun _ -> risk_horizon ());
+    ("interdomain", fun _ -> interdomain ());
+    ("capacity", capacity ~trials:(Int.min 5 trials));
   ]
+
+let ids = List.map fst (table 0)
+
+let render ?(trials = 10) ctx id =
+  Option.map (fun f -> timed id f ctx) (List.assoc_opt id (table trials))
+
+(* Render order, as positions in [table]: the longest figures first, so
+   a pool that takes them in this order finishes with short ones on
+   every domain.  The rest go from the end of the table, the order the
+   figure pass has always built its datasets in; starting from the top
+   instead raised peak RSS at one job (23.9 against 23.1 MB). *)
+let longest_first =
+  [ "capacity"; "interdomain"; "fig7"; "mitigation"; "systems"; "aftermath"; "ablations" ]
+
+let render_order =
+  let pos = List.mapi (fun i id -> (id, i)) ids in
+  Array.of_list
+    (List.map
+       (fun id -> List.assoc id pos)
+       (longest_first @ List.filter (fun id -> not (List.mem id longest_first)) (List.rev ids)))
+
+(* Every figure is one pool task ([~chunk:1]).  The trial loops inside a
+   figure open nested sections, which run inline on the figure's domain.
+   At one job this is one inline loop over [render_order]. *)
+let all ?(trials = 10) ctx =
+  let figs = Array.of_list (table trials) in
+  let texts = Array.make (Array.length figs) "" in
+  Exec.parallel_for ~chunk:1 ~jobs:(Exec.default_jobs ()) ~n:(Array.length render_order)
+    (fun ~lo ~hi ->
+      for k = lo to hi - 1 do
+        let i = render_order.(k) in
+        let id, f = figs.(i) in
+        texts.(i) <- timed id f ctx
+      done);
+  List.mapi (fun i (id, _) -> (id, texts.(i))) (Array.to_list figs)

@@ -4,10 +4,11 @@
     the CLI print them. *)
 
 type context
-(** Lazy handle on the figure datasets.  Construction is free; each
-    dataset is built on first use (via [Datasets.Cache], shared
-    process-wide), so rendering one figure builds only what that figure
-    reads. *)
+(** The figure datasets' parameters.  Construction is free; each dataset
+    is built on first use (via [Datasets.Cache], shared process-wide),
+    so rendering one figure builds only what that figure reads.  Safe to
+    share between domains: concurrent first uses of one dataset share
+    one build. *)
 
 val make_context : ?seed:int -> ?itu_scale:float -> ?caida_ases:int -> unit -> context
 (** [itu_scale] (default 0.3) and [caida_ases] (default 8000) trade
@@ -20,7 +21,7 @@ val itu : context -> Infra.Network.t
 val ases : context -> Datasets.Caida.asys array
 val dns : context -> Datasets.Dns_roots.instance array
 val ixps : context -> Datasets.Ixp.t array
-(** Dataset accessors; each forces (and caches) its dataset on first
+(** Dataset accessors; each builds (and caches) its dataset on first
     call. *)
 
 val fig1 : context -> string
@@ -86,6 +87,18 @@ val capacity : ?trials:int -> context -> string
 (** Capacity-weighted corridor analysis: max-flow Tbps between shores,
     surviving share under S1/S2 and the min-cut cables. *)
 
+val ids : string list
+(** Every figure id, in paper order: paper figures first, extension
+    experiments after. *)
+
+val render : ?trials:int -> context -> string -> string option
+(** [render ctx id] renders figure [id] alone: the text {!all} pairs
+    with [id], byte for byte, building only the datasets that figure
+    reads.  [None] for an id not in {!ids}, before anything is built. *)
+
 val all : ?trials:int -> context -> (string * string) list
-(** [(figure id, rendered text)] for everything above, in paper order;
-    paper figures first, extension experiments after. *)
+(** [(figure id, rendered text)] for everything above, in {!ids} order.
+    Each figure is one task of an {!Exec.parallel_for} at
+    {!Exec.default_jobs}, taken longest first; the trial loops inside a
+    figure run inline on its domain.  The text is the same for any job
+    count. *)

@@ -107,32 +107,36 @@ let dinic net ~s ~t =
   done;
   !total
 
-let build_base g ~capacity ~extra_nodes =
+(* The one Dinic setup path: [edges add] streams undirected edges over
+   dense node ranks [0, nodes), each laid out as two arcs in call order
+   ([max_arcs] bounds the arcs added, terminal arcs included).  [extra]
+   virtual nodes follow the real ones. *)
+let build ~nodes ~extra ~max_arcs edges =
+  let net = create_network ~nodes:(nodes + extra) ~arc_estimate:max_arcs in
+  edges (fun u v c id ->
+      if c < 0.0 then invalid_arg "Flow: negative capacity";
+      if u <> v then add_edge_arcs net u v c id);
+  net
+
+(* A graph as an edge stream: nodes ranked in ascending order, edges in
+   ascending id order. *)
+let graph_edges g ~capacity =
   let nodes = Graph.nodes g in
   let id_map = Hashtbl.create 256 in
   List.iteri (fun i n -> Hashtbl.replace id_map n i) nodes;
-  let n_real = List.length nodes in
-  let n_edges = Graph.nb_edges g in
-  let net =
-    create_network ~nodes:(n_real + extra_nodes)
-      ~arc_estimate:((4 * n_edges) + (4 * 4 * (n_real + 1)) + 8)
+  let edges add =
+    Graph.fold_edges g ~init:() ~f:(fun () e ->
+        add (Hashtbl.find id_map e.Graph.u) (Hashtbl.find id_map e.Graph.v)
+          (capacity e.Graph.id) e.Graph.id)
   in
-  ignore
-    (Graph.fold_edges g ~init:() ~f:(fun () e ->
-         let c = capacity e.Graph.id in
-         if c < 0.0 then invalid_arg "Flow: negative capacity";
-         if e.Graph.u <> e.Graph.v then
-           add_edge_arcs net
-             (Hashtbl.find id_map e.Graph.u)
-             (Hashtbl.find id_map e.Graph.v)
-             c e.Graph.id));
-  (net, id_map, n_real)
+  (List.length nodes, id_map, edges)
 
 let max_flow g ~capacity ~source ~sink =
   if source = sink then invalid_arg "Flow.max_flow: source = sink";
   if not (Graph.mem_node g source && Graph.mem_node g sink) then
     invalid_arg "Flow.max_flow: absent terminal";
-  let net, id_map, _ = build_base g ~capacity ~extra_nodes:0 in
+  let nodes, id_map, edges = graph_edges g ~capacity in
+  let net = build ~nodes ~extra:0 ~max_arcs:(2 * Graph.nb_edges g) edges in
   let s = Hashtbl.find id_map source and t = Hashtbl.find id_map sink in
   let original_cap = Array.sub net.arc_cap 0 net.m in
   let value = dinic net ~s ~t in
@@ -177,30 +181,46 @@ let max_flow g ~capacity ~source ~sink =
         | None -> false);
   }
 
-let multi_network g ~capacity ~sources ~sinks =
-  let sources = List.filter (Graph.mem_node g) sources in
-  let sinks = List.filter (Graph.mem_node g) sinks in
+(* Super-source [nodes] and super-sink [nodes + 1] over the edge stream,
+   or [None] when a side is empty. *)
+let multi_network ~nodes ~max_edges ~edges ~sources ~sinks =
   if List.exists (fun s -> List.mem s sinks) sources then
     invalid_arg "Flow.max_flow_multi: overlapping groups";
   if sources = [] || sinks = [] then None
   else begin
-    let net, id_map, n_real = build_base g ~capacity ~extra_nodes:2 in
-    let s = n_real and t = n_real + 1 in
+    let terminals = List.length sources + List.length sinks in
+    let net = build ~nodes ~extra:2 ~max_arcs:(2 * (max_edges + terminals)) edges in
+    let s = nodes and t = nodes + 1 in
     let big = 1e15 in
-    List.iter (fun x -> add_directed net s (Hashtbl.find id_map x) big) sources;
-    List.iter (fun x -> add_directed net (Hashtbl.find id_map x) t big) sinks;
-    Some (net, id_map, s, t)
+    List.iter (fun x -> add_directed net s x big) sources;
+    List.iter (fun x -> add_directed net x t big) sinks;
+    Some (net, s, t)
   end
 
-let max_flow_multi g ~capacity ~sources ~sinks =
-  match multi_network g ~capacity ~sources ~sinks with
+let max_flow_multi_edges ~nodes ~max_edges ~edges ~sources ~sinks =
+  if List.exists (fun x -> x < 0 || x >= nodes) (sources @ sinks) then
+    invalid_arg "Flow.max_flow_multi_edges: terminal outside [0, nodes)";
+  match multi_network ~nodes ~max_edges ~edges ~sources ~sinks with
   | None -> 0.0
-  | Some (net, _, s, t) -> dinic net ~s ~t
+  | Some (net, s, t) -> dinic net ~s ~t
+
+(* The graph entries drop absent terminals, then rank the rest. *)
+let graph_multi g ~capacity ~sources ~sinks =
+  let nodes, id_map, edges = graph_edges g ~capacity in
+  let ranks l = List.filter_map (Hashtbl.find_opt id_map) l in
+  ( id_map,
+    multi_network ~nodes ~max_edges:(Graph.nb_edges g) ~edges ~sources:(ranks sources)
+      ~sinks:(ranks sinks) )
+
+let max_flow_multi g ~capacity ~sources ~sinks =
+  match graph_multi g ~capacity ~sources ~sinks with
+  | _, None -> 0.0
+  | _, Some (net, s, t) -> dinic net ~s ~t
 
 let min_cut_edges_multi g ~capacity ~sources ~sinks =
-  match multi_network g ~capacity ~sources ~sinks with
-  | None -> []
-  | Some (net, id_map, s, t) ->
+  match graph_multi g ~capacity ~sources ~sinks with
+  | _, None -> []
+  | id_map, Some (net, s, t) ->
       let _ = dinic net ~s ~t in
       let reach = Array.make net.n false in
       let q = Queue.create () in

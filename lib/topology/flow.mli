@@ -27,6 +27,24 @@ val max_flow_multi :
     0 when either side is empty after dropping absent nodes.
     @raise Invalid_argument if the groups overlap. *)
 
+val max_flow_multi_edges :
+  nodes:int ->
+  max_edges:int ->
+  edges:((int -> int -> float -> int -> unit) -> unit) ->
+  sources:int list ->
+  sinks:int list ->
+  float
+(** {!max_flow_multi} over a graph given as an edge stream rather than a
+    {!Graph.t}, so a caller that already holds its edges builds no
+    graph.  Nodes are [0, nodes); [edges add] calls [add u v capacity id]
+    once per undirected edge, at most [max_edges] times.  Every entry of
+    this module lays out Dinic's arcs this way, in stream order; a
+    {!Graph.t} streams its edges in ascending id order over its nodes'
+    ascending ranks.  So a stream in that order gives the value
+    {!max_flow_multi} gives on the graph, bit for bit.
+    @raise Invalid_argument if a terminal is outside [[0, nodes)], the
+    groups overlap, or a capacity is negative. *)
+
 val min_cut_edges_multi :
   Graph.t ->
   capacity:(int -> float) ->

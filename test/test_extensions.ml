@@ -478,6 +478,46 @@ let test_standard_report_complete () =
         (r.Capacity.expected_tbps <= r.Capacity.healthy_tbps +. 1e-6))
     rs
 
+(* The oracle for [Capacity.flow_between]: the max-flow it computed
+   before it laid out the arcs straight from the cable list, over the
+   persistent graph of the surviving cables, with an edge -> cable
+   table rebuilt under the same keep predicate. *)
+let graph_flow net ~dead ~sources ~sinks =
+  let g = Infra.Network.graph_surviving net ~dead in
+  let edge_cable = Hashtbl.create 1024 in
+  let next = ref 0 in
+  for c = 0 to Infra.Network.nb_cables net - 1 do
+    if not (dead c) then
+      for _ = 1 to Infra.Cable.hop_count (Infra.Network.cable net c) do
+        Hashtbl.replace edge_cable !next c;
+        incr next
+      done
+  done;
+  let capacity e =
+    match Hashtbl.find_opt edge_cable e with
+    | Some c -> Capacity.cable_capacity_tbps (Infra.Network.cable net c)
+    | None -> 0.0
+  in
+  Netgraph.Flow.max_flow_multi g ~capacity ~sources ~sinks
+
+let prop_flow_between_matches_graph =
+  let corridors =
+    [| Capacity.atlantic; Capacity.brazil_europe; Capacity.pacific; Capacity.asia_europe |]
+  in
+  QCheck.Test.make ~name:"flow_between = max_flow_multi over graph_surviving" ~count:60
+    QCheck.(triple (int_bound 3) (float_range 0.0 1.0) int)
+    (fun (k, share_dead, seed) ->
+      let net = Lazy.force submarine in
+      let sources, sinks = Capacity.terminals ~network:net corridors.(k) in
+      let st = Random.State.make [| seed |] in
+      let dead_arr =
+        Array.init (Infra.Network.nb_cables net) (fun _ -> Random.State.float st 1.0 < share_dead)
+      in
+      let dead c = dead_arr.(c) in
+      Float.equal
+        (Capacity.flow_between net ~dead ~sources ~sinks)
+        (graph_flow net ~dead ~sources ~sinks))
+
 (* --- Shutdown decision & DNS reachability --- *)
 
 let test_shutdown_decision_carrington () =
@@ -616,7 +656,8 @@ let () =
             test_corridor_atlantic_collapses_under_s1;
           Alcotest.test_case "brazil beats atlantic" `Quick test_corridor_brazil_beats_atlantic;
           Alcotest.test_case "empty side" `Quick test_corridor_empty_side;
-          Alcotest.test_case "standard report" `Slow test_standard_report_complete ] );
+          Alcotest.test_case "standard report" `Slow test_standard_report_complete;
+          QCheck_alcotest.to_alcotest prop_flow_between_matches_graph ] );
       ( "shutdown_and_dns",
         [ Alcotest.test_case "carrington decision" `Quick test_shutdown_decision_carrington;
           Alcotest.test_case "weak storm not recommended" `Quick

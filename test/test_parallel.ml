@@ -75,6 +75,21 @@ let test_par_identity (mname, model) () =
         (Printf.sprintf "%s: jobs=%d dead arrays" mname jobs)
         seq par)
     [ 1; 2; 4 ];
+  (* Inside another section's body the trial loop runs inline, as one
+     [~lo:0 ~hi:trials] call at [jobs = 2]: slot 0 of the chunk results
+     holds every trial, and the ordered merge must not notice. *)
+  let nested = Array.make 2 [] in
+  Exec.parallel_for ~jobs:2 ~n:2 ~chunk:1 (fun ~lo ~hi ->
+      for k = lo to hi - 1 do
+        nested.(k) <-
+          List.rev
+            (Plan.run_trials_par ~jobs:2 plan ~trials ~seed ~init:[]
+               ~map:(fun ~rng:_ ~dead -> hash_dead dead)
+               ~merge:(fun acc h -> h :: acc))
+      done);
+  Array.iter
+    (Alcotest.(check (list int64)) (mname ^ ": jobs=2 inside a section") seq)
+    nested;
   (* The full float path — per-trial percentages, mean, stddev — must
      also come out bit-equal: the ordered merge preserves accumulation
      order, so not even FP rounding may differ across job counts. *)
@@ -202,9 +217,9 @@ let test_pool_reuse () =
   Alcotest.(check int) "same workers across calls" after_first (Exec.pool_size ())
 
 let test_nested_parallel_for () =
-  (* A body may itself call parallel_for: the caller of the inner loop
-     participates in its own job, so nesting cannot deadlock even when
-     every pooled worker is busy with the outer loop. *)
+  (* A body may itself call parallel_for, even when every pooled worker
+     is busy with the outer loop; every inner index is still covered
+     once. *)
   let outer = 4 and inner = 16 in
   let hits = Array.init outer (fun _ -> Array.make inner 0) in
   Exec.parallel_for ~jobs:4 ~n:outer ~chunk:1 (fun ~lo ~hi ->
@@ -216,6 +231,32 @@ let test_nested_parallel_for () =
       done);
   Alcotest.(check bool) "every inner index exactly once" true
     (Array.for_all (Array.for_all (fun h -> h = 1)) hits)
+
+let test_nested_runs_inline () =
+  (* A section opened from a body is one [body ~lo:0 ~hi:n] call on the
+     body's domain, and spawns nothing: 23 tasks at [jobs:2], each
+     opening a [jobs:2] section, used to grow the pool by several
+     domains, since every worker was busy with an outer task. *)
+  Exec.parallel_for ~jobs:2 ~n:2 ~chunk:1 (fun ~lo:_ ~hi:_ -> ());
+  let before = Exec.pool_size () in
+  let tasks = 23 and inner = 16 in
+  let calls = Array.make tasks [] in
+  Exec.parallel_for ~jobs:2 ~n:tasks ~chunk:1 (fun ~lo ~hi ->
+      for t = lo to hi - 1 do
+        let self = Domain.self () in
+        Exec.parallel_for ~jobs:2 ~n:inner (fun ~lo ~hi ->
+            calls.(t) <- (lo, hi, Domain.self () = self) :: calls.(t))
+      done);
+  Array.iteri
+    (fun t c ->
+      Alcotest.(check (list (triple int int bool)))
+        (Printf.sprintf "task %d: one inline call on its own domain" t)
+        [ (0, inner, true) ] c)
+    calls;
+  Alcotest.(check bool)
+    (Printf.sprintf "pool stays at %d (now %d)" before (Exec.pool_size ()))
+    true
+    (Exec.pool_size () <= before)
 
 let test_default_jobs_override () =
   Exec.set_default_jobs 3;
@@ -302,6 +343,7 @@ let () =
           Alcotest.test_case "exception shutdown" `Quick test_exception_shutdown;
           Alcotest.test_case "pool reuse" `Quick test_pool_reuse;
           Alcotest.test_case "nested parallel_for" `Quick test_nested_parallel_for;
+          Alcotest.test_case "nested section runs inline" `Quick test_nested_runs_inline;
           Alcotest.test_case "default jobs override" `Quick test_default_jobs_override ] );
       ( "satellites",
         [ Alcotest.test_case "weighted_choice trailing zero" `Quick

@@ -414,6 +414,38 @@ let test_cache_memoizes () =
   ignore (Datasets.Cache.intertubes ());
   Alcotest.(check int) "other dataset hits" 3 (Datasets.Cache.build_count ())
 
+(* [f] on this domain and on a second one, started together. *)
+let on_two_domains f =
+  let ready = Atomic.make 0 in
+  let go () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    f ()
+  in
+  let d = Domain.spawn go in
+  let here = go () in
+  (here, Domain.join d)
+
+let test_cache_single_flight () =
+  Datasets.Cache.clear ();
+  let a, b = on_two_domains (fun () -> Datasets.Cache.submarine ~seed:44 ()) in
+  Alcotest.(check int) "one build for one key" 1 (Datasets.Cache.build_count ());
+  Alcotest.(check bool) "one physical value" true (a == b)
+
+(* A build that raises caches nothing and leaves no waiter behind: every
+   call, on either domain, builds again and raises again. *)
+let test_cache_failed_build () =
+  let raises () =
+    match Datasets.Cache.itu ~scale:0.0 () with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "first call raises" true (raises ());
+  Alcotest.(check bool) "second call raises" true (raises ());
+  Alcotest.(check (pair bool bool)) "both domains raise" (true, true) (on_two_domains raises)
+
 let () =
   let per_model mk =
     List.map (fun g -> Alcotest.test_case g.gname `Quick (mk g)) goldens
@@ -433,5 +465,7 @@ let () =
           Alcotest.test_case "traffic per-network baseline" `Quick
             test_traffic_baseline_per_network;
           Alcotest.test_case "mass_above grids" `Quick test_mass_above_nonuniform_grid;
-          Alcotest.test_case "dataset cache" `Quick test_cache_memoizes ] );
+          Alcotest.test_case "dataset cache" `Quick test_cache_memoizes;
+          Alcotest.test_case "dataset cache single flight" `Quick test_cache_single_flight;
+          Alcotest.test_case "dataset cache failed build" `Quick test_cache_failed_build ] );
     ]

@@ -118,10 +118,24 @@ let test_csv_write_file () =
 let test_figures_all_nonempty () =
   let figs = Report.Figures.all ~trials:2 (Lazy.force ctx) in
   Alcotest.(check int) "23 outputs" 23 (List.length figs);
+  Alcotest.(check (list string)) "in ids order" Report.Figures.ids (List.map fst figs);
   List.iter
     (fun (id, text) ->
       Alcotest.(check bool) (id ^ " nonempty") true (String.length text > 40))
-    figs
+    figs;
+  Alcotest.(check (option string))
+    "render fig3 = the fig3 entry of all" (List.assoc_opt "fig3" figs)
+    (Report.Figures.render ~trials:2 (Lazy.force ctx) "fig3")
+
+(* [figures --id] renders one figure: fig3 reads the submarine map and
+   nothing else, and an unknown id builds nothing. *)
+let test_render_builds_only_its_datasets () =
+  Datasets.Cache.clear ();
+  Alcotest.(check (option string)) "unknown id" None
+    (Report.Figures.render (Lazy.force ctx) "nope");
+  Alcotest.(check int) "unknown id builds nothing" 0 (Datasets.Cache.build_count ());
+  ignore (Report.Figures.render (Lazy.force ctx) "fig3");
+  Alcotest.(check int) "fig3 builds one dataset" 1 (Datasets.Cache.build_count ())
 
 let test_fig8_mentions_states () =
   let text = Report.Figures.fig8 ~trials:2 (Lazy.force ctx) in
@@ -164,6 +178,17 @@ let test_mitigation_golden () =
   golden "mitigation" "1881d938f9ff6feb373278ba95266044"
     (Report.Figures.mitigation (Lazy.force ctx))
 
+(* Measured while capacity's max-flow still went through a persistent
+   graph of the surviving cables, before it laid out its arcs straight
+   from the cable list.  The figure reads only the submarine map, so the
+   small test context and the default one agree. *)
+let test_capacity_golden () =
+  List.iter
+    (fun (name, ctx) ->
+      golden ("capacity, " ^ name) "5de35ea30aed3dca4b90233de7e34761"
+        (Report.Figures.capacity ~trials:5 ctx))
+    [ ("test context", Lazy.force ctx); ("default context", Report.Figures.make_context ()) ]
+
 let test_systems_output () =
   let text = Report.Figures.systems (Lazy.force ctx) in
   Alcotest.(check bool) "google" true (contains text "Google");
@@ -195,6 +220,7 @@ let () =
           Alcotest.test_case "write_file" `Quick test_csv_write_file ] );
       ( "figures",
         [ Alcotest.test_case "all nonempty" `Slow test_figures_all_nonempty;
+          Alcotest.test_case "render one figure" `Quick test_render_builds_only_its_datasets;
           Alcotest.test_case "fig8 states" `Quick test_fig8_mentions_states;
           Alcotest.test_case "countries table" `Quick test_countries_table_has_cases;
           Alcotest.test_case "probability table" `Quick test_probability_table_values;
@@ -203,5 +229,6 @@ let () =
           Alcotest.test_case "probability golden" `Quick test_probability_golden;
           Alcotest.test_case "interdomain golden" `Quick test_interdomain_golden;
           Alcotest.test_case "ablations golden" `Quick test_ablations_golden;
-          Alcotest.test_case "mitigation golden" `Quick test_mitigation_golden ] );
+          Alcotest.test_case "mitigation golden" `Quick test_mitigation_golden;
+          Alcotest.test_case "capacity golden" `Quick test_capacity_golden ] );
     ]
