@@ -188,6 +188,21 @@ for j in 1 2 4; do
     || { echo "check.sh: cross-network sweep -j $j stdout MD5 $GOT, want $SWEEP_MD5" >&2; exit 1; }
 done
 
+echo "== solarstorm sweep: full-scale ITU byte identity at -j 1 and 2 =="
+# The largest dataset build: two full-scale ITU maps (seeds 42 and 7),
+# which -j 2 builds concurrently.  Stdout must be the bytes pinned in
+# test/test_sweep.ml (full_scale_itu_digest).
+ITU_MD5=$(grep '^let full_scale_itu_digest' test/test_sweep.ml | grep -o '[0-9a-f]\{32\}')
+[ -n "$ITU_MD5" ] \
+  || { echo "check.sh: no full_scale_itu_digest in test/test_sweep.ml" >&2; exit 1; }
+for j in 1 2; do
+  GOT=$(dune exec bin/solarstorm.exe -- sweep --axis network=itu --axis itu_scale=1.0 \
+    --axis seed=42,7 --axis model=s1 --axis trials=20 -j "$j" 2> /dev/null \
+    | md5sum | cut -d ' ' -f 1)
+  [ "$GOT" = "$ITU_MD5" ] \
+    || { echo "check.sh: full-scale ITU sweep -j $j stdout MD5 $GOT, want $ITU_MD5" >&2; exit 1; }
+done
+
 echo "== solarstorm sweep: multi-seed grid byte identity at -j 1, 2 and 4 =="
 # The cli-batch shape: 12 distinct networks (3 maps x 4 seeds), which
 # -j > 1 builds concurrently before the first batch.  Concurrent builds

@@ -506,7 +506,7 @@ let serve_cmd =
   in
   let host_t =
     Arg.(value & opt string "127.0.0.1"
-         & info [ "host" ] ~docv:"ADDR" ~doc:"Bind address.")
+         & info [ "host" ] ~docv:"HOST" ~doc:"Bind name or address.")
   in
   let cache_t =
     Arg.(value & opt int 128
@@ -610,11 +610,17 @@ let serve_cmd =
     with_log log @@ fun () ->
     Server.Api.set_cache_capacity cache_entries;
     let server =
-      Server.Service.create
-        { Server.Service.default_config with
-          Server.Service.host; port; workers; max_pending; max_body;
-          read_timeout_s = read_timeout; trace_seed;
-          sampler_step_s = sampler_step; slo_rules; retention }
+      match
+        Server.Service.create
+          { Server.Service.default_config with
+            Server.Service.host; port; workers; max_pending; max_body;
+            read_timeout_s = read_timeout; trace_seed;
+            sampler_step_s = sampler_step; slo_rules; retention }
+      with
+      | server -> server
+      | exception Failure msg ->
+          Printf.eprintf "serve: %s\n" msg;
+          exit 2
     in
     Server.Service.install_signal_handlers server;
     Server.Service.run server;

@@ -38,15 +38,16 @@ let sample_router_count rng =
 let build ?(seed = 42) ?(ases = target_ases) () =
   if ases <= 0 then invalid_arg "Caida.build: non-positive AS count";
   let rng = Rng.create seed in
-  let weights =
-    Array.map
-      (fun c ->
-        (c, Float.max 0.05 c.Cities.population_m *. continent_weight c.Cities.continent))
-      Cities.all
+  let pick_home =
+    Rng.weighted_sampler
+      (Array.map
+         (fun c ->
+           (c, Float.max 0.05 c.Cities.population_m *. continent_weight c.Cities.continent))
+         Cities.all)
   in
   Array.init ases (fun i ->
       let asn = i + 1 in
-      let home_city = Rng.weighted_choice rng weights in
+      let home_city = pick_home rng in
       let home = home_city.Cities.pos in
       let spread_target = Rng.lognormal rng ~mu:spread_mu ~sigma:spread_sigma in
       let router_count = sample_router_count rng in

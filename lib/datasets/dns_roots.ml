@@ -25,17 +25,18 @@ let continent_weight =
 
 let build ?(seed = 42) () =
   let rng = Rng.create seed in
-  let weights =
-    Array.map
-      (fun c ->
-        (c, Float.max 0.05 (sqrt c.Cities.population_m) *. continent_weight c.Cities.continent))
-      Cities.all
+  let pick_city =
+    Rng.weighted_sampler
+      (Array.map
+         (fun c ->
+           (c, Float.max 0.05 (sqrt c.Cities.population_m) *. continent_weight c.Cities.continent))
+         Cities.all)
   in
   let instances = ref [] in
   List.iter
     (fun (letter, count) ->
       for _ = 1 to count do
-        let c = Rng.weighted_choice rng weights in
+        let c = pick_city rng in
         instances := { letter; city = c.Cities.name; pos = c.Cities.pos } :: !instances
       done)
     letter_counts;

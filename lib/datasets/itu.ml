@@ -18,8 +18,8 @@ let build ?(seed = 42) ?(scale = 1.0) () =
     let by_pop = Cities.by_population () in
     Array.sub by_pop 0 (Int.min (Array.length by_pop) (Int.max 30 (n_target / 2)))
   in
-  let weights =
-    Array.map (fun c -> (c, Float.max 0.05 c.Cities.population_m)) cities
+  let pick_city =
+    Rng.weighted_sampler (Array.map (fun c -> (c, Float.max 0.05 c.Cities.population_m)) cities)
   in
   let nodes = ref [] in
   let n_nodes = ref 0 in
@@ -35,7 +35,7 @@ let build ?(seed = 42) ?(scale = 1.0) () =
     (fun c -> ignore (add_node ~name:c.Cities.name ~country:c.Cities.country c.Cities.pos))
     cities;
   while !n_nodes < n_target do
-    let c = Rng.weighted_choice rng weights in
+    let c = pick_city rng in
     let spread = 0.30 +. (0.13 *. sqrt c.Cities.population_m) in
     let dlat = Rng.normal rng ~mu:0.0 ~sigma:spread in
     let dlon = Rng.normal rng ~mu:0.0 ~sigma:spread in
@@ -73,24 +73,22 @@ let build ?(seed = 42) ?(scale = 1.0) () =
       incr n_cables
     end
   in
-  let nearest_k i k =
+  (* The nearest other node, searched at radii of 120 km, then 1.9 times
+     the last, until one holds another node or reaches 4,000 km. *)
+  let nearest_other i =
     let rec gather radius =
-      let hits =
-        Geo.Grid_index.within_km index (pos_of i) ~radius_km:radius
-        |> List.filter (fun (_, j, _) -> j <> i)
-      in
-      if List.length hits < k && radius < 4000.0 then gather (radius *. 1.9)
-      else
-        List.sort (fun (_, _, d1) (_, _, d2) -> Float.compare d1 d2) hits
-        |> List.filteri (fun idx _ -> idx < k)
-        |> List.map (fun (_, j, _) -> j)
+      match
+        Geo.Grid_index.nearest_within index (pos_of i) ~radius_km:radius ~skip:(fun j -> j = i)
+      with
+      | None when radius < 4000.0 -> gather (radius *. 1.9)
+      | found -> Option.map (fun (_, j, _) -> j) found
     in
     gather 120.0
   in
   (* Local mesh: each node joins its nearest neighbour (mostly sub-150 km
      links).  The budget remainder becomes inter-city trunks. *)
   Array.iteri
-    (fun i _ -> if !n_cables < l_target then List.iter (add_link i) (nearest_k i 1))
+    (fun i _ -> if !n_cables < l_target then Option.iter (add_link i) (nearest_other i))
     node_arr;
   let guard = ref 0 in
   let n_all = Array.length node_arr in

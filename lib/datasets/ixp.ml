@@ -15,14 +15,15 @@ let continent_weight =
 
 let build ?(seed = 42) () =
   let rng = Rng.create seed in
-  let weights =
-    Array.map
-      (fun c ->
-        (c, Float.max 0.05 c.Cities.population_m *. continent_weight c.Cities.continent))
-      Cities.all
+  let pick_city =
+    Rng.weighted_sampler
+      (Array.map
+         (fun c ->
+           (c, Float.max 0.05 c.Cities.population_m *. continent_weight c.Cities.continent))
+         Cities.all)
   in
   Array.init target_count (fun i ->
-      let c = Rng.weighted_choice rng weights in
+      let c = pick_city rng in
       { name = Printf.sprintf "IX-%s-%d" c.Cities.name i; city = c.Cities.name; pos = c.Cities.pos })
 
 let latitudes ixps = Array.to_list (Array.map (fun i -> (Geo.Coord.lat i.pos, 1.0)) ixps)

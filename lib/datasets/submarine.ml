@@ -228,12 +228,19 @@ let continent_weight =
 type builder = {
   mutable nodes : Infra.Network.node list;  (* reversed *)
   mutable n_nodes : int;
+  mutable pos : Geo.Coord.t array;  (* [pos.(id)] for [id < n_nodes] *)
   name_tbl : (string, int) Hashtbl.t;
 }
 
 let add_node b ~name ~country pos =
   let id = b.n_nodes in
   b.nodes <- { Infra.Network.id; name; country; pos } :: b.nodes;
+  if id = Array.length b.pos then begin
+    let grown = Array.make (Int.max 256 (2 * id)) pos in
+    Array.blit b.pos 0 grown 0 id;
+    b.pos <- grown
+  end;
+  b.pos.(id) <- pos;
   b.n_nodes <- id + 1;
   Hashtbl.replace b.name_tbl name id;
   id
@@ -247,22 +254,14 @@ let hub_id b city_name =
 
 let build ?(seed = 42) () =
   let rng = Rng.create seed in
-  let b = { nodes = []; n_nodes = 0; name_tbl = Hashtbl.create 512 } in
+  let b = { nodes = []; n_nodes = 0; pos = [||]; name_tbl = Hashtbl.create 512 } in
   (* 1. Hub nodes for every real-cable landing city, in order of appearance. *)
   List.iter (fun (_, chain, _) -> List.iter (fun city -> ignore (hub_id b city)) chain)
     real_cables;
   (* 2. Real cables. *)
   let cables = ref [] in
   let n_cables = ref 0 in
-  let node_pos = Hashtbl.create 1024 in
-  let pos_of id =
-    match Hashtbl.find_opt node_pos id with
-    | Some p -> p
-    | None ->
-        let n = List.find (fun n -> n.Infra.Network.id = id) b.nodes in
-        Hashtbl.replace node_pos id n.Infra.Network.pos;
-        n.Infra.Network.pos
-  in
+  let pos_of id = b.pos.(id) in
   let add_cable ~name ~landings ~length_km =
     let id = !n_cables in
     let landing_pairs = List.map (fun nid -> (nid, pos_of nid)) landings in
@@ -288,41 +287,45 @@ let build ?(seed = 42) () =
       in
       add_cable ~name ~landings ~length_km:(Some length))
     real_cables;
-  (* 3. Satellite landing stations around coastal cities. *)
-  let coastal = Cities.coastal_cities () in
-  let weights =
-    Array.map
-      (fun c ->
-        (c, Float.max 0.05 c.Cities.population_m *. continent_weight c.Cities.continent))
-      coastal
+  (* 3. Satellite landing stations around coastal cities.  Every hub is
+     in place, so the satellites are exactly the ids from [n_hubs] on. *)
+  let n_hubs = b.n_nodes in
+  let pick_coastal =
+    Rng.weighted_sampler
+      (Array.map
+         (fun c ->
+           (c, Float.max 0.05 c.Cities.population_m *. continent_weight c.Cities.continent))
+         (Cities.coastal_cities ()))
   in
   let satellites = ref [] in
   while b.n_nodes < target_landing_points do
-    let c = Rng.weighted_choice rng weights in
+    let c = pick_coastal rng in
     let dlat = Rng.uniform rng (-1.1) 1.1 and dlon = Rng.uniform rng (-1.1) 1.1 in
     let lat = Float.max (-89.0) (Float.min 89.0 (Geo.Coord.lat c.Cities.pos +. dlat)) in
     let lon = Geo.Coord.lon c.Cities.pos +. dlon in
     let pos = Geo.Coord.make ~lat ~lon in
     let name = Printf.sprintf "%s LS-%d" c.Cities.name b.n_nodes in
     let id = add_node b ~name ~country:c.Cities.country pos in
-    Hashtbl.replace node_pos id pos;
     satellites := id :: !satellites
   done;
   (* 4. Festoon chains: consume every satellite in short regional cables
-     anchored at the nearest hub. *)
+     anchored at the nearest hub.  [sat_index] holds the unused
+     satellites: each leaves it as a chain consumes it. *)
   let sat_index =
     Geo.Grid_index.of_list (List.map (fun id -> (pos_of id, id)) !satellites)
   in
-  let used = Hashtbl.create 1024 in
+  let used = Array.make b.n_nodes false in
+  let consume id =
+    used.(id) <- true;
+    Geo.Grid_index.remove sat_index (pos_of id) id
+  in
   let hub_index =
     let hubs = Hashtbl.fold (fun name id acc -> (name, id) :: acc) b.name_tbl [] in
     (* Shanghai proper only terminates the >= 28,000 km trunks in the
        TeleGeography snapshot (the property behind the paper's Shanghai
        case study); metro festoons land at Chongming instead. *)
     let hub_only =
-      List.filter (fun (name, id) ->
-          name <> "Shanghai" && not (List.mem id !satellites))
-        hubs
+      List.filter (fun (name, id) -> name <> "Shanghai" && id < n_hubs) hubs
     in
     Geo.Grid_index.of_list (List.map (fun (_, id) -> (pos_of id, id)) hub_only)
   in
@@ -335,7 +338,7 @@ let build ?(seed = 42) () =
     let rec search radius =
       let candidates =
         Geo.Grid_index.within_km sat_index pos ~radius_km:radius
-        |> List.filter (fun (_, id, d) -> (not (Hashtbl.mem used id)) && d > min_hop)
+        |> List.filter (fun (_, _, d) -> d > min_hop)
       in
       match candidates with
       | [] -> if radius > 22000.0 then None else search (radius *. 2.0)
@@ -351,8 +354,8 @@ let build ?(seed = 42) () =
   let stitch_reserve = 72 in
   while not (Queue.is_empty remaining_sats) do
     let start = Queue.pop remaining_sats in
-    if not (Hashtbl.mem used start) then begin
-      Hashtbl.replace used start ();
+    if not used.(start) then begin
+      consume start;
       decr unused_sats;
       (* Two festoon regimes: "local" systems joining landing stations of
          one metro area or island group (tens of km hops, often
@@ -374,7 +377,7 @@ let build ?(seed = 42) () =
       while List.length !chain < target_len && !continue do
         match next_chain_sat ~local !cursor with
         | Some id ->
-            Hashtbl.replace used id ();
+            consume id;
             decr unused_sats;
             chain := id :: !chain;
             cursor := pos_of id
@@ -401,54 +404,83 @@ let build ?(seed = 42) () =
     end
   done;
   (* 5. Stitch any disconnected components into the giant component so the
-     baseline network is a single fabric (the real submarine graph is). *)
-  let network_of () =
-    Infra.Network.create ~name:"submarine" ~nodes:(List.rev b.nodes)
-      ~cables:(List.rev !cables)
+     baseline network is a single fabric (the real submarine graph is).
+     Components come from union-find over each cable's landings, rooted
+     at their least member: listed by that member, each ascending, they
+     are [Netgraph.Traversal.connected_components]'s list.  One pass
+     suffices, since every stitch joins a component to the giant. *)
+  let n = b.n_nodes in
+  let parent = Array.init n Fun.id in
+  let rec root i =
+    let p = parent.(i) in
+    if p = i then i
+    else begin
+      let r = root p in
+      parent.(i) <- r;
+      r
+    end
   in
-  let rec stitch () =
-    let net = network_of () in
-    let g, _ = Infra.Network.to_graph net in
-    match Netgraph.Traversal.connected_components g with
-    | [] | [ _ ] -> ()
-    | comps ->
-        let giant =
-          List.fold_left
-            (fun best c -> if List.length c > List.length best then c else best)
-            (List.hd comps) (List.tl comps)
-        in
-        let giant_tbl = Hashtbl.create 1024 in
-        List.iter (fun n -> Hashtbl.replace giant_tbl n ()) giant;
-        List.iter
-          (fun comp ->
-            match comp with
-            | [] -> ()
-            | first :: _ ->
-                if not (Hashtbl.mem giant_tbl first) then begin
-                  (* Link the component's first node to the nearest giant
-                     member. *)
-                  let shanghai = Hashtbl.find_opt b.name_tbl "Shanghai" in
-                  let best, bd =
-                    List.fold_left
-                      (fun (bn, bd) cand ->
-                        if shanghai = Some cand then (bn, bd)
-                        else
-                          let d =
-                            Geo.Distance.haversine_km (pos_of first) (pos_of cand)
-                          in
-                          if d < bd then (cand, d) else (bn, bd))
-                      (List.hd giant, Float.infinity)
-                      giant
-                  in
-                  add_cable
-                    ~name:(Printf.sprintf "Stitch-%d" !n_cables)
-                    ~landings:[ first; best ]
-                    ~length_km:(Some (Float.max 20.0 (bd *. 1.15)))
-                end)
-          comps;
-        stitch ()
-  in
-  stitch ();
+  List.iter
+    (fun (c : Infra.Cable.t) ->
+      match c.Infra.Cable.landings with
+      | [] -> ()
+      | first :: rest ->
+          List.iter
+            (fun l ->
+              let ra = root first and rb = root l in
+              if ra <> rb then parent.(Int.max ra rb) <- Int.min ra rb)
+            rest)
+    !cables;
+  let members = Array.make n [] in
+  for i = n - 1 downto 0 do
+    let r = root i in
+    members.(r) <- i :: members.(r)
+  done;
+  let giant = ref [] and giant_size = ref 0 in
+  Array.iter
+    (fun m ->
+      let size = List.length m in
+      if size > !giant_size then begin
+        giant := m;
+        giant_size := size
+      end)
+    members;
+  let giant = Array.of_list !giant in
+  if Array.length giant < n then begin
+    (* Link each other component's least member to the nearest giant
+       member: the first in ascending order at the least distance,
+       never Shanghai (see [hub_index]).  A member whose latitude alone
+       puts it farther than the best so far is skipped. *)
+    let shanghai = Option.value ~default:(-1) (Hashtbl.find_opt b.name_tbl "Shanghai") in
+    let cos = Array.map (fun m -> Geo.Distance.cos_lat (pos_of m)) giant in
+    Array.iteri
+      (fun r comp ->
+        if comp <> [] && r <> giant.(0) then begin
+          let p = pos_of r in
+          let cos_p = Geo.Distance.cos_lat p in
+          let best = ref giant.(0) and bd = ref Float.infinity in
+          let dlat_max = ref Float.infinity in
+          Array.iteri
+            (fun k m ->
+              let q = pos_of m in
+              if m <> shanghai
+                 && Float.abs (Geo.Coord.lat q -. Geo.Coord.lat p) <= !dlat_max
+              then begin
+                let d = Geo.Distance.haversine_cos_km p ~cos_a:cos_p q ~cos_b:cos.(k) in
+                if d < !bd then begin
+                  best := m;
+                  bd := d;
+                  dlat_max := Geo.Distance.max_dlat_deg d
+                end
+              end)
+            giant;
+          add_cable
+            ~name:(Printf.sprintf "Stitch-%d" !n_cables)
+            ~landings:[ r; !best ]
+            ~length_km:(Some (Float.max 20.0 (!bd *. 1.15)))
+        end)
+      members
+  end;
   (* 6. Fill to the target cable count with regional hub-to-hub systems. *)
   let hubs =
     Array.of_list
@@ -481,7 +513,8 @@ let build ?(seed = 42) () =
             ~length_km:(Some (d *. 1.15))
         end
   done;
-  network_of ()
+  Infra.Network.create ~name:"submarine" ~nodes:(List.rev b.nodes)
+    ~cables:(List.rev !cables)
 
 let hub_node net city_name =
   let n = Infra.Network.nb_nodes net in

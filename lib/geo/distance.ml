@@ -1,15 +1,34 @@
 let earth_radius_km = 6371.0088
 
-let central_angle_rad a b =
-  let phi1 = Angle.deg_to_rad (Coord.lat a)
-  and phi2 = Angle.deg_to_rad (Coord.lat b) in
+let[@inline] cos_lat c = cos (Angle.deg_to_rad (Coord.lat c))
+
+(* The one haversine formula.  [cos_a] and [cos_b] are [cos_lat a] and
+   [cos_lat b]: a caller that measures many distances from one point, or
+   to points it stores, computes each cosine once and gets the same bits
+   as [central_angle_rad].  Inlined, so that its float arguments are not
+   boxed on the way in. *)
+let[@inline] central_angle_cos_rad a ~cos_a b ~cos_b =
   let dphi = Angle.deg_to_rad (Coord.lat b -. Coord.lat a)
   and dlambda = Angle.deg_to_rad (Angle.angular_diff (Coord.lon a) (Coord.lon b)) in
   let sin_dphi = sin (dphi /. 2.0) and sin_dl = sin (dlambda /. 2.0) in
-  let h = (sin_dphi *. sin_dphi) +. (cos phi1 *. cos phi2 *. sin_dl *. sin_dl) in
+  let h = (sin_dphi *. sin_dphi) +. (cos_a *. cos_b *. sin_dl *. sin_dl) in
   2.0 *. atan2 (sqrt h) (sqrt (Float.max 0.0 (1.0 -. h)))
 
+let central_angle_rad a b = central_angle_cos_rad a ~cos_a:(cos_lat a) b ~cos_b:(cos_lat b)
+
+let haversine_cos_km a ~cos_a b ~cos_b = earth_radius_km *. central_angle_cos_rad a ~cos_a b ~cos_b
+
 let haversine_km a b = earth_radius_km *. central_angle_rad a b
+
+(* A great-circle distance is at least the meridian arc between the two
+   latitudes, [earth_radius_km *. |dphi|].  The margins, 1e-9 relative and
+   1e-9 km absolute, lie far above the formula's rounding error (a few
+   ulps), so a pair whose latitudes differ by more than [max_dlat_deg km]
+   measures more than [km] by [haversine_km] too; the absolute margin
+   keeps [km = 0.] exact. *)
+let km_per_deg = earth_radius_km *. Angle.deg_to_rad 1.0
+
+let max_dlat_deg km = ((km *. (1.0 +. 1e-9)) +. 1e-9) /. km_per_deg
 
 let equirectangular_km a b =
   let mean_lat = Angle.deg_to_rad ((Coord.lat a +. Coord.lat b) /. 2.0) in

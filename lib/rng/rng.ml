@@ -150,33 +150,43 @@ let choice t a =
   if Array.length a = 0 then invalid_arg "Rng.choice: empty array";
   a.(int t (Array.length a))
 
-let weighted_choice t a =
-  if Array.length a = 0 then invalid_arg "Rng.weighted_choice: empty array";
-  let total =
-    Array.fold_left
-      (fun acc (_, w) ->
-        if w < 0.0 then invalid_arg "Rng.weighted_choice: negative weight";
-        acc +. w)
-      0.0 a
-  in
-  if total <= 0.0 then invalid_arg "Rng.weighted_choice: all-zero weights";
-  (* Float rounding can land [x] at or past the running prefix sums (the
-     fold above and the incremental sums below associate differently), so
-     the scan may fall through every [x < acc] test.  The fallback must
-     then pick the last {e positive}-weight entry: returning the last
-     element unconditionally could select a weight-0.0 entry. *)
+(* The pick is the first index whose running prefix sum exceeds one
+   uniform draw [x] in [[0, total)].  The sums are taken once, left to
+   right, so each draw is a binary search over them: the weights are
+   non-negative, so the prefixes never decrease and [x < prefix.(i)] is
+   false up to the answer and true from it on (an infinite or NaN [x],
+   from an infinite or NaN total, makes it false everywhere).  Float
+   rounding can leave [x] at or past every prefix before the last
+   positive weight; the pick is then that last positive-weight entry,
+   never a trailing zero. *)
+let weighted_sampler a =
+  let n = Array.length a in
+  if n = 0 then invalid_arg "Rng.weighted_sampler: empty array";
+  let prefix = Array.make n 0.0 in
+  let acc = ref 0.0 in
+  Array.iteri
+    (fun i (_, w) ->
+      if w < 0.0 then invalid_arg "Rng.weighted_sampler: negative weight";
+      acc := !acc +. w;
+      prefix.(i) <- !acc)
+    a;
+  let total = !acc in
+  if total <= 0.0 then invalid_arg "Rng.weighted_sampler: all-zero weights";
   let last_positive =
     let rec find i = if snd a.(i) > 0.0 then i else find (i - 1) in
-    find (Array.length a - 1)
+    find (n - 1)
   in
-  let x = float t total in
-  let rec scan i acc =
-    if i = last_positive then fst a.(i)
-    else
-      let acc = acc +. snd a.(i) in
-      if x < acc then fst a.(i) else scan (i + 1) acc
-  in
-  scan 0 0.0
+  let values = Array.map fst a in
+  fun t ->
+    let x = float t total in
+    let lo = ref 0 and hi = ref last_positive in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if x < Array.unsafe_get prefix mid then hi := mid else lo := mid + 1
+    done;
+    values.(!lo)
+
+let weighted_choice t a = weighted_sampler a t
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

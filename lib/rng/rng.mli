@@ -100,12 +100,23 @@ val pareto : t -> xmin:float -> alpha:float -> float
 val choice : t -> 'a array -> 'a
 (** @raise Invalid_argument on an empty array. *)
 
+val weighted_sampler : ('a * float) array -> t -> 'a
+(** [weighted_sampler a] sums the weights of [a] once and returns a
+    function that picks one entry of [a] with probability proportional
+    to its weight, for loops that draw many times from one table.  Each
+    pick makes one draw, [float t total], and returns the first entry
+    whose running left-to-right weight sum exceeds it, found by binary
+    search over the sums.  An entry with weight [0.] is never selected,
+    including when float rounding pushes the draw past the sums: the
+    pick then falls back to the last positive-weight entry.  The
+    sampler keeps its own copy of the entries and sums, so later changes
+    to [a] do not reach it.
+    @raise Invalid_argument when [a] is empty, has a negative weight, or
+    its weights are all zero, before any draw. *)
+
 val weighted_choice : t -> ('a * float) array -> 'a
-(** Weights must be non-negative and not all zero.  An entry with weight
-    [0.] is never selected — including when float rounding pushes the
-    uniform draw past the prefix sums and the scan falls through (the
-    fallback skips trailing zero-weight entries).
-    @raise Invalid_argument otherwise. *)
+(** [weighted_choice t a] is [weighted_sampler a t]: one pick, paying
+    for the sums.  @raise Invalid_argument as {!weighted_sampler}. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates. *)

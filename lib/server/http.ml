@@ -459,6 +459,9 @@ let write_all fd s =
   in
   from 0
 
+let resolve ~host ~port =
+  Unix.getaddrinfo host (string_of_int port) [ Unix.AI_SOCKTYPE Unix.SOCK_STREAM ]
+
 (* Try each resolved address in turn: "localhost" may list ::1 before
    127.0.0.1, and a server bound to one family refuses the other. *)
 let connect ~host ~port =
@@ -480,6 +483,4 @@ let connect ~host ~port =
         | exception Unix.Unix_error (e, _, _) ->
             first (Printf.sprintf "connect %s:%d: %s" host port (Unix.error_message e)) rest)
   in
-  first
-    (Printf.sprintf "cannot resolve %s:%d" host port)
-    (Unix.getaddrinfo host (string_of_int port) [ Unix.AI_SOCKTYPE Unix.SOCK_STREAM ])
+  first (Printf.sprintf "cannot resolve %s:%d" host port) (resolve ~host ~port)

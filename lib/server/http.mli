@@ -187,6 +187,11 @@ val read_chunked_body : ?limits:limits -> conn -> (string, parse_error) result
     and chunk readers.  Neither caps a reply nor sets a read deadline:
     they pass [max_body = max_int] and [conn_of_fd ~timeout_s:(-1.0)]. *)
 
+val resolve : host:string -> port:int -> Unix.addr_info list
+(** The stream-socket addresses of [host:port] ([host] a name or an
+    address), in [getaddrinfo]'s order; [[]] when [host] does not
+    resolve.  {!connect} and the server's bind both resolve through it. *)
+
 val connect : host:string -> port:int -> (Unix.file_descr, string) result
 (** Resolve [host] (a name or an address) and try each address in turn,
     so a [localhost] that lists [::1] first still reaches a server bound

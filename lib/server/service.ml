@@ -303,16 +303,31 @@ type t = {
   monitor : Monitor.t;
 }
 
+(* A listener on the first of [host]'s addresses that binds; when none
+   does, the last address's error. *)
+let listen ~host ~port =
+  let open_ ai =
+    let fd = Unix.socket ~cloexec:true ai.Unix.ai_family ai.Unix.ai_socktype 0 in
+    try
+      Unix.setsockopt fd Unix.SO_REUSEADDR true;
+      Unix.bind fd ai.Unix.ai_addr;
+      Unix.listen fd 64;
+      Unix.set_nonblock fd;
+      fd
+    with e ->
+      close_quietly fd;
+      raise e
+  in
+  let rec bind_any = function
+    | [] -> failwith (Printf.sprintf "cannot resolve host %S" host)
+    | [ ai ] -> open_ ai
+    | ai :: rest -> (
+        match open_ ai with fd -> fd | exception Unix.Unix_error (_, _, _) -> bind_any rest)
+  in
+  bind_any (Http.resolve ~host ~port)
+
 let create cfg =
-  let lsock = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt lsock Unix.SO_REUSEADDR true;
-     Unix.bind lsock (Unix.ADDR_INET (Unix.inet_addr_of_string cfg.host, cfg.port));
-     Unix.listen lsock 64;
-     Unix.set_nonblock lsock
-   with e ->
-     close_quietly lsock;
-     raise e);
+  let lsock = listen ~host:cfg.host ~port:cfg.port in
   {
     cfg;
     lsock;

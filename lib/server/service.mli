@@ -42,7 +42,7 @@
     return — the CLI then exits 0. *)
 
 type config = {
-  host : string;  (** bind address, default ["127.0.0.1"] *)
+  host : string;  (** bind name or address, default ["127.0.0.1"] *)
   port : int;  (** 0 = ephemeral (the OS picks; see {!port}) *)
   workers : int;
       (** worker domains serving requests; [0] (default) =
@@ -79,10 +79,14 @@ type t
 val create : config -> t
 (** Bind and listen on [host:port], and make the server's stop flag,
     trace-id stream and {!Monitor} (from [sampler_step_s], [retention]
-    and [slo_rules]).  Clients may connect at once; they are served
-    when {!run} starts.
+    and [slo_rules]).  [host] is a name or an address, resolved by
+    {!Http.resolve}; the server listens on the first of its addresses
+    that binds.  Clients may connect at once; they are served when
+    {!run} starts.
+    @raise Failure naming [host] when it does not resolve.
     @raise Unix.Unix_error when the bind/listen itself fails (address
-    in use, permission). *)
+    in use, permission) on every address, with the last address's
+    error. *)
 
 val port : t -> int
 (** The bound port — the one the OS picked when [config.port = 0]. *)

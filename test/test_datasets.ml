@@ -454,6 +454,105 @@ let test_rng_weighted_choice () =
       (Rng.weighted_choice rng [| ("a", 0.0); ("b", 1.0) |])
   done
 
+(* --- Dataset goldens ---
+
+   The generators are seeded, so every dataset is a fixed sequence of
+   bytes.  Each golden is the MD5 of a canonical text dump that spells
+   every field an analysis can read, floats as %.17g, so a one-ulp move
+   anywhere in a build changes the hash.  A speed-up to a generator must
+   leave all of these unchanged. *)
+
+let hex_of_dump f =
+  let b = Buffer.create 65536 in
+  f b;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let add_pos b p = Printf.bprintf b " %.17g %.17g" (Geo.Coord.lat p) (Geo.Coord.lon p)
+
+let network_digest net =
+  hex_of_dump (fun b ->
+      for i = 0 to Infra.Network.nb_nodes net - 1 do
+        let n = Infra.Network.node net i in
+        Printf.bprintf b "node %d %S %S" n.Infra.Network.id n.Infra.Network.name
+          n.Infra.Network.country;
+        add_pos b n.Infra.Network.pos;
+        Buffer.add_char b '\n'
+      done;
+      for i = 0 to Infra.Network.nb_cables net - 1 do
+        let c = Infra.Network.cable net i in
+        Printf.bprintf b "cable %d %S %s [%s] %.17g %.17g\n" c.Infra.Cable.id
+          c.Infra.Cable.name
+          (Infra.Cable.kind_to_string c.Infra.Cable.kind)
+          (String.concat "," (List.map string_of_int c.Infra.Cable.landings))
+          c.Infra.Cable.length_km c.Infra.Cable.max_abs_lat
+      done)
+
+let caida_digest ases =
+  hex_of_dump (fun b ->
+      Array.iter
+        (fun (a : Datasets.Caida.asys) ->
+          Printf.bprintf b "as %d" a.asn;
+          add_pos b a.home;
+          Printf.bprintf b " %d [" a.router_count;
+          Array.iter (fun l -> Printf.bprintf b " %.17g" l) a.router_lats;
+          Printf.bprintf b " ] %.17g\n" a.spread_deg)
+        ases)
+
+let dns_digest insts =
+  hex_of_dump (fun b ->
+      Array.iter
+        (fun (i : Datasets.Dns_roots.instance) ->
+          Printf.bprintf b "root %c %S" i.letter i.city;
+          add_pos b i.pos;
+          Buffer.add_char b '\n')
+        insts)
+
+let ixp_digest ixps =
+  hex_of_dump (fun b ->
+      Array.iter
+        (fun (x : Datasets.Ixp.t) ->
+          Printf.bprintf b "ixp %S %S" x.name x.city;
+          add_pos b x.pos;
+          Buffer.add_char b '\n')
+        ixps)
+
+(* (dataset, seed, speed, digest).  Read from the generators as they stood
+   before the weighted sampler, the array-backed Grid_index and the
+   union-find stitch; those changes had to reproduce them exactly. *)
+let dataset_goldens =
+  let build name seed =
+    match name with
+    | "submarine" -> network_digest (Datasets.Submarine.build ~seed ())
+    | "intertubes" -> network_digest (Datasets.Intertubes.build ~seed ())
+    | "itu-0.05" -> network_digest (Datasets.Itu.build ~seed ~scale:0.05 ())
+    | "itu-0.3" -> network_digest (Datasets.Itu.build ~seed ~scale:0.3 ())
+    | "itu-1.0" -> network_digest (Datasets.Itu.build ~seed ~scale:1.0 ())
+    | "caida-8000" -> caida_digest (Datasets.Caida.build ~seed ~ases:8000 ())
+    | "dns" -> dns_digest (Datasets.Dns_roots.build ~seed ())
+    | "ixp" -> ixp_digest (Datasets.Ixp.build ~seed ())
+    | _ -> invalid_arg name
+  in
+  List.map
+    (fun (name, seed, speed, digest) ->
+      Alcotest.test_case (Printf.sprintf "%s seed %d" name seed) speed (fun () ->
+          Alcotest.(check string) name digest (build name seed)))
+    [ ("submarine", 42, `Quick, "6335f5a4b0dea6bdd6a22fffaf8a7e65");
+      ("submarine", 311, `Quick, "9d0b96f6d11c9ad958523d0496ca1fa5");
+      ("intertubes", 42, `Quick, "29e80ffcd30c924135ff1fef94b098e3");
+      ("intertubes", 311, `Quick, "4c5150b43593f312ac9314b7b2e484c2");
+      ("itu-0.05", 42, `Quick, "e5d578407c4eef0e9cf7799e6597005e");
+      ("itu-0.05", 311, `Quick, "511374c57a18603a8c012931a3df3f90");
+      ("itu-0.3", 42, `Quick, "a1e12a4eaac47b3e971a8e486e83caf2");
+      ("itu-0.3", 311, `Quick, "fbfb12453f2ccda7893fdf6db8490ea7");
+      ("itu-1.0", 42, `Slow, "6a0394d669c37e3e1d0b6c8ea8828c16");
+      ("itu-1.0", 311, `Slow, "ebad3bf5d523de383ec308e073894448");
+      ("caida-8000", 42, `Quick, "6f9bb2ad55f45aa4da60e045fd473255");
+      ("caida-8000", 311, `Quick, "9071eaeb889327383e02467c89868792");
+      ("dns", 42, `Quick, "413a2ef1430c5bc4f4c9c7840a49df55");
+      ("dns", 311, `Quick, "d95fc327864a88540a579c12fb321e04");
+      ("ixp", 42, `Quick, "5823d74c9a26154e75172b43df5dca3d");
+      ("ixp", 311, `Quick, "10fba7315304b96c76b07a564516a488") ]
+
 (* --- QCheck --- *)
 
 let prop_rng_normal_mean =
@@ -485,10 +584,88 @@ let prop_sample_without_replacement_distinct =
       let picked = Rng.sample_without_replacement rng arr ~k in
       List.length (List.sort_uniq Int.compare picked) = k)
 
+(* The weighted pick as it stood before the sampler: sum every weight,
+   draw once, scan the running sums.  The oracle for
+   [Rng.weighted_sampler]. *)
+let scan_weighted_choice t a =
+  if Array.length a = 0 then invalid_arg "scan: empty array";
+  let total =
+    Array.fold_left
+      (fun acc (_, w) ->
+        if w < 0.0 then invalid_arg "scan: negative weight";
+        acc +. w)
+      0.0 a
+  in
+  if total <= 0.0 then invalid_arg "scan: all-zero weights";
+  let last_positive =
+    let rec find i = if snd a.(i) > 0.0 then i else find (i - 1) in
+    find (Array.length a - 1)
+  in
+  let x = Rng.float t total in
+  let rec scan i acc =
+    if i = last_positive then fst a.(i)
+    else
+      let acc = acc +. snd a.(i) in
+      if x < acc then fst a.(i) else scan (i + 1) acc
+  in
+  scan 0 0.0
+
+(* Weight tables with zeros, trailing zeros, a single positive entry and
+   magnitudes from 1e-300 to 1e300, plus invalid ones: empty, a negative
+   weight, all zeros. *)
+let weights_of_seed seed =
+  let rng = Rng.create seed in
+  let n = Rng.int rng 40 in
+  let magnitude () =
+    match Rng.int rng 4 with
+    | 0 -> Rng.uniform rng 0.0 1.0
+    | 1 -> Rng.uniform rng 1.0 10.0 *. (10.0 ** float_of_int (Rng.int_in rng (-300) 300))
+    | 2 -> Rng.uniform rng 1.0 10.0 *. (10.0 ** float_of_int (Rng.int_in rng (-5) 5))
+    | _ -> float_of_int (Rng.int rng 4)
+  in
+  let w =
+    match Rng.int rng 6 with
+    | 0 -> Array.make n 0.0
+    | 1 when n > 0 ->
+        let w = Array.make n 0.0 in
+        w.(Rng.int rng n) <- magnitude ();
+        w
+    | 2 when n > 0 ->
+        let w = Array.init n (fun _ -> magnitude ()) in
+        w.(Rng.int rng n) <- -.Rng.uniform rng 0.0 1.0;
+        w
+    | _ ->
+        let w = Array.init n (fun _ -> if Rng.bernoulli rng ~p:0.3 then 0.0 else magnitude ()) in
+        let zeros = Rng.int rng (n + 1) in
+        Array.fill w (n - zeros) zeros 0.0;
+        w
+  in
+  Array.mapi (fun i x -> (i, x)) w
+
+let prop_weighted_sampler_matches_scan =
+  QCheck.Test.make ~name:"weighted_sampler = the old scan, pick and state" ~count:500
+    (QCheck.make ~print:(Printf.sprintf "seed %d") QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let a = weights_of_seed seed in
+      let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+      (* SplitMix's output is a bijection of its state. *)
+      let same_state t u = Rng.Raw.next_int64 (Rng.copy t) = Rng.Raw.next_int64 (Rng.copy u) in
+      let t = Rng.create (seed + 1) in
+      match Rng.weighted_sampler a with
+      | exception Invalid_argument _ -> raises (fun () -> scan_weighted_choice t a)
+      | sample ->
+          let u = Rng.copy t in
+          List.for_all
+            (fun _ ->
+              let picked = sample t in
+              picked = scan_weighted_choice u a && same_state t u)
+            (List.init 20 Fun.id)
+          && Rng.weighted_choice (Rng.copy t) a = scan_weighted_choice (Rng.copy t) a)
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_rng_normal_mean; prop_rng_pareto_above_xmin;
-      prop_sample_without_replacement_distinct ]
+      prop_sample_without_replacement_distinct; prop_weighted_sampler_matches_scan ]
 
 let () =
   Alcotest.run "datasets"
@@ -564,5 +741,6 @@ let () =
           Alcotest.test_case "validation" `Quick test_rng_validation;
           Alcotest.test_case "bernoulli extremes" `Quick test_rng_bernoulli_extremes;
           Alcotest.test_case "weighted choice" `Quick test_rng_weighted_choice ] );
+      ("goldens", dataset_goldens);
       ("properties", qcheck_tests);
     ]

@@ -356,6 +356,245 @@ let test_grid_index_polar_query () =
   let hits = Grid_index.within_km idx (Coord.make ~lat:89.5 ~lon:170.0) ~radius_km:300.0 in
   Alcotest.(check int) "finds near-pole point across longitudes" 1 (List.length hits)
 
+(* The antimeridian and the pole fold into scanned cells: [Coord.make]
+   puts longitude -180 at 180 and a pole at latitude 90, keys that once
+   fell one past the last column or row, outside every scan. *)
+let test_grid_index_antimeridian () =
+  let p = Coord.make ~lat:0.0 ~lon:(-180.0) in
+  List.iter
+    (fun cell_deg ->
+      let idx = Grid_index.of_list ~cell_deg [ (p, 1) ] in
+      let q = Coord.make ~lat:0.0 ~lon:179.9 in
+      (match Grid_index.nearest idx q with
+      | Some (_, v, d) ->
+          Alcotest.(check int) "nearest across the antimeridian" 1 v;
+          check_float "distance" (Distance.haversine_km q p) d
+      | None -> Alcotest.fail "nearest is None on a non-empty index");
+      Alcotest.(check int) "within 100 km" 1
+        (List.length (Grid_index.within_km idx q ~radius_km:100.0));
+      Alcotest.(check int) "from the point itself" 1
+        (List.length (Grid_index.within_km idx p ~radius_km:0.0)))
+    [ 2.0; 5.0; 90.0 ]
+
+let test_grid_index_north_pole () =
+  let pole = Coord.make ~lat:90.0 ~lon:0.0 in
+  List.iter
+    (fun cell_deg ->
+      let idx = Grid_index.of_list ~cell_deg [ (pole, 7) ] in
+      let q = Coord.make ~lat:89.5 ~lon:(-120.0) in
+      (match Grid_index.nearest idx q with
+      | Some (_, v, _) -> Alcotest.(check int) "nearest finds the pole" 7 v
+      | None -> Alcotest.fail "nearest is None on a non-empty index");
+      Alcotest.(check int) "within 100 km" 1
+        (List.length (Grid_index.within_km idx q ~radius_km:100.0));
+      Alcotest.(check int) "query at the pole" 1
+        (List.length (Grid_index.within_km idx pole ~radius_km:0.0)))
+    [ 2.0; 5.0; 90.0 ]
+
+let test_grid_index_cell_bounds () =
+  List.iter
+    (fun cell_deg ->
+      Alcotest.check_raises (Printf.sprintf "cell_deg %g" cell_deg)
+        (Invalid_argument "Grid_index.create: cell_deg out of [0.25, 90]") (fun () ->
+          ignore (Grid_index.create ~cell_deg ())))
+    [ 0.0; -1.0; 0.01; 90.5; Float.nan ];
+  List.iter
+    (fun cell_deg -> Alcotest.(check int) "empty" 0 (Grid_index.size (Grid_index.create ~cell_deg ())))
+    [ 0.25; 90.0 ]
+
+let test_grid_index_remove () =
+  let a = Coord.make ~lat:10.0 ~lon:10.0 and b = Coord.make ~lat:10.5 ~lon:10.5 in
+  let idx = Grid_index.of_list [ (a, 1); (b, 2); (a, 3); (a, 1) ] in
+  let values () = List.map (fun (_, v, _) -> v) (Grid_index.within_km idx a ~radius_km:500.0) in
+  Alcotest.(check (list int)) "insertion order" [ 1; 2; 3; 1 ] (values ());
+  Grid_index.remove idx a 1;
+  Alcotest.(check (list int)) "earliest match removed" [ 2; 3; 1 ] (values ());
+  Grid_index.remove idx b 3;
+  Grid_index.remove idx a 9;
+  Alcotest.(check (list int)) "no match, no change" [ 2; 3; 1 ] (values ());
+  Grid_index.remove idx b 2;
+  Grid_index.remove idx a 1;
+  Grid_index.remove idx a 3;
+  Alcotest.(check int) "size" 0 (Grid_index.size idx);
+  Alcotest.(check bool) "nearest on an emptied index" true (Grid_index.nearest idx a = None);
+  Grid_index.add idx b 4;
+  Alcotest.(check (list int)) "add after remove" [ 4 ] (values ())
+
+(* The index as it stood before the flat-array rewrite, kept as the
+   oracle for the rewrite: cells in a [Hashtbl] keyed by [(lat, lon)]
+   tuples, and a full [Distance.haversine_km] per scanned entry.  Its
+   keys at latitude 90 and longitude 180 lie outside every scan, so the
+   properties below generate no point there. *)
+module Hashed_grid = struct
+  type 'a entry = { pos : Coord.t; value : 'a }
+
+  type 'a t = {
+    cell_deg : float;
+    cells : (int * int, 'a entry list ref) Hashtbl.t;
+    mutable count : int;
+  }
+
+  let create ~cell_deg = { cell_deg; cells = Hashtbl.create 256; count = 0 }
+
+  let key t c =
+    let lat_i = int_of_float (Float.floor ((Coord.lat c +. 90.0) /. t.cell_deg)) in
+    let lon_i = int_of_float (Float.floor ((Coord.lon c +. 180.0) /. t.cell_deg)) in
+    (lat_i, lon_i)
+
+  let lon_cells t = int_of_float (Float.ceil (360.0 /. t.cell_deg))
+  let lat_cells t = int_of_float (Float.ceil (180.0 /. t.cell_deg))
+
+  let add t pos value =
+    let k = key t pos in
+    (match Hashtbl.find_opt t.cells k with
+    | Some l -> l := { pos; value } :: !l
+    | None -> Hashtbl.add t.cells k (ref [ { pos; value } ]));
+    t.count <- t.count + 1
+
+  let candidate_cells t c radius_km =
+    let lat0, lon0 = key t c in
+    let deg_per_km_lat = 1.0 /. 111.19 in
+    let dlat_cells =
+      1 + int_of_float (Float.ceil (radius_km *. deg_per_km_lat /. t.cell_deg))
+    in
+    let nlon = lon_cells t and nlat = lat_cells t in
+    let cells = ref [] in
+    for di = -dlat_cells to dlat_cells do
+      let lat_i = lat0 + di in
+      if lat_i >= 0 && lat_i < nlat then begin
+        let edge1 = Float.abs ((float_of_int lat_i *. t.cell_deg) -. 90.0) in
+        let edge2 = Float.abs ((float_of_int (lat_i + 1) *. t.cell_deg) -. 90.0) in
+        let band_lat = Float.max edge1 edge2 in
+        let cos_lat = Float.max 0.01 (cos (Angle.deg_to_rad band_lat)) in
+        let dlon_cells =
+          1 + int_of_float (Float.ceil (radius_km *. deg_per_km_lat /. cos_lat /. t.cell_deg))
+        in
+        if band_lat >= 89.0 || 2 * dlon_cells + 1 >= nlon then
+          for lon_i = 0 to nlon - 1 do
+            cells := (lat_i, lon_i) :: !cells
+          done
+        else
+          for dj = -dlon_cells to dlon_cells do
+            let lon_i = ((lon0 + dj) mod nlon + nlon) mod nlon in
+            cells := (lat_i, lon_i) :: !cells
+          done
+      end
+    done;
+    !cells
+
+  let within_km t c ~radius_km =
+    let acc = ref [] in
+    List.iter
+      (fun k ->
+        match Hashtbl.find_opt t.cells k with
+        | None -> ()
+        | Some l ->
+            List.iter
+              (fun e ->
+                let d = Distance.haversine_km c e.pos in
+                if d <= radius_km then acc := (e.pos, e.value, d) :: !acc)
+              !l)
+      (candidate_cells t c radius_km);
+    !acc
+
+  let nearest t c =
+    if t.count = 0 then None
+    else
+      let rec search radius =
+        match within_km t c ~radius_km:radius with
+        | [] when radius < 21000.0 -> search (radius *. 2.0)
+        | [] -> None
+        | hits ->
+            Some
+              (List.fold_left
+                 (fun ((_, _, dbest) as best) ((_, _, d) as hit) ->
+                   if d < dbest then hit else best)
+                 (List.hd hits) (List.tl hits))
+      in
+      search 250.0
+end
+
+(* One generated case: an index over uniform or clustered points (some
+   positions repeated under a new value), query points with radii from 0
+   to 25,000 km, and a random order in which to remove entries. *)
+type grid_case = {
+  cell_deg : float;
+  entries : (Coord.t * int) list;  (* insertion order; values distinct *)
+  queries : (Coord.t * float) list;
+  removal : (Coord.t * int) list;
+}
+
+let grid_case_of_seed seed =
+  let rng = Rng.create seed in
+  let cell_deg = Rng.choice rng [| 2.0; 5.0 |] in
+  (* Clear of latitude 90 and longitude 180, the oracle's blind keys. *)
+  let point lat lon =
+    let c = Coord.make ~lat:(Float.max (-89.999) (Float.min 89.999 lat)) ~lon in
+    if Coord.lon c = 180.0 then Coord.make ~lat:(Coord.lat c) ~lon:179.5 else c
+  in
+  let uniform () = point (Rng.uniform rng (-90.0) 90.0) (Rng.uniform rng (-180.0) 180.0) in
+  let n = Rng.int rng 300 in
+  let positions =
+    if Rng.bool rng then Array.init n (fun _ -> uniform ())
+    else
+      let centers = Array.init (1 + Rng.int rng 6) (fun _ -> uniform ()) in
+      let sigma = Rng.choice rng [| 0.01; 0.5; 3.0 |] in
+      Array.init n (fun _ ->
+          let c = Rng.choice rng centers in
+          point
+            (Coord.lat c +. Rng.normal rng ~mu:0.0 ~sigma)
+            (Coord.lon c +. Rng.normal rng ~mu:0.0 ~sigma))
+  in
+  (* Repeat some positions under a new value. *)
+  for i = 1 to n - 1 do
+    if Rng.bernoulli rng ~p:0.1 then positions.(i) <- positions.(Rng.int rng i)
+  done;
+  let entries = Array.to_list (Array.mapi (fun i p -> (p, i)) positions) in
+  let radius () =
+    match Rng.int rng 4 with
+    | 0 -> 0.0
+    | 1 -> Rng.uniform rng 0.0 300.0
+    | 2 -> Rng.uniform rng 0.0 3000.0
+    | _ -> Rng.uniform rng 0.0 25000.0
+  in
+  let queries =
+    List.init 8 (fun k ->
+        let q = if k mod 2 = 0 && n > 0 then positions.(Rng.int rng n) else uniform () in
+        (q, radius ()))
+  in
+  let order = Array.of_list entries in
+  Rng.shuffle rng order;
+  let removal = Array.to_list (Array.sub order 0 (Rng.int rng (n + 1))) in
+  { cell_deg; entries; queries; removal }
+
+let grid_hits l = List.map (fun (p, v, d) -> (Coord.lat p, Coord.lon p, v, Int64.bits_of_float d)) l
+
+let grid_agrees case idx entries =
+  let oracle = Hashed_grid.create ~cell_deg:case.cell_deg in
+  List.iter (fun (p, v) -> Hashed_grid.add oracle p v) entries;
+  let nearest_of = Option.map (fun (_, v, d) -> (v, Int64.bits_of_float d)) in
+  Grid_index.size idx = List.length entries
+  && List.sort Int.compare (Grid_index.fold idx ~init:[] ~f:(fun acc _ v -> v :: acc))
+     = List.sort Int.compare (List.map snd entries)
+  && List.for_all
+       (fun (q, radius_km) ->
+         grid_hits (Grid_index.within_km idx q ~radius_km)
+         = grid_hits (Hashed_grid.within_km oracle q ~radius_km)
+         && nearest_of (Grid_index.nearest idx q) = nearest_of (Hashed_grid.nearest oracle q))
+       case.queries
+
+let prop_grid_index_matches_oracle =
+  QCheck.Test.make ~name:"grid_index = hashed oracle, before and after removals" ~count:150
+    (QCheck.make ~print:(Printf.sprintf "seed %d") QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let case = grid_case_of_seed seed in
+      let idx = Grid_index.of_list ~cell_deg:case.cell_deg case.entries in
+      grid_agrees case idx case.entries
+      &&
+      (List.iter (fun (p, v) -> Grid_index.remove idx p v) case.removal;
+       let remaining = List.filter (fun e -> not (List.mem e case.removal)) case.entries in
+       grid_agrees case idx remaining))
+
 (* --- Projection --- *)
 
 let test_projection_corners () =
@@ -521,7 +760,12 @@ let () =
           Alcotest.test_case "nearest" `Quick test_grid_index_nearest;
           Alcotest.test_case "empty nearest" `Quick test_grid_index_empty_nearest;
           Alcotest.test_case "size and fold" `Quick test_grid_index_size_and_fold;
-          Alcotest.test_case "polar query" `Quick test_grid_index_polar_query ] );
+          Alcotest.test_case "polar query" `Quick test_grid_index_polar_query;
+          Alcotest.test_case "antimeridian key" `Quick test_grid_index_antimeridian;
+          Alcotest.test_case "north pole key" `Quick test_grid_index_north_pole;
+          Alcotest.test_case "cell size bounds" `Quick test_grid_index_cell_bounds;
+          Alcotest.test_case "remove" `Quick test_grid_index_remove;
+          QCheck_alcotest.to_alcotest prop_grid_index_matches_oracle ] );
       ( "projection",
         [ Alcotest.test_case "corners" `Quick test_projection_corners;
           Alcotest.test_case "out of bounds" `Quick test_projection_out_of_bounds;

@@ -1245,6 +1245,26 @@ let test_loadgen_host_name () =
   Alcotest.(check int) "all completed" 5 r.Server.Loadgen.requests;
   Alcotest.(check int) "no errors" 0 r.Server.Loadgen.errors
 
+(* The bind host resolves through the same [getaddrinfo] call as the
+   clients, so a server on "localhost" answers; a host that does not
+   resolve (a NUL byte makes [getaddrinfo] answer "none" without any
+   lookup) fails with a message naming it. *)
+let test_serve_host_name () =
+  with_server_state @@ fun () ->
+  with_running { (loopback_config ()) with Server.Service.host = "localhost" }
+  @@ fun server ->
+  let target =
+    { Server.Loadgen.host = "localhost"; port = Server.Service.port server; path = "/healthz" }
+  in
+  let r = Server.Loadgen.run ~requests:3 ~body:None target in
+  Alcotest.(check int) "healthz answered" 3 r.Server.Loadgen.requests;
+  Alcotest.(check int) "no errors" 0 r.Server.Loadgen.errors;
+  Alcotest.check_raises "unresolvable host" (Failure "cannot resolve host \"no\\000such-host\"")
+    (fun () ->
+      ignore
+        (Server.Service.create
+           { (loopback_config ()) with Server.Service.host = "no\000such-host" }))
+
 (* --- Chan: the acceptor/worker handoff channel --- *)
 
 let test_chan_fifo () =
@@ -2047,7 +2067,8 @@ let () =
           Alcotest.test_case "end to end" `Quick test_loadgen_end_to_end;
           Alcotest.test_case "counts failures" `Quick test_loadgen_counts_failures;
           Alcotest.test_case "warmup excluded" `Quick test_loadgen_warmup_excluded;
-          Alcotest.test_case "host name" `Quick test_loadgen_host_name ] );
+          Alcotest.test_case "host name" `Quick test_loadgen_host_name;
+          Alcotest.test_case "serve on a host name" `Quick test_serve_host_name ] );
       ( "workers",
         [ Alcotest.test_case "byte identity vs single worker" `Quick
             test_workers_byte_identity;

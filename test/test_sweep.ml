@@ -242,6 +242,16 @@ let cross_network_axes =
 
 let cross_network_digest = "9d30f43bbed8062a28207db9f35c038b"
 
+(* The same for the largest build: two full-scale ITU maps, which
+   [sweep -j 2] builds concurrently.  Read before the dataset generators
+   moved to a weighted sampler, an array-backed grid index and union-find
+   stitching, which had to keep it; [bin/check.sh] reads
+   [full_scale_itu_digest] and requires it at [-j 1] and [-j 2]. *)
+let full_scale_itu_axes =
+  [ "network=itu"; "itu_scale=1.0"; "seed=42,7"; "model=s1"; "trials=20" ]
+
+let full_scale_itu_digest = "ce1dcf77eb1a997f78c8df053a4387ec"
+
 let full_itu_axes = [ "network=itu"; "itu_scale=1.0"; "model=0.01,s1"; "trials=20" ]
 
 let full_itu_digest = "dbb9e802665afb68eeb253b641656efc"
@@ -609,7 +619,9 @@ let () =
         [ Alcotest.test_case "cross-network grid" `Quick
             (test_pinned_digest (cross_network_axes, 18, cross_network_digest));
           Alcotest.test_case "full-scale ITU" `Quick
-            (test_pinned_digest (full_itu_axes, 2, full_itu_digest)) ] );
+            (test_pinned_digest (full_itu_axes, 2, full_itu_digest));
+          Alcotest.test_case "full-scale ITU, two seeds" `Quick
+            (test_pinned_digest (full_scale_itu_axes, 2, full_scale_itu_digest)) ] );
       ( "http",
         [ Alcotest.test_case "parity with CLI" `Quick test_http_parity_with_cli;
           Alcotest.test_case "empty body -> default cell" `Quick
