@@ -31,9 +31,9 @@ let print_figures () =
   ctx
 
 (* A live loopback server for the serve.throughput kernels: one domain
-   running the real Service acceptor loop (plus [workers] handler
-   domains) on an ephemeral port.  The returned closure stops and joins
-   it. *)
+   running the real Service loop as worker 0 (plus [workers - 1] more
+   worker domains) on an ephemeral port.  The returned closure stops and
+   joins it. *)
 let boot_server ~workers () =
   let server =
     Server.Service.create

@@ -242,13 +242,19 @@ boot_serve() {
   shift 2
   _build/default/bin/solarstorm.exe serve --port 0 "$@" > "$boot_log" 2>&1 &
   SERVE_PID=$!
+  await_serve "$boot_log" "$boot_what"
+}
+
+# The waiting half of boot_serve, for a server already started with
+# SERVE_PID set.  Usage: await_serve LOG WHAT
+await_serve() {
   i=0
-  until grep -q 'listening on' "$boot_log" 2> /dev/null; do
+  until grep -q 'listening on' "$1" 2> /dev/null; do
     i=$((i + 1))
-    [ "$i" -le 100 ] || { echo "check.sh: $boot_what never became ready" >&2; kill "$SERVE_PID" 2> /dev/null; exit 1; }
+    [ "$i" -le 100 ] || { echo "check.sh: $2 never became ready" >&2; kill "$SERVE_PID" 2> /dev/null; exit 1; }
     sleep 0.1
   done
-  SERVE_PORT=$(sed -n 's|.*listening on http://127\.0\.0\.1:\([0-9]*\).*|\1|p' "$boot_log")
+  SERVE_PORT=$(sed -n 's|.*listening on http://127\.0\.0\.1:\([0-9]*\).*|\1|p' "$1")
   BASE="http://127.0.0.1:$SERVE_PORT"
 }
 
@@ -400,9 +406,9 @@ rm -f /tmp/serve_obs_headers.txt /tmp/serve_obs_sim.json /tmp/serve_obs_cli.json
   /tmp/loadgen_gate.json /tmp/loadgen_localhost.json
 
 echo "== solarstorm serve: worker pool gate =="
-# The acceptor + worker-domain pool must be invisible in the bytes: every
-# analysis endpoint answers byte-identically whether one worker or four
-# are running, the pool survives more client concurrency than workers,
+# The worker domains must be invisible in the bytes: every analysis
+# endpoint answers byte-identically whether one worker or four are
+# running, four workers survive more client connections than workers,
 # per-worker /statusz counters sum to the request total, and the shared
 # cache counts one hit per concurrent repeated POST — exactly.
 W1_LOG=/tmp/serve_w1.log
@@ -489,6 +495,83 @@ grep -q 'solarstorm serve: stopped' "$W4_LOG" \
   || { echo "check.sh: --workers 4 serve did not log a clean drain" >&2; exit 1; }
 rm -f /tmp/w1_*.json /tmp/w4_*.json /tmp/conc_*.json /tmp/pool_warm.json \
   /tmp/pool_statusz.json /tmp/loadgen_pool.json /tmp/pool_metrics.txt "$W1_LOG" "$W4_LOG"
+
+echo "== solarstorm serve: descriptor exhaustion gate =="
+# Under a 64-descriptor limit, 80 held connections run accept out of
+# descriptors (EMFILE).  That is no newcomer for the pass, not a crash:
+# the server logs a warn line, keeps serving, answers /healthz once the
+# connections close, and still exits 0 on SIGTERM.
+if command -v python3 > /dev/null 2>&1; then
+  FD_LOG=/tmp/serve_fd.jsonl
+  FD_OUT=/tmp/serve_fd.log
+  rm -f "$FD_LOG" "$FD_OUT"
+  ( ulimit -n 64; exec _build/default/bin/solarstorm.exe serve --port 0 --log "$FD_LOG" ) \
+    > "$FD_OUT" 2>&1 &
+  SERVE_PID=$!
+  await_serve "$FD_OUT" "descriptor-limited serve"
+  python3 - "$SERVE_PORT" 80 <<'EOF' || { echo "check.sh: could not hold connections against descriptor-limited serve" >&2; kill "$SERVE_PID" 2> /dev/null; exit 1; }
+import socket, sys, time
+port, n = int(sys.argv[1]), int(sys.argv[2])
+socks = [socket.create_connection(("127.0.0.1", port)) for _ in range(n)]
+time.sleep(1)
+for s in socks:
+    s.close()
+EOF
+  curl -fsS -m 10 "$BASE/healthz" | grep -q '"status":"ok"' \
+    || { echo "check.sh: descriptor-limited serve stopped answering /healthz" >&2; kill "$SERVE_PID" 2> /dev/null; exit 1; }
+  grep -q '"level":"warn","event":"http.accept.failed"' "$FD_LOG" \
+    || { echo "check.sh: $FD_LOG has no http.accept.failed warn line" >&2; kill "$SERVE_PID" 2> /dev/null; exit 1; }
+  kill -TERM "$SERVE_PID"
+  wait "$SERVE_PID" || { echo "check.sh: descriptor-limited serve did not exit 0 on SIGTERM" >&2; exit 1; }
+  rm -f "$FD_LOG" "$FD_OUT"
+else
+  echo "check.sh: NOTICE: no python3, skipping the descriptor exhaustion gate"
+fi
+
+echo "== solarstorm serve: max-pending bound gate =="
+# select() watches descriptors below 1024 only, so --max-pending stops at
+# 960: 961 is refused up front with exit 2.  At 960, a thousand held
+# connections leave the server alive: the overflow gets 503s, and
+# /healthz answers once they close.
+MP_STATUS=0
+timeout 10 _build/default/bin/solarstorm.exe serve --port 0 --max-pending 961 \
+  > /dev/null 2>&1 || MP_STATUS=$?
+[ "$MP_STATUS" = "2" ] \
+  || { echo "check.sh: serve --max-pending 961 exited $MP_STATUS, want 2" >&2; exit 1; }
+if command -v python3 > /dev/null 2>&1; then
+  MP_OUT=/tmp/serve_mp.log
+  rm -f "$MP_OUT"
+  boot_serve "$MP_OUT" "--max-pending 960 serve" --max-pending 960
+  python3 - "$SERVE_PORT" 1000 960 <<'EOF' || { echo "check.sh: --max-pending 960 did not shed exactly the overflow" >&2; kill "$SERVE_PID" 2> /dev/null; exit 1; }
+import resource, socket, sys, time
+port, n, cap = int(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])
+soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+if soft != resource.RLIM_INFINITY and soft < n + 64:
+    resource.setrlimit(resource.RLIMIT_NOFILE, (min(n + 64, hard), hard))
+socks = [socket.create_connection(("127.0.0.1", port)) for _ in range(n)]
+for s in socks:
+    s.setblocking(False)
+shed, deadline = set(), time.time() + 20
+while len(shed) < n - cap and time.time() < deadline:
+    for i, s in enumerate(socks):
+        try:
+            if i not in shed and s.recv(64).startswith(b"HTTP/1.1 503"):
+                shed.add(i)
+        except BlockingIOError:
+            pass
+    time.sleep(0.05)
+for s in socks:
+    s.close()
+assert len(shed) == n - cap, f"{len(shed)} connections shed, want {n - cap}"
+EOF
+  curl -fsS -m 10 "$BASE/healthz" | grep -q '"status":"ok"' \
+    || { echo "check.sh: --max-pending 960 serve stopped answering /healthz" >&2; kill "$SERVE_PID" 2> /dev/null; exit 1; }
+  kill -TERM "$SERVE_PID"
+  wait "$SERVE_PID" || { echo "check.sh: --max-pending 960 serve did not exit 0 on SIGTERM" >&2; exit 1; }
+  rm -f "$MP_OUT"
+else
+  echo "check.sh: NOTICE: no python3, skipping the held-connection half of the max-pending gate"
+fi
 
 echo "== solarstorm sweep: streaming grid gate =="
 # The 64-cell bench grid (4 models x 4 itu scales x 4 duplicate trial
@@ -702,4 +785,4 @@ wait "$SERVE_PID" || { echo "check.sh: self-monitoring serve did not exit 0 on S
 rm -f /tmp/varz1.json /tmp/varz2.json /tmp/dashboard.html /tmp/alertz.json \
   /tmp/loadgen_mon.json /tmp/top_frame.txt "$MON_LOG" "$MON_OUT"
 
-echo "check.sh: all green ($BENCH_JSON, $PROFILE_JSON, figures ok, serve ok, observability ok, worker pool ok, sweep ok, self-monitoring ok)"
+echo "check.sh: all green ($BENCH_JSON, $PROFILE_JSON, figures ok, serve ok, observability ok, worker pool ok, descriptor limits ok, sweep ok, self-monitoring ok)"

@@ -522,7 +522,8 @@ let serve_cmd =
   let max_pending_t =
     Arg.(value & opt int 64
          & info [ "max-pending" ] ~docv:"N"
-             ~doc:"Connections held at once; the overflow is answered 503 \
+             ~doc:"Connections held at once, at most 960 (the server selects \
+                   on descriptors below 1024); the overflow is answered 503 \
                    immediately (backpressure instead of an unbounded queue).")
   in
   let timeout_t =
@@ -580,8 +581,8 @@ let serve_cmd =
       Printf.eprintf "serve: --cache-entries must be >= 0\n";
       exit 2
     end;
-    if max_body <= 0 || max_pending <= 0 || read_timeout <= 0.0 then begin
-      Printf.eprintf "serve: --max-body, --max-pending and --read-timeout must be positive\n";
+    if max_body <= 0 || read_timeout <= 0.0 then begin
+      Printf.eprintf "serve: --max-body and --read-timeout must be positive\n";
       exit 2
     end;
     if sampler_step < 0.0 then begin
@@ -618,7 +619,7 @@ let serve_cmd =
             sampler_step_s = sampler_step; slo_rules; retention }
       with
       | server -> server
-      | exception Failure msg ->
+      | exception (Failure msg | Invalid_argument msg) ->
           Printf.eprintf "serve: %s\n" msg;
           exit 2
     in

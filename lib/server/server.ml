@@ -2,9 +2,9 @@
     a hardened HTTP/1.1 codec for both ends of the wire ({!Http}),
     method × path routing ({!Router}), the endpoint handlers
     ({!Handlers}), a lock-striped canonical-key LRU result cache plus
-    the shared compute/encode path ({!Api}, {!Lru}), the handoff channel
-    ({!Chan}) feeding an acceptor + worker-domain-pool socket loop with
-    backpressure and graceful drain ({!Service}), the pipelined loopback
+    the shared compute/encode path ({!Api}, {!Lru}), the socket loop in
+    which each of [--workers] domains owns the connections it accepts,
+    with backpressure and graceful drain ({!Service}), the pipelined loopback
     load generator ({!Loadgen}), and the windowed self-monitoring
     surface: each server's ring, rules and windowed query ({!Monitor}),
     the /dashboard renderer ({!Dashboard}) and the live terminal view
@@ -14,7 +14,6 @@
 
 module Http = Http
 module Lru = Lru
-module Chan = Chan
 module Api = Api
 module Router = Router
 module Handlers = Handlers

@@ -1,33 +1,30 @@
-(* Acceptor + worker-pool serving loop.
+(* Worker-owned connections.
 
-   The calling domain is the ACCEPTOR: it owns the listen socket and
-   every idle connection, selects for readiness, and hands each
-   parse-ready connection — together with a pre-drawn trace id — to a
-   pool of WORKER domains over a job queue.  A worker owns the
-   connection end-to-end for one request (parse, dispatch, write), then
-   returns it through a completion queue and wakes the acceptor via a
-   self-pipe.  Ownership is strict: a connection is
-   touched by exactly one domain at any moment, so the HTTP conn buffer
-   needs no lock.
+   [run] starts [workers] identical serving loops, the calling domain
+   running worker 0.  A connection stays with the worker that accepted
+   it from accept to close: that worker alone reads, parses, dispatches
+   and writes on it, so the HTTP conn buffer needs no lock and no
+   request crosses domains.
 
-   Every iteration of the acceptor:
+   Every pass of a worker:
 
-     1. select() over the listen socket, the wake pipe and every idle
-        connection;
-     2. drain the completion queue — closed connections die, kept ones
-        with buffered pipelined bytes are re-handed immediately, the
-        rest rejoin the idle set;
-     3. accept everything waiting, 503-ing the overflow past
-        [max_pending] (idle + in flight);
-     4. hand off readable idle connections — one request per handoff,
-        so a pipelining client cannot starve the rest — and reap those
-        idle past [idle_timeout_s].
+     1. select() over the shared non-blocking listen socket and the
+        worker's own connections — without waiting when one of them
+        already holds pipelined bytes;
+     2. accept at most one newcomer, so a burst of connections spreads
+        over the idle workers, and 503 it when [max_pending]
+        connections are already open across all workers;
+     3. serve one request on each connection that is readable or holds
+        buffered bytes — one per connection per pass, so a pipelining
+        client cannot starve the worker's other connections — and reap
+        those idle past [idle_timeout_s].
 
-   Backpressure is the pending cap alone: every queued job is a
-   connection counted against [max_pending], so the job queue can never
-   hold more than the cap and needs no bound of its own.  The loop
-   re-checks the stop flag each tick, so SIGINT/SIGTERM latency
-   is bounded by [idle_poll_s] plus the requests in flight. *)
+   A worker busy with a request is not in select(), so it takes no
+   newcomer: new connections go to idle workers.  The trade-off is
+   within one worker: a keep-alive connection's next request waits
+   behind its worker's long /sweep.  Each worker re-checks the stop flag
+   every pass, so SIGINT/SIGTERM latency is bounded by [idle_poll_s]
+   plus the request in hand. *)
 
 type config = {
   host : string;
@@ -91,8 +88,8 @@ type client = { fd : Unix.file_descr; conn : Http.conn; mutable last_active : fl
 (* Per-worker observability: [server.worker.<i>.requests] counts the
    requests worker [i] parsed successfully (the same increment point as
    [server.requests], so the per-worker counters sum to the total) and
-   [server.worker.<i>.busy_ms] gauges its cumulative time spent on
-   jobs.  [busy_ms] itself is worker-private state. *)
+   [server.worker.<i>.busy_ms] gauges its cumulative time spent serving
+   requests.  [busy_ms] itself is worker-private state. *)
 type worker_slot = {
   w_requests : Obs.Metrics.counter;
   w_busy : Obs.Metrics.gauge;
@@ -106,20 +103,11 @@ let worker_slot i =
     busy_ms = 0.0;
   }
 
-(* A job is one connection, one request, one pre-drawn trace id.  [Stop]
-   is the shutdown sentinel: pushed once per worker, FIFO behind any
-   remaining jobs, so queued work is served before a worker parks. *)
-type job =
-  | Job of { c : client; trace : string; force_close : bool }
-  | Stop
-
 let send_response fd ~close resp =
   count_status resp.Http.status;
   match Http.write_all fd (Http.to_string ~close resp) with
   | () -> true
   | exception Unix.Unix_error (_, _, _) -> false
-
-let close_client c = try Unix.close c.fd with Unix.Unix_error (_, _, _) -> ()
 
 let m_stream_aborted = Obs.Metrics.counter "server.stream.aborted"
 
@@ -174,11 +162,10 @@ let access_log ~meth ~path ~status ~bytes ~dur_ms ~cache =
           (match cache with Some `Hit -> "hit" | Some `Miss -> "miss" | None -> "-") );
     ]
 
-(* Serve one request off a ready connection, on a worker domain.  The
-   whole exchange — parse included — runs under the handed-off trace id,
-   so even 4xx parse failures log with an id.  [force_close] is the
-   drain path: whatever happens, the peer is told the connection is
-   done. *)
+(* Serve one request off a ready connection.  The whole exchange —
+   parse included — runs under the trace id drawn for it, so even 4xx
+   parse failures log with an id.  [force_close] is the drain path:
+   whatever happens, the peer is told the connection is done. *)
 let serve_one ~routes ~limits ~force_close ~trace ~slot c =
   Obs.Span.with_trace trace @@ fun () ->
   match Http.parse_request ~limits c.conn with
@@ -224,40 +211,6 @@ let serve_one ~routes ~limits ~force_close ~trace ~slot c =
           c.last_active <- Unix.gettimeofday ();
           if completed && not close then `Keep else `Close)
 
-(* Wake the acceptor out of select() after pushing to the completion
-   queue.  The pipe is non-blocking on both ends: a full pipe already
-   guarantees a pending wakeup, so EAGAIN is success. *)
-let wake fd =
-  match Unix.write_substring fd "w" 0 1 with
-  | _ -> ()
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EPIPE), _, _) -> ()
-
-let drain_wake fd =
-  let buf = Bytes.create 512 in
-  let rec go () =
-    match Unix.read fd buf 0 512 with
-    | 0 -> ()
-    | _ -> go ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-  in
-  go ()
-
-let worker_loop ~routes ~limits ~slot ~work ~done_q ~wake_w () =
-  let rec loop () =
-    match Chan.pop work with
-    | Stop -> ()
-    | Job { c; trace; force_close } ->
-        let t0 = Obs.Span.now () in
-        let verdict = serve_one ~routes ~limits ~force_close ~trace ~slot c in
-        slot.busy_ms <-
-          slot.busy_ms +. (Int64.to_float (Int64.sub (Obs.Span.now ()) t0) /. 1e6);
-        Obs.Metrics.set slot.w_busy slot.busy_ms;
-        Chan.push done_q (c, verdict);
-        wake wake_w;
-        loop ()
-  in
-  loop ()
-
 (* The self-monitoring sampler: its own domain ticking
    [Monitor.sample_now] every [step_s].  Sleeps in ≤50 ms slices so a
    SIGTERM parks it within one slice, not one step — a 30 s step must
@@ -290,28 +243,31 @@ let select_readable fds timeout =
 let close_quietly fd = try Unix.close fd with Unix.Unix_error (_, _, _) -> ()
 
 (* One server: its bound listener, its stop flag, its trace-id stream
-   and its monitor.  [trace_ids] is a plain [Rng.t] because ids are only
-   drawn by the acceptor domain, BEFORE handoff — the id travels with
-   the job and the worker installs it as its domain-local trace
-   context. *)
+   and its monitor.  Every worker draws trace ids, so [trace_mu] guards
+   the stream; every worker opens and closes connections, so the
+   pending cap is one [open_conns] count that they all share. *)
 type t = {
   cfg : config;
   lsock : Unix.file_descr;
   port : int;
   stopping : bool Atomic.t;
   trace_ids : Rng.t;
+  trace_mu : Mutex.t;
+  open_conns : int Atomic.t;
   monitor : Monitor.t;
 }
 
 (* A listener on the first of [host]'s addresses that binds; when none
-   does, the last address's error. *)
-let listen ~host ~port =
+   does, the last address's error.  The kernel queues up to [backlog]
+   connections for accept and drops the SYNs of any more, which the
+   peer retries only after a second or more. *)
+let listen ~host ~port ~backlog =
   let open_ ai =
     let fd = Unix.socket ~cloexec:true ai.Unix.ai_family ai.Unix.ai_socktype 0 in
     try
       Unix.setsockopt fd Unix.SO_REUSEADDR true;
       Unix.bind fd ai.Unix.ai_addr;
-      Unix.listen fd 64;
+      Unix.listen fd backlog;
       Unix.set_nonblock fd;
       fd
     with e ->
@@ -326,21 +282,37 @@ let listen ~host ~port =
   in
   bind_any (Http.resolve ~host ~port)
 
+(* [Unix.select] watches descriptors below FD_SETSIZE (1024) only, and
+   every held connection is one.  The reserve covers the rest of what a
+   server holds: stdio, the listener, a [--log] file, and a connection
+   being refused with a 503. *)
+let max_pending_limit = 1024 - 64
+
 let create cfg =
-  let lsock = listen ~host:cfg.host ~port:cfg.port in
+  if cfg.max_pending < 1 || cfg.max_pending > max_pending_limit then
+    invalid_arg
+      (Printf.sprintf
+         "max pending connections must be in 1..%d (select watches descriptors below \
+          1024), got %d"
+         max_pending_limit cfg.max_pending);
+  (* A burst of up to [max_pending] connects waits in the kernel to be
+     admitted or refused with a 503, rather than for a SYN retry. *)
+  let lsock = listen ~host:cfg.host ~port:cfg.port ~backlog:(max 64 cfg.max_pending) in
   {
     cfg;
     lsock;
     port = (match Unix.getsockname lsock with Unix.ADDR_INET (_, p) -> p | _ -> cfg.port);
     stopping = Atomic.make false;
-    (* With [trace_seed] set the n-th handoff of every server gets the
-       same id (reproducible tests and CI gates); otherwise the stream is
-       seeded from wall clock ⊕ pid. *)
+    (* With [trace_seed] set the n-th request served by every server gets
+       the same id (reproducible tests and CI gates); otherwise the
+       stream is seeded from wall clock ⊕ pid. *)
     trace_ids =
       Rng.create
         (match cfg.trace_seed with
         | Some seed -> seed
         | None -> int_of_float (Unix.gettimeofday () *. 1e6) lxor Unix.getpid ());
+    trace_mu = Mutex.create ();
+    open_conns = Atomic.make 0;
     monitor =
       Monitor.create ~step_s:cfg.sampler_step_s ~retention:cfg.retention
         ~rules:cfg.slo_rules ();
@@ -355,183 +327,131 @@ let install_signal_handlers t =
   Sys.set_signal Sys.sigterm h
 
 (* 16 hex chars per id; a raw draw, so [rng.draws] does not move. *)
-let next_trace_id t = Printf.sprintf "%016Lx" (Rng.Raw.next_int64 t.trace_ids)
+let next_trace_id t =
+  Printf.sprintf "%016Lx" (Mutex.protect t.trace_mu (fun () -> Rng.Raw.next_int64 t.trace_ids))
+
+let release t c =
+  close_quietly c.fd;
+  Atomic.decr t.open_conns
+
+(* Accept at most one connection onto [conns].  Any error but EAGAIN or
+   EINTR (EMFILE when descriptors run out) means no newcomer this pass:
+   it is logged, and the listener sits out this worker's selects until
+   [rest_until], so a full descriptor table does not spin the loop. *)
+let accept_one t ~conns ~rest_until =
+  match Unix.accept ~cloexec:true t.lsock with
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+  | exception Unix.Unix_error (err, _, _) ->
+      Obs.Log.warn "http.accept.failed"
+        [ ("error", Obs.Json.String (Unix.error_message err)) ];
+      rest_until := Unix.gettimeofday () +. t.cfg.idle_poll_s
+  | fd, _addr ->
+      (* Nagle + the peer's delayed ACK can park a small pipelined
+         response for ~40 ms; responses are written in one buffered
+         burst, so there is nothing for Nagle to coalesce anyway.
+         Unix-domain sockets reject the option — ignore that. *)
+      (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error (_, _, _) -> ());
+      if Atomic.fetch_and_add t.open_conns 1 >= t.cfg.max_pending then begin
+        Atomic.decr t.open_conns;
+        Obs.Metrics.incr m_busy;
+        ignore (send_response fd ~close:true busy_response);
+        close_quietly fd
+      end
+      else begin
+        Obs.Metrics.incr m_accepted;
+        let conn = Http.conn_of_fd ~timeout_s:t.cfg.read_timeout_s fd in
+        conns := { fd; conn; last_active = Unix.gettimeofday () } :: !conns
+      end
+
+(* One serving loop: worker [slot] serves until {!stop}, runs [on_stop],
+   then drains its own connections. *)
+let worker_loop t ~routes ~limits ~slot ~on_stop () =
+  let cfg = t.cfg in
+  let conns = ref [] and rest_until = ref 0.0 in
+  let poll ~listen timeout =
+    let buffered = List.exists (fun c -> Http.buffered c.conn) !conns in
+    select_readable
+      ((if listen then [ t.lsock ] else []) @ List.map (fun c -> c.fd) !conns)
+      (if buffered then 0.0 else timeout)
+  in
+  let is_ready ready c = Http.buffered c.conn || List.mem c.fd ready in
+  (* One request off [c]; [false] once [c] is closed. *)
+  let serve ~force_close c =
+    let t0 = Obs.Span.now () in
+    let verdict = serve_one ~routes ~limits ~force_close ~trace:(next_trace_id t) ~slot c in
+    slot.busy_ms <- slot.busy_ms +. (Int64.to_float (Int64.sub (Obs.Span.now ()) t0) /. 1e6);
+    Obs.Metrics.set slot.w_busy slot.busy_ms;
+    match verdict with
+    | `Keep -> true
+    | `Close ->
+        release t c;
+        false
+  in
+  while not (Atomic.get t.stopping) do
+    Obs.Metrics.set g_pending (float_of_int (Atomic.get t.open_conns));
+    let ready = poll ~listen:(Unix.gettimeofday () >= !rest_until) cfg.idle_poll_s in
+    if List.mem t.lsock ready then accept_one t ~conns ~rest_until;
+    let now = Unix.gettimeofday () in
+    conns :=
+      List.filter
+        (fun c ->
+          if is_ready ready c then serve ~force_close:false c
+          else if now -. c.last_active > idle_timeout_s then begin
+            release t c;
+            false
+          end
+          else true)
+        !conns
+  done;
+  on_stop ();
+  (* Accept nothing more: each connection may send one last request
+     within the grace budget, answered with [Connection: close]; what is
+     still silent at the deadline is closed. *)
+  let deadline = Unix.gettimeofday () +. cfg.drain_grace_s in
+  let rec drain () =
+    let left = deadline -. Unix.gettimeofday () in
+    if !conns <> [] && left > 0.0 then begin
+      let ready = poll ~listen:false left in
+      conns := List.filter (fun c -> not (is_ready ready c) || serve ~force_close:true c) !conns;
+      drain ()
+    end
+  in
+  drain ();
+  List.iter (release t) !conns
 
 let run t =
-  let cfg = t.cfg and lsock = t.lsock in
+  let cfg = t.cfg in
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let limits = { Http.default_limits with max_body = cfg.max_body } in
   let routes = Handlers.routes () @ Handlers.monitor_routes t.monitor in
   let nworkers = if cfg.workers > 0 then cfg.workers else Exec.default_jobs () in
-  let work : job Chan.t = Chan.create () in
-  let done_q : (client * [ `Keep | `Close ]) Chan.t = Chan.create () in
-  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
-  Unix.set_nonblock wake_r;
-  Unix.set_nonblock wake_w;
   let slots = Array.init nworkers worker_slot in
   Obs.Metrics.set g_workers (float_of_int nworkers);
+  Fun.protect ~finally:(fun () -> close_quietly t.lsock) @@ fun () ->
+  let others =
+    Array.map
+      (fun slot -> Domain.spawn (worker_loop t ~routes ~limits ~slot ~on_stop:ignore))
+      (Array.sub slots 1 (nworkers - 1))
+  in
+  let sampler =
+    if cfg.sampler_step_s > 0.0 then
+      Some
+        (Domain.spawn
+           (sampler_loop ~stopping:t.stopping ~monitor:t.monitor ~step_s:cfg.sampler_step_s))
+    else None
+  in
   Fun.protect
     ~finally:(fun () ->
-      close_quietly lsock;
-      close_quietly wake_r;
-      close_quietly wake_w)
+      (* Worker 0 returns on the stop flag, or raises with the flag still
+         down: raise it, so the other loops and the sampler end too. *)
+      Atomic.set t.stopping true;
+      Array.iter Domain.join others;
+      Option.iter Domain.join sampler)
     (fun () ->
-      let domains =
-        Array.map
-          (fun slot -> Domain.spawn (worker_loop ~routes ~limits ~slot ~work ~done_q ~wake_w))
-          slots
-      in
-      let sampler =
-        if cfg.sampler_step_s > 0.0 then
-          Some
-            (Domain.spawn
-               (sampler_loop ~stopping:t.stopping ~monitor:t.monitor
-                  ~step_s:cfg.sampler_step_s))
-        else None
-      in
-      let joined = ref false in
-      let join_workers () =
-        if not !joined then begin
-          joined := true;
-          for _ = 1 to nworkers do
-            Chan.push work Stop
-          done;
-          Array.iter Domain.join domains;
-          (* The sampler parks on the stop flag alone; raise it here so
-             an exceptional unwind (flag still false) cannot hang the
-             join. *)
-          Atomic.set t.stopping true;
-          Option.iter Domain.join sampler
-        end
-      in
-      Fun.protect ~finally:join_workers @@ fun () ->
       cfg.log
-        (Printf.sprintf "solarstorm serve: listening on http://%s:%d (%d workers)\n"
-           cfg.host t.port nworkers);
-      (* Acceptor state: [idle] connections are owned here; a handoff
-         transfers ownership to a worker until the connection comes back
-         through [done_q].  [in_flight] is only ever touched by this
-         domain (incremented at handoff, decremented at collection), so
-         a plain ref suffices. *)
-      let idle = ref [] in
-      let in_flight = ref 0 in
-      let handoff ~force_close c =
-        Chan.push work (Job { c; trace = next_trace_id t; force_close });
-        incr in_flight
-      in
-      let collect ~draining () =
-        let rec go () =
-          match Chan.try_pop done_q with
-          | None -> ()
-          | Some (c, verdict) ->
-              decr in_flight;
-              (match verdict with
-              | `Close -> close_client c
-              | `Keep ->
-                  if draining then close_client c
-                  else if Http.buffered c.conn then
-                    (* Pipelined bytes already parsed off the socket:
-                       re-hand immediately, no select needed. *)
-                    handoff ~force_close:false c
-                  else begin
-                    c.last_active <- Unix.gettimeofday ();
-                    idle := !idle @ [ c ]
-                  end);
-              go ()
-        in
-        go ()
-      in
-      let rec accept_burst () =
-        match Unix.accept ~cloexec:true lsock with
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-          -> ()
-        | fd, _addr ->
-            (* Nagle + the peer's delayed ACK can park a small pipelined
-               response for ~40 ms; responses are written in one buffered
-               burst, so there is nothing for Nagle to coalesce anyway.
-               Unix-domain sockets reject the option — ignore that. *)
-            (try Unix.setsockopt fd Unix.TCP_NODELAY true
-             with Unix.Unix_error (_, _, _) -> ());
-            if List.length !idle + !in_flight >= cfg.max_pending then begin
-              Obs.Metrics.incr m_busy;
-              ignore (send_response fd ~close:true busy_response);
-              close_quietly fd;
-              accept_burst ()
-            end
-            else begin
-              Obs.Metrics.incr m_accepted;
-              let c =
-                {
-                  fd;
-                  conn = Http.conn_of_fd ~timeout_s:cfg.read_timeout_s fd;
-                  last_active = Unix.gettimeofday ();
-                }
-              in
-              idle := !idle @ [ c ];
-              accept_burst ()
-            end
-      in
-      while not (Atomic.get t.stopping) do
-        Obs.Metrics.set g_pending (float_of_int (List.length !idle + !in_flight));
-        let ready_fds =
-          select_readable
-            (lsock :: wake_r :: List.map (fun c -> c.fd) !idle)
-            cfg.idle_poll_s
-        in
-        if List.mem wake_r ready_fds then drain_wake wake_r;
-        collect ~draining:false ();
-        if List.mem lsock ready_fds then accept_burst ();
-        let now = Unix.gettimeofday () in
-        idle :=
-          List.filter
-            (fun c ->
-              if List.mem c.fd ready_fds then begin
-                handoff ~force_close:false c;
-                false
-              end
-              else if now -. c.last_active > idle_timeout_s then begin
-                close_client c;
-                false
-              end
-              else true)
-            !idle
-      done;
-      cfg.log "solarstorm serve: draining\n";
-      (* Serve what is in flight or already readable — every response
-         now announces [Connection: close] — until everything is
-         answered or the grace budget runs out.  Jobs still queued at
-         the deadline are not abandoned: the Stop sentinels queue
-         behind them, so workers finish them before parking. *)
-      let deadline = Unix.gettimeofday () +. cfg.drain_grace_s in
-      let rec drain_loop () =
-        collect ~draining:true ();
-        let now = Unix.gettimeofday () in
-        if now < deadline && (!in_flight > 0 || !idle <> []) then begin
-          let ready_fds =
-            select_readable
-              (wake_r :: List.map (fun c -> c.fd) !idle)
-              (Float.min 0.05 (deadline -. now))
-          in
-          if List.mem wake_r ready_fds then drain_wake wake_r;
-          collect ~draining:true ();
-          idle :=
-            List.filter
-              (fun c ->
-                if Http.buffered c.conn || List.mem c.fd ready_fds then begin
-                  handoff ~force_close:true c;
-                  false
-                end
-                else true)
-              !idle;
-          drain_loop ()
-        end
-      in
-      drain_loop ();
-      join_workers ();
-      (* Workers are parked; anything they completed after the last
-         collect is still in the queue, and unready idle connections
-         just close. *)
-      collect ~draining:true ();
-      List.iter close_client !idle;
-      idle := [];
-      cfg.log "solarstorm serve: stopped\n")
+        (Printf.sprintf "solarstorm serve: listening on http://%s:%d (%d workers)\n" cfg.host
+           t.port nworkers);
+      worker_loop t ~routes ~limits ~slot:slots.(0)
+        ~on_stop:(fun () -> cfg.log "solarstorm serve: draining\n")
+        ());
+  cfg.log "solarstorm serve: stopped\n"

@@ -1,17 +1,16 @@
-(** The long-running simulation service: acceptor + worker-pool socket
-    loops, backpressure and graceful shutdown behind [solarstorm serve].
+(** The long-running simulation service: worker-owned socket loops,
+    backpressure and graceful shutdown behind [solarstorm serve].
 
-    Concurrency model (DESIGN.md §8): one {e acceptor} loop on the
-    calling domain owns the listen socket and every idle connection; a
-    pool of [workers] {e worker domains} owns requests.  The acceptor
-    selects for readiness and hands each parse-ready connection — plus a
-    trace id drawn before handoff — to the pool over a job queue; the
-    receiving worker parses, dispatches and writes the response
-    end-to-end, then returns the connection through a completion queue
-    (self-pipe wakeup).  A connection is owned by exactly one domain at
-    any moment.  One request per handoff keeps round-robin fairness: a
-    pipelining client re-queues behind everyone else after each
-    response.
+    Concurrency model (DESIGN.md §8): [workers] identical loops, the
+    calling domain running worker 0, share one non-blocking listen
+    socket.  Each loop selects over the listener and its own
+    connections, accepts at most one newcomer per pass, and serves one
+    request on each ready connection per pass.  A connection stays with
+    the worker that accepted it until it closes: that worker parses,
+    dispatches and writes every request on it, so no request crosses
+    domains.  A worker busy with a request is not selecting, so new
+    connections go to idle workers; a keep-alive connection's next
+    request, though, waits behind its own worker's long [/sweep].
 
     Requests on different workers run genuinely in parallel, so
     everything they touch is domain-safe: the result cache is
@@ -22,11 +21,12 @@
     per-request state, exactly as {!Stormsim.Plan.run_trials_par}
     proves per-trial.
 
-    Backpressure: accepted connections are capped at [max_pending]
-    (idle + in flight); past it, a new connection is answered [503
-    Service Unavailable] at once and closed.  Every queued job is one of
-    those connections, so the job queue needs no bound of its own.
-    Silent keep-alive connections are closed after 30 s.
+    Backpressure: open connections are capped at [max_pending], one
+    count shared by every worker; past it, a new connection is answered
+    [503 Service Unavailable] at once and closed.  An [accept] that
+    fails for want of descriptors is logged ([http.accept.failed] at
+    warn level) and retried after [idle_poll_s]; the server keeps
+    serving.  Silent keep-alive connections are closed after 30 s.
 
     A server is a value: {!create} binds and listens, {!run} serves
     until {!stop}.  Each [t] owns its listener, its stop flag, its
@@ -35,11 +35,11 @@
     registry and the result cache stay process-wide.
 
     Shutdown: {!stop} (or SIGINT/SIGTERM via {!install_signal_handlers})
-    makes the acceptor stop accepting, serve in-flight and
-    already-readable work for a grace period with [Connection: close],
-    then park every worker (shutdown sentinels queue FIFO behind
-    remaining jobs, so accepted work is answered), join them and
-    return — the CLI then exits 0. *)
+    makes every worker finish the request in hand and stop accepting;
+    each connection may then send one more request within a grace
+    period, answered with [Connection: close], before the rest are
+    closed.  {!run} joins every worker and returns — the CLI then exits
+    0. *)
 
 type config = {
   host : string;  (** bind name or address, default ["127.0.0.1"] *)
@@ -47,7 +47,8 @@ type config = {
   workers : int;
       (** worker domains serving requests; [0] (default) =
           {!Exec.default_jobs} — i.e. [--jobs]/[SOLARSTORM_JOBS], else 1 *)
-  max_pending : int;  (** connections held at once (idle + in flight); over → 503 *)
+  max_pending : int;
+      (** connections held at once across all workers, 1..960; over → 503 *)
   max_body : int;  (** body byte cap (413 over it) *)
   read_timeout_s : float;  (** per-read stall budget (408 past it) *)
   idle_poll_s : float;  (** readiness-poll tick; bounds stop latency *)
@@ -57,9 +58,10 @@ type config = {
       (** seed for per-request trace ids: [Some s] makes the n-th
           request's id identical across runs (tests, CI); [None]
           (default) seeds from wall clock ⊕ pid at {!create} time.  Each
-          server draws its own stream, in handoff order on its
-          acceptor, so ids stay deterministic for any worker count when
-          requests arrive sequentially *)
+          server draws its own stream, under a lock, each time a worker
+          serves a ready connection (a peer's hang-up included), so ids
+          stay deterministic for any worker count when requests arrive
+          sequentially *)
   sampler_step_s : float;
       (** self-monitoring sampling step (default 1 s): a dedicated
           sampler domain freezes a metrics snapshot into the server's
@@ -83,6 +85,9 @@ val create : config -> t
     {!Http.resolve}; the server listens on the first of its addresses
     that binds.  Clients may connect at once; they are served when
     {!run} starts.
+    @raise Invalid_argument when [max_pending] is outside 1..960:
+    [Unix.select] watches descriptors below 1024 only, and 64 are kept
+    for what else the process holds.
     @raise Failure naming [host] when it does not resolve.
     @raise Unix.Unix_error when the bind/listen itself fails (address
     in use, permission) on every address, with the last address's
@@ -92,14 +97,15 @@ val port : t -> int
 (** The bound port — the one the OS picked when [config.port = 0]. *)
 
 val run : t -> unit
-(** Spawn the worker pool (plus the self-monitoring sampler domain
-    unless [sampler_step_s = 0]), serve until {!stop}, join every
+(** Run worker 0 on the calling domain and spawn [workers − 1] more
+    (plus the self-monitoring sampler domain unless
+    [sampler_step_s = 0]); serve until {!stop}, drain, join every
     spawned domain and close the listener.  A server runs once.  Also
     ignores SIGPIPE for the process, so writing to a disconnected peer
     surfaces as [EPIPE] instead of a kill.  Per-worker activity lands
     on the [server.worker.<i>.requests] counters and
     [server.worker.<i>.busy_ms] gauges (surfaced by [/statusz]); the
-    pool size is on the [server.workers] gauge. *)
+    worker count is on the [server.workers] gauge. *)
 
 val stop : t -> unit
 (** Ask this server's {!run} to drain and return; other servers keep

@@ -710,82 +710,6 @@ let test_loopback_rejects_garbage () =
   Alcotest.(check int) "garbage is 400" 400 status;
   Alcotest.(check bool) "error body" true (contains body "\"error\"")
 
-(* POST /sweep over a real socket: the response must be chunked, carry a
-   trace id, de-chunk to exactly the bytes the in-process engine emits
-   for the same grid, and bump the served-sweep counters. *)
-let test_loopback_sweep_streams () =
-  with_loopback_server @@ fun port ->
-  let grid = "{\"model\":[0.005,0.01],\"trials\":[2,2]}" in
-  let all =
-    with_client port @@ fun fd ->
-    send_all fd
-      (Printf.sprintf
-         "POST /sweep HTTP/1.1\r\ncontent-length: %d\r\nconnection: close\r\n\r\n%s"
-         (String.length grid) grid);
-    let buf = Buffer.create 4096 in
-    let chunk = Bytes.create 4096 in
-    let rec drain () =
-      let n = Unix.read fd chunk 0 (Bytes.length chunk) in
-      if n > 0 then begin
-        Buffer.add_subbytes buf chunk 0 n;
-        drain ()
-      end
-    in
-    drain ();
-    Buffer.contents buf
-  in
-  let head_end =
-    let rec find i =
-      if i + 4 > String.length all then Alcotest.fail "no head terminator"
-      else if String.sub all i 4 = "\r\n\r\n" then i
-      else find (i + 1)
-    in
-    find 0
-  in
-  let head = String.lowercase_ascii (String.sub all 0 head_end) in
-  Alcotest.(check bool) "status 200" true (contains head "http/1.1 200");
-  Alcotest.(check bool) "chunked" true (contains head "transfer-encoding: chunked");
-  Alcotest.(check bool) "no content-length" false (contains head "content-length");
-  Alcotest.(check bool) "ndjson" true (contains head "content-type: application/x-ndjson");
-  Alcotest.(check bool) "trace id" true (contains head "x-trace-id:");
-  let raw = String.sub all (head_end + 4) (String.length all - head_end - 4) in
-  let body =
-    match Server.Http.read_chunked_body (Server.Http.conn_of_string raw) with
-    | Ok b -> b
-    | Error _ -> Alcotest.fail "response body is not well-formed chunked"
-  in
-  let expected =
-    let axes =
-      List.map
-        (fun (k, raws) ->
-          match Stormsim.Sweep.axis_of_raw k raws with
-          | Ok a -> a
-          | Error e -> Alcotest.fail e)
-        [ ("model", [ Stormsim.Sweep.Num 0.005; Stormsim.Sweep.Num 0.01 ]);
-          ("trials", [ Stormsim.Sweep.Num 2.0; Stormsim.Sweep.Num 2.0 ]) ]
-    in
-    let cells =
-      match Stormsim.Sweep.expand axes with
-      | Ok cells -> cells
-      | Error e -> Alcotest.fail e
-    in
-    let lines = ref [] in
-    let _ =
-      Stormsim.Sweep.run ~jobs:1 ~cells ()
-        ~emit:(fun r -> lines := Stormsim.Sweep.row_line r :: !lines)
-    in
-    List.rev !lines
-  in
-  Alcotest.(check string) "socket bytes = engine bytes" (String.concat "" expected) body;
-  Alcotest.(check string) "one chunk per row, then the terminator"
-    (String.concat "" (List.map Server.Http.chunk expected) ^ "0\r\n\r\n")
-    raw;
-  Alcotest.(check int) "served cells counted" 4 (counter_value "server.sweep.cells");
-  Alcotest.(check int) "served rows counted" 4
-    (counter_value "server.sweep.rows_streamed");
-  Alcotest.(check int) "served plans counted" 2
-    (counter_value "server.sweep.plans_compiled")
-
 let index_of hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec scan i =
@@ -804,6 +728,77 @@ let read_all fd =
         go ()
   in
   go ()
+
+(* The row lines the in-process engine emits for a grid of raw axes. *)
+let engine_lines raw_axes =
+  let axes =
+    List.map
+      (fun (k, raws) ->
+        match Stormsim.Sweep.axis_of_raw k raws with
+        | Ok a -> a
+        | Error e -> Alcotest.fail e)
+      raw_axes
+  in
+  let cells =
+    match Stormsim.Sweep.expand axes with
+    | Ok cells -> cells
+    | Error e -> Alcotest.fail e
+  in
+  let lines = ref [] in
+  let _ =
+    Stormsim.Sweep.run ~jobs:1 ~cells ()
+      ~emit:(fun r -> lines := Stormsim.Sweep.row_line r :: !lines)
+  in
+  List.rev !lines
+
+(* A whole chunked reply as read off the socket: its lowercased head,
+   the chunked bytes after it, and those bytes de-chunked. *)
+let split_chunked all =
+  match index_of all "\r\n\r\n" with
+  | None -> Alcotest.fail "no head terminator"
+  | Some i ->
+      let raw = String.sub all (i + 4) (String.length all - i - 4) in
+      let body =
+        match Server.Http.read_chunked_body (Server.Http.conn_of_string raw) with
+        | Ok b -> b
+        | Error _ -> Alcotest.fail "response body is not well-formed chunked"
+      in
+      (String.lowercase_ascii (String.sub all 0 i), raw, body)
+
+(* POST /sweep over a real socket: the response must be chunked, carry a
+   trace id, de-chunk to exactly the bytes the in-process engine emits
+   for the same grid, and bump the served-sweep counters. *)
+let test_loopback_sweep_streams () =
+  with_loopback_server @@ fun port ->
+  let grid = "{\"model\":[0.005,0.01],\"trials\":[2,2]}" in
+  let all =
+    with_client port @@ fun fd ->
+    send_all fd
+      (Printf.sprintf
+         "POST /sweep HTTP/1.1\r\ncontent-length: %d\r\nconnection: close\r\n\r\n%s"
+         (String.length grid) grid);
+    read_all fd
+  in
+  let head, raw, body = split_chunked all in
+  Alcotest.(check bool) "status 200" true (contains head "http/1.1 200");
+  Alcotest.(check bool) "chunked" true (contains head "transfer-encoding: chunked");
+  Alcotest.(check bool) "no content-length" false (contains head "content-length");
+  Alcotest.(check bool) "ndjson" true (contains head "content-type: application/x-ndjson");
+  Alcotest.(check bool) "trace id" true (contains head "x-trace-id:");
+  let expected =
+    engine_lines
+      [ ("model", [ Stormsim.Sweep.Num 0.005; Stormsim.Sweep.Num 0.01 ]);
+        ("trials", [ Stormsim.Sweep.Num 2.0; Stormsim.Sweep.Num 2.0 ]) ]
+  in
+  Alcotest.(check string) "socket bytes = engine bytes" (String.concat "" expected) body;
+  Alcotest.(check string) "one chunk per row, then the terminator"
+    (String.concat "" (List.map Server.Http.chunk expected) ^ "0\r\n\r\n")
+    raw;
+  Alcotest.(check int) "served cells counted" 4 (counter_value "server.sweep.cells");
+  Alcotest.(check int) "served rows counted" 4
+    (counter_value "server.sweep.rows_streamed");
+  Alcotest.(check int) "served plans counted" 2
+    (counter_value "server.sweep.plans_compiled")
 
 (* [f ()] with the structured log captured; returns [f]'s result and the
    captured lines. *)
@@ -871,55 +866,148 @@ let test_stream_abort_is_not_silent () =
       Alcotest.(check bool) "exception text" true
         (match str "error" with Some e -> contains e "producer died" | None -> false)
 
-(* A client that reads the first row of a long sweep and leaves: the
-   failed write abandons the remaining batches, nothing is counted as a
-   server error, and the server goes on answering. *)
-let test_peer_leaves_mid_sweep () =
-  with_loopback_server @@ fun port ->
-  let batches = 20 in
+(* POST /sweep for a grid of [trials] values (one batch each).  A long
+   sweep with values from 2000 up keeps a worker busy for many writes. *)
+let send_sweep ?(close = false) fd trials =
   let grid =
-    Printf.sprintf "{\"trials\":[%s]}"
-      (String.concat "," (List.init batches (fun i -> string_of_int (2000 + i))))
+    Printf.sprintf "{\"trials\":[%s]}" (String.concat "," (List.map string_of_int trials))
   in
-  (with_client port @@ fun fd ->
-   send_all fd
-     (Printf.sprintf "POST /sweep HTTP/1.1\r\ncontent-length: %d\r\n\r\n%s"
-        (String.length grid) grid);
-   (* Read until the head and one whole chunk are in, then leave. *)
-   let buf = Buffer.create 4096 and bytes = Bytes.create 4096 in
-   let rec first_row () =
-     let all = Buffer.contents buf in
-     let row =
-       match index_of all "\r\n\r\n" with
-       | None -> None
-       | Some i -> (
-           let body = String.sub all (i + 4) (String.length all - i - 4) in
-           match Server.Http.read_chunk (Server.Http.conn_of_string body) with
-           | Ok (Some row) -> Some row
-           | _ -> None)
-     in
-     match row with
-     | Some row -> row
-     | None ->
-         let n = Unix.read fd bytes 0 (Bytes.length bytes) in
-         if n = 0 then Alcotest.fail "peer closed before the first row";
-         Buffer.add_subbytes buf bytes 0 n;
-         first_row ()
-   in
-   Alcotest.(check bool) "first row" true (contains (first_row ()) "\"cell\":0.0"));
-  (* One worker: this request is served only once the sweep has given up. *)
-  (with_client port @@ fun fd ->
-   send_all fd "GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n";
-   let status, _, _ = read_response fd in
-   Alcotest.(check int) "healthz on a new connection" 200 status);
-  let ran = counter_value "sweep.batches" in
+  send_all fd
+    (Printf.sprintf "POST /sweep HTTP/1.1\r\ncontent-length: %d\r\n%s\r\n%s"
+       (String.length grid) (if close then "connection: close\r\n" else "") grid)
+
+let long_sweep batches = List.init batches (fun i -> 2000 + i)
+
+(* Read until the head and one whole chunk are in: the bytes read so
+   far and that chunk. *)
+let read_first_row fd =
+  let buf = Buffer.create 4096 and bytes = Bytes.create 4096 in
+  let rec go () =
+    let all = Buffer.contents buf in
+    let row =
+      match index_of all "\r\n\r\n" with
+      | None -> None
+      | Some i -> (
+          let body = String.sub all (i + 4) (String.length all - i - 4) in
+          match Server.Http.read_chunk (Server.Http.conn_of_string body) with
+          | Ok (Some row) -> Some row
+          | _ -> None)
+    in
+    match row with
+    | Some row -> (all, row)
+    | None ->
+        let n = Unix.read fd bytes 0 (Bytes.length bytes) in
+        if n = 0 then Alcotest.fail "peer closed before the first row";
+        Buffer.add_subbytes buf bytes 0 n;
+        go ()
+  in
+  go ()
+
+(* A client that reads the first row of a long sweep and leaves, by a
+   close or by a reset: the failed write abandons the remaining batches,
+   nothing is counted as a server error, and the server goes on
+   answering. *)
+let test_peer_leaves_mid_sweep () =
+  List.iter
+    (fun reset ->
+      with_loopback_server @@ fun port ->
+      let batches = 20 in
+      (with_client port @@ fun fd ->
+       send_sweep fd (long_sweep batches);
+       let _, row = read_first_row fd in
+       Alcotest.(check bool) "first row" true (contains row "\"cell\":0.0");
+       (* SO_LINGER 0: the close that follows sends a reset. *)
+       if reset then Unix.setsockopt_optint fd Unix.SO_LINGER (Some 0));
+      (* One worker: this request is served only once the sweep has given up. *)
+      (with_client port @@ fun fd ->
+       send_all fd "GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n";
+       let status, _, _ = read_response fd in
+       Alcotest.(check int) "healthz on a new connection" 200 status);
+      let ran = counter_value "sweep.batches" in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d of %d batches ran" ran batches)
+        true
+        (ran >= 1 && ran < batches / 2);
+      Alcotest.(check int) "no 5xx" 0 (counter_value "server.resp.5xx");
+      Alcotest.(check int) "a peer leaving is not an abort" 0
+        (counter_value "server.stream.aborted"))
+    [ false; true ]
+
+(* Stop while a worker streams a multi-batch sweep: the stream still
+   ends with every row and the terminal chunk, the drain then closes the
+   kept connection, and [run] returns. *)
+let test_stop_mid_sweep () =
+  with_server_state @@ fun () ->
+  let batches = 8 in
+  let all, ran_at_stop =
+    (* [with_running] joins the server's domain, so [run] must return. *)
+    with_running (loopback_config ()) @@ fun server ->
+    with_client (Server.Service.port server) @@ fun fd ->
+    send_sweep fd (long_sweep batches);
+    let seen, _ = read_first_row fd in
+    Server.Service.stop server;
+    let ran_at_stop = counter_value "sweep.batches" in
+    (seen ^ read_all fd, ran_at_stop)
+  in
   Alcotest.(check bool)
-    (Printf.sprintf "%d of %d batches ran" ran batches)
-    true
-    (ran >= 1 && ran < batches / 2);
-  Alcotest.(check int) "no 5xx" 0 (counter_value "server.resp.5xx");
-  Alcotest.(check int) "a peer leaving is not an abort" 0
-    (counter_value "server.stream.aborted")
+    (Printf.sprintf "stopped after %d of %d batches" ran_at_stop batches)
+    true (ran_at_stop < batches);
+  let head, raw, body = split_chunked all in
+  Alcotest.(check bool) "status 200" true (contains head "http/1.1 200");
+  let expected =
+    engine_lines
+      [ ("trials", List.map (fun t -> Stormsim.Sweep.Num (float_of_int t)) (long_sweep batches)) ]
+  in
+  Alcotest.(check int) "every row" batches (List.length expected);
+  Alcotest.(check string) "socket bytes = engine bytes" (String.concat "" expected) body;
+  Alcotest.(check bool) "terminal chunk last" true
+    (String.ends_with ~suffix:Server.Http.last_chunk raw)
+
+(* A peer that shuts down its write side after one request gets the
+   whole response, then EOF. *)
+let test_half_closed_peer () =
+  with_loopback_server @@ fun port ->
+  with_client port @@ fun fd ->
+  let body = "{\"trials\":2,\"seed\":5}" in
+  send_all fd
+    (Printf.sprintf "POST /simulate HTTP/1.1\r\ncontent-length: %d\r\n\r\n%s"
+       (String.length body) body);
+  Unix.shutdown fd Unix.SHUTDOWN_SEND;
+  (* A server that never closes fails the read below instead of hanging. *)
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+  let status, _, got = read_response fd in
+  Alcotest.(check int) "simulate ok" 200 status;
+  (match
+     Server.Api.params_of_body ~base:Server.Api.sim_defaults
+       ~of_json:Server.Api.sim_of_json body
+   with
+  | Ok p -> Alcotest.(check string) "whole body" (Server.Api.simulate_body p) got
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check string) "then EOF" "" (read_all fd)
+
+(* Two workers: while one streams a 20-batch sweep, the other takes a
+   new connection and answers it before the sweep's terminal chunk.  A
+   busy worker never holds the listener. *)
+let test_healthz_beside_long_sweep () =
+  with_loopback_server ~workers:2 @@ fun port ->
+  let batches = 20 in
+  with_client port @@ fun fd ->
+  send_sweep ~close:true fd (long_sweep batches);
+  let seen, _ = read_first_row fd in
+  let status, _, _ =
+    with_client port @@ fun hfd ->
+    send_all hfd "GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n";
+    read_response hfd
+  in
+  let ran = counter_value "sweep.batches" in
+  Alcotest.(check int) "healthz on a new connection" 200 status;
+  Alcotest.(check bool)
+    (Printf.sprintf "answered after %d of %d batches" ran batches)
+    true (ran < batches);
+  let _, raw, _ = split_chunked (seen ^ read_all fd) in
+  Alcotest.(check bool) "the sweep then completes" true
+    (String.ends_with ~suffix:Server.Http.last_chunk raw);
+  Alcotest.(check int) "every batch ran" batches (counter_value "sweep.batches")
 
 (* --- /statusz --- *)
 
@@ -1053,9 +1141,10 @@ let trace_of_healthz server =
   | None -> Alcotest.fail "response carries no X-Trace-Id"
 
 (* The ids a seeded server hands out are pinned, not just repeatable.
-   Every handoff draws one, so these are [Connection: close] requests: a
-   keep-alive client that hangs up after each reply spends a draw on
-   each hang-up, and sees ids 1, 3 and 5 of this list. *)
+   Every serve of a ready connection draws one, so these are
+   [Connection: close] requests: a keep-alive client that hangs up after
+   each reply spends a draw on each hang-up, and sees ids 1, 3 and 5 of
+   this list. *)
 let test_trace_ids_pinned () =
   with_server_state @@ fun () ->
   with_running (loopback_config ~trace_seed:7 ()) @@ fun server ->
@@ -1264,36 +1353,6 @@ let test_serve_host_name () =
       ignore
         (Server.Service.create
            { (loopback_config ()) with Server.Service.host = "no\000such-host" }))
-
-(* --- Chan: the acceptor/worker handoff channel --- *)
-
-let test_chan_fifo () =
-  let c : int Server.Chan.t = Server.Chan.create () in
-  List.iter (Server.Chan.push c) [ 1; 2; 99 ];
-  Alcotest.(check int) "length" 3 (Server.Chan.length c);
-  Alcotest.(check int) "fifo 1" 1 (Server.Chan.pop c);
-  Alcotest.(check int) "fifo 2" 2 (Server.Chan.pop c);
-  Alcotest.(check int) "fifo 3" 99 (Server.Chan.pop c);
-  Alcotest.(check (option int)) "empty try_pop" None (Server.Chan.try_pop c)
-
-let test_chan_cross_domain () =
-  let c : int Server.Chan.t = Server.Chan.create () in
-  let producers = 3 and per = 100 in
-  let doms =
-    List.init producers (fun p ->
-        Domain.spawn (fun () ->
-            for i = 0 to per - 1 do
-              Server.Chan.push c ((p * per) + i)
-            done))
-  in
-  let seen = Hashtbl.create 512 in
-  for _ = 1 to producers * per do
-    Hashtbl.replace seen (Server.Chan.pop c) ()
-  done;
-  List.iter Domain.join doms;
-  Alcotest.(check int) "every push popped exactly once" (producers * per)
-    (Hashtbl.length seen);
-  Alcotest.(check (option int)) "nothing left" None (Server.Chan.try_pop c)
 
 (* --- sharded LRU --- *)
 
@@ -1517,33 +1576,37 @@ let test_loadgen_concurrency_exceeds_workers () =
 (* The pending cap is the one shedding path: with room for two
    connections, two held keep-alive connections are served, a third is
    refused before it sends a byte, and a slot freed by a close is taken
-   by the next connection. *)
+   by the next connection.  With two workers the cap is one count across
+   both. *)
 let test_pending_cap_sheds () =
-  with_server_state @@ fun () ->
-  with_running { (loopback_config ()) with max_pending = 2 } @@ fun server ->
-  let port = Server.Service.port server in
-  let healthz fd =
-    send_all fd "GET /healthz HTTP/1.1\r\n\r\n";
-    let status, _, _ = read_response fd in
-    status
-  in
-  with_client port @@ fun held ->
-  Alcotest.(check int) "first held connection served" 200 (healthz held);
-  (with_client port @@ fun closing ->
-   Alcotest.(check int) "second held connection served" 200 (healthz closing);
-   (with_client port @@ fun refused ->
-    let status, _, body = read_response refused in
-    Alcotest.(check int) "third connection refused" 503 status;
-    Alcotest.(check string) "busy body" "{\"error\":\"server busy: pending queue full\"}\n"
-      body);
-   Alcotest.(check int) "one rejection counted" 1 (counter_value "server.rejected.busy"));
-  (* Wait until the acceptor has reaped the closed connection. *)
-  let deadline = Unix.gettimeofday () +. 5.0 in
-  while gauge_value "server.pending" <> Some 1.0 do
-    if Unix.gettimeofday () > deadline then Alcotest.fail "closed connection never reaped";
-    Unix.sleepf 0.01
-  done;
-  with_client port @@ fun fd -> Alcotest.(check int) "freed slot taken" 200 (healthz fd)
+  List.iter
+    (fun workers ->
+      with_server_state @@ fun () ->
+      with_running { (loopback_config ~workers ()) with max_pending = 2 } @@ fun server ->
+      let port = Server.Service.port server in
+      let healthz fd =
+        send_all fd "GET /healthz HTTP/1.1\r\n\r\n";
+        let status, _, _ = read_response fd in
+        status
+      in
+      with_client port @@ fun held ->
+      Alcotest.(check int) "first held connection served" 200 (healthz held);
+      (with_client port @@ fun closing ->
+       Alcotest.(check int) "second held connection served" 200 (healthz closing);
+       (with_client port @@ fun refused ->
+        let status, _, body = read_response refused in
+        Alcotest.(check int) "third connection refused" 503 status;
+        Alcotest.(check string) "busy body"
+          "{\"error\":\"server busy: pending queue full\"}\n" body);
+       Alcotest.(check int) "one rejection counted" 1 (counter_value "server.rejected.busy"));
+      (* Wait until the closed connection has been reaped. *)
+      let deadline = Unix.gettimeofday () +. 5.0 in
+      while gauge_value "server.pending" <> Some 1.0 do
+        if Unix.gettimeofday () > deadline then Alcotest.fail "closed connection never reaped";
+        Unix.sleepf 0.01
+      done;
+      with_client port @@ fun fd -> Alcotest.(check int) "freed slot taken" 200 (healthz fd))
+    [ 1; 2 ]
 
 (* --- loadgen warmup --- *)
 
@@ -2025,9 +2088,6 @@ let () =
             test_sharded_clamps_and_orders;
           Alcotest.test_case "sharded multi-domain stress" `Quick
             test_sharded_multi_domain_stress ] );
-      ( "chan",
-        [ Alcotest.test_case "fifo" `Quick test_chan_fifo;
-          Alcotest.test_case "cross domain" `Quick test_chan_cross_domain ] );
       ( "cache",
         [ Alcotest.test_case "key canonicalization" `Quick test_cache_key_canonicalization;
           Alcotest.test_case "hit skips trials" `Quick test_cache_hit_skips_trials;
@@ -2045,6 +2105,8 @@ let () =
           Alcotest.test_case "stream abort is not silent" `Quick
             test_stream_abort_is_not_silent;
           Alcotest.test_case "peer leaves mid-sweep" `Quick test_peer_leaves_mid_sweep;
+          Alcotest.test_case "stop mid-sweep" `Quick test_stop_mid_sweep;
+          Alcotest.test_case "half-closed peer" `Quick test_half_closed_peer;
           Alcotest.test_case "pending cap sheds load" `Quick test_pending_cap_sheds ] );
       ( "statusz",
         [ Alcotest.test_case "shape" `Quick test_statusz_shape;
@@ -2076,7 +2138,9 @@ let () =
             test_workers_concurrent_cache_hits;
           Alcotest.test_case "statusz worker rows" `Quick test_statusz_worker_rows;
           Alcotest.test_case "loadgen concurrency > workers" `Quick
-            test_loadgen_concurrency_exceeds_workers ] );
+            test_loadgen_concurrency_exceeds_workers;
+          Alcotest.test_case "healthz beside a long sweep" `Quick
+            test_healthz_beside_long_sweep ] );
       ( "monitoring",
         [ Alcotest.test_case "varz end to end" `Quick test_varz_end_to_end;
           Alcotest.test_case "alert fires and resolves" `Quick
