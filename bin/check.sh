@@ -11,6 +11,17 @@ dune build
 echo "== dune build examples =="
 dune build examples
 
+echo "== api scan: no exported value without a caller =="
+# bin/api_scan.sh lists the lib/ values that no program code names.  The
+# committed bin/api_test_only.txt is that list as it stands: test hooks,
+# oracles and helpers kept on purpose, plus the test-only values ROADMAP
+# queues for deletion.  Any difference fails, so a new uncalled export
+# (or a deletion that leaves the list stale) shows up here.
+bin/api_scan.sh > /tmp/api_scan.txt
+diff -u bin/api_test_only.txt /tmp/api_scan.txt \
+  || { echo "check.sh: exported values without a program caller changed (diff above); give a new value a caller or delete it, and update bin/api_test_only.txt" >&2; exit 1; }
+rm -f /tmp/api_scan.txt
+
 echo "== dune runtest (SOLARSTORM_JOBS=2) =="
 # Two worker domains for every Monte-Carlo consumer that doesn't pin
 # ~jobs: the golden suites then prove the parallel engine reproduces the

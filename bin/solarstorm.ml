@@ -636,11 +636,11 @@ let serve_cmd =
        ~doc:"Long-running HTTP simulation service (GET /healthz, GET /metrics, \
              GET /statusz, POST /simulate, POST /scenario, POST /countries, \
              POST /sweep streamed as chunked JSONL).  \
-             Datasets and compiled plans are built once and shared across \
-             requests; identical requests are served byte-identically from an \
-             LRU result cache.  Every response carries an $(b,X-Trace-Id) \
-             header; $(b,--log) adds one access-log line per request with the \
-             same id.  $(b,--workers) spreads requests over a pool of domains \
+             Datasets are built once and shared across requests; a compiled \
+             plan lives for one request, and identical requests are served \
+             byte-identically from an LRU result cache.  Every response \
+             carries an $(b,X-Trace-Id) header; $(b,--log) adds one \
+             access-log line per request with the same id.  $(b,--workers) spreads requests over a pool of domains \
              with byte-identical responses.  A background sampler feeds the \
              windowed self-monitoring surface ($(b,GET /varz), \
              $(b,GET /alertz), $(b,GET /dashboard)); $(b,--slo) rules alert \

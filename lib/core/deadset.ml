@@ -27,10 +27,6 @@ let unsafe_set_dead t i =
   Bytes.unsafe_set t.bits b
     (Char.unsafe_chr (Char.code (Bytes.unsafe_get t.bits b) lor (1 lsl (i land 7))))
 
-let set_dead t i =
-  if i < 0 || i >= t.length then invalid_arg "Deadset.set_dead: index out of bounds";
-  unsafe_set_dead t i
-
 let set t i v =
   if i < 0 || i >= t.length then invalid_arg "Deadset.set: index out of bounds";
   let b = i lsr 3 in
@@ -47,9 +43,8 @@ let popcount8 =
       go i 0)
 
 let count_dead t =
-  (* Bits past [length] are never set ([set]/[set_dead] bounds-check, the
-     kernel writes only cable indices), so whole-byte popcounts are
-     exact. *)
+  (* Bits past [length] are never set ([set] bounds-checks, the kernel
+     writes only cable indices), so whole-byte popcounts are exact. *)
   let acc = ref 0 in
   for b = 0 to Bytes.length t.bits - 1 do
     acc := !acc + Array.unsafe_get popcount8 (Char.code (Bytes.unsafe_get t.bits b))

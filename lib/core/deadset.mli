@@ -31,9 +31,6 @@ val get : t -> int -> bool
 (** [get t c] — is cable [c] dead?  @raise Invalid_argument out of
     bounds. *)
 
-val set_dead : t -> int -> unit
-(** Mark cable [c] dead.  @raise Invalid_argument out of bounds. *)
-
 val set : t -> int -> bool -> unit
 (** Set cable [c]'s flag explicitly.  @raise Invalid_argument out of
     bounds. *)

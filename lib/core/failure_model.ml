@@ -70,10 +70,7 @@ let to_string m =
       String.concat "" [ "gic-physical(Dst="; g dst_nt; ", scale="; g scale_a; "A)" ]
   | Geomag_tiered { high; mid; low; _ } -> tiers "geomag-tiered" high mid low
 
-let compiles = Obs.Metrics.counter "fm.compiles"
-
 let compile model ~network =
-  Obs.Metrics.incr compiles;
   Obs.Span.with_ ~name:"fm.compile" @@ fun () ->
   match model with
   | Uniform p -> fun (_ : Infra.Cable.t) -> p

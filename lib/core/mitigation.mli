@@ -61,10 +61,6 @@ type augmentation = {
   gain : float;  (** improvement in expected surviving inter-region pairs *)
 }
 
-val candidate_links : (string * string) list
-(** Low-latitude candidate cables the paper's §5.1 motivates: US/Central
-    America ↔ South America ↔ Europe/Africa southern routes. *)
-
 val plan_augmentation :
   ?budget:int ->
   ?state:Failure_model.t ->

@@ -120,7 +120,6 @@ let compile ?(spacing_km = 150.0) ~network ~model () =
   }
 
 let network t = t.network
-let model t = t.model
 let spacing_km t = t.spacing_km
 let nb_cables t = Array.length t.death
 let death_prob t c = t.death.(c)

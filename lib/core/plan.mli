@@ -64,7 +64,6 @@ val compile :
     @raise Invalid_argument if [spacing_km <= 0.]. *)
 
 val network : t -> Infra.Network.t
-val model : t -> Failure_model.t
 val spacing_km : t -> float
 
 val nb_cables : t -> int

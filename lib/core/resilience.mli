@@ -11,9 +11,6 @@ type sweep_point = {
   series : Montecarlo.series;
 }
 
-val paper_probabilities : float list
-(** Log-spaced sweep [0.001 … 1.0]. *)
-
 val fig6_7 :
   ?trials:int ->
   ?probabilities:float list ->

@@ -70,13 +70,3 @@ let histogram l ~lo ~hi ~bins =
       counts.(i) <- counts.(i) + 1)
     l;
   counts
-
-let summary l =
-  match l with
-  | [] -> "n=0"
-  | _ ->
-      let m, s = mean_stddev l in
-      let sorted = List.sort Float.compare l in
-      let min_v = List.hd sorted and max_v = List.nth sorted (List.length sorted - 1) in
-      Printf.sprintf "n=%d mean=%.3f sd=%.3f min=%.3f med=%.3f max=%.3f"
-        (List.length l) m s min_v (median l) max_v

@@ -36,6 +36,3 @@ val cdf_at : float list -> float -> float
 val histogram : float list -> lo:float -> hi:float -> bins:int -> int array
 (** Counts per equal-width bin; out-of-range samples clamp to the edge
     bins.  @raise Invalid_argument if [bins <= 0] or [hi <= lo]. *)
-
-val summary : float list -> string
-(** Human-readable one-liner: mean/stddev/min/median/max. *)

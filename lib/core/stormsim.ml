@@ -31,5 +31,4 @@ module Recovery = Recovery
 module Resilience_test = Resilience_test
 module Sensitivity = Sensitivity
 module Capacity = Capacity
-module Hybrid = Hybrid
 module Segment_model = Segment_model

@@ -59,10 +59,6 @@ val max_trials : int
 (** Per-cell trial-count cap (100_000) — trials multiply work without
     bound, so absurd values are refused at parse time. *)
 
-val max_cells : int
-(** Expansion cap (65_536 cells) — a grid is refused, not truncated,
-    when its cartesian product exceeds this. *)
-
 (** {2 Axes and expansion} *)
 
 type raw_value = Str of string | Num of float
@@ -93,28 +89,23 @@ val expand : ?base:cell -> axis list -> (cell array, string) result
 (** Cartesian product over [base] (default {!default_cell}): the first
     axis varies slowest, the last fastest — the nesting order of the
     flags/fields as given.  No axes means the single [base] cell.
-    [Error] on a repeated axis key or a product over {!max_cells}. *)
+    [Error] on a repeated axis key or a product over 65,536 cells. *)
 
 (** {2 Canonical keys} *)
 
-val model_key : Failure_model.t -> string
-(** Collision-free model key: every constructor field printed with
-    [%.17g] ({!Obs.Json.format_float}, shared with the server's cache
-    keys). *)
-
-val network_key : cell -> string
-(** Dataset identity: name + build seed, with the ITU scale included
-    only for {!Itu} — it is normalized out of non-ITU keys so
-    equivalent cells share a plan. *)
-
 val plan_key : cell -> string
-(** [(network_key, model_key, spacing_km)] — two cells with equal plan
-    keys share one compiled {!Plan.t}. *)
+(** [(network key, model key, spacing_km)] — two cells with equal plan
+    keys share one compiled {!Plan.t}.  The network key is the dataset's
+    identity: name and build seed, with the ITU scale only for {!Itu}
+    (it is normalized out of other keys so equivalent cells share a
+    plan).  The model key prints every constructor field with [%.17g]
+    ({!Obs.Json.format_float}, shared with the server's cache keys), so
+    distinct models never collide. *)
 
 val batch_key : cell -> string
 (** {!plan_key} + trial count.  Equal batch keys mean statistically
-    identical cells (the trial seed is the dataset seed, already in
-    {!network_key}): they share one trial batch. *)
+    identical cells (the trial seed is the dataset seed, already in the
+    network key): they share one trial batch. *)
 
 (** {2 Execution} *)
 
@@ -146,7 +137,7 @@ val run :
 (** Execute a sweep.  Batches run sequentially in first-occurrence
     order; each batch's trials are parallelized over [jobs] (default
     {!Exec.default_jobs}) worker domains.  At [jobs > 1], a grid that
-    names more than one distinct {!network_key} first builds those
+    names more than one distinct network key first builds those
     networks concurrently, one {!Exec} task each, so its first row waits
     for every build.  [emit] receives rows in
     strict cell order, each as soon as its batch has completed —

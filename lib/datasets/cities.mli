@@ -28,8 +28,6 @@ val coord : string -> Geo.Coord.t
 
 val coastal_cities : unit -> t array
 
-val in_continent : Geo.Region.continent -> t array
-
 val in_country : string -> t array
 
 val by_population : unit -> t array

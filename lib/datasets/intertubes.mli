@@ -14,8 +14,5 @@ val target_nodes : int
 val target_links : int
 (** 542. *)
 
-val road_factor : float
-(** 1.25. *)
-
 val build : ?seed:int -> unit -> Infra.Network.t
 (** Deterministic synthetic US long-haul network. *)

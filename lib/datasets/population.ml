@@ -1,5 +1,3 @@
-let total_population = 7.8e9
-
 (* 10-degree-band shares of world population (GPWv4-2020-like marginal,
    normalized to 1).  Above |40| sums to ~0.16. *)
 let band_shares =

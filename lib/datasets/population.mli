@@ -6,9 +6,6 @@
     interpolate.  Headline property preserved: ≈ 16% of the world
     population lives above |40°|. *)
 
-val total_population : float
-(** 7.8e9 (2020). *)
-
 val band_shares : (float * float * float) list
 (** [(lat_lo, lat_hi, share)] with shares summing to 1. *)
 

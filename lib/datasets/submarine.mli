@@ -16,10 +16,6 @@ val target_cables : int
 val target_landing_points : int
 (** 1241. *)
 
-val real_cables : (string * string list * float) list
-(** [(name, landing-city chain, stated length km)] for the embedded real
-    systems.  City names resolve in {!Cities}. *)
-
 val build : ?seed:int -> unit -> Infra.Network.t
 (** Deterministic synthetic submarine network (default seed 42). *)
 

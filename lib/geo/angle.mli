@@ -4,8 +4,6 @@
     function name says otherwise.  This module centralizes the conversions
     so that no other module hard-codes [Float.pi /. 180.]. *)
 
-val pi : float
-
 val deg_to_rad : float -> float
 (** [deg_to_rad d] converts degrees to radians. *)
 

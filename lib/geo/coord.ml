@@ -28,8 +28,6 @@ let antipode c =
 
 let abs_lat c = Float.abs c.lat
 
-let northern c = c.lat >= 0.0
-
 let pp ppf c =
   let ns = if c.lat >= 0.0 then 'N' else 'S' in
   let ew = if c.lon >= 0.0 then 'E' else 'W' in

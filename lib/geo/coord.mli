@@ -34,13 +34,8 @@ val abs_lat : t -> float
 (** [abs_lat c] is [|lat c|]: the paper's analyses treat north and south
     symmetrically. *)
 
-val northern : t -> bool
-(** [northern c] is [lat c >= 0.]. *)
-
-val pp : Format.formatter -> t -> unit
+val to_string : t -> string
 (** Prints as e.g. ["40.71N 74.01W"]. *)
 
-val to_string : t -> string
-
 val of_string : string -> t option
-(** Parses the {!pp} format and also ["lat,lon"] decimal pairs. *)
+(** Parses the {!to_string} format and also ["lat,lon"] decimal pairs. *)

@@ -5,8 +5,6 @@ let dipole_latitude c =
   let colat_rad = Distance.central_angle_rad c north_pole in
   90.0 -. Angle.rad_to_deg colat_rad
 
-let dipole_colatitude c = 90.0 -. Float.abs (dipole_latitude c)
-
 let l_shell c =
   let lam = Angle.deg_to_rad (dipole_latitude c) in
   let cl = cos lam in

@@ -9,9 +9,6 @@ let tier_of_abs_lat ?(mid_threshold = 40.0) ?(high_threshold = 60.0) l =
   let l = Float.abs l in
   if l > high_threshold then High else if l > mid_threshold then Mid else Low
 
-let tier_of_coord ?mid_threshold ?high_threshold c =
-  tier_of_abs_lat ?mid_threshold ?high_threshold (Coord.lat c)
-
 let tier_to_string = function High -> "high" | Mid -> "mid" | Low -> "low"
 
 let rank = function High -> 2 | Mid -> 1 | Low -> 0

@@ -12,8 +12,6 @@ val tier_of_abs_lat : ?mid_threshold:float -> ?high_threshold:float -> float -> 
     paper's strict inequalities.  @raise Invalid_argument if thresholds are
     not ordered [0 <= mid <= high]. *)
 
-val tier_of_coord : ?mid_threshold:float -> ?high_threshold:float -> Coord.t -> tier
-
 val tier_to_string : tier -> string
 
 val compare_tier : tier -> tier -> int

@@ -5,8 +5,6 @@ let storm_of_dst ?(period_s = 120.0) dst =
   if period_s <= 0.0 then invalid_arg "Disturbance.storm_of_dst: period <= 0";
   { dst_nt = dst; period_s }
 
-let storm_of_cme cme = storm_of_dst (Spaceweather.Cme.expected_dst cme)
-
 (* Two-point calibration in log10 |Dst|: (100 nT, 62 deg) for intense
    storms and (1200 nT, 25 deg) for Carrington-class, linear between,
    clamped to [15, 70].  Reproduces ~40 deg for the 1989 storm. *)

@@ -16,15 +16,10 @@ type storm = {
 val storm_of_dst : ?period_s:float -> float -> storm
 (** @raise Invalid_argument if [dst > 0.] or [period_s <= 0.]. *)
 
-val storm_of_cme : Spaceweather.Cme.t -> storm
-
 val auroral_boundary_deg : storm -> float
 (** Equatorward edge (geomagnetic degrees) of the strongly disturbed
     region.  ≈ 62° for an intense (−100 nT) storm, ≈ 40° for 1989-class,
     ≈ 25° for Carrington-class.  Clamped to [[15, 70]]. *)
-
-val peak_db_nt : storm -> float
-(** Horizontal field deviation amplitude in the auroral zone, nT. *)
 
 val latitude_factor : storm -> geomag_lat:float -> float
 (** Relative disturbance amplitude in [[floor, 1]] at a geomagnetic
@@ -34,7 +29,8 @@ val latitude_factor : storm -> geomag_lat:float -> float
 
 val db_at : storm -> Geo.Coord.t -> float
 (** Field deviation amplitude (nT) at a geographic location, combining
-    {!peak_db_nt}, {!latitude_factor} and the dipole-latitude mapping. *)
+    the auroral-zone peak deviation, {!latitude_factor} and the
+    dipole-latitude mapping. *)
 
 val dbdt_at : storm -> Geo.Coord.t -> float
 (** Sinusoidal-equivalent time derivative, nT/s: [2π/period × db_at]. *)

@@ -10,8 +10,6 @@ let amplitude_with_profile storm profile c =
 let amplitude_v_per_km storm c =
   amplitude_with_profile storm (Conductivity.profile_for c) c
 
-let benchmark_100yr_v_per_km = 5.0
-
 let projection_factor_mean = 2.0 /. Float.pi
 
 let segment_voltage storm a b =

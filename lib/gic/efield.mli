@@ -13,11 +13,6 @@ val amplitude_with_profile :
   Disturbance.storm -> Conductivity.profile -> Geo.Coord.t -> float
 (** Same with an explicit conductivity profile. *)
 
-val benchmark_100yr_v_per_km : float
-(** Pulkkinen et al. 2012 reference: ≈ 5 V/km at 60° geomagnetic latitude
-    for the 100-year scenario on resistive ground; used to sanity-check the
-    model in tests. *)
-
 val segment_voltage :
   Disturbance.storm -> Geo.Coord.t -> Geo.Coord.t -> float
 (** Expected magnitude of the induced EMF along the great-circle segment

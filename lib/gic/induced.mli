@@ -21,12 +21,6 @@ type result = {
   total_emf_v : float;
 }
 
-val default_line_resistance_ohm_km : float
-(** 0.8 Ω/km, the figure quoted in §3.2.1. *)
-
-val default_ground_resistance_ohm : float
-(** Earthing resistance at each ground (2 Ω). *)
-
 val compute :
   ?line_resistance_ohm_km:float ->
   ?ground_resistance_ohm:float ->
@@ -40,7 +34,8 @@ val compute :
     geoelectric field along each grounded section of the path.  The path's
     two endpoints are always treated as grounds; interior chainages are
     sorted and deduplicated.  [sample_km] is the integration step
-    (default 100 km).
+    (default 100 km).  The line resistance defaults to 0.8 Ω/km, the
+    figure quoted in §3.2.1, and each ground's to 2 Ω.
     @raise Invalid_argument on an empty path or non-positive resistances. *)
 
 val repeater_stress_ratio : result -> operating_current_a:float -> float

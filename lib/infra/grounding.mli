@@ -6,16 +6,11 @@
     points — branching units — every few hundred to a few thousand
     kilometres (Equiano: 9 branching units over ~12,000 km). *)
 
-val needs_grounding : length_km:float -> bool
-(** Cables under 50 km without repeaters are not grounded. *)
-
-val default_interval_km : float
-(** Nominal distance between intermediate grounds (1,400 km, Equiano-like). *)
-
 val chainages : ?interval_km:float -> length_km:float -> unit -> float list
-(** Chainages (km from cable start) of every ground, endpoints included.
-    [[]] when the cable {!needs_grounding} not.  @raise Invalid_argument if
-    [interval_km <= 0.] or [length_km < 0.]. *)
+(** Chainages (km from cable start) of every ground, endpoints included,
+    with intermediate grounds every [interval_km] (default 1,400 km,
+    Equiano-like).  [[]] for a cable under 50 km, which needs no ground.
+    @raise Invalid_argument if [interval_km <= 0.] or [length_km < 0.]. *)
 
 val intermediate_count : ?interval_km:float -> length_km:float -> unit -> int
 (** Number of intermediate (non-endpoint) grounds. *)

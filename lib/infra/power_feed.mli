@@ -12,15 +12,6 @@ type budget = {
   repeaters : int;
 }
 
-val feed_current_a : float
-(** 1.1 A regulated feed current. *)
-
-val line_resistance_ohm_km : float
-(** 0.8 Ω/km. *)
-
-val repeater_drop_v : float
-(** Voltage across one repeater at the feed current (≈ 18 V). *)
-
 val budget_for : ?spacing_km:float -> length_km:float -> unit -> budget
 (** Voltage budget for a cable.  Default spacing 70 km (transoceanic
     practice, giving ≈ 128 repeaters for 9,000 km).

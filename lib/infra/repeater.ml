@@ -1,7 +1,6 @@
 type spec = {
   spacing_km : float;
   operating_current_a : float;
-  damage_current_a : float;
   lifetime_years : float;
 }
 
@@ -10,9 +9,6 @@ let default ~spacing_km =
   {
     spacing_km;
     operating_current_a = 1.0;
-    (* Surge tolerance of the zener-protected feed path: roughly an order
-       of magnitude above nominal. *)
-    damage_current_a = 10.0;
     lifetime_years = 25.0;
   }
 
@@ -28,8 +24,3 @@ let count_for_length ~spacing_km ~length_km =
        saturates there instead of falling as the spacing shrinks. *)
     let slots = Float.ceil (length_km /. spacing_km) in
     if slots >= float_of_int max_int then max_int else Int.max 0 (int_of_float slots - 1)
-
-let positions_for_path ~spacing_km path =
-  Geo.Geodesic.positions_along path ~spacing_km
-
-let damaged_by spec ~gic_a = Float.abs gic_a > spec.damage_current_a

@@ -8,7 +8,6 @@
 type spec = {
   spacing_km : float;  (** inter-repeater distance *)
   operating_current_a : float;  (** nominal feed current, ≈ 1 A *)
-  damage_current_a : float;  (** quasi-DC current that destroys the unit *)
   lifetime_years : float;  (** design lifetime (25 y, §3.2.2) *)
 }
 
@@ -26,10 +25,3 @@ val count_for_length : spacing_km:float -> length_km:float -> int
     Never increases with [spacing_km]: it saturates at [max_int] for a
     spacing vanishingly small against the length.
     @raise Invalid_argument on non-positive spacing or negative length. *)
-
-val positions_for_path : spacing_km:float -> Geo.Coord.t list -> (float * Geo.Coord.t) list
-(** Chainage and location of each repeater along a concrete path. *)
-
-val damaged_by : spec -> gic_a:float -> bool
-(** Whether a quasi-DC current of [gic_a] amperes exceeds the damage
-    threshold. *)

@@ -19,12 +19,6 @@ val of_storm : float -> conditions
 (** [of_storm dst] for a Dst in nT.  @raise Invalid_argument if
     positive. *)
 
-val exospheric_temperature_k : conditions -> float
-(** Exospheric temperature driving the scale height (~900 K quiet,
-    capped at 2100 K). *)
-
-val scale_height_km : conditions -> float
-
 val density_kg_m3 : conditions -> alt_km:float -> float
 (** Neutral density at altitude.  Valid for 150–1500 km; clamped
     outside.  @raise Invalid_argument for non-positive altitude. *)

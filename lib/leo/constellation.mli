@@ -33,9 +33,6 @@ val visible_satellites : t -> lat_deg:float -> elevation_mask_deg:float -> float
 (** Expected number of the constellation's satellites above the elevation
     mask for a user at the given latitude (0 where no shell reaches). *)
 
-val covered : t -> lat_deg:float -> elevation_mask_deg:float -> bool
-(** At least one satellite expected in view. *)
-
 val coverage_fraction :
   ?elevation_mask_deg:float -> t -> (float * float) list -> float
 (** Population-weighted fraction of [(latitude, weight)] users with

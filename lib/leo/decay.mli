@@ -18,9 +18,6 @@ val starlink_v1_safe_mode : spacecraft
 val cubesat_3u : spacecraft
 (** A passive 4 kg 3U cubesat. *)
 
-val ballistic_coefficient : spacecraft -> float
-(** [Cd · A / m], m²/kg. *)
-
 val thrust_margin : spacecraft -> Atmosphere.conditions -> alt_km:float -> float
 (** Thrust acceleration over drag deceleration; > 1 means the vehicle can
     climb.  [infinity] in vacuum, 0 without a thruster. *)

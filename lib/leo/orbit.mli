@@ -5,9 +5,6 @@
     such as Starlink") only needs circular-orbit energetics: period,
     speed, and the decay rate under drag. *)
 
-val mu_earth : float
-(** Gravitational parameter, m³/s². *)
-
 val earth_radius_m : float
 
 val semi_major_m : alt_km:float -> float

@@ -26,7 +26,6 @@ let rank = function Debug -> 0 | Info -> 1 | Warn -> 2 | Error -> 3
 let flag = Atomic.make false
 let enable () = Atomic.set flag true
 let disable () = Atomic.set flag false
-let enabled () = Atomic.get flag
 
 let min_rank = Atomic.make 0 (* Debug: emit everything once enabled *)
 let set_level l = Atomic.set min_rank (rank l)

@@ -1,6 +1,7 @@
 (** Leveled, structured JSONL logging.
 
-    [log level event fields] emits one compact JSON object per line:
+    [info event fields] (and likewise {!debug}, {!warn}, {!error}) emits
+    one compact JSON object per line:
 
     {v {"ts_ns":…,"level":"info","event":"http.access","trace":"…",…} v}
 
@@ -18,11 +19,8 @@
 
 type level = Debug | Info | Warn | Error
 
-val level_to_string : level -> string
-
 val enable : unit -> unit
 val disable : unit -> unit
-val enabled : unit -> bool
 
 val set_level : level -> unit
 (** Minimum level that is emitted (default [Debug] — everything). *)
@@ -34,11 +32,11 @@ val set_sink : (string -> unit) -> unit
 (** Where complete lines go (default: stderr, flushed per line).  Calls
     are serialized under an internal mutex so lines never interleave. *)
 
-val log : level -> string -> (string * Json.t) list -> unit
-(** [log level event fields] — [event] names the line, [fields] are
-    appended in order.  No-op when disabled or below {!set_level}. *)
-
 val debug : string -> (string * Json.t) list -> unit
+(** [event] names the line, [fields] are appended in order.  No-op when
+    disabled or below {!set_level}; the same holds for the other three
+    levels. *)
+
 val info : string -> (string * Json.t) list -> unit
 val warn : string -> (string * Json.t) list -> unit
 val error : string -> (string * Json.t) list -> unit

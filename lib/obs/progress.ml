@@ -16,7 +16,6 @@
 let flag = Atomic.make false
 let enable () = Atomic.set flag true
 let disable () = Atomic.set flag false
-let enabled () = Atomic.get flag
 
 let clock = ref Clock.monotonic
 let set_clock c = clock := c

@@ -22,16 +22,15 @@ val enable : unit -> unit
 
 val disable : unit -> unit
 
-val enabled : unit -> bool
-
 type run
 (** A live meter for one driver invocation.  Safe to tick from any
     domain; the completed counter is an atomic shared by all of them. *)
 
 val start : label:string -> total:int -> run
 (** Begin a run of [total] work items.  Whether the meter is live is
-    latched from {!enabled} at this point, so a run started while the
-    flag is off stays silent even if the flag is flipped later. *)
+    latched from the {!enable}/{!disable} flag at this point, so a run
+    started while the flag is off stays silent even if the flag is
+    flipped later. *)
 
 val tick : ?n:int -> run -> unit
 (** [tick ?n run] records [n] (default 1) finished work items and

@@ -50,7 +50,6 @@ let create ?(clock = Clock.monotonic) ?(step_ns = 1_000_000_000L) ?(retention = 
   }
 
 let step_ns t = t.step_ns
-let retention t = t.retention
 
 let locked t f =
   Mutex.lock t.lock;

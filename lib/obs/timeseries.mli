@@ -32,7 +32,6 @@ val create : ?clock:Clock.t -> ?step_ns:int64 -> ?retention:int -> unit -> t
     @raise Invalid_argument if [step_ns <= 0] or [retention < 2]. *)
 
 val step_ns : t -> int64
-val retention : t -> int
 
 val length : t -> int
 (** Samples currently stored (caps at [retention]). *)

@@ -3,8 +3,6 @@
 val escape : string -> string
 (** RFC-4180 quoting of a single field. *)
 
-val of_rows : header:string list -> string list list -> string
-
 val of_series : header:string * string -> (float * float) list -> string
 (** Two-column numeric CSV. *)
 

@@ -109,7 +109,7 @@ let fig5 ctx =
   in
   plot ^ String.concat "" (List.map quants series)
 
-let sweep_figure ~title ~value points =
+let sweep_figure ~title ~value ~std points =
   let spacings = Infra.Repeater.paper_spacings_km in
   String.concat "\n"
     (List.map
@@ -140,10 +140,7 @@ let sweep_figure ~title ~value points =
                  [ [ p.network;
                      Printf.sprintf "%.3f" p.probability;
                      Printf.sprintf "%.1f" (value p.series);
-                     Printf.sprintf "%.1f"
-                       ((fun (s : Stormsim.Montecarlo.series) ->
-                          if value p.series = s.cables_mean then s.cables_std else s.nodes_std)
-                          p.series) ] ]
+                     Printf.sprintf "%.1f" (std p.series) ] ]
                else [])
              points
          in
@@ -158,12 +155,14 @@ let fig6 ?(trials = 10) ctx =
   let points = Stormsim.Resilience.fig6_7 ~trials ~networks:(networks ctx) () in
   sweep_figure ~title:"Figure 6: cables failed (%) under uniform repeater failure"
     ~value:(fun s -> s.Stormsim.Montecarlo.cables_mean)
+    ~std:(fun s -> s.Stormsim.Montecarlo.cables_std)
     points
 
 let fig7 ?(trials = 10) ctx =
   let points = Stormsim.Resilience.fig6_7 ~trials ~networks:(networks ctx) () in
   sweep_figure ~title:"Figure 7: nodes unreachable (%) under uniform repeater failure"
     ~value:(fun s -> s.Stormsim.Montecarlo.nodes_mean)
+    ~std:(fun s -> s.Stormsim.Montecarlo.nodes_std)
     points
 
 let fig8 ?(trials = 10) ctx =

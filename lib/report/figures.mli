@@ -1,7 +1,8 @@
-(** Figure-regeneration harness: one function per table/figure of the
-    paper (DESIGN.md §3).  Each returns the rendered text (data rows plus
-    an ASCII plot where the paper has a plot); the bench executable and
-    the CLI print them. *)
+(** Figure-regeneration harness: every table and figure of the paper
+    (DESIGN.md §3), rendered by id through {!render} or {!all}.  Each
+    renders to text (data rows plus an ASCII plot where the paper has a
+    plot); the bench executable and the CLI print them.  The per-figure
+    functions below are the ones that other code also calls directly. *)
 
 type context
 (** The figure datasets' parameters.  Construction is free; each dataset
@@ -24,23 +25,7 @@ val ixps : context -> Datasets.Ixp.t array
 (** Dataset accessors; each builds (and caches) its dataset on first
     call. *)
 
-val fig1 : context -> string
-(** World map of submarine cables + landing stations + IXPs. *)
-
-val fig2 : context -> string
-(** World map of hyperscale data centers. *)
-
-val fig3 : context -> string
-val fig4a : context -> string
-val fig4b : context -> string
-val fig5 : context -> string
-
-val fig6 : ?trials:int -> context -> string
-val fig7 : ?trials:int -> context -> string
 val fig8 : ?trials:int -> context -> string
-
-val fig9a : context -> string
-val fig9b : context -> string
 
 val countries : ?trials:int -> context -> string
 (** §4.3.4 case-study table. *)
@@ -57,19 +42,6 @@ val mitigation : context -> string
 
 (** {1 Extension experiments} (DESIGN.md §3 ablations and the paper's
     future-work items) *)
-
-val leo : unit -> string
-(** §3.3 satellite analysis: Feb-2022 replay and a Carrington assessment
-    of a Starlink-class constellation. *)
-
-val grid_coupling : ?trials:int -> context -> string
-(** §5.5 power-grid interdependence: coupled darkness and amplification. *)
-
-val aftermath : ?trials:int -> context -> string
-(** Recovery timeline, economic cost and traffic-shift analysis. *)
-
-val service_resilience : context -> string
-(** §5.4 resilience tests of sample geo-distributed services. *)
 
 val ablations : ?trials:int -> context -> string
 (** Threshold / geomagnetic-tier / spacing / repeater-fragility
@@ -97,7 +69,7 @@ val render : ?trials:int -> context -> string -> string option
     reads.  [None] for an id not in {!ids}, before anything is built. *)
 
 val all : ?trials:int -> context -> (string * string) list
-(** [(figure id, rendered text)] for everything above, in {!ids} order.
+(** [(figure id, rendered text)] for every id, in {!ids} order.
     Each figure is one task of an {!Exec.parallel_for} at
     {!Exec.default_jobs}, taken longest first; the trial loops inside a
     figure run inline on its domain.  The text is the same for any job

@@ -4,13 +4,6 @@
     per figure so results can be committed/diffed alongside the paper
     comparison in EXPERIMENTS.md. *)
 
-val escape_heading : string -> string
-(** Strips newlines/backticks from text used in headings. *)
-
-val section : title:string -> body:string -> string
-(** A [##] heading followed by the body in a fenced code block (the
-    harness output is preformatted ASCII). *)
-
 val document : title:string -> intro:string -> (string * string) list -> string
 (** Full document from [(figure id, text)] pairs. *)
 

@@ -2,11 +2,6 @@
     using the shared {!Table} layout.  This is the [--metrics -] output of
     the CLI; the machine formats live in [Obs.Export]. *)
 
-val metrics_table : Obs.Metrics.snapshot -> string
-
-val spans_table : Obs.Span.event list -> string
-(** Aggregated per-span-name calls and total inclusive milliseconds. *)
-
 val render : ?events:Obs.Span.event list -> Obs.Metrics.snapshot -> string
 (** Full summary: metrics table plus (when [events] pair up into spans) a
     span table and a dropped-events note. *)

@@ -9,8 +9,6 @@ type t = {
   peers : int list array;
 }
 
-let tier_to_string = function T1 -> "tier-1" | T2 -> "tier-2" | Stub -> "stub"
-
 let generate ?(seed = 42) ?(n = 2000) () =
   if n < 20 then invalid_arg "As_topology.generate: need at least 20 ASes";
   let rng = Rng.create seed in
@@ -105,10 +103,6 @@ let provider_cone t dst =
       t.providers.(x)
   done;
   mark
-
-let up_closure t src =
-  (* Same traversal; kept separate for intention-revealing call sites. *)
-  provider_cone t src
 
 let degree_stats t =
   let total = ref 0 and dmax = ref 0 in

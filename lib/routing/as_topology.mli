@@ -19,8 +19,6 @@ type t = {
   peers : int list array;  (** settlement-free peers (symmetric) *)
 }
 
-val tier_to_string : tier -> string
-
 val generate : ?seed:int -> ?n:int -> unit -> t
 (** Build a topology over [n] ASes (default 2000).  Structure: ~1% tier-1
     (full mesh of peers), ~14% tier-2 (peer with nearby tier-2s, buy from
@@ -32,10 +30,6 @@ val provider_cone : t -> int -> bool array
 (** [provider_cone t dst] marks every AS that can reach [dst] by
     descending customer links only (i.e. [dst] is in its customer cone,
     including [dst] itself).  O(V+E). *)
-
-val up_closure : t -> int -> bool array
-(** [up_closure t src] marks [src] and every AS reachable from it by
-    ascending provider links. *)
 
 val degree_stats : t -> float * int
 (** (mean provider+peer+customer degree, max degree). *)

@@ -250,8 +250,6 @@ let cache_length () = Lru.Sharded.length !result_cache
 
 let cache_capacity () = Lru.Sharded.capacity !result_cache
 
-let cache_shards () = Lru.Sharded.shard_count !result_cache
-
 (* The outcome of the most recent [with_cache] call, for the service's
    access log.  Domain-local: each worker domain serves one request at
    a time, so its own cell is single-writer, and workers never see each

@@ -21,8 +21,6 @@
 type network = Stormsim.Sweep.network_id = Submarine | Intertubes | Itu
 (** Re-export: the core sweep engine owns the network vocabulary. *)
 
-val network_of_string : string -> (network, string) result
-
 type sim_params = Stormsim.Sweep.cell = {
   network : network;
   model : Stormsim.Failure_model.t;
@@ -119,17 +117,15 @@ val take_cache_outcome : unit -> [ `Hit | `Miss ] option
 
 val set_cache_capacity : ?shards:int -> int -> unit
 (** Replace the result cache with an empty one of the given capacity
-    (the [--cache-entries] flag) and stripe count (default
-    {!Lru.Sharded.default_shards}; tests that assert exact eviction
-    order pass [~shards:1]).  Call before worker domains are running —
+    (the [--cache-entries] flag) and stripe count (default 8, as in
+    {!Lru.Sharded.create}; tests that assert exact eviction order pass
+    [~shards:1]).  Call before worker domains are running —
     the swap itself is not synchronized.
     @raise Invalid_argument if the capacity is negative. *)
 
 val cache_length : unit -> int
 
 val cache_capacity : unit -> int
-
-val cache_shards : unit -> int
 
 val reset : unit -> unit
 (** Drop the result cache (tests). *)

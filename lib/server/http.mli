@@ -109,9 +109,6 @@ val error_response : parse_error -> response
 (** The 4xx response a parse error maps to.  @raise Invalid_argument on
     {!Eof}, which is not a protocol error. *)
 
-val reason : int -> string
-(** Canonical reason phrase for the status codes the service emits. *)
-
 val to_string : close:bool -> response -> string
 (** Serialize with [Content-Length] and a [Connection:
     close|keep-alive] header. *)

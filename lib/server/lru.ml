@@ -85,6 +85,8 @@ module Sharded = struct
   type 'a shard = { mu : Mutex.t; lru : 'a t }
   type nonrec 'a t = { shards : 'a shard array; total : int }
 
+  (* Enough stripes that a handful of worker domains rarely collide, few
+     enough that tiny caches are not all remainder. *)
   let default_shards = 8
 
   let create ?(shards = default_shards) ~capacity () =

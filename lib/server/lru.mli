@@ -43,12 +43,8 @@ val keys_newest_first : 'a t -> string list
 module Sharded : sig
   type 'a t
 
-  val default_shards : int
-  (** 8 — enough stripes that a handful of worker domains rarely
-      collide, few enough that tiny caches are not all remainder. *)
-
   val create : ?shards:int -> capacity:int -> unit -> 'a t
-  (** The shard count is clamped to [max 1 capacity] so no stripe is
+  (** [shards] defaults to 8.  The shard count is clamped to [max 1 capacity] so no stripe is
       capacity-0 while others hold entries ([capacity 0] disables
       caching, as in {!Lru.create}).
       @raise Invalid_argument if [capacity < 0] or [shards <= 0]. *)

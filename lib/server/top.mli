@@ -3,10 +3,6 @@
     screen-clear ANSI prefix is gated through {!Obs.Progress.tty_sink},
     so redirected output is plain readable frames. *)
 
-val fetch : host:string -> port:int -> string -> (string, string) result
-(** One-shot [GET path] with [Connection: close] over {!Http}'s client
-    side; [Ok body] on a 200. *)
-
 val spark : ?width:int -> float list -> string
 (** Unicode block-element sparkline, min–max scaled; at most [width]
     (default 32) newest values. *)

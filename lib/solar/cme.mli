@@ -23,12 +23,8 @@ val make :
   unit ->
   t
 (** Build a CME.  Defaults: width 60°, southward field scaled from speed
-    ([southward_b_of_speed]), head-on.  @raise Invalid_argument if the
+    (fast CMEs carry stronger fields), head-on.  @raise Invalid_argument if the
     speed is outside [(0, 5000]] km/s (faster than any observed CME). *)
-
-val southward_b_of_speed : float -> float
-(** Empirical scaling of the expected southward field with launch speed
-    (fast CMEs carry stronger fields). *)
 
 val transit_hours : ?solar_wind_km_s:float -> t -> float
 (** Drag-based Sun-to-Earth transit time in hours. *)

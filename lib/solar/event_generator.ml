@@ -45,9 +45,6 @@ let worst events =
       | Some best -> if e.dst_nt < best.dst_nt then Some e else acc)
     None events
 
-let count_at_least events sev =
-  List.length (List.filter (fun e -> Dst.compare_severity e.severity sev >= 0) events)
-
 let carrington_in_window ?(trials = 400) ~seed ~start ~stop () =
   let master = Rng.create seed in
   let hits = ref 0 in

@@ -29,9 +29,6 @@ val generate :
 val worst : event list -> event option
 (** Deepest-Dst event of a sequence. *)
 
-val count_at_least : event list -> Dst.severity -> int
-(** Events at or above a severity class. *)
-
 val carrington_in_window :
   ?trials:int -> seed:int -> start:float -> stop:float -> unit -> float
 (** Monte-Carlo probability that the window contains at least one

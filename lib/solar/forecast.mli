@@ -26,7 +26,4 @@ val timeline : ?solar_wind_km_s:float -> Cme.t -> timeline
 val level_at : timeline -> hours_after_launch:float -> warning_level option
 (** Warning level in effect at a given time, [None] before detection. *)
 
-val l1_distance_km : float
-(** Sun–Earth L1 standoff used for the confirmation window (1.5e6 km). *)
-
 val pp_timeline : Format.formatter -> timeline -> unit

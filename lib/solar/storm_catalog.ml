@@ -82,8 +82,3 @@ let contains_ci hay needle =
 let find name = List.find_opt (fun e -> contains_ci e.name name) all
 
 let severity e = Dst.severity_of_dst e.dst_nt
-
-let pp_event ppf e =
-  Format.fprintf ppf "%s (%d-%02d): Dst %.0f nT, %s%s" e.name e.year e.month e.dst_nt
-    (Dst.severity_to_string (severity e))
-    (if e.hit_earth then "" else " [missed Earth]")

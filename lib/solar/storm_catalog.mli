@@ -10,12 +10,6 @@ type event = {
   notes : string;
 }
 
-val carrington : event
-val new_york_railroad : event
-val quebec : event
-val halloween : event
-val near_miss_2012 : event
-
 val all : event list
 (** Chronological list of the catalogued events. *)
 
@@ -26,5 +20,3 @@ val find : string -> event option
 (** Case-insensitive lookup by name substring. *)
 
 val severity : event -> Dst.severity
-
-val pp_event : Format.formatter -> event -> unit

@@ -43,8 +43,6 @@ let remove_edge g id =
       let adj = if e.u = e.v then adj else drop e.v adj in
       { adj; edge_tbl = Imap.remove id g.edge_tbl }
 
-let remove_edges g ids = List.fold_left remove_edge g ids
-
 let remove_node g n =
   match Imap.find_opt n g.adj with
   | None -> g
@@ -53,7 +51,6 @@ let remove_node g n =
       { g with adj = Imap.remove n g.adj }
 
 let mem_node g n = Imap.mem n g.adj
-let mem_edge g id = Imap.mem id g.edge_tbl
 let find_edge g id = Imap.find_opt id g.edge_tbl
 
 let nodes g = Imap.fold (fun n _ acc -> n :: acc) g.adj [] |> List.rev
@@ -68,8 +65,6 @@ let degree g n =
   List.fold_left
     (fun acc (m, _) -> acc + (if m = n then 2 else 1))
     0 (neighbors g n)
-
-let incident g n = List.map snd (neighbors g n)
 
 let fold_nodes g ~init ~f = Imap.fold (fun n _ acc -> f acc n) g.adj init
 let fold_edges g ~init ~f = Imap.fold (fun _ e acc -> f acc e) g.edge_tbl init

@@ -24,13 +24,10 @@ val add_edge : t -> id:int -> node -> node -> t
 val remove_edge : t -> int -> t
 (** Remove an edge by id; no-op when absent.  Endpoints stay. *)
 
-val remove_edges : t -> int list -> t
-
 val remove_node : t -> node -> t
 (** Removes the node and all incident edges; no-op when absent. *)
 
 val mem_node : t -> node -> bool
-val mem_edge : t -> int -> bool
 val find_edge : t -> int -> edge option
 
 val nodes : t -> node list
@@ -48,9 +45,6 @@ val neighbors : t -> node -> (node * int) list
 
 val degree : t -> node -> int
 (** Number of incident edge endpoints (self-loop counts 2). *)
-
-val incident : t -> node -> int list
-(** Edge ids incident to the node. *)
 
 val fold_nodes : t -> init:'a -> f:('a -> node -> 'a) -> 'a
 val fold_edges : t -> init:'a -> f:('a -> edge -> 'a) -> 'a

@@ -123,9 +123,6 @@ let shortest_path g ~weight src dst =
         Some (d, build [] dst)
   end
 
-let distance g ~weight src dst =
-  match shortest_path g ~weight src dst with Some (d, _) -> Some d | None -> None
-
 let eccentricity g ~weight n =
   if not (Graph.mem_node g n) then None
   else

@@ -16,9 +16,6 @@ val shortest_path :
 (** Distance and node sequence (inclusive) from source to target, [None]
     when disconnected. *)
 
-val distance :
-  Graph.t -> weight:(int -> float) -> Graph.node -> Graph.node -> float option
-
 val eccentricity : Graph.t -> weight:(int -> float) -> Graph.node -> float option
 (** Largest finite shortest-path distance from the node to any node of its
     component, [None] for an absent node. *)

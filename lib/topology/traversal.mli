@@ -5,9 +5,6 @@ val bfs : Graph.t -> Graph.node -> (Graph.node * int) list
     order.  The source itself appears with distance 0.  An absent source
     yields []. *)
 
-val reachable : Graph.t -> Graph.node -> Graph.node list
-(** Nodes reachable from the source (including itself). *)
-
 val reachable_set : Graph.t -> Graph.node -> (Graph.node, unit) Hashtbl.t
 (** Same as a hashtable, for O(1) membership tests on large graphs. *)
 

@@ -384,36 +384,6 @@ let test_segment_less_pessimistic () =
   Alcotest.(check bool) "hops fail less often than cables" true
     (c.Segment_model.segment_level_segments_pct < c.Segment_model.cable_level_cables_pct)
 
-(* --- Hybrid satellite fallback --- *)
-
-let test_hybrid_carrington () =
-  let net = Lazy.force submarine in
-  let a = Hybrid.assess ~trials:3 ~network:net ~model:Failure_model.s1 ~dst_nt:(-1200.0) () in
-  Alcotest.(check bool) "substantial displaced demand" true
-    (a.Hybrid.undeliverable_demand_pct > 20.0);
-  Alcotest.(check bool) "fleet survives mostly" true (a.Hybrid.fleet_surviving > 3000);
-  (* The headline: a mega-constellation absorbs only a small slice of the
-     displaced intercontinental demand. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "absorbable %.1f%% < 30%%" a.Hybrid.absorbable_pct)
-    true (a.Hybrid.absorbable_pct < 30.0)
-
-let test_hybrid_mild_storm_trivial () =
-  let net = Lazy.force submarine in
-  let a =
-    Hybrid.assess ~trials:3 ~network:net ~model:(Failure_model.uniform 0.0001)
-      ~dst_nt:(-100.0) ()
-  in
-  Alcotest.(check bool) "little displaced" true (a.Hybrid.undeliverable_demand_pct < 10.0);
-  Alcotest.(check bool) "absorbable high or trivial" true (a.Hybrid.absorbable_pct > 10.0)
-
-let test_hybrid_capacity_accounting () =
-  let net = Lazy.force submarine in
-  let a = Hybrid.assess ~trials:2 ~network:net ~model:Failure_model.s2 ~dst_nt:(-600.0) () in
-  check_close 1e-6 "capacity = fleet x per-sat"
-    (float_of_int a.Hybrid.fleet_surviving *. Hybrid.per_satellite_gbps /. 1000.0)
-    a.Hybrid.satellite_capacity_tbps
-
 (* --- Capacity --- *)
 
 let test_cable_capacity_tiers () =
@@ -634,8 +604,6 @@ let test_worst_and_count () =
   (match Spaceweather.Event_generator.worst evs with
   | Some w -> Alcotest.(check (float 1e-9)) "deepest" (-900.0) w.Spaceweather.Event_generator.dst_nt
   | None -> Alcotest.fail "no worst");
-  Alcotest.(check int) "carrington count" 1
-    (Spaceweather.Event_generator.count_at_least evs Spaceweather.Dst.Carrington);
   Alcotest.(check bool) "empty worst" true (Spaceweather.Event_generator.worst [] = None)
 
 let () =
@@ -645,10 +613,6 @@ let () =
         [ Alcotest.test_case "trial shape" `Quick test_segment_trial_shape;
           Alcotest.test_case "p0 boundary" `Quick test_segment_p0_p1;
           Alcotest.test_case "less pessimistic" `Quick test_segment_less_pessimistic ] );
-      ( "hybrid",
-        [ Alcotest.test_case "carrington fallback" `Quick test_hybrid_carrington;
-          Alcotest.test_case "mild storm" `Quick test_hybrid_mild_storm_trivial;
-          Alcotest.test_case "capacity accounting" `Quick test_hybrid_capacity_accounting ] );
       ( "capacity",
         [ Alcotest.test_case "cable tiers" `Quick test_cable_capacity_tiers;
           Alcotest.test_case "network total" `Quick test_network_capacity_positive;

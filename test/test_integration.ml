@@ -130,19 +130,6 @@ let test_country_and_capacity_agree_on_atlantic () =
   Alcotest.(check bool) "capacity collapsed" true
     (corridor.Stormsim.Capacity.surviving_pct < 35.0)
 
-let test_traffic_and_hybrid_agree () =
-  let net = Lazy.force submarine in
-  let _, after =
-    Stormsim.Traffic.storm_shift ~trials:3 ~network:net ~model:Stormsim.Failure_model.s1 ()
-  in
-  let hybrid =
-    Stormsim.Hybrid.assess ~trials:3 ~network:net ~model:Stormsim.Failure_model.s1
-      ~dst_nt:(-1200.0) ()
-  in
-  Alcotest.(check (float 1.0)) "complement"
-    (100.0 -. after.Stormsim.Traffic.delivered_pct)
-    hybrid.Stormsim.Hybrid.undeliverable_demand_pct
-
 (* --- Mitigation coherence --- *)
 
 let test_shutdown_plan_and_decision_agree () =
@@ -194,7 +181,6 @@ let () =
       ( "coherence",
         [ Alcotest.test_case "country vs capacity" `Quick
             test_country_and_capacity_agree_on_atlantic;
-          Alcotest.test_case "traffic vs hybrid" `Quick test_traffic_and_hybrid_agree;
           Alcotest.test_case "plan vs decision" `Quick test_shutdown_plan_and_decision_agree;
           Alcotest.test_case "augmentation latitude" `Quick test_augmentation_shifts_partitions ] );
     ]

@@ -55,11 +55,11 @@ let test_pinned_bodies () =
       Alcotest.(check string) (target ^ " body") md5
         (Digest.to_hex (Digest.string resp.Server.Http.body)))
     [
-      ("/varz?window=4s", "fb6cfa1d742274c45da22d7bb671cc9b");
+      ("/varz?window=4s", "4e69ed69dff767369857a813f4016a4b");
       ("/alertz", "5c22358e07f47637682c78bdb671ceaf");
-      ("/dashboard?window=4s", "462f10fba6ba488a6b0ae556f7254b3e");
-      ("/varz", "9e4dfc70774114199e289bfbf19129e7");
-      ("/dashboard", "a8e80edb69f084154e4ff8fdf59b6a01");
+      ("/dashboard?window=4s", "179e91aa81e10ad018b87fc161d18814");
+      ("/varz", "198bfb67264a2a86e99881db8697430e");
+      ("/dashboard", "b19464dc473a1c1a31dad497028a2ff4");
     ];
   Obs.reset ()
 

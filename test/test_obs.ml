@@ -853,22 +853,23 @@ let test_json_parses_bench_document () =
 
 (* --- json writer: encode/decode round-trips --- *)
 
-let rec json_equal a b =
+let rec json_equal_by num a b =
   match (a, b) with
   | Obs.Json.Null, Obs.Json.Null -> true
   | Obs.Json.Bool x, Obs.Json.Bool y -> x = y
-  | Obs.Json.Number x, Obs.Json.Number y ->
-      (* NaN encodes as null, so it never round-trips as a Number. *)
-      x = y
+  | Obs.Json.Number x, Obs.Json.Number y -> num x y
   | Obs.Json.String x, Obs.Json.String y -> x = y
   | Obs.Json.Array xs, Obs.Json.Array ys ->
-      List.length xs = List.length ys && List.for_all2 json_equal xs ys
+      List.length xs = List.length ys && List.for_all2 (json_equal_by num) xs ys
   | Obs.Json.Object xs, Obs.Json.Object ys ->
       List.length xs = List.length ys
       && List.for_all2
-           (fun (k1, v1) (k2, v2) -> k1 = k2 && json_equal v1 v2)
+           (fun (k1, v1) (k2, v2) -> k1 = k2 && json_equal_by num v1 v2)
            xs ys
   | _ -> false
+
+(* NaN encodes as null, so it never round-trips as a Number. *)
+let json_equal = json_equal_by (fun x y -> x = y)
 
 let roundtrip doc =
   match Obs.Json.parse (Obs.Json.to_string doc) with
@@ -1404,6 +1405,53 @@ let prop_escape =
       let clean = String.for_all (fun c -> c <> '"' && c <> '\\' && Char.code c >= 0x20) s in
       Obs.Json.escape s = printf_escape s && ((not clean) || Obs.Json.escape s == s))
 
+(* Finite floats only: the writer's one documented loss is a non-finite
+   number, which becomes [null]. *)
+let finite_float_gen =
+  let open QCheck.Gen in
+  let finite_of_bits b =
+    let v = Int64.float_of_bits b in
+    (* Clearing the top exponent bit leaves an exponent below the
+       all-ones pattern of inf and NaN. *)
+    if Float.is_finite v then v else Int64.float_of_bits (Int64.logand b 0xBFFF_FFFF_FFFF_FFFFL)
+  in
+  oneof
+    [ oneofl (List.filter Float.is_finite float_edge_cases);
+      map2 ( +. ) (oneofl [ 1e15; -1e15; 0x1p53; -0x1p53 ]) (map float_of_int (int_range (-64) 64));
+      map finite_of_bits int64 ]
+
+let json_doc_gen =
+  let open QCheck.Gen in
+  let scalar =
+    oneof
+      [ return Obs.Json.Null;
+        map (fun b -> Obs.Json.Bool b) bool;
+        map (fun v -> Obs.Json.Number v) finite_float_gen;
+        map (fun s -> Obs.Json.String s) escape_gen ]
+  in
+  let rec doc depth =
+    if depth = 0 then scalar
+    else
+      let sub = doc (depth - 1) in
+      frequency
+        [ (2, scalar);
+          (1, map (fun l -> Obs.Json.Array l) (list_size (int_range 0 4) sub));
+          (1, map (fun l -> Obs.Json.Object l) (list_size (int_range 0 4) (pair escape_gen sub))) ]
+  in
+  doc 3
+
+let prop_json_roundtrip =
+  let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  QCheck.Test.make ~name:"parse (to_string ~pretty v) = v, numbers bit for bit" ~count:2000
+    (QCheck.make ~print:(fun v -> String.escaped (Obs.Json.to_string v)) json_doc_gen)
+    (fun v ->
+      List.for_all
+        (fun pretty ->
+          match Obs.Json.parse (Obs.Json.to_string ~pretty v) with
+          | Ok v' -> json_equal_by same_bits v v'
+          | Error _ -> false)
+        [ false; true ])
+
 let () =
   Alcotest.run "obs"
     [
@@ -1481,7 +1529,8 @@ let () =
           Alcotest.test_case "unicode escapes" `Quick test_json_unicode_escapes;
           Alcotest.test_case "float spelling edge cases" `Quick test_float_spelling_edge_cases;
           QCheck_alcotest.to_alcotest prop_float_spelling;
-          QCheck_alcotest.to_alcotest prop_escape ] );
+          QCheck_alcotest.to_alcotest prop_escape;
+          QCheck_alcotest.to_alcotest prop_json_roundtrip ] );
       ( "pipeline",
         [ Alcotest.test_case "montecarlo metrics" `Quick test_montecarlo_metrics_flow;
           Alcotest.test_case "determinism" `Quick test_montecarlo_determinism_under_instrumentation ] );
