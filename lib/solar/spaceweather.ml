@@ -13,5 +13,4 @@ module Probability = Probability
 module Forecast = Forecast
 module Storm_catalog = Storm_catalog
 module Event_generator = Event_generator
-module Noaa_scale = Noaa_scale
 module Flare = Flare

@@ -358,40 +358,6 @@ let test_flare_rates_track_cycle () =
     (Flare.blackout_minutes Flare.carrington_flare
     > Flare.blackout_minutes (Flare.make Flare.M 2.0))
 
-(* --- NOAA scale --- *)
-
-let test_g_of_kp_boundaries () =
-  let open Noaa_scale in
-  Alcotest.(check string) "kp 4.9" "G0" (g_to_string (g_of_kp 4.9));
-  Alcotest.(check string) "kp 5" "G1 (minor)" (g_to_string (g_of_kp 5.0));
-  Alcotest.(check string) "kp 7.5" "G3 (strong)" (g_to_string (g_of_kp 7.5));
-  Alcotest.(check string) "kp 9" "G5 (extreme)" (g_to_string (g_of_kp 9.0));
-  Alcotest.check_raises "kp 10" (Invalid_argument "Noaa_scale.g_of_kp: Kp outside [0, 9]")
-    (fun () -> ignore (g_of_kp 10.0))
-
-let test_kp_dst_roundtrip () =
-  List.iter
-    (fun kp ->
-      let dst = Noaa_scale.dst_of_kp kp in
-      check_close 0.05 "roundtrip" kp (Noaa_scale.kp_of_dst dst))
-    [ 2.0; 5.0; 7.0; 8.5 ]
-
-let test_g_of_dst_anchors () =
-  let open Noaa_scale in
-  (* Quebec 1989 and Carrington are both announced as G5; moderate storms
-     in the G2-G3 band. *)
-  Alcotest.(check string) "quebec g5" "G5 (extreme)" (g_to_string (g_of_dst (-589.0)));
-  Alcotest.(check string) "carrington g5" "G5 (extreme)" (g_to_string (g_of_dst (-1200.0)));
-  Alcotest.(check bool) "minor storm below G3" true
-    (kp_floor_of_g (g_of_dst (-66.0)) < kp_floor_of_g G3)
-
-let test_effects_nonempty () =
-  List.iter
-    (fun g ->
-      Alcotest.(check bool) "description" true
-        (String.length (Noaa_scale.expected_effects g) > 10))
-    [ Noaa_scale.G0; G1; G2; G3; G4; G5 ]
-
 (* --- Storm catalog --- *)
 
 let test_catalog_chronological () =
@@ -507,11 +473,6 @@ let () =
           Alcotest.test_case "R-scale anchors" `Quick test_flare_r_scale_anchors;
           Alcotest.test_case "no cable effect" `Quick test_flare_does_not_touch_cables;
           Alcotest.test_case "rates track cycle" `Quick test_flare_rates_track_cycle ] );
-      ( "noaa_scale",
-        [ Alcotest.test_case "g of kp" `Quick test_g_of_kp_boundaries;
-          Alcotest.test_case "kp/dst roundtrip" `Quick test_kp_dst_roundtrip;
-          Alcotest.test_case "dst anchors" `Quick test_g_of_dst_anchors;
-          Alcotest.test_case "effects" `Quick test_effects_nonempty ] );
       ( "catalog",
         [ Alcotest.test_case "chronological" `Quick test_catalog_chronological;
           Alcotest.test_case "find" `Quick test_catalog_find;
