@@ -3,7 +3,9 @@
 
     §2 of the paper ("Motivation: a real threat") is implemented entirely
     by this library; the GIC library translates its storm scenarios into
-    ground effects. *)
+    ground effects.  §2.1's solar-flare taxonomy is not modelled: the
+    paper raises flares only to set them aside, since their radio
+    blackouts do not reach cables. *)
 
 module Dst = Dst
 module Cme = Cme
@@ -13,4 +15,3 @@ module Probability = Probability
 module Forecast = Forecast
 module Storm_catalog = Storm_catalog
 module Event_generator = Event_generator
-module Flare = Flare

@@ -312,52 +312,6 @@ let test_warning_levels_progress () =
   Alcotest.(check bool) "alert just before impact" true
     (Forecast.level_at tl ~hours_after_launch:near = Some Forecast.Alert)
 
-(* --- Flares --- *)
-
-let test_flare_classes_and_flux () =
-  let x1 = Flare.make Flare.X 1.0 in
-  check_close 1e-12 "X1 flux" 1e-4 (Flare.peak_flux_w_m2 x1);
-  let m5 = Flare.make Flare.M 5.0 in
-  check_close 1e-12 "M5 flux" 5e-5 (Flare.peak_flux_w_m2 m5);
-  Alcotest.check_raises "mag < 1" (Invalid_argument "Flare.make: magnitude < 1") (fun () ->
-      ignore (Flare.make Flare.C 0.5));
-  Alcotest.check_raises "rollover"
-    (Invalid_argument "Flare.make: magnitude >= 10 rolls into the next class") (fun () ->
-      ignore (Flare.make Flare.M 12.0))
-
-let test_flare_flux_roundtrip () =
-  List.iter
-    (fun f ->
-      let f' = Flare.of_peak_flux (Flare.peak_flux_w_m2 f) in
-      Alcotest.(check bool) "class preserved" true (f'.Flare.cls = f.Flare.cls);
-      check_close 1e-6 "magnitude preserved" f.Flare.magnitude f'.Flare.magnitude)
-    [ Flare.make Flare.B 3.0; Flare.make Flare.M 5.0; Flare.make Flare.X 9.0;
-      Flare.carrington_flare ]
-
-let test_flare_r_scale_anchors () =
-  Alcotest.(check string) "M1 -> R1" "R1 (minor)"
-    (Flare.r_to_string (Flare.r_scale (Flare.make Flare.M 1.0)));
-  Alcotest.(check string) "X1 -> R3" "R3 (strong)"
-    (Flare.r_to_string (Flare.r_scale (Flare.make Flare.X 1.0)));
-  Alcotest.(check string) "carrington -> R5" "R5 (extreme)"
-    (Flare.r_to_string (Flare.r_scale Flare.carrington_flare));
-  Alcotest.(check string) "C-class -> R0" "R0"
-    (Flare.r_to_string (Flare.r_scale (Flare.make Flare.C 5.0)))
-
-let test_flare_does_not_touch_cables () =
-  (* The paper's point in 2.1. *)
-  Alcotest.(check bool) "no terrestrial effect" false
-    (Flare.affects_terrestrial_cables Flare.carrington_flare)
-
-let test_flare_rates_track_cycle () =
-  Alcotest.(check bool) "maximum busier than minimum" true
-    (Flare.rate_per_day Flare.M ~ssn:200.0 > 5.0 *. Flare.rate_per_day Flare.M ~ssn:5.0);
-  Alcotest.(check bool) "X rarer than M" true
-    (Flare.rate_per_day Flare.X ~ssn:150.0 < Flare.rate_per_day Flare.M ~ssn:150.0);
-  Alcotest.(check bool) "blackout minutes grow" true
-    (Flare.blackout_minutes Flare.carrington_flare
-    > Flare.blackout_minutes (Flare.make Flare.M 2.0))
-
 (* --- Storm catalog --- *)
 
 let test_catalog_chronological () =
@@ -467,12 +421,6 @@ let () =
         [ Alcotest.test_case "lead time" `Quick test_timeline_lead_time;
           Alcotest.test_case "L1 window" `Quick test_l1_confirmation_short;
           Alcotest.test_case "warning levels" `Quick test_warning_levels_progress ] );
-      ( "flare",
-        [ Alcotest.test_case "classes and flux" `Quick test_flare_classes_and_flux;
-          Alcotest.test_case "flux roundtrip" `Quick test_flare_flux_roundtrip;
-          Alcotest.test_case "R-scale anchors" `Quick test_flare_r_scale_anchors;
-          Alcotest.test_case "no cable effect" `Quick test_flare_does_not_touch_cables;
-          Alcotest.test_case "rates track cycle" `Quick test_flare_rates_track_cycle ] );
       ( "catalog",
         [ Alcotest.test_case "chronological" `Quick test_catalog_chronological;
           Alcotest.test_case "find" `Quick test_catalog_find;
