@@ -14,9 +14,6 @@ let normalize_lon lon =
     in
     wrap (Float.rem lon 720.0)
 
-let normalize_lat lat =
-  if Float.is_nan lat then lat else Float.max (-90.0) (Float.min 90.0 lat)
-
 let angular_diff a b =
   let d = Float.abs (normalize_lon a -. normalize_lon b) in
   if d > 180.0 then 360.0 -. d else d

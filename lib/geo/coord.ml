@@ -23,9 +23,6 @@ let equal ?(eps = 1e-9) a b =
 let compare a b =
   match Float.compare a.lat b.lat with 0 -> Float.compare a.lon b.lon | c -> c
 
-let antipode c =
-  { lat = -.c.lat; lon = Angle.normalize_lon (c.lon +. 180.0) }
-
 let abs_lat c = Float.abs c.lat
 
 let pp ppf c =

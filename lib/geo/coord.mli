@@ -27,9 +27,6 @@ val equal : ?eps:float -> t -> t -> bool
 val compare : t -> t -> int
 (** Total order (lexicographic on (lat, lon)), suitable for [Map]/[Set]. *)
 
-val antipode : t -> t
-(** The diametrically opposite point. *)
-
 val abs_lat : t -> float
 (** [abs_lat c] is [|lat c|]: the paper's analyses treat north and south
     symmetrically. *)

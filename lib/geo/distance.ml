@@ -30,12 +30,6 @@ let km_per_deg = earth_radius_km *. Angle.deg_to_rad 1.0
 
 let max_dlat_deg km = ((km *. (1.0 +. 1e-9)) +. 1e-9) /. km_per_deg
 
-let equirectangular_km a b =
-  let mean_lat = Angle.deg_to_rad ((Coord.lat a +. Coord.lat b) /. 2.0) in
-  let x = Angle.deg_to_rad (Angle.angular_diff (Coord.lon a) (Coord.lon b)) *. cos mean_lat in
-  let y = Angle.deg_to_rad (Coord.lat b -. Coord.lat a) in
-  earth_radius_km *. sqrt ((x *. x) +. (y *. y))
-
 (* WGS-84 ellipsoid constants. *)
 let wgs84_a = 6378.137
 let wgs84_b = 6356.752314245
@@ -108,12 +102,3 @@ let path_length_km points =
     | [ _ ] | [] -> acc
   in
   go 0.0 points
-
-let initial_bearing_deg a b =
-  let phi1 = Angle.deg_to_rad (Coord.lat a)
-  and phi2 = Angle.deg_to_rad (Coord.lat b) in
-  let dl = Angle.deg_to_rad (Coord.lon b -. Coord.lon a) in
-  let y = sin dl *. cos phi2 in
-  let x = (cos phi1 *. sin phi2) -. (sin phi1 *. cos phi2 *. cos dl) in
-  let theta = Angle.rad_to_deg (atan2 y x) in
-  Float.rem (theta +. 360.0) 360.0

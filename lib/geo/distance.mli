@@ -30,10 +30,6 @@ val max_dlat_deg : float -> float
     far above the formula's rounding, so a pair rejected by it would
     also fail [haversine_km a b <= km]. *)
 
-val equirectangular_km : Coord.t -> Coord.t -> float
-(** Fast flat-earth approximation; adequate below ~100 km separation.
-    Used by the spatial index for candidate pruning only. *)
-
 val vincenty_km : ?max_iter:int -> Coord.t -> Coord.t -> float
 (** Vincenty inverse formula on the WGS-84 ellipsoid.  Falls back to
     {!haversine_km} when the iteration fails to converge (nearly antipodal
@@ -45,7 +41,3 @@ val central_angle_rad : Coord.t -> Coord.t -> float
 val path_length_km : Coord.t list -> float
 (** Sum of haversine hop lengths along a polyline.  [0.] for lists of
     fewer than two points. *)
-
-val initial_bearing_deg : Coord.t -> Coord.t -> float
-(** Forward azimuth from the first point towards the second, degrees in
-    [[0, 360)]. *)

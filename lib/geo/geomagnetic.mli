@@ -13,8 +13,3 @@ val north_pole : Coord.t
 val dipole_latitude : Coord.t -> float
 (** [dipole_latitude c] is the geomagnetic latitude of [c] in degrees
     ([[-90, 90]]), positive towards the geomagnetic north pole. *)
-
-val l_shell : Coord.t -> float
-(** McIlwain L-parameter of the dipole field line through [c] at the
-    surface: [L = 1 / cos²(dipole latitude)].  Diverges towards the poles;
-    capped at 1000. *)

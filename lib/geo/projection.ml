@@ -36,18 +36,3 @@ let of_xy t x y =
     -. ((float_of_int y +. 0.5) /. float_of_int t.height *. (t.lat_max -. t.lat_min))
   in
   Coord.make ~lat ~lon
-
-let mercator_scale lat =
-  let lat = Float.max (-85.0) (Float.min 85.0 lat) in
-  log (tan (Angle.deg_to_rad ((lat /. 2.0) +. 45.0)))
-
-let mercator_y t c =
-  let lat = Coord.lat c and lon = Coord.lon c in
-  if lat < t.lat_min || lat > t.lat_max || lon < t.lon_min || lon > t.lon_max then None
-  else
-    let fx = (lon -. t.lon_min) /. (t.lon_max -. t.lon_min) in
-    let y_top = mercator_scale t.lat_max and y_bot = mercator_scale t.lat_min in
-    let fy = (y_top -. mercator_scale lat) /. (y_top -. y_bot) in
-    let x = Int.min (t.width - 1) (int_of_float (fx *. float_of_int t.width)) in
-    let y = Int.min (t.height - 1) (int_of_float (fy *. float_of_int t.height)) in
-    Some (x, y)

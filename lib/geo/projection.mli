@@ -25,7 +25,3 @@ val to_xy : t -> Coord.t -> (int * int) option
 val of_xy : t -> int -> int -> Coord.t
 (** Centre coordinate of pixel (x, y).  Clamps out-of-range pixels to the
     map edge. *)
-
-val mercator_y : t -> Coord.t -> (int * int) option
-(** Like {!to_xy} but with Mercator vertical spacing (latitude clamped to
-    ±85° as usual for the Web-Mercator family). *)
