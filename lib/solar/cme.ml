@@ -65,10 +65,6 @@ let expected_dst cme =
   let v = arrival_speed_km_s cme in
   -.(coupling_alpha *. v *. cme.southward_b_nt)
 
-let hits_earth cme = Float.abs cme.direction_offset_deg <= cme.angular_width_deg /. 2.0
-
-let earth_impact_probability cme = Float.min 1.0 (cme.angular_width_deg /. 360.0)
-
 let carrington_1859 =
   make ~speed_km_s:2700.0 ~southward_b_nt:65.0 ~angular_width_deg:90.0 ()
 

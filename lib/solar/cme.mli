@@ -36,13 +36,6 @@ val expected_dst : t -> float
 (** Expected minimum Dst (nT, negative) from the empirical coupling of
     arrival speed and southward field (Burton/O'Brien-style scaling). *)
 
-val hits_earth : t -> bool
-(** Whether the Earth is inside the CME's angular extent. *)
-
-val earth_impact_probability : t -> float
-(** Probability that a CME with random direction on the visible disk hits
-    Earth, given only its angular width: width / 360. *)
-
 val carrington_1859 : t
 val new_york_railroad_1921 : t
 val quebec_1989 : t

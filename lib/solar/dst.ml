@@ -38,7 +38,3 @@ let representative_dst = function
   | Severe -> -425.0
   | Extreme -> -725.0
   | Carrington -> -1200.0
-
-let quebec_1989_dst = 589.0
-
-let relative_strength dst = Float.abs dst /. quebec_1989_dst

@@ -27,7 +27,3 @@ val compare_severity : severity -> severity -> int
 val representative_dst : severity -> float
 (** A representative Dst for a class (its midpoint; −1200 for
     [Carrington]), used when scenarios are specified by class. *)
-
-val relative_strength : float -> float
-(** [relative_strength dst] is [|dst| / 589.]: storm strength normalized
-    to the March 1989 Quebec event, the paper's "moderate" reference. *)

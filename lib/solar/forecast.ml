@@ -1,5 +1,3 @@
-type warning_level = Watch | Warning | Alert
-
 type timeline = {
   detection_delay_h : float;
   transit_h : float;
@@ -20,12 +18,6 @@ let timeline ?solar_wind_km_s cme =
     l1_confirmation_h;
     actionable_lead_h = Float.max 0.0 (transit_h -. detection_delay_h);
   }
-
-let level_at tl ~hours_after_launch =
-  if hours_after_launch < tl.detection_delay_h then None
-  else if hours_after_launch >= tl.transit_h -. tl.l1_confirmation_h then Some Alert
-  else if hours_after_launch >= tl.transit_h -. 12.0 then Some Warning
-  else Some Watch
 
 let pp_timeline ppf tl =
   Format.fprintf ppf

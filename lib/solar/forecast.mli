@@ -6,11 +6,6 @@
     1.5 million km upstream, minutes to an hour before impact.  The
     shutdown planner consumes the resulting timeline. *)
 
-type warning_level = Watch | Warning | Alert
-(** [Watch]: CME launched, Earth inside the possible cone.  [Warning]:
-    arrival within 12 h.  [Alert]: L1 confirmation of southward field,
-    impact imminent. *)
-
 type timeline = {
   detection_delay_h : float;  (** launch → coronagraph detection *)
   transit_h : float;  (** launch → Earth impact *)
@@ -22,8 +17,5 @@ val timeline : ?solar_wind_km_s:float -> Cme.t -> timeline
 (** Timeline for one CME.  The actionable lead time is transit minus
     detection delay, and is at least 13 h for the fastest credible CMEs
     (§5.2). *)
-
-val level_at : timeline -> hours_after_launch:float -> warning_level option
-(** Warning level in effect at a given time, [None] before detection. *)
 
 val pp_timeline : Format.formatter -> timeline -> unit

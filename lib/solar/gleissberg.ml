@@ -20,7 +20,3 @@ let next_maximum_after year =
   let p = phase year in
   let to_max = if p < 0.5 then 0.5 -. p else 1.5 -. p in
   year +. (to_max *. period_years)
-
-let is_rising year =
-  let p = phase year in
-  p < 0.5

@@ -23,7 +23,3 @@ val modulation : float -> float
 
 val next_maximum_after : float -> float
 (** Decimal year of the first Gleissberg maximum after the given year. *)
-
-val is_rising : float -> bool
-(** Whether solar long-term activity is rising at the given year (the
-    paper's "emerging from a minimum" situation for the 2020s). *)

@@ -109,7 +109,3 @@ let cycle_peak_year c =
   let b = shape_b c.peak_ssn in
   (* The unit shape peaks near t = 1.08 b months. *)
   c.start_year +. (1.08 *. b /. 12.0)
-
-let cme_rate_per_day ssn =
-  (* LASCO-era fit: ~0.5/day at SSN 0, ~6/day at SSN 200. *)
-  0.5 +. (ssn *. 0.0275)

@@ -40,7 +40,3 @@ val series :
 val cycle_peak_year : cycle -> float
 (** Approximate decimal year of the cycle's maximum under the shape
     model. *)
-
-val cme_rate_per_day : float -> float
-(** Empirical CME rate as a function of SSN: ~0.5/day at solar minimum
-    rising to ~6/day at high maxima (LASCO statistics). *)

@@ -44,12 +44,6 @@ let test_representative_dst_consistent () =
         (compare_severity (severity_of_dst (representative_dst s)) s = 0))
     [ Quiet; Minor; Moderate; Intense; Severe; Extreme; Carrington ]
 
-let test_relative_strength () =
-  check_close 1e-9 "1989 reference" 1.0 (Dst.relative_strength (-589.0));
-  (* The paper: the 1989 storm was one-tenth the strength of 1921-class events;
-     our catalog's 1921 estimate is roughly 1.5x the 1989 Dst. *)
-  Alcotest.(check bool) "carrington stronger" true (Dst.relative_strength (-1200.0) > 2.0)
-
 (* --- CME --- *)
 
 let test_cme_validation () =
@@ -89,14 +83,6 @@ let test_expected_dst_negative_and_monotone () =
 let test_carrington_dst_class () =
   let dst = Cme.expected_dst Cme.carrington_1859 in
   Alcotest.(check bool) (Printf.sprintf "Dst %.0f <= -850" dst) true (dst <= -850.0)
-
-let test_hits_earth () =
-  Alcotest.(check bool) "head-on hits" true (Cme.hits_earth Cme.carrington_1859);
-  Alcotest.(check bool) "2012 missed" false (Cme.hits_earth Cme.near_miss_2012)
-
-let test_impact_probability () =
-  let cme = Cme.make ~speed_km_s:1000.0 ~angular_width_deg:90.0 () in
-  check_close 1e-9 "width/360" 0.25 (Cme.earth_impact_probability cme)
 
 (* --- Sunspot --- *)
 
@@ -192,11 +178,6 @@ let test_cycle_peak_year_inside_cycle () =
       let peak = Sunspot.cycle_peak_year c in
       Alcotest.(check bool) "peak in 1999-2004" true (peak > 1999.0 && peak < 2004.0)
 
-let test_cme_rate_increases_with_ssn () =
-  Alcotest.(check bool) "rate grows" true
-    (Sunspot.cme_rate_per_day 200.0 > Sunspot.cme_rate_per_day 10.0);
-  Alcotest.(check bool) "minimum nonzero" true (Sunspot.cme_rate_per_day 0.0 > 0.0)
-
 (* --- Gleissberg --- *)
 
 let test_gleissberg_phase_range () =
@@ -223,11 +204,6 @@ let test_gleissberg_factor_4_swing () =
   let min_m = Gleissberg.modulation 1910.0 in
   let max_m = Gleissberg.modulation (Gleissberg.next_maximum_after 1910.0) in
   check_close 0.01 "factor 4" 4.0 (max_m /. min_m)
-
-let test_gleissberg_rising_2021 () =
-  (* The paper: the sun is emerging from a Gleissberg minimum (1996-2020
-     cycles were part of the minimum). *)
-  Alcotest.(check bool) "rising after 1998 minimum" true (Gleissberg.is_rising 2021.0)
 
 let test_next_maximum_after () =
   let m = Gleissberg.next_maximum_after 2021.0 in
@@ -302,16 +278,6 @@ let test_l1_confirmation_short () =
   let tl = Forecast.timeline Cme.carrington_1859 in
   Alcotest.(check bool) "L1 window under 1 h" true (tl.Forecast.l1_confirmation_h < 1.0)
 
-let test_warning_levels_progress () =
-  let tl = Forecast.timeline Cme.carrington_1859 in
-  Alcotest.(check bool) "before detection" true
-    (Forecast.level_at tl ~hours_after_launch:0.1 = None);
-  Alcotest.(check bool) "watch after detection" true
-    (Forecast.level_at tl ~hours_after_launch:2.0 = Some Forecast.Watch);
-  let near = tl.Forecast.transit_h -. 0.1 in
-  Alcotest.(check bool) "alert just before impact" true
-    (Forecast.level_at tl ~hours_after_launch:near = Some Forecast.Alert)
-
 (* --- Storm catalog --- *)
 
 let test_catalog_chronological () =
@@ -377,8 +343,7 @@ let () =
           Alcotest.test_case "boundaries" `Quick test_severity_boundaries;
           Alcotest.test_case "invalid" `Quick test_severity_invalid;
           Alcotest.test_case "order" `Quick test_severity_order;
-          Alcotest.test_case "representative" `Quick test_representative_dst_consistent;
-          Alcotest.test_case "relative strength" `Quick test_relative_strength ] );
+          Alcotest.test_case "representative" `Quick test_representative_dst_consistent ] );
       ( "cme",
         [ Alcotest.test_case "validation" `Quick test_cme_validation;
           Alcotest.test_case "carrington 17.6h anchor" `Quick test_carrington_transit_anchor;
@@ -386,9 +351,7 @@ let () =
           Alcotest.test_case "transit monotone" `Quick test_transit_monotone_in_speed;
           Alcotest.test_case "arrival speed" `Quick test_arrival_speed_bounded;
           Alcotest.test_case "expected Dst" `Quick test_expected_dst_negative_and_monotone;
-          Alcotest.test_case "carrington class" `Quick test_carrington_dst_class;
-          Alcotest.test_case "hits earth" `Quick test_hits_earth;
-          Alcotest.test_case "impact probability" `Quick test_impact_probability ] );
+          Alcotest.test_case "carrington class" `Quick test_carrington_dst_class ] );
       ( "sunspot",
         [ Alcotest.test_case "cycle lookup" `Quick test_cycle_lookup;
           Alcotest.test_case "shape" `Quick test_shape_properties;
@@ -397,7 +360,6 @@ let () =
           Alcotest.test_case "series" `Quick test_series_shape;
           Alcotest.test_case "series invalid" `Quick test_series_invalid;
           Alcotest.test_case "peak year" `Quick test_cycle_peak_year_inside_cycle;
-          Alcotest.test_case "cme rate" `Quick test_cme_rate_increases_with_ssn;
           Alcotest.test_case "shape = scan, record" `Quick test_shape_matches_scan_for_record;
           Alcotest.test_case "shape = scan, two domains" `Quick
             test_shape_matches_scan_two_domains ] );
@@ -406,7 +368,6 @@ let () =
           Alcotest.test_case "modulation bounds" `Quick test_gleissberg_modulation_bounds;
           Alcotest.test_case "minimum reference" `Quick test_gleissberg_minimum_at_reference;
           Alcotest.test_case "factor 4 swing" `Quick test_gleissberg_factor_4_swing;
-          Alcotest.test_case "rising 2021" `Quick test_gleissberg_rising_2021;
           Alcotest.test_case "next maximum" `Quick test_next_maximum_after ] );
       ( "probability",
         [ Alcotest.test_case "ccdf" `Quick test_power_law_ccdf;
@@ -419,8 +380,7 @@ let () =
           Alcotest.test_case "expected events" `Quick test_expected_events_monotone_in_span ] );
       ( "forecast",
         [ Alcotest.test_case "lead time" `Quick test_timeline_lead_time;
-          Alcotest.test_case "L1 window" `Quick test_l1_confirmation_short;
-          Alcotest.test_case "warning levels" `Quick test_warning_levels_progress ] );
+          Alcotest.test_case "L1 window" `Quick test_l1_confirmation_short ] );
       ( "catalog",
         [ Alcotest.test_case "chronological" `Quick test_catalog_chronological;
           Alcotest.test_case "find" `Quick test_catalog_find;
