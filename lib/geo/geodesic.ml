@@ -43,8 +43,6 @@ let intermediate a b f =
             z = (wa *. va.z) +. (wb *. vb.z);
           }
 
-let midpoint a b = intermediate a b 0.5
-
 let waypoints a b ~n =
   if n < 1 then invalid_arg "Geodesic.waypoints: n < 1";
   List.init (n + 1) (fun i -> intermediate a b (float_of_int i /. float_of_int n))

@@ -30,6 +30,3 @@ val positions_along : Coord.t list -> spacing_km:float -> (float * Coord.t) list
     This is the repeater-placement primitive: a 400 km path at 150 km
     spacing has repeaters at 150 and 300 km.
     @raise Invalid_argument if [spacing_km <= 0.]. *)
-
-val midpoint : Coord.t -> Coord.t -> Coord.t
-(** [midpoint a b] is [intermediate a b 0.5]. *)

@@ -78,20 +78,3 @@ let surface_impedance p ~angular_freq =
 let impedance_magnitude p ~period_s =
   if period_s <= 0.0 then invalid_arg "Conductivity.impedance_magnitude: period <= 0";
   Complex.norm (surface_impedance p ~angular_freq:(2.0 *. Float.pi /. period_s))
-
-(* Surface-layer conductance: the quantity the New Zealand study quotes
-   (1-500 S on land vs 100-24,000 S offshore) integrates the top of the
-   section — seawater and upper crust — not the deep mantle, so only the
-   first 20 km of the stack are counted. *)
-let surface_depth_km = 20.0
-
-let conductance_s p =
-  let rec go remaining = function
-    | [] | [ _ ] -> 0.0 (* the half-space itself is excluded *)
-    | l :: rest ->
-        if remaining <= 0.0 then 0.0
-        else
-          let d = Float.min remaining l.thickness_km in
-          (d *. 1000.0 /. l.resistivity_ohm_m) +. go (remaining -. d) rest
-  in
-  go surface_depth_km p.layers

@@ -46,9 +46,5 @@ val surface_impedance : profile -> angular_freq:float -> Complex.t
 val impedance_magnitude : profile -> period_s:float -> float
 (** [|Z|] at the given period, Ω. *)
 
-val conductance_s : profile -> float
-(** Integrated conductance of the layer stack above the half-space,
-    siemens — the quantity quoted in the New Zealand study. *)
-
 val mu0 : float
 (** Vacuum permeability, H/m. *)

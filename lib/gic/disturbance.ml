@@ -36,5 +36,3 @@ let latitude_factor s ~geomag_lat =
 let db_at s c =
   let glat = Geo.Geomagnetic.dipole_latitude c in
   peak_db_nt s *. latitude_factor s ~geomag_lat:glat
-
-let dbdt_at s c = 2.0 *. Float.pi /. s.period_s *. db_at s c

@@ -31,6 +31,3 @@ val db_at : storm -> Geo.Coord.t -> float
 (** Field deviation amplitude (nT) at a geographic location, combining
     the auroral-zone peak deviation, {!latitude_factor} and the
     dipole-latitude mapping. *)
-
-val dbdt_at : storm -> Geo.Coord.t -> float
-(** Sinusoidal-equivalent time derivative, nT/s: [2π/period × db_at]. *)

@@ -11,9 +11,3 @@ let amplitude_v_per_km storm c =
   amplitude_with_profile storm (Conductivity.profile_for c) c
 
 let projection_factor_mean = 2.0 /. Float.pi
-
-let segment_voltage storm a b =
-  let mid = Geo.Geodesic.midpoint a b in
-  let e = amplitude_v_per_km storm mid in
-  let len = Geo.Distance.haversine_km a b in
-  e *. len *. projection_factor_mean

@@ -13,13 +13,7 @@ val amplitude_with_profile :
   Disturbance.storm -> Conductivity.profile -> Geo.Coord.t -> float
 (** Same with an explicit conductivity profile. *)
 
-val segment_voltage :
-  Disturbance.storm -> Geo.Coord.t -> Geo.Coord.t -> float
-(** Expected magnitude of the induced EMF along the great-circle segment
-    between two points, volts.  Uses the mid-point field amplitude, the
-    segment length, and the mean projection factor [2/π] for a uniformly
-    random field direction (the paper notes CME-driven fields have no
-    directional preference, §3.1(iv)). *)
-
 val projection_factor_mean : float
-(** E[|cos θ|] for uniformly random θ: [2/π]. *)
+(** E[|cos θ|] for uniformly random θ: [2/π], the mean projection of a
+    field with no preferred direction onto a cable (the paper notes
+    CME-driven fields have none, §3.1(iv)). *)

@@ -54,15 +54,6 @@ let betweenness g =
   Hashtbl.iter (fun k v -> Hashtbl.replace cb k (v /. 2.0)) cb;
   cb
 
-let closeness g n =
-  let hops = Traversal.bfs g n in
-  match hops with
-  | [] | [ _ ] -> 0.0
-  | _ ->
-      let total = List.fold_left (fun acc (_, d) -> acc + d) 0 hops in
-      if total = 0 then 0.0
-      else float_of_int (List.length hops - 1) /. float_of_int total
-
 let top_k scores ~k =
   if k < 0 then invalid_arg "Centrality.top_k: negative k";
   let sorted = List.sort (fun (_, a) (_, b) -> Float.compare b a) scores in

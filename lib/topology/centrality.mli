@@ -9,9 +9,6 @@ val betweenness : Graph.t -> (Graph.node, float) Hashtbl.t
 (** Unweighted betweenness centrality (Brandes' algorithm).  Each pair is
     counted once (undirected normalization: scores halved). *)
 
-val closeness : Graph.t -> Graph.node -> float
-(** [(reachable - 1) / sum of hop distances]; 0 for isolated nodes. *)
-
 val top_k : ('a * float) list -> k:int -> ('a * float) list
 (** Highest-[k] entries by score, descending.  @raise Invalid_argument if
     [k < 0]. *)

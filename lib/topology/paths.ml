@@ -122,9 +122,3 @@ let shortest_path g ~weight src dst =
         in
         Some (d, build [] dst)
   end
-
-let eccentricity g ~weight n =
-  if not (Graph.mem_node g n) then None
-  else
-    let dist = dijkstra g ~weight n in
-    Some (Hashtbl.fold (fun _ d acc -> Float.max acc d) dist 0.0)

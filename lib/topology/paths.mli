@@ -15,7 +15,3 @@ val shortest_path :
   (float * Graph.node list) option
 (** Distance and node sequence (inclusive) from source to target, [None]
     when disconnected. *)
-
-val eccentricity : Graph.t -> weight:(int -> float) -> Graph.node -> float option
-(** Largest finite shortest-path distance from the node to any node of its
-    component, [None] for an absent node. *)

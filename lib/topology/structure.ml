@@ -104,17 +104,3 @@ let k_core g ~k =
     if victims = [] then g else strip (List.fold_left Graph.remove_node g victims)
   in
   strip g
-
-let core_number g =
-  let out = Hashtbl.create 64 in
-  Graph.fold_nodes g ~init:() ~f:(fun () n -> Hashtbl.replace out n 0);
-  let rec loop g k =
-    let core = k_core g ~k in
-    if Graph.nb_nodes core = 0 then ()
-    else begin
-      Graph.fold_nodes core ~init:() ~f:(fun () n -> Hashtbl.replace out n k);
-      loop core (k + 1)
-    end
-  in
-  loop g 1;
-  out

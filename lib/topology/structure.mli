@@ -14,6 +14,3 @@ val articulation_points : Graph.t -> Graph.node list
 val k_core : Graph.t -> k:int -> Graph.t
 (** Maximal subgraph in which every node has degree ≥ k.
     @raise Invalid_argument if [k < 0]. *)
-
-val core_number : Graph.t -> (Graph.node, int) Hashtbl.t
-(** Largest [k] such that the node belongs to the k-core. *)

@@ -53,14 +53,6 @@ let component_sizes g =
   connected_components g |> List.map List.length
   |> List.sort (fun a b -> Int.compare b a)
 
-let giant_component_fraction g =
-  let n = Graph.nb_nodes g in
-  if n = 0 then 0.0
-  else
-    match component_sizes g with
-    | [] -> 0.0
-    | largest :: _ -> float_of_int largest /. float_of_int n
-
 let is_connected g =
   match component_sizes g with [] | [ _ ] -> true | _ -> false
 

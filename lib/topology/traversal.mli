@@ -15,10 +15,6 @@ val connected_components : Graph.t -> Graph.node list list
 val component_sizes : Graph.t -> int list
 (** Sizes, descending. *)
 
-val giant_component_fraction : Graph.t -> float
-(** Size of the largest component over [nb_nodes]; 0 for the empty
-    graph. *)
-
 val is_connected : Graph.t -> bool
 (** True for graphs with at most one component (the empty graph is
     connected). *)

@@ -110,7 +110,7 @@ let test_intermediate_endpoints () =
   Alcotest.(check bool) "f=1" true (Coord.equal ~eps:1e-9 london (Geodesic.intermediate nyc london 1.0))
 
 let test_midpoint_equidistant () =
-  let m = Geodesic.midpoint nyc london in
+  let m = Geodesic.intermediate nyc london 0.5 in
   let d1 = Distance.haversine_km nyc m and d2 = Distance.haversine_km m london in
   check_close 0.5 "equidistant" d1 d2
 

@@ -28,20 +28,14 @@ let test_impedance_positive_and_period_dependent () =
   Alcotest.(check bool) "longer period, lower |Z|" true (z600 < z120)
 
 let test_shield_more_resistive_than_coastal () =
-  let zs = Gic.Conductivity.impedance_magnitude Gic.Conductivity.shield ~period_s:120.0 in
-  let zc = Gic.Conductivity.impedance_magnitude Gic.Conductivity.coastal ~period_s:120.0 in
-  Alcotest.(check bool) "shield |Z| larger" true (zs > zc)
-
-let test_ocean_conductance_dominates () =
-  (* The paper's New Zealand example: ocean conductance orders of magnitude
-     above land. *)
-  let ocean = Gic.Conductivity.conductance_s Gic.Conductivity.ocean in
-  let shield = Gic.Conductivity.conductance_s Gic.Conductivity.shield in
-  Alcotest.(check bool)
-    (Printf.sprintf "ocean %.0f S >> shield %.0f S" ocean shield)
-    true
-    (ocean > 20.0 *. shield);
-  Alcotest.(check bool) "ocean > 10000 S" true (ocean > 10000.0)
+  let z p = Gic.Conductivity.impedance_magnitude p ~period_s:120.0 in
+  let zs = z Gic.Conductivity.shield and zc = z Gic.Conductivity.coastal in
+  let zo = z Gic.Conductivity.ocean in
+  Alcotest.(check bool) "shield |Z| larger" true (zs > zc);
+  (* The paper's New Zealand example: seawater conducts far better than
+     land, so the ocean profile's |Z| sits an order of magnitude lower. *)
+  Alcotest.(check bool) (Printf.sprintf "ocean |Z| %.2e < coastal %.2e / 10" zo zc) true
+    (zo *. 10.0 < zc)
 
 let test_profile_for_assignment () =
   Alcotest.(check string) "ocean offshore" "ocean"
@@ -100,12 +94,6 @@ let test_db_at_scales_with_storm () =
   (* Auroral-zone deviation for Carrington-class: thousands of nT. *)
   Alcotest.(check bool) (Printf.sprintf "dB %.0f nT > 1500" db_car) true (db_car > 1500.0)
 
-let test_dbdt_period_scaling () =
-  let s_fast = Gic.Disturbance.storm_of_dst ~period_s:60.0 (-589.0) in
-  let s_slow = Gic.Disturbance.storm_of_dst ~period_s:600.0 (-589.0) in
-  Alcotest.(check bool) "faster variation, larger dB/dt" true
-    (Gic.Disturbance.dbdt_at s_fast high_lat > Gic.Disturbance.dbdt_at s_slow high_lat)
-
 (* --- Efield --- *)
 
 let test_efield_positive_and_latitude_ordered () =
@@ -122,14 +110,6 @@ let test_efield_magnitude_sane () =
   in
   Alcotest.(check bool) (Printf.sprintf "%.2f V/km in [0.5, 50]" e) true
     (e > 0.5 && e < 50.0)
-
-let test_segment_voltage_scales_with_length () =
-  let a = Geo.Coord.make ~lat:50.0 ~lon:(-30.0) in
-  let b = Geo.Coord.make ~lat:50.0 ~lon:(-20.0) in
-  let c = Geo.Coord.make ~lat:50.0 ~lon:(-10.0) in
-  let v_short = Gic.Efield.segment_voltage carrington a b in
-  let v_long = Gic.Efield.segment_voltage carrington a c in
-  Alcotest.(check bool) "longer segment, more EMF" true (v_long > v_short)
 
 let test_projection_factor () =
   check_close 1e-9 "2/pi" (2.0 /. Float.pi) Gic.Efield.projection_factor_mean
@@ -296,7 +276,6 @@ let () =
           Alcotest.test_case "impedance period dependence" `Quick
             test_impedance_positive_and_period_dependent;
           Alcotest.test_case "shield vs coastal" `Quick test_shield_more_resistive_than_coastal;
-          Alcotest.test_case "ocean conductance" `Quick test_ocean_conductance_dominates;
           Alcotest.test_case "profile assignment" `Quick test_profile_for_assignment;
           Alcotest.test_case "impedance invalid" `Quick test_impedance_invalid ] );
       ( "disturbance",
@@ -306,12 +285,10 @@ let () =
           Alcotest.test_case "order-of-magnitude drop" `Quick
             test_latitude_factor_order_of_magnitude_drop;
           Alcotest.test_case "electrojet bump" `Quick test_equatorial_electrojet_bump;
-          Alcotest.test_case "dB scales with storm" `Quick test_db_at_scales_with_storm;
-          Alcotest.test_case "dB/dt period scaling" `Quick test_dbdt_period_scaling ] );
+          Alcotest.test_case "dB scales with storm" `Quick test_db_at_scales_with_storm ] );
       ( "efield",
         [ Alcotest.test_case "latitude ordering" `Quick test_efield_positive_and_latitude_ordered;
           Alcotest.test_case "magnitude sane" `Quick test_efield_magnitude_sane;
-          Alcotest.test_case "segment voltage" `Quick test_segment_voltage_scales_with_length;
           Alcotest.test_case "projection factor" `Quick test_projection_factor ] );
       ( "induced",
         [ Alcotest.test_case "sections" `Quick test_induced_compute_sections;

@@ -106,11 +106,6 @@ let test_connected_components () =
 let test_component_sizes_desc () =
   Alcotest.(check (list int)) "sizes" [ 4; 3 ] (Traversal.component_sizes two_components)
 
-let test_giant_fraction () =
-  Alcotest.(check (float 1e-9)) "4/7" (4.0 /. 7.0)
-    (Traversal.giant_component_fraction two_components);
-  Alcotest.(check (float 1e-9)) "empty" 0.0 (Traversal.giant_component_fraction Graph.empty)
-
 let test_is_connected () =
   Alcotest.(check bool) "two comps" false (Traversal.is_connected two_components);
   Alcotest.(check bool) "cycle" true (Traversal.is_connected cycle_with_tail);
@@ -149,11 +144,6 @@ let test_negative_weight_rejected () =
   Alcotest.check_raises "negative" (Invalid_argument "Paths.dijkstra: negative weight")
     (fun () -> ignore (Paths.dijkstra weighted ~weight:(fun _ -> -1.0) 0))
 
-let test_eccentricity () =
-  match Paths.eccentricity weighted ~weight 0 with
-  | Some e -> Alcotest.(check (float 1e-9)) "eccentricity of 0" 4.0 e
-  | None -> Alcotest.fail "no eccentricity"
-
 (* --- Centrality --- *)
 
 let star = Graph.of_edges [ (0, 0, 1); (1, 0, 2); (2, 0, 3); (3, 0, 4) ]
@@ -176,11 +166,6 @@ let test_betweenness_path () =
   let cb = Centrality.betweenness path in
   Alcotest.(check (float 1e-9)) "middle" 1.0 (Hashtbl.find cb 1);
   Alcotest.(check (float 1e-9)) "end" 0.0 (Hashtbl.find cb 0)
-
-let test_closeness () =
-  Alcotest.(check (float 1e-9)) "star centre" 1.0 (Centrality.closeness star 0);
-  Alcotest.(check (float 1e-9)) "isolated" 0.0
-    (Centrality.closeness (Graph.add_node Graph.empty 9) 9)
 
 let test_top_k () =
   let scores = [ ("a", 1.0); ("b", 3.0); ("c", 2.0) ] in
@@ -228,12 +213,6 @@ let test_k_core () =
   Alcotest.(check int) "empty 3-core" 0 (Graph.nb_nodes (Structure.k_core g ~k:3));
   Alcotest.check_raises "negative k" (Invalid_argument "Structure.k_core: negative k")
     (fun () -> ignore (Structure.k_core g ~k:(-1)))
-
-let test_core_number () =
-  let g = Graph.of_edges [ (0, 0, 1); (1, 1, 2); (2, 2, 0); (3, 2, 3) ] in
-  let cn = Structure.core_number g in
-  Alcotest.(check int) "triangle node" 2 (Hashtbl.find cn 0);
-  Alcotest.(check int) "pendant" 1 (Hashtbl.find cn 3)
 
 (* --- Flow --- *)
 
@@ -404,20 +383,17 @@ let () =
           Alcotest.test_case "bfs absent source" `Quick test_bfs_absent_source;
           Alcotest.test_case "connected components" `Quick test_connected_components;
           Alcotest.test_case "component sizes" `Quick test_component_sizes_desc;
-          Alcotest.test_case "giant fraction" `Quick test_giant_fraction;
           Alcotest.test_case "is_connected" `Quick test_is_connected;
           Alcotest.test_case "same_component" `Quick test_same_component ] );
       ( "paths",
         [ Alcotest.test_case "dijkstra distances" `Quick test_dijkstra_distances;
           Alcotest.test_case "shortest path route" `Quick test_shortest_path_route;
           Alcotest.test_case "disconnected" `Quick test_shortest_path_disconnected;
-          Alcotest.test_case "negative weight" `Quick test_negative_weight_rejected;
-          Alcotest.test_case "eccentricity" `Quick test_eccentricity ] );
+          Alcotest.test_case "negative weight" `Quick test_negative_weight_rejected ] );
       ( "centrality",
         [ Alcotest.test_case "degree ranking" `Quick test_degree_ranking;
           Alcotest.test_case "betweenness star" `Quick test_betweenness_star;
           Alcotest.test_case "betweenness path" `Quick test_betweenness_path;
-          Alcotest.test_case "closeness" `Quick test_closeness;
           Alcotest.test_case "top_k" `Quick test_top_k ] );
       ( "structure",
         [ Alcotest.test_case "bridges path" `Quick test_bridges_path_all;
@@ -428,8 +404,7 @@ let () =
           Alcotest.test_case "articulation cycle+tail" `Quick test_articulation_cycle_with_tail;
           Alcotest.test_case "braced path has none" `Quick test_articulation_braced_path_none;
           Alcotest.test_case "two triangles" `Quick test_articulation_two_triangles;
-          Alcotest.test_case "k-core" `Quick test_k_core;
-          Alcotest.test_case "core numbers" `Quick test_core_number ] );
+          Alcotest.test_case "k-core" `Quick test_k_core ] );
       ( "flow",
         [ Alcotest.test_case "max flow value" `Quick test_max_flow_value;
           Alcotest.test_case "bottleneck respected" `Quick test_max_flow_bottleneck_respected;
