@@ -33,8 +33,5 @@ val in_country : string -> t array
 val by_population : unit -> t array
 (** Descending population. *)
 
-val population_weighted : Rng.t -> t
-(** Random city, probability proportional to population. *)
-
 val nearest : Geo.Coord.t -> t
 (** Closest gazetteer city to a coordinate. *)

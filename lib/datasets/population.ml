@@ -42,10 +42,3 @@ let latitude_weights ~bin_deg =
       let lo = -90.0 +. (float_of_int i *. bin_deg) in
       let hi = lo +. bin_deg in
       ((lo +. hi) /. 2.0, share_between ~lat_lo:lo ~lat_hi:hi))
-
-let sample_latitude rng =
-  let bands = Array.of_list band_shares in
-  let (lo, hi, _) =
-    Rng.weighted_choice rng (Array.map (fun ((_, _, s) as b) -> (b, s)) bands)
-  in
-  Rng.uniform rng lo hi

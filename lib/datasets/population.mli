@@ -20,6 +20,3 @@ val latitude_weights : bin_deg:float -> (float * float) list
 (** [(band-centre latitude, weight)] pairs suitable for
     {!Geo.Latband.histogram} / [threshold_curve].  @raise Invalid_argument
     if [bin_deg] does not divide 180. *)
-
-val sample_latitude : Rng.t -> float
-(** Random latitude distributed like the world population. *)

@@ -12,8 +12,3 @@ let chainages ?(interval_km = default_interval_km) ~length_km () =
       if d >= length_km then List.rev acc else mids (d :: acc) (k + 1)
     in
     0.0 :: mids [] 1 @ [ length_km ]
-
-let intermediate_count ?interval_km ~length_km () =
-  match chainages ?interval_km ~length_km () with
-  | [] -> 0
-  | l -> Int.max 0 (List.length l - 2)

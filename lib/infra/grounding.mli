@@ -11,6 +11,3 @@ val chainages : ?interval_km:float -> length_km:float -> unit -> float list
     with intermediate grounds every [interval_km] (default 1,400 km,
     Equiano-like).  [[]] for a cable under 50 km, which needs no ground.
     @raise Invalid_argument if [interval_km <= 0.] or [length_km < 0.]. *)
-
-val intermediate_count : ?interval_km:float -> length_km:float -> unit -> int
-(** Number of intermediate (non-endpoint) grounds. *)

@@ -186,8 +186,6 @@ let weighted_sampler a =
     done;
     values.(!lo)
 
-let weighted_choice t a = weighted_sampler a t
-
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in

@@ -114,10 +114,6 @@ val weighted_sampler : ('a * float) array -> t -> 'a
     @raise Invalid_argument when [a] is empty, has a negative weight, or
     its weights are all zero, before any draw. *)
 
-val weighted_choice : t -> ('a * float) array -> 'a
-(** [weighted_choice t a] is [weighted_sampler a t]: one pick, paying
-    for the sums.  @raise Invalid_argument as {!weighted_sampler}. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates. *)
 

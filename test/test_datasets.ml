@@ -55,13 +55,6 @@ let test_cities_continent_labels_match_geometry () =
     true
     (float_of_int agree /. float_of_int total > 0.9)
 
-let test_cities_population_weighted_draw () =
-  let rng = Rng.create 5 in
-  for _ = 1 to 20 do
-    let c = Datasets.Cities.population_weighted rng in
-    Alcotest.(check bool) "valid pick" true (c.Datasets.Cities.population_m > 0.0)
-  done
-
 let test_cities_nearest () =
   let near_tokyo = Geo.Coord.make ~lat:35.5 ~lon:139.5 in
   Alcotest.(check string) "nearest to Tokyo" "Tokyo"
@@ -96,13 +89,6 @@ let test_population_latitude_weights_partition () =
   let ws = Datasets.Population.latitude_weights ~bin_deg:2.0 in
   Alcotest.(check int) "90 bins" 90 (List.length ws);
   check_close 1e-6 "weights sum to 1" 1.0 (List.fold_left (fun a (_, w) -> a +. w) 0.0 ws)
-
-let test_population_sample_latitude_in_range () =
-  let rng = Rng.create 11 in
-  for _ = 1 to 100 do
-    let l = Datasets.Population.sample_latitude rng in
-    Alcotest.(check bool) "in [-60, 80]" true (l >= -60.0 && l <= 80.0)
-  done
 
 (* --- Submarine --- *)
 
@@ -451,7 +437,7 @@ let test_rng_weighted_choice () =
   let rng = Rng.create 6 in
   for _ = 1 to 50 do
     Alcotest.(check string) "zero-weight never picked" "b"
-      (Rng.weighted_choice rng [| ("a", 0.0); ("b", 1.0) |])
+      (Rng.weighted_sampler [| ("a", 0.0); ("b", 1.0) |] rng)
   done
 
 (* --- Dataset goldens ---
@@ -660,7 +646,7 @@ let prop_weighted_sampler_matches_scan =
               let picked = sample t in
               picked = scan_weighted_choice u a && same_state t u)
             (List.init 20 Fun.id)
-          && Rng.weighted_choice (Rng.copy t) a = scan_weighted_choice (Rng.copy t) a)
+          && Rng.weighted_sampler a (Rng.copy t) = scan_weighted_choice (Rng.copy t) a)
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
@@ -677,7 +663,6 @@ let () =
           Alcotest.test_case "coordinates sane" `Quick test_cities_coordinates_sane;
           Alcotest.test_case "continent labels" `Quick
             test_cities_continent_labels_match_geometry;
-          Alcotest.test_case "population weighted" `Quick test_cities_population_weighted_draw;
           Alcotest.test_case "nearest" `Quick test_cities_nearest;
           Alcotest.test_case "in_country" `Quick test_cities_in_country ] );
       ( "population",
@@ -686,8 +671,7 @@ let () =
           Alcotest.test_case "north dominates" `Quick
             test_population_northern_hemisphere_dominates;
           Alcotest.test_case "validation" `Quick test_population_share_between_validation;
-          Alcotest.test_case "latitude weights" `Quick test_population_latitude_weights_partition;
-          Alcotest.test_case "sample range" `Quick test_population_sample_latitude_in_range ] );
+          Alcotest.test_case "latitude weights" `Quick test_population_latitude_weights_partition ] );
       ( "submarine",
         [ Alcotest.test_case "counts" `Quick test_submarine_counts;
           Alcotest.test_case "length quantiles" `Quick test_submarine_length_quantiles;

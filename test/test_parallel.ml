@@ -9,7 +9,7 @@
    exercises the Exec pool's coverage / shutdown / exception behaviour.
 
    The "satellites" section holds the regression tests for the latent-bug
-   sweep that rode along with the engine: weighted_choice's trailing
+   sweep that rode along with the engine: the weighted pick's trailing
    zero-weight fallthrough, Stats.cdf's sorted binary search, the dead
    [?seed] dropped from Recovery.plan, and Mitigation's greedy
    augmentation after the dead-binding cleanup. *)
@@ -272,12 +272,13 @@ let test_weighted_choice_trailing_zero () =
   let rng = Rng.create 11 in
   for _ = 1 to 500 do
     Alcotest.(check string) "zero-weight tail never selected" "a"
-      (Rng.weighted_choice rng [| ("a", 1.0); ("b", 0.0) |])
+      (Rng.weighted_sampler [| ("a", 1.0); ("b", 0.0) |] rng)
   done;
   for _ = 1 to 200 do
     let pick =
-      Rng.weighted_choice rng
+      Rng.weighted_sampler
         [| ("z", 0.0); ("a", 1.0); ("m", 0.0); ("b", 1.0); ("t", 0.0) |]
+        rng
     in
     Alcotest.(check bool) "only positive-weight entries" true
       (pick = "a" || pick = "b")
