@@ -234,21 +234,21 @@ let misses = Obs.Metrics.counter "server.cache.misses"
 let evictions = Obs.Metrics.counter "server.cache.evictions"
 let entries_gauge = Obs.Metrics.gauge "server.cache.entries"
 
-(* The result cache is lock-striped ({!Lru.Sharded}) because N worker
-   domains consult it concurrently; the ref swap in [set_cache_capacity]
-   happens before the service boots its workers. *)
-let result_cache = ref (Lru.Sharded.create ~capacity:128 ())
+(* N worker domains consult the result cache concurrently; {!Lru}
+   locks each operation.  The ref swap in [set_cache_capacity] happens
+   before the service boots its workers. *)
+let result_cache = ref (Lru.create ~capacity:128)
 
 let sync_entries () =
-  Obs.Metrics.set entries_gauge (float_of_int (Lru.Sharded.length !result_cache))
+  Obs.Metrics.set entries_gauge (float_of_int (Lru.length !result_cache))
 
-let set_cache_capacity ?shards n =
-  result_cache := Lru.Sharded.create ?shards ~capacity:n ();
+let set_cache_capacity n =
+  result_cache := Lru.create ~capacity:n;
   sync_entries ()
 
-let cache_length () = Lru.Sharded.length !result_cache
+let cache_length () = Lru.length !result_cache
 
-let cache_capacity () = Lru.Sharded.capacity !result_cache
+let cache_capacity () = Lru.capacity !result_cache
 
 (* The outcome of the most recent [with_cache] call, for the service's
    access log.  Domain-local: each worker domain serves one request at
@@ -264,13 +264,13 @@ let take_cache_outcome () =
   o
 
 let reset () =
-  Lru.Sharded.clear !result_cache;
+  Lru.clear !result_cache;
   sync_entries ();
   Domain.DLS.get outcome_key := None
 
 let with_cache ~key compute =
   let outcome = Domain.DLS.get outcome_key in
-  match Lru.Sharded.find !result_cache key with
+  match Lru.find !result_cache key with
   | Some body ->
       Obs.Metrics.incr hits;
       outcome := Some `Hit;
@@ -281,7 +281,7 @@ let with_cache ~key compute =
       match compute () with
       | Error _ as e -> e
       | Ok body ->
-          (match Lru.Sharded.add !result_cache key body with
+          (match Lru.add !result_cache key body with
           | Some _ -> Obs.Metrics.incr evictions
           | None -> ());
           sync_entries ();

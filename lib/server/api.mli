@@ -9,14 +9,14 @@
     newline.
 
     Process-wide reuse: dataset builds go through {!Datasets.Cache},
-    and whole response bodies live in a lock-striped LRU
-    ({!Lru.Sharded}) keyed by the canonical request ({!sim_key} &
-    friends) — a repeated request is answered byte-identically without
-    re-running trials.  That bounded cache is the only state that
-    outlives a request: a compiled {!Stormsim.Plan} lives for one run.
-    Every entry point is safe to call from any number of worker domains
-    concurrently: the result cache is sharded and the per-request cache
-    outcome is domain-local. *)
+    and whole response bodies live in an {!Lru} keyed by the canonical
+    request ({!sim_key} & friends) — a repeated request is answered
+    byte-identically without re-running trials.  That bounded cache is
+    the only state that outlives a request: a compiled {!Stormsim.Plan}
+    lives for one run.  Every entry point is safe to call from any
+    number of worker domains concurrently: the result cache takes one
+    lock per operation and the per-request cache outcome is
+    domain-local. *)
 
 type network = Stormsim.Sweep.network_id = Submarine | Intertubes | Itu
 (** Re-export: the core sweep engine owns the network vocabulary. *)
@@ -101,12 +101,12 @@ val params_of_body :
     anything else must parse as JSON and overlay cleanly. *)
 
 val with_cache : key:string -> (unit -> (string, string) result) -> (string, string) result
-(** Serve [key] from the sharded LRU result cache, or compute, cache
-    (successes only) and count.  Hits/misses/evictions land on the
+(** Serve [key] from the LRU result cache, or compute, cache (successes
+    only) and count.  Hits/misses/evictions land on the
     [server.cache.*] metrics (occupancy on the [server.cache.entries]
     gauge); a hit returns the stored bytes without running any trial.
     Safe from any domain — the counters are domain-sharded and exact,
-    the cache lock-striped. *)
+    the cache locked. *)
 
 val take_cache_outcome : unit -> [ `Hit | `Miss ] option
 (** Outcome of the calling domain's most recent {!with_cache} call,
@@ -115,12 +115,10 @@ val take_cache_outcome : unit -> [ `Hit | `Miss ] option
     e.g. [/healthz]).  Domain-local, so concurrent workers never see
     each other's outcomes. *)
 
-val set_cache_capacity : ?shards:int -> int -> unit
+val set_cache_capacity : int -> unit
 (** Replace the result cache with an empty one of the given capacity
-    (the [--cache-entries] flag) and stripe count (default 8, as in
-    {!Lru.Sharded.create}; tests that assert exact eviction order pass
-    [~shards:1]).  Call before worker domains are running —
-    the swap itself is not synchronized.
+    (the [--cache-entries] flag).  Call before worker domains are
+    running — the swap itself is not synchronized.
     @raise Invalid_argument if the capacity is negative. *)
 
 val cache_length : unit -> int

@@ -1,7 +1,7 @@
 (** The dependency-free simulation service behind [solarstorm serve]:
     a hardened HTTP/1.1 codec for both ends of the wire ({!Http}),
     method × path routing ({!Router}), the endpoint handlers
-    ({!Handlers}), a lock-striped canonical-key LRU result cache plus
+    ({!Handlers}), a locked canonical-key LRU result cache plus
     the shared compute/encode path ({!Api}, {!Lru}), the socket loop in
     which each of [--workers] domains owns the connections it accepts,
     with backpressure and graceful drain ({!Service}), the pipelined loopback

@@ -13,8 +13,8 @@
     request, though, waits behind its own worker's long [/sweep].
 
     Requests on different workers run genuinely in parallel, so
-    everything they touch is domain-safe: the result cache is
-    lock-striped ({!Lru.Sharded} via {!Api}), plan/dataset memos are
+    everything they touch is domain-safe: the result cache takes one
+    lock per operation ({!Lru} via {!Api}), plan/dataset memos are
     single-flight mutexes, metrics are sharded atomics, and the trace
     context is domain-local.  Responses are byte-identical to the
     single-worker path for any worker count — simulation draws are

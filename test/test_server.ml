@@ -385,13 +385,61 @@ let test_simulate_plans_released () =
 
 let test_cache_eviction_is_counted () =
   with_server_state @@ fun () ->
-  (* One shard: global LRU order, so exactly the third insert evicts. *)
-  Server.Api.set_cache_capacity ~shards:1 2;
+  Server.Api.set_cache_capacity 2;
   List.iter
     (fun k -> ignore (Server.Api.with_cache ~key:k (fun () -> Ok k)))
     [ "k1"; "k2"; "k3" ];
   Alcotest.(check int) "evictions counted" 1 (counter_value "server.cache.evictions");
   Alcotest.(check int) "capacity respected" 2 (Server.Api.cache_length ())
+
+(* The reference: an association list, newest first, holding at most
+   [cap] successful bodies.  Each generated call either finds its key
+   (a hit that moves it to the front) or computes; a failed compute
+   stores nothing, a successful one goes in front and pushes the oldest
+   entry out past [cap]. *)
+let prop_cache_matches_model =
+  let gen =
+    QCheck.Gen.(
+      pair (int_range 0 5)
+        (list_size (int_range 0 40) (pair (oneofl [ "a"; "b"; "c"; "d"; "e"; "f" ]) bool)))
+  in
+  let print (cap, calls) =
+    Printf.sprintf "cap %d: %s" cap
+      (String.concat " "
+         (List.map (fun (k, ok) -> if ok then k else k ^ "!") calls))
+  in
+  QCheck.Test.make ~name:"with_cache = association-list LRU, counters included" ~count:300
+    (QCheck.make ~print gen) (fun (cap, calls) ->
+      with_server_state @@ fun () ->
+      Server.Api.set_cache_capacity cap;
+      let model = ref [] in
+      let counters () =
+        List.map counter_value
+          [ "server.cache.hits"; "server.cache.misses"; "server.cache.evictions" ]
+      in
+      List.for_all
+        (fun (i, (key, ok)) ->
+          let body = Printf.sprintf "%s#%d" key i in
+          let before = counters () in
+          let got =
+            Server.Api.with_cache ~key (fun () -> if ok then Ok body else Error "failed")
+          in
+          let expected, deltas =
+            match List.assoc_opt key !model with
+            | Some stored ->
+                model := (key, stored) :: List.remove_assoc key !model;
+                (Ok stored, [ 1; 0; 0 ])
+            | None when not ok -> (Error "failed", [ 0; 1; 0 ])
+            | None when cap = 0 -> (Ok body, [ 0; 1; 0 ])
+            | None ->
+                let grown = (key, body) :: !model in
+                model := List.filteri (fun j _ -> j < cap) grown;
+                (Ok body, [ 0; 1; (if List.length grown > cap then 1 else 0) ])
+          in
+          got = expected
+          && List.map2 ( - ) (counters ()) before = deltas
+          && Server.Api.cache_length () = List.length !model)
+        (List.mapi (fun i c -> (i, c)) calls))
 
 let test_params_of_body_defaults () =
   let decode body =
@@ -1354,48 +1402,22 @@ let test_serve_host_name () =
         (Server.Service.create
            { (loopback_config ()) with Server.Service.host = "no\000such-host" }))
 
-(* --- sharded LRU --- *)
+(* --- LRU under domains --- *)
 
-let test_sharded_clamps_and_orders () =
-  let t : int Server.Lru.Sharded.t = Server.Lru.Sharded.create ~shards:8 ~capacity:3 () in
-  Alcotest.(check int) "shards clamp to capacity" 3 (Server.Lru.Sharded.shard_count t);
-  Alcotest.(check int) "capacity kept" 3 (Server.Lru.Sharded.capacity t);
-  let z : int Server.Lru.Sharded.t = Server.Lru.Sharded.create ~shards:4 ~capacity:0 () in
-  Alcotest.(check int) "zero capacity: one disabled shard" 1
-    (Server.Lru.Sharded.shard_count z);
-  Alcotest.(check (option (pair string int))) "zero capacity drops" None
-    (Server.Lru.Sharded.add z "a" 1);
-  Alcotest.(check int) "zero stays empty" 0 (Server.Lru.Sharded.length z);
-  (* One shard = exactly the plain LRU's global recency semantics. *)
-  let s1 = Server.Lru.Sharded.create ~shards:1 ~capacity:2 () in
-  ignore (Server.Lru.Sharded.add s1 "a" 1);
-  ignore (Server.Lru.Sharded.add s1 "b" 2);
-  Alcotest.(check (option int)) "find promotes" (Some 1) (Server.Lru.Sharded.find s1 "a");
-  Alcotest.(check (option (pair string int))) "lru evicted" (Some ("b", 2))
-    (Server.Lru.Sharded.add s1 "c" 3);
-  Alcotest.(check (list string)) "recency order" [ "c"; "a" ]
-    (Server.Lru.Sharded.keys_newest_first s1);
-  Alcotest.check_raises "negative capacity"
-    (Invalid_argument "Lru.Sharded.create: negative capacity") (fun () ->
-      ignore (Server.Lru.Sharded.create ~capacity:(-1) () : int Server.Lru.Sharded.t))
-
-let test_sharded_multi_domain_stress () =
+let test_lru_multi_domain_stress () =
   let domains = 4 and keys_per = 40 and rounds = 5 in
   let key d i = Printf.sprintf "d%d-k%03d" d i in
-  (* Phase 1: every shard's slice exceeds the whole key population
-     (capacity is partitioned across shards, so hash skew could
-     otherwise evict) — no entry may be lost or corrupted, from any
-     domain's point of view, at any time. *)
-  let big : int Server.Lru.Sharded.t =
-    Server.Lru.Sharded.create ~shards:8 ~capacity:(domains * keys_per * 8) ()
-  in
+  (* Phase 1: the capacity exceeds the whole key population — no entry
+     may be lost or corrupted, from any domain's point of view, at any
+     time. *)
+  let big : int Server.Lru.t = Server.Lru.create ~capacity:(domains * keys_per) in
   let doms =
     List.init domains (fun d ->
         Domain.spawn (fun () ->
             for _ = 1 to rounds do
               for i = 0 to keys_per - 1 do
-                ignore (Server.Lru.Sharded.add big (key d i) ((d * 1000) + i));
-                match Server.Lru.Sharded.find big (key d i) with
+                ignore (Server.Lru.add big (key d i) ((d * 1000) + i));
+                match Server.Lru.find big (key d i) with
                 | Some v when v = (d * 1000) + i -> ()
                 | Some _ -> failwith "wrong value under concurrency"
                 | None -> failwith "entry lost under concurrency"
@@ -1404,10 +1426,10 @@ let test_sharded_multi_domain_stress () =
   in
   List.iter Domain.join doms;
   Alcotest.(check int) "no entries lost" (domains * keys_per)
-    (Server.Lru.Sharded.length big);
+    (Server.Lru.length big);
   for d = 0 to domains - 1 do
     for i = 0 to keys_per - 1 do
-      if Server.Lru.Sharded.find big (key d i) <> Some ((d * 1000) + i) then
+      if Server.Lru.find big (key d i) <> Some ((d * 1000) + i) then
         Alcotest.fail (Printf.sprintf "key %s lost after join" (key d i))
     done
   done;
@@ -1415,24 +1437,22 @@ let test_sharded_multi_domain_stress () =
      every observable moment, and every add must be accounted for:
      resident at the end or reported evicted exactly once. *)
   let cap = 16 and adds_per = 200 in
-  let small : int Server.Lru.Sharded.t =
-    Server.Lru.Sharded.create ~shards:4 ~capacity:cap ()
-  in
+  let small : int Server.Lru.t = Server.Lru.create ~capacity:cap in
   let doms =
     List.init domains (fun d ->
         Domain.spawn (fun () ->
             let evicted = ref 0 in
             for i = 0 to adds_per - 1 do
-              (match Server.Lru.Sharded.add small (Printf.sprintf "s%d-%04d" d i) i with
+              (match Server.Lru.add small (Printf.sprintf "s%d-%04d" d i) i with
               | Some _ -> incr evicted
               | None -> ());
-              if i land 31 = 0 && Server.Lru.Sharded.length small > cap then
+              if i land 31 = 0 && Server.Lru.length small > cap then
                 failwith "capacity exceeded under concurrency"
             done;
             !evicted))
   in
   let evictions = List.fold_left (fun a d -> a + Domain.join d) 0 doms in
-  let len = Server.Lru.Sharded.length small in
+  let len = Server.Lru.length small in
   Alcotest.(check bool) "capacity never exceeded" true (len <= cap);
   Alcotest.(check int) "adds = resident + evicted" (domains * adds_per) (len + evictions)
 
@@ -2084,10 +2104,7 @@ let () =
         [ Alcotest.test_case "eviction order" `Quick test_lru_eviction_order;
           Alcotest.test_case "refresh" `Quick test_lru_refresh_existing;
           Alcotest.test_case "zero capacity" `Quick test_lru_zero_capacity_disables;
-          Alcotest.test_case "sharded clamps and orders" `Quick
-            test_sharded_clamps_and_orders;
-          Alcotest.test_case "sharded multi-domain stress" `Quick
-            test_sharded_multi_domain_stress ] );
+          Alcotest.test_case "multi-domain stress" `Quick test_lru_multi_domain_stress ] );
       ( "cache",
         [ Alcotest.test_case "key canonicalization" `Quick test_cache_key_canonicalization;
           Alcotest.test_case "hit skips trials" `Quick test_cache_hit_skips_trials;
@@ -2095,6 +2112,7 @@ let () =
           Alcotest.test_case "tiny spacing saturates" `Quick test_simulate_tiny_spacing;
           Alcotest.test_case "simulate plans released" `Quick test_simulate_plans_released;
           Alcotest.test_case "eviction counted" `Quick test_cache_eviction_is_counted;
+          QCheck_alcotest.to_alcotest prop_cache_matches_model;
           Alcotest.test_case "counters under concurrency" `Quick
             test_cache_counters_concurrent;
           Alcotest.test_case "body decoding defaults" `Quick test_params_of_body_defaults ] );
