@@ -69,12 +69,12 @@ let num_of_raw key = function
   | Str s -> (
       match float_of_string_opt (String.trim s) with
       | Some v -> Ok v
-      | None -> Error (Printf.sprintf "axis %S: %S is not a number" key s))
+      | None -> Error (Printf.sprintf "%S must be a number, not %S" key s))
 
 let int_of_raw key r =
   let* v = num_of_raw key r in
   if Float.is_integer v && Float.abs v <= 1e15 then Ok (int_of_float v)
-  else Error (Printf.sprintf "axis %S: values must be integers" key)
+  else Error (Printf.sprintf "%S must be an integer" key)
 
 let setter_of_raw key (r : raw_value) : (cell -> cell, string) result =
   match key with
@@ -83,37 +83,37 @@ let setter_of_raw key (r : raw_value) : (cell -> cell, string) result =
       | Str s ->
           let* n = network_id_of_string s in
           Ok (fun c -> { c with network = n })
-      | Num _ -> Error "axis \"network\": values must be network names")
+      | Num _ -> Error "\"network\" must be a network name")
   | "model" -> (
       let* m =
         match r with
         | Str s -> Failure_model.of_string s
         | Num p when p >= 0.0 && p <= 1.0 -> Ok (Failure_model.uniform p)
-        | Num _ -> Error "axis \"model\": a numeric model must be a probability in [0, 1]"
+        | Num _ -> Error "\"model\" must be a model name or a probability in [0, 1]"
       in
       Ok (fun c -> { c with model = m }))
   | "spacing_km" ->
       let* s = num_of_raw key r in
       if Float.is_finite s && s > 0.0 then Ok (fun c -> { c with spacing_km = s })
-      else Error "axis \"spacing_km\": values must be > 0"
+      else Error "\"spacing_km\" must be > 0"
   | "itu_scale" ->
       let* s = num_of_raw key r in
       if Float.is_finite s && s > 0.0 && s <= 1.0 then
         Ok (fun c -> { c with itu_scale = s })
-      else Error "axis \"itu_scale\": values must be in (0, 1]"
+      else Error "\"itu_scale\" must be in (0, 1]"
   | "seed" ->
       let* seed = int_of_raw key r in
       Ok (fun c -> { c with seed })
   | "trials" ->
       let* t = int_of_raw key r in
-      if t < 1 then Error "axis \"trials\": values must be >= 1"
+      if t < 1 then Error "\"trials\" must be >= 1"
       else if t > max_trials then
-        Error (Printf.sprintf "axis \"trials\": values must be <= %d" max_trials)
+        Error (Printf.sprintf "\"trials\" must be <= %d" max_trials)
       else Ok (fun c -> { c with trials = t })
   | key ->
       Error
         (Printf.sprintf
-           "unknown axis %S (network | model | spacing_km | itu_scale | seed | trials)"
+           "unknown key %S (network | model | spacing_km | itu_scale | seed | trials)"
            key)
 
 let axis_of_raw key raws =
@@ -149,7 +149,7 @@ let expand ?(base = default_cell) axes =
       | [] -> Ok ()
       | a :: rest ->
           if List.exists (fun b -> b.key = a.key) rest then
-            Error (Printf.sprintf "axis %S given more than once" a.key)
+            Error (Printf.sprintf "%S given more than once" a.key)
           else dup rest
     in
     dup axes

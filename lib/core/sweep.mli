@@ -40,8 +40,6 @@ type network_id = Submarine | Intertubes | Itu
 
 val network_id_to_string : network_id -> string
 
-val network_id_of_string : string -> (network_id, string) result
-
 type cell = {
   network : network_id;
   model : Failure_model.t;

@@ -20,8 +20,6 @@ open Obs.Json
    layers share one type and one canonical-key discipline. *)
 type network = Stormsim.Sweep.network_id = Submarine | Intertubes | Itu
 
-let network_of_string = Stormsim.Sweep.network_id_of_string
-
 type sim_params = Stormsim.Sweep.cell = {
   network : network;
   model : Stormsim.Failure_model.t;
@@ -89,41 +87,6 @@ let fold_object ~name step base = function
         (Ok base) kvs
   | _ -> Error (Printf.sprintf "%s request body must be a JSON object" name)
 
-let sim_of_json base j =
-  let step p k v =
-    match k with
-    | "network" ->
-        let* s = as_string k v in
-        let* network = network_of_string s in
-        Ok { p with network }
-    | "model" ->
-        let* m =
-          match v with
-          | String s -> Stormsim.Failure_model.of_string s
-          | Number prob when prob >= 0.0 && prob <= 1.0 ->
-              Ok (Stormsim.Failure_model.uniform prob)
-          | _ -> Error "field \"model\" must be a model name or a probability"
-        in
-        Ok { p with model = m }
-    | "spacing_km" ->
-        let* s = as_float k v in
-        if Float.is_finite s && s > 0.0 then Ok { p with spacing_km = s }
-        else Error "field \"spacing_km\" must be > 0"
-    | "itu_scale" ->
-        let* s = as_float k v in
-        if Float.is_finite s && s > 0.0 && s <= 1.0 then Ok { p with itu_scale = s }
-        else Error "field \"itu_scale\" must be in (0, 1]"
-    | "seed" ->
-        let* seed = as_int k v in
-        Ok { p with seed }
-    | "trials" ->
-        let* t = as_int k v in
-        let* trials = check_trials t in
-        Ok { p with trials }
-    | k -> Error (Printf.sprintf "unknown field %S" k)
-  in
-  fold_object ~name:"simulate" step base j
-
 let scenario_of_json base j =
   let step p k v =
     match k with
@@ -170,7 +133,7 @@ let sweep_axes_of_json j =
   let raw name = function
     | Number v -> Ok (Stormsim.Sweep.Num v)
     | String s -> Ok (Stormsim.Sweep.Str s)
-    | _ -> Error (Printf.sprintf "axis %S: values must be numbers or strings" name)
+    | _ -> Error (Printf.sprintf "%S values must be numbers or strings" name)
   in
   match j with
   | Object kvs ->
@@ -193,14 +156,26 @@ let sweep_axes_of_json j =
                   Ok [ r ]
               | _ ->
                   Error
-                    (Printf.sprintf "axis %S must be a value or an array of values" k)
+                    (Printf.sprintf "%S must be a number, a string or an array of them" k)
             in
             let* axis = Stormsim.Sweep.axis_of_raw k raws in
             Ok (axis :: axes))
           (Ok []) kvs
       in
       Ok (List.rev axes)
-  | _ -> Error "sweep request body must be a JSON object"
+  | _ -> Error "request body must be a JSON object"
+
+(* A simulate request is a one-cell sweep, so it decodes as one: the
+   grid's validators over [base], and exactly one cell out. *)
+let sim_of_json base j =
+  let* axes = sweep_axes_of_json j in
+  let* cells = Stormsim.Sweep.expand ~base axes in
+  match cells with
+  | [| cell |] -> Ok cell
+  | cells ->
+      Error
+        (Printf.sprintf "simulate takes one value per key, not a grid of %d cells"
+           (Array.length cells))
 
 let params_of_body ~base ~of_json body =
   if String.trim body = "" then Ok base

@@ -38,10 +38,12 @@ val sim_defaults : sim_params
     seed {!Datasets.default_seed}, 10 trials. *)
 
 val sim_of_json : sim_params -> Obs.Json.t -> (sim_params, string) result
-(** Overlay a JSON object's fields ([network], [model], [spacing_km],
-    [itu_scale], [seed], [trials]) over the given base parameters.
-    Strict: unknown fields, wrong types and out-of-range values are
-    [Error] (the service turns them into a 400). *)
+(** Decode a [/simulate] body as a one-cell sweep: {!sweep_axes_of_json},
+    then {!Stormsim.Sweep.expand} over the given base parameters, and
+    [Error] unless exactly one cell comes out.  So the body takes what
+    a [/sweep] grid takes (numeric strings, one-value arrays), and
+    unknown keys, repeated keys, wrong types and out-of-range values
+    are [Error] (the service turns them into a 400). *)
 
 val sim_key : sim_params -> string
 (** Canonical cache key; the ITU scale is normalized out for non-ITU

@@ -193,6 +193,8 @@ let test_router_bad_body_is_400 () =
       "{\"no_such_field\":1}";
       "{\"trials\":0}";
       "{\"network\":\"warp\"}";
+      "{\"trials\":[2,3]}";
+      "{\"trials\":[]}";
     ]
   in
   List.iter

@@ -544,6 +544,29 @@ let test_http_bad_grids_are_400 () =
     [ "{"; "[1,2]"; "\"grid\""; "{\"bogus\":[1]}"; "{\"trials\":[0]}";
       "{\"model\":{}}"; "{\"trials\":[true]}"; "{\"trials\":1,\"trials\":2}" ]
 
+(* /simulate decodes its body as a one-cell grid: each body gives the
+   cell a /sweep of it runs, or a 400 from both endpoints. *)
+let test_http_simulate_decodes_as_sweep () =
+  with_state @@ fun () ->
+  List.iter
+    (fun body ->
+      let sim = Server.Router.to_response (dispatch ~body "/simulate") in
+      let sweep = Server.Router.to_response (dispatch ~body "/sweep") in
+      match (sim.Server.Http.status, sweep.Server.Http.status) with
+      | 200, 200 ->
+          let tail ~head s =
+            let n = String.length head in
+            Alcotest.(check string) (body ^ " head") head (String.sub s 0 n);
+            String.sub s n (String.length s - n)
+          in
+          Alcotest.(check string) (body ^ " same cell")
+            (tail ~head:{|{"cell":0.0,|} sweep.Server.Http.body)
+            (tail ~head:{|{"endpoint":"simulate",|} sim.Server.Http.body)
+      | 400, 400 -> ()
+      | s, w -> Alcotest.failf "%s: /simulate %d, /sweep %d" body s w)
+    [ {|{"spacing_km":"150"}|}; {|{"trials":2,"trials":3}|}; {|{"seed":"7"}|};
+      {|{"seed":[7],"model":"s1"}|}; {|{"bogus":1}|} ]
+
 let test_http_tiny_spacing () =
   (* 1e-300 km must give the 1e-12 km result: the repeater count
      saturates instead of wrapping past max_int. *)
@@ -629,6 +652,8 @@ let () =
           Alcotest.test_case "empty axis -> empty stream" `Quick
             test_http_empty_axis_streams_nothing;
           Alcotest.test_case "bad grids are 400" `Quick test_http_bad_grids_are_400;
+          Alcotest.test_case "/simulate decodes as a one-cell sweep" `Quick
+            test_http_simulate_decodes_as_sweep;
           Alcotest.test_case "tiny spacing saturates" `Quick test_http_tiny_spacing;
           Alcotest.test_case "GET /sweep is 405" `Quick test_http_sweep_wrong_method_405 ]
       );
