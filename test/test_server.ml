@@ -1409,8 +1409,8 @@ let test_serve_host_name () =
 let test_lru_multi_domain_stress () =
   let domains = 4 and keys_per = 40 and rounds = 5 in
   let key d i = Printf.sprintf "d%d-k%03d" d i in
-  (* Phase 1: the capacity exceeds the whole key population — no entry
-     may be lost or corrupted, from any domain's point of view, at any
+  (* Phase 1: the capacity holds the whole key population — no entry may
+     be lost or corrupted, from any domain's point of view, at any
      time. *)
   let big : int Server.Lru.t = Server.Lru.create ~capacity:(domains * keys_per) in
   let doms =
