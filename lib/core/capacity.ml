@@ -93,17 +93,16 @@ let flow_between net ~dead ~sources ~sinks =
   Netgraph.Flow.max_flow_multi_edges ~nodes:(Infra.Network.nb_nodes net)
     ~max_edges:(total_hops net) ~edges ~sources ~sinks
 
-let analyze_corridor ?(trials = 10) ?(seed = 71) ?(spacing_km = 150.0) ?jobs ~network
-    ~model corridor =
+let analyze_corridor ?(trials = 10) ~network ~model corridor =
   let sources, sinks = terminals ~network corridor in
   if sources = [] || sinks = [] then
     { corridor; healthy_tbps = 0.0; expected_tbps = 0.0; surviving_pct = 0.0;
       min_cut_cables = [] }
   else begin
     let healthy = flow_between network ~dead:(fun _ -> false) ~sources ~sinks in
-    let p = Plan.compile ~spacing_km ~network ~model () in
+    let p = Plan.compile ~spacing_km:150.0 ~network ~model () in
     let acc =
-      Plan.run_trials_par ?jobs p ~trials ~seed ~init:0.0
+      Plan.run_trials_par p ~trials ~seed:71 ~init:0.0
         ~map:(fun ~rng:_ ~dead -> flow_between network ~dead:(Deadset.get dead) ~sources ~sinks)
         ~merge:( +. )
     in
@@ -129,7 +128,7 @@ let analyze_corridor ?(trials = 10) ?(seed = 71) ?(spacing_km = 150.0) ?jobs ~ne
     }
   end
 
-let standard_report ?trials ?jobs ~network ~model () =
+let standard_report ?trials ~network ~model () =
   List.map
-    (analyze_corridor ?trials ?jobs ~network ~model)
+    (analyze_corridor ?trials ~network ~model)
     [ atlantic; brazil_europe; pacific; asia_europe ]

@@ -49,20 +49,13 @@ val flow_between :
     [Infra.Network.graph_surviving], without building that graph. *)
 
 val analyze_corridor :
-  ?trials:int ->
-  ?seed:int ->
-  ?spacing_km:float ->
-  ?jobs:int ->
-  network:Infra.Network.t ->
-  model:Failure_model.t ->
-  corridor ->
-  corridor_report
+  ?trials:int -> network:Infra.Network.t -> model:Failure_model.t -> corridor -> corridor_report
 (** Max-flow capacity between the corridor's country groups, healthy and
-    after Monte-Carlo storm failures ({!Plan.run_trials_par}:
-    deterministic in [seed] for any [jobs]).  Corridors whose side
-    resolves to no nodes report zeros. *)
+    after Monte-Carlo storm failures: {!Plan.run_trials_par} at seed 71,
+    repeaters every 150 km, on {!Exec.default_jobs} workers (the same
+    result for any [--jobs]).  Corridors whose side resolves to no nodes
+    report zeros. *)
 
 val standard_report :
-  ?trials:int -> ?jobs:int -> network:Infra.Network.t -> model:Failure_model.t ->
-  unit -> corridor_report list
+  ?trials:int -> network:Infra.Network.t -> model:Failure_model.t -> unit -> corridor_report list
 (** The four standard corridors. *)

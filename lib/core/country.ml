@@ -312,7 +312,7 @@ let routed_lost net dead group_a group_b =
          group; we check every b. *)
       not (List.exists (fun b -> Hashtbl.mem reach b) group_b)
 
-let evaluate ?(trials = 50) ?(seed = 23) ?(spacing_km = 150.0) ?jobs net spec =
+let evaluate ?(trials = 50) net spec =
   let group_a = resolve_group net spec.group_a in
   let group_b = resolve_group net spec.group_b in
   let watched =
@@ -321,9 +321,9 @@ let evaluate ?(trials = 50) ?(seed = 23) ?(spacing_km = 150.0) ?jobs net spec =
     | Long_haul_isolated min_len -> long_haul_cables net group_a min_len
     | Routed_loss -> []
   in
-  let plan = Plan.compile ~spacing_km ~network:net ~model:spec.state () in
+  let plan = Plan.compile ~spacing_km:150.0 ~network:net ~model:spec.state () in
   let losses =
-    Plan.run_trials_par ?jobs plan ~trials ~seed:(seed + Hashtbl.hash spec.id) ~init:0
+    Plan.run_trials_par plan ~trials ~seed:(23 + Hashtbl.hash spec.id) ~init:0
       ~map:(fun ~rng:_ ~dead ->
         match spec.metric with
         | Direct_loss | Long_haul_isolated _ ->
@@ -340,5 +340,4 @@ let evaluate ?(trials = 50) ?(seed = 23) ?(spacing_km = 150.0) ?jobs net spec =
     direct_cables = List.length watched;
   }
 
-let run_all ?trials ?seed ?spacing_km ?jobs net =
-  List.map (evaluate ?trials ?seed ?spacing_km ?jobs net) paper_case_studies
+let run_all ?trials net = List.map (evaluate ?trials net) paper_case_studies

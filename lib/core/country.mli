@@ -39,19 +39,11 @@ val resolve_group : Infra.Network.t -> string list -> int list
 (** Country names resolve through node country labels; ["city:Name"]
     selectors resolve through {!Datasets.Submarine.hub_node}. *)
 
-val evaluate :
-  ?trials:int ->
-  ?seed:int ->
-  ?spacing_km:float ->
-  ?jobs:int ->
-  Infra.Network.t ->
-  spec ->
-  finding
+val evaluate : ?trials:int -> Infra.Network.t -> spec -> finding
 (** Monte-Carlo evaluation of one case study (default 50 trials,
-    150 km spacing).  Trials run on {!Plan.run_trials_par}: the result
-    is deterministic in [seed] for any [jobs]. *)
+    repeaters every 150 km).  Trials run on {!Plan.run_trials_par} at
+    seed [23 + Hashtbl.hash spec.id] on {!Exec.default_jobs} workers:
+    the same result for any [--jobs]. *)
 
-val run_all :
-  ?trials:int -> ?seed:int -> ?spacing_km:float -> ?jobs:int ->
-  Infra.Network.t -> finding list
+val run_all : ?trials:int -> Infra.Network.t -> finding list
 (** Evaluate every paper case study. *)

@@ -2,7 +2,6 @@
 
 type shutdown_plan = {
   actionable_lead_h : float;
-  power_off_factor : float;
   cables_failed_on_pct : float;
   cables_failed_off_pct : float;
   benefit_pct : float;
@@ -25,7 +24,6 @@ let shutdown_plan ?(power_off_factor = 0.8) ~cme ~network () =
   let on_pct = expected on_model and off_pct = expected off_model in
   {
     actionable_lead_h = timeline.Spaceweather.Forecast.actionable_lead_h;
-    power_off_factor;
     cables_failed_on_pct = on_pct;
     cables_failed_off_pct = off_pct;
     benefit_pct = on_pct -. off_pct;
@@ -35,24 +33,22 @@ type shutdown_decision = {
   storm_window_h : float;
   failure_fraction_powered : float;
   failure_fraction_off : float;
-  repair_days_powered : float;
-  repair_days_off : float;
   downtime_powered_days : float;
   downtime_off_days : float;
   recommended : bool;
 }
 
-let shutdown_decision ?(power_off_factor = 0.8) ?(severe_dst = -250.0) ~cme ~network () =
+let shutdown_decision ~cme ~network () =
   let dst = Spaceweather.Cme.expected_dst cme in
   let profile = Gic.Time_series.default ~dst_min:dst in
-  let storm_window_h = Gic.Time_series.duration_below profile ~dst_threshold:severe_dst in
+  let storm_window_h = Gic.Time_series.duration_below profile ~dst_threshold:(-250.0) in
   let expected scale_a =
     Montecarlo.expected_cables_failed_pct ~network ~spacing_km:150.0
       ~model:(Failure_model.Gic_physical { dst_nt = dst; scale_a })
     /. 100.0
   in
   let f_on = expected 30.0 in
-  let f_off = expected (30.0 /. power_off_factor) in
+  let f_off = expected (30.0 /. 0.8) in
   (* Shortest-job-first fleet approximation: 90% of the cable count is
      restored after roughly 90% of the total ship-days divided by the
      fleet, because short jobs are front-loaded. *)
@@ -77,18 +73,15 @@ let shutdown_decision ?(power_off_factor = 0.8) ?(severe_dst = -250.0) ~cme ~net
     let dead = f *. float_of_int (Infra.Network.nb_cables network) in
     0.9 *. dead *. mean_job /. float_of_int Recovery.default_params.Recovery.ships
   in
-  let repair_on = repair_days f_on and repair_off = repair_days f_off in
-  let downtime_powered_days = f_on *. repair_on in
+  let downtime_powered_days = f_on *. repair_days f_on in
   (* Forecast uncertainty means a precautionary shutdown is at least a
      day long even when the model predicts a short severe window. *)
   let shutdown_days = Float.max 1.0 (storm_window_h /. 24.0) in
-  let downtime_off_days = shutdown_days +. (f_off *. repair_off) in
+  let downtime_off_days = shutdown_days +. (f_off *. repair_days f_off) in
   {
     storm_window_h;
     failure_fraction_powered = f_on;
     failure_fraction_off = f_off;
-    repair_days_powered = repair_on;
-    repair_days_off = repair_off;
     downtime_powered_days;
     downtime_off_days;
     recommended = downtime_off_days < downtime_powered_days;
@@ -155,8 +148,8 @@ let surviving_pairs_with ~plan extra_cables =
   List.iter (fun (a, b, surv) -> note a b surv) extra_cables;
   Hashtbl.fold (fun _ death acc -> acc +. (1.0 -. death)) death_products 0.0
 
-let expected_surviving_pairs ?(state = Failure_model.s1) ~network () =
-  surviving_pairs_with ~plan:(Plan.compile ~network ~model:state ()) []
+let expected_surviving_pairs ~network () =
+  surviving_pairs_with ~plan:(Plan.compile ~network ~model:Failure_model.s1 ()) []
 
 (* Survival of a hypothetical new low-latitude cable between two cities
    under the tiered model: its tier comes from its endpoint latitudes. *)
@@ -183,7 +176,8 @@ let hypothetical_survival ~state a_city b_city =
   let surv = (1.0 -. per_repeater) ** float_of_int n in
   (a, b, length_km, surv)
 
-let plan_augmentation ?(budget = 3) ?(state = Failure_model.s1) ~network () =
+let plan_augmentation ?(budget = 3) ~network () =
+  let state = Failure_model.s1 in
   if budget < 0 then invalid_arg "Mitigation.plan_augmentation: negative budget";
   (* One compile serves the base score and every candidate × round
      rescore below — the greedy loop used to recompile the model for

@@ -9,9 +9,6 @@
 
 type shutdown_plan = {
   actionable_lead_h : float;
-  power_off_factor : float;
-      (** GIC reduction when de-powered (peak current drops only slightly:
-          the paper notes GIC flows through a powered-off cable) *)
   cables_failed_on_pct : float;  (** expected failures if left powered *)
   cables_failed_off_pct : float;  (** expected failures after shutdown *)
   benefit_pct : float;
@@ -24,33 +21,27 @@ val shutdown_plan :
   unit ->
   shutdown_plan
 (** Expected-failure comparison under the GIC-physical model with and
-    without de-powering (default factor 0.8: a 20% peak-current
-    reduction). *)
+    without de-powering.  [power_off_factor] is the GIC reduction when
+    de-powered (default 0.8: a 20% peak-current reduction, because GIC
+    still flows through a powered-off cable). *)
 
 type shutdown_decision = {
   storm_window_h : float;  (** hours the storm holds Dst below the threshold *)
   failure_fraction_powered : float;  (** expected cable-failure fraction if left on *)
   failure_fraction_off : float;
-  repair_days_powered : float;  (** approximate 90%-repair time for the damage *)
-  repair_days_off : float;
-  downtime_powered_days : float;  (** failure fraction × repair window *)
+  downtime_powered_days : float;  (** failure fraction × 90%-repair time *)
   downtime_off_days : float;  (** shutdown window + reduced damage downtime *)
   recommended : bool;  (** de-power iff it lowers expected downtime *)
 }
 
 val shutdown_decision :
-  ?power_off_factor:float ->
-  ?severe_dst:float ->
-  cme:Spaceweather.Cme.t ->
-  network:Infra.Network.t ->
-  unit ->
-  shutdown_decision
+  cme:Spaceweather.Cme.t -> network:Infra.Network.t -> unit -> shutdown_decision
 (** The §5.2 decision quantified: compare expected downtime
     (self-inflicted shutdown hours + damage × repair time) with and
-    without de-powering through the storm window.  The storm window is
-    the time the {!Gic.Time_series} profile spends below [severe_dst]
-    (default −250 nT); repair time uses the fleet model of {!Recovery}
-    with the shortest-job-first approximation. *)
+    without de-powering (factor 0.8, as {!shutdown_plan}) through the
+    storm window.  The storm window is the time the {!Gic.Time_series}
+    profile spends below −250 nT; repair time uses the fleet model of
+    {!Recovery} with the shortest-job-first approximation. *)
 
 (** {1 Topology augmentation (§5.1)} *)
 
@@ -61,21 +52,15 @@ type augmentation = {
   gain : float;  (** improvement in expected surviving inter-region pairs *)
 }
 
-val plan_augmentation :
-  ?budget:int ->
-  ?state:Failure_model.t ->
-  network:Infra.Network.t ->
-  unit ->
-  augmentation list
+val plan_augmentation : ?budget:int -> network:Infra.Network.t -> unit -> augmentation list
 (** Greedy selection of up to [budget] (default 3) candidate cables
     maximizing the expected number of continent pairs retaining a direct
-    surviving cable under the failure state (default S1). *)
+    surviving cable under S1. *)
 
-val expected_surviving_pairs :
-  ?state:Failure_model.t -> network:Infra.Network.t -> unit -> float
+val expected_surviving_pairs : network:Infra.Network.t -> unit -> float
 (** The objective {!plan_augmentation} improves: over all continent
     pairs, the sum of probabilities that at least one direct cable
-    survives. *)
+    survives S1. *)
 
 (** {1 Partition prediction (§5.3)} *)
 

@@ -33,7 +33,7 @@ let trials_total = Obs.Metrics.counter "mc.trials_total"
 let cables_failed_total = Obs.Metrics.counter "mc.cables_failed"
 
 let observe_trial dead =
-  if Obs.Metrics.enabled () then begin
+  if Obs.enabled () then begin
     Obs.Metrics.incr trials_total;
     Obs.Metrics.add cables_failed_total (Deadset.count_dead dead)
   end
@@ -54,11 +54,11 @@ let run_plan ?(trials = 10) ?jobs ~seed plan =
   let nodes_mean, nodes_std = Stats.mean_stddev nodes in
   { cables_mean; cables_std; nodes_mean; nodes_std }
 
-let run ?(trials = 10) ?jobs ~seed ~network ~spacing_km ~model () =
+let run ?(trials = 10) ~seed ~network ~spacing_km ~model () =
   if trials <= 0 then invalid_arg "Montecarlo.run: trials <= 0";
   if spacing_km <= 0.0 then invalid_arg "Montecarlo.run: spacing <= 0";
   let plan = Plan.compile ~spacing_km ~network ~model () in
-  run_plan ~trials ?jobs ~seed plan
+  run_plan ~trials ~seed plan
 
 let expected_cables_failed_pct ~network ~spacing_km ~model =
   Plan.expected_cables_failed_pct (Plan.compile ~spacing_km ~network ~model ())

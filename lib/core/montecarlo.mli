@@ -38,7 +38,6 @@ val run_plan : ?trials:int -> ?jobs:int -> seed:int -> Plan.t -> series
 
 val run :
   ?trials:int ->
-  ?jobs:int ->
   seed:int ->
   network:Infra.Network.t ->
   spacing_km:float ->
@@ -46,8 +45,9 @@ val run :
   unit ->
   series
 (** [run] aggregates [trials] (default 10, as in the paper) independent
-    trials: [Plan.compile] followed by {!run_plan}.  Deterministic in
-    [seed] for any [jobs].  @raise Invalid_argument if [trials <= 0] or
+    trials: [Plan.compile] followed by {!run_plan} on
+    {!Exec.default_jobs} workers.  Deterministic in [seed] for any
+    [--jobs].  @raise Invalid_argument if [trials <= 0] or
     [spacing_km <= 0.]. *)
 
 val expected_cables_failed_pct :

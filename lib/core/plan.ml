@@ -1,6 +1,5 @@
 type t = {
   network : Infra.Network.t;
-  model : Failure_model.t;
   spacing_km : float;
   per_repeater : float array;
   death : float array;
@@ -107,7 +106,6 @@ let compile ?(spacing_km = 150.0) ~network ~model () =
   done;
   {
     network;
-    model;
     spacing_km;
     per_repeater;
     death;

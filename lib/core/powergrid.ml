@@ -110,10 +110,9 @@ type coupled_result = {
   regions_down : string list;
 }
 
-let simulate ?(trials = 30) ?(seed = 31) ?(backup_days = 3.0) ?(spacing_km = 150.0)
-    ~network ~model ~dst_nt () =
+let simulate ?(trials = 30) ?(seed = 31) ~network ~model ~dst_nt () =
   Obs.Span.with_ ~name:"powergrid.simulate" @@ fun () ->
-  let p = Plan.compile ~spacing_km ~network ~model () in
+  let p = Plan.compile ~spacing_km:150.0 ~network ~model () in
   let n = Infra.Network.nb_nodes network in
   let node_region =
     Array.init n (fun i -> region_of_node (Infra.Network.node network i))
@@ -126,7 +125,7 @@ let simulate ?(trials = 30) ?(seed = 31) ?(backup_days = 3.0) ?(spacing_km = 150
       List.filter
         (fun reg ->
           Rng.bernoulli rng ~p:(failure_probability reg ~dst_nt)
-          && outage_days rng reg ~dst_nt > backup_days)
+          && outage_days rng reg ~dst_nt > 3.0)
         world_regions
     in
     let has_cable = Array.make n false and has_live = Array.make n false in

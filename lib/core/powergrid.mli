@@ -47,8 +47,6 @@ type coupled_result = {
 val simulate :
   ?trials:int ->
   ?seed:int ->
-  ?backup_days:float ->
-  ?spacing_km:float ->
   network:Infra.Network.t ->
   model:Failure_model.t ->
   dst_nt:float ->
@@ -56,5 +54,5 @@ val simulate :
   coupled_result
 (** Monte-Carlo coupling: a node is dark if all its cables died, or if
     its regional grid is down for longer than the landing station's
-    backup power ([backup_days], default 3).  [regions_down] lists the
-    grids that failed in the majority of trials. *)
+    3 days of backup power.  Repeaters sit every 150 km.  [regions_down]
+    lists the grids that failed in the majority of trials. *)

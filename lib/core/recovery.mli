@@ -48,12 +48,11 @@ val us_outage_cost_usd :
 val storm_recovery :
   ?trials:int ->
   ?seed:int ->
-  ?spacing_km:float ->
-  ?jobs:int ->
   network:Infra.Network.t ->
   model:Failure_model.t ->
   unit ->
   timeline * float
 (** Average repair timeline over storm trials, plus the mean number of
-    dead cables per trial.  Trials run through {!Plan.run_trials_par}:
-    deterministic in [seed] for any [jobs]. *)
+    dead cables per trial, with repeaters every 150 km.  Trials run
+    through {!Plan.run_trials_par} on {!Exec.default_jobs} workers:
+    deterministic in [seed] (default 53) for any [--jobs]. *)

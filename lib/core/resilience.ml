@@ -7,7 +7,7 @@ type sweep_point = {
 
 let paper_probabilities = [ 0.001; 0.003; 0.01; 0.03; 0.1; 0.3; 1.0 ]
 
-let fig6_7 ?(trials = 10) ?(probabilities = paper_probabilities) ?(seed = 7) ~networks () =
+let fig6_7 ?(trials = 10) ?(probabilities = paper_probabilities) ~networks () =
   List.concat_map
     (fun spacing_km ->
       List.concat_map
@@ -17,7 +17,7 @@ let fig6_7 ?(trials = 10) ?(probabilities = paper_probabilities) ?(seed = 7) ~ne
               let model = Failure_model.uniform p in
               let series =
                 Montecarlo.run ~trials
-                  ~seed:(seed + int_of_float (spacing_km *. 1000.0) + Hashtbl.hash (name, p))
+                  ~seed:(7 + int_of_float (spacing_km *. 1000.0) + Hashtbl.hash (name, p))
                   ~network:net ~spacing_km ~model ()
               in
               { probability = p; spacing_km; network = name; series })
@@ -32,7 +32,7 @@ type tiered_point = {
   series : Montecarlo.series;
 }
 
-let fig8 ?(trials = 10) ?(seed = 11) ~networks () =
+let fig8 ?(trials = 10) ~networks () =
   let states = [ ("S1", Failure_model.s1); ("S2", Failure_model.s2) ] in
   List.concat_map
     (fun (state, model) ->
@@ -42,7 +42,7 @@ let fig8 ?(trials = 10) ?(seed = 11) ~networks () =
             (fun (name, net) ->
               let series =
                 Montecarlo.run ~trials
-                  ~seed:(seed + int_of_float spacing_km + Hashtbl.hash (name, state))
+                  ~seed:(11 + int_of_float spacing_km + Hashtbl.hash (name, state))
                   ~network:net ~spacing_km ~model ()
               in
               { state; spacing_km; network = name; series })

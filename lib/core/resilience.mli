@@ -14,13 +14,12 @@ type sweep_point = {
 val fig6_7 :
   ?trials:int ->
   ?probabilities:float list ->
-  ?seed:int ->
   networks:(string * Infra.Network.t) list ->
   unit ->
   sweep_point list
 (** The full uniform-probability sweep (Fig. 6 reads [cables_*] of each
     point; Fig. 7 reads [nodes_*]).  Points are ordered by (spacing,
-    network, probability). *)
+    network, probability); each point's seed derives from base seed 7. *)
 
 type tiered_point = {
   state : string;  (** "S1" or "S2" *)
@@ -29,14 +28,10 @@ type tiered_point = {
   series : Montecarlo.series;
 }
 
-val fig8 :
-  ?trials:int ->
-  ?seed:int ->
-  networks:(string * Infra.Network.t) list ->
-  unit ->
-  tiered_point list
+val fig8 : ?trials:int -> networks:(string * Infra.Network.t) list -> unit -> tiered_point list
 (** S1/S2 × spacing × network (Fig. 8 plots cables and nodes for the
-    submarine and Intertubes networks). *)
+    submarine and Intertubes networks); each point's seed derives from
+    base seed 11. *)
 
 val find_sweep :
   sweep_point list ->

@@ -38,13 +38,13 @@ let nearest_node network city =
   done;
   !best
 
-let evaluate ?(state = Failure_model.s1) ?(survival_cutoff = 0.5) ~network service =
+let evaluate ?(state = Failure_model.s1) ~network service =
   let n_replicas = List.length service.replicas in
   if service.write_quorum <= 0 || service.write_quorum > n_replicas then
     invalid_arg "Resilience_test.evaluate: bad write quorum";
   if service.read_quorum <= 0 || service.read_quorum > n_replicas then
     invalid_arg "Resilience_test.evaluate: bad read quorum";
-  let parts = Mitigation.predicted_partitions ~state ~survival_cutoff ~network () in
+  let parts = Mitigation.predicted_partitions ~state ~survival_cutoff:0.5 ~network () in
   let replica_nodes = List.map (nearest_node network) service.replicas in
   (* Partition id per node. *)
   let part_of = Hashtbl.create 1024 in
@@ -77,8 +77,7 @@ let evaluate ?(state = Failure_model.s1) ?(survival_cutoff = 0.5) ~network servi
       (if !total = 0 then 0.0 else float_of_int !reach /. float_of_int !total);
   }
 
-let run_suite ?state ~network () =
-  List.map (evaluate ?state ~network) sample_services
+let run_suite ~network () = List.map (evaluate ~network) sample_services
 
 let placement_gain ~network ~before ~after =
   let a = evaluate ~network after and b = evaluate ~network before in

@@ -26,22 +26,17 @@ type availability = {
   reachable_replicas_mean : float;
 }
 
-val evaluate :
-  ?state:Failure_model.t ->
-  ?survival_cutoff:float ->
-  network:Infra.Network.t ->
-  service ->
-  availability
+val evaluate : ?state:Failure_model.t -> network:Infra.Network.t -> service -> availability
 (** Availability under the partitions of
-    {!Mitigation.predicted_partitions}: a user (at a landing node,
+    {!Mitigation.predicted_partitions} at survival cutoff 0.5 (default
+    state S1): a user (at a landing node,
     weighted 1) can read/write iff its partition contains at least the
     quorum of replica sites (each replica mapped to its nearest landing
     node).  @raise Invalid_argument if a quorum exceeds the replica count
     or is not positive. *)
 
-val run_suite :
-  ?state:Failure_model.t -> network:Infra.Network.t -> unit -> availability list
-(** Evaluate {!sample_services}. *)
+val run_suite : network:Infra.Network.t -> unit -> availability list
+(** Evaluate {!sample_services} under S1. *)
 
 val placement_gain :
   network:Infra.Network.t -> before:service -> after:service -> float

@@ -22,9 +22,9 @@ let model_for_severity sev =
   | Moderate | Minor | Quiet ->
       Failure_model.tiered ~high:0.001 ~mid:0.0001 ~low:0.00001
 
-let impact_of ?(trials = 10) ?jobs ~seed ~spacing_km ~model (name, net) =
-  let plan = Plan.compile ~spacing_km ~network:net ~model () in
-  let series = Montecarlo.run_plan ~trials ?jobs ~seed plan in
+let impact_of ~trials ~seed ~model (name, net) =
+  let plan = Plan.compile ~spacing_km:150.0 ~network:net ~model () in
+  let series = Montecarlo.run_plan ~trials ~seed plan in
   {
     network = name;
     model;
@@ -32,20 +32,19 @@ let impact_of ?(trials = 10) ?jobs ~seed ~spacing_km ~model (name, net) =
     nodes_unreachable_pct = series.Montecarlo.nodes_mean;
   }
 
-let run ?(trials = 10) ?(seed = 17) ?(spacing_km = 150.0) ?(use_physical = false)
-    ?jobs ~cme ~networks () =
+let run ?(trials = 10) ?(use_physical = false) ~cme ~networks () =
   let dst_nt = Spaceweather.Cme.expected_dst cme in
   let severity = Spaceweather.Dst.severity_of_dst dst_nt in
   let timeline = Spaceweather.Forecast.timeline cme in
   let model = model_for_severity severity in
   let probabilistic =
-    List.map (impact_of ~trials ?jobs ~seed ~spacing_km ~model) networks
+    List.map (impact_of ~trials ~seed:17 ~model) networks
   in
   let physical =
     if not use_physical then []
     else
       let model = Failure_model.Gic_physical { dst_nt; scale_a = 30.0 } in
-      List.map (impact_of ~trials ?jobs ~seed:(seed + 1) ~spacing_km ~model) networks
+      List.map (impact_of ~trials ~seed:18 ~model) networks
   in
   { cme; dst_nt; severity; timeline; impacts = probabilistic @ physical }
 

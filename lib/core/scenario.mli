@@ -27,18 +27,16 @@ val model_for_severity : Spaceweather.Dst.severity -> Failure_model.t
 
 val run :
   ?trials:int ->
-  ?seed:int ->
-  ?spacing_km:float ->
   ?use_physical:bool ->
-  ?jobs:int ->
   cme:Spaceweather.Cme.t ->
   networks:(string * Infra.Network.t) list ->
   unit ->
   t
 (** Evaluate a scenario.  With [use_physical] (default false) the
     GIC-physical model is also run per network and appended to
-    [impacts].  Monte-Carlo trials run on {!Plan.run_trials_par}:
-    deterministic in [seed] for any [jobs]. *)
+    [impacts].  Monte-Carlo trials run on {!Plan.run_trials_par} at
+    seed 17 (18 for the physical model), repeaters every 150 km, on
+    {!Exec.default_jobs} workers: the same result for any [--jobs]. *)
 
 val historical : name:string -> networks:(string * Infra.Network.t) list -> t option
 (** Scenario for a catalogued historical event ({!Spaceweather.Storm_catalog});

@@ -64,9 +64,9 @@ let nodes_unreachable_pct_segments network dead_hops =
    one for the segment-level re-roll), which the driver's
    one-split-per-trial contract can't express without changing the
    historical draw sequence. *)
-let compare_models ?(trials = 10) ?(seed = 83) ?(spacing_km = 150.0) ~network ~model () =
-  let plan = Plan.compile ~spacing_km ~network ~model () in
-  let master = Rng.create seed in
+let compare_models ?(trials = 10) ~network ~model () =
+  let plan = Plan.compile ~spacing_km:150.0 ~network ~model () in
+  let master = Rng.create 83 in
   let cn = ref 0.0 and sn = ref 0.0 and cc = ref 0.0 and ss = ref 0.0 in
   for _ = 1 to trials do
     let dead = Plan.sample plan (Rng.split master) in

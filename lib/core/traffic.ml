@@ -148,13 +148,12 @@ let route ?dead ?baseline_max ~network ~demands () =
   let dead = Option.map (fun d c -> d.(c)) dead in
   route_internal ?dead ?baseline_max ~network ~demands ()
 
-let storm_shift ?(trials = 10) ?(seed = 47) ?(spacing_km = 150.0) ?jobs ~network ~model
-    () =
+let storm_shift ?(trials = 10) ~network ~model () =
   let demands = gravity_demands () in
   let baseline = route ~network ~demands () in
-  let p = Plan.compile ~spacing_km ~network ~model () in
+  let p = Plan.compile ~spacing_km:150.0 ~network ~model () in
   let acc =
-    Plan.run_trials_par ?jobs p ~trials ~seed ~init:[]
+    Plan.run_trials_par p ~trials ~seed:47 ~init:[]
       ~map:(fun ~rng:_ ~dead ->
         route_internal ~dead:(Deadset.get dead) ~baseline_max:baseline.max_cable_load
           ~network ~demands ())

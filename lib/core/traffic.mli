@@ -42,14 +42,8 @@ val route :
     time — {!storm_shift} does. *)
 
 val storm_shift :
-  ?trials:int ->
-  ?seed:int ->
-  ?spacing_km:float ->
-  ?jobs:int ->
-  network:Infra.Network.t ->
-  model:Failure_model.t ->
-  unit ->
-  routing * routing
+  ?trials:int -> network:Infra.Network.t -> model:Failure_model.t -> unit -> routing * routing
 (** [(baseline, after)] — average routing metrics over Monte-Carlo storm
-    trials ({!Plan.run_trials_par}: deterministic in [seed] for any
-    [jobs]). *)
+    trials with repeaters every 150 km ({!Plan.run_trials_par} at seed 47
+    on {!Exec.default_jobs} workers: the same result for any
+    [--jobs]). *)

@@ -35,7 +35,7 @@ let wgs84_a = 6378.137
 let wgs84_b = 6356.752314245
 let wgs84_f = 1.0 /. 298.257223563
 
-let vincenty_km ?(max_iter = 100) p1 p2 =
+let vincenty_km p1 p2 =
   if Coord.equal p1 p2 then 0.0
   else
     let u1 = atan ((1.0 -. wgs84_f) *. tan (Angle.deg_to_rad (Coord.lat p1))) in
@@ -44,7 +44,7 @@ let vincenty_km ?(max_iter = 100) p1 p2 =
     let sin_u1 = sin u1 and cos_u1 = cos u1 in
     let sin_u2 = sin u2 and cos_u2 = cos u2 in
     let rec iterate lambda i =
-      if i >= max_iter then None
+      if i >= 100 then None
       else
         let sin_l = sin lambda and cos_l = cos lambda in
         let sin_sigma =

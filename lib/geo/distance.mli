@@ -30,10 +30,10 @@ val max_dlat_deg : float -> float
     far above the formula's rounding, so a pair rejected by it would
     also fail [haversine_km a b <= km]. *)
 
-val vincenty_km : ?max_iter:int -> Coord.t -> Coord.t -> float
+val vincenty_km : Coord.t -> Coord.t -> float
 (** Vincenty inverse formula on the WGS-84 ellipsoid.  Falls back to
-    {!haversine_km} when the iteration fails to converge (nearly antipodal
-    points). *)
+    {!haversine_km} when the iteration fails to converge within 100 steps
+    (nearly antipodal points). *)
 
 val central_angle_rad : Coord.t -> Coord.t -> float
 (** Central angle between two points, radians. *)

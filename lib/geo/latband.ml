@@ -54,7 +54,7 @@ let fraction_above items ~threshold =
   in
   if total <= 0.0 then 0.0 else above /. total
 
-let default_thresholds = [ 0.; 10.; 20.; 30.; 40.; 50.; 60.; 70.; 80.; 90. ]
-
-let threshold_curve ?(thresholds = default_thresholds) items =
-  List.map (fun th -> (th, 100.0 *. fraction_above items ~threshold:th)) thresholds
+let threshold_curve items =
+  List.map
+    (fun th -> (th, 100.0 *. fraction_above items ~threshold:th))
+    [ 0.; 10.; 20.; 30.; 40.; 50.; 60.; 70.; 80.; 90. ]

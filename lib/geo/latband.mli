@@ -40,6 +40,6 @@ val fraction_above : (float * float) list -> threshold:float -> float
     items whose [|latitude|] strictly exceeds [threshold].  Total weight of
     zero yields [0.]. *)
 
-val threshold_curve : ?thresholds:float list -> (float * float) list -> (float * float) list
-(** Percentage-above-threshold curve for Fig. 4: default thresholds are
-    0, 10, ..., 90 degrees.  Result pairs are [(threshold, percent)]. *)
+val threshold_curve : (float * float) list -> (float * float) list
+(** Percentage-above-threshold curve for Fig. 4 at thresholds 0, 10, ...,
+    90 degrees.  Result pairs are [(threshold, percent)]. *)

@@ -1,19 +1,13 @@
-type section = {
-  start_km : float;
-  end_km : float;
-  emf_v : float;
-  resistance_ohm : float;
-  gic_a : float;
-}
+type section = { emf_v : float; resistance_ohm : float; gic_a : float }
 
-type result = { sections : section list; peak_gic_a : float; total_emf_v : float }
+type result = { sections : section list; peak_gic_a : float }
 
-let default_line_resistance_ohm_km = 0.8
-let default_ground_resistance_ohm = 2.0
+let ground_resistance_ohm = 2.0
 
-let section_emf ~storm ~path ~sample_km ~start_km ~end_km =
-  (* Integrate |E| * projection over [start, end] in steps of sample_km
-     using mid-point field amplitudes. *)
+let section_emf ~storm ~path ~start_km ~end_km =
+  (* Integrate |E| * projection over [start, end] in 100 km steps using
+     mid-point field amplitudes. *)
+  let sample_km = 100.0 in
   let rec go acc d =
     if d >= end_km then acc
     else
@@ -24,12 +18,9 @@ let section_emf ~storm ~path ~sample_km ~start_km ~end_km =
   in
   go 0.0 start_km
 
-let compute ?(line_resistance_ohm_km = default_line_resistance_ohm_km)
-    ?(ground_resistance_ohm = default_ground_resistance_ohm) ?(sample_km = 100.0)
-    ~storm ~path ~ground_chainages_km () =
+let compute ?(line_resistance_ohm_km = 0.8) ~storm ~path ~ground_chainages_km () =
   if path = [] then invalid_arg "Induced.compute: empty path";
-  if line_resistance_ohm_km <= 0.0 || ground_resistance_ohm < 0.0 || sample_km <= 0.0
-  then invalid_arg "Induced.compute: non-positive parameter";
+  if line_resistance_ohm_km <= 0.0 then invalid_arg "Induced.compute: non-positive parameter";
   let total = Geo.Distance.path_length_km path in
   let grounds =
     List.sort_uniq Float.compare
@@ -46,14 +37,13 @@ let compute ?(line_resistance_ohm_km = default_line_resistance_ohm_km)
         let len = b -. a in
         if len <= 1e-6 then None
         else
-          let emf = section_emf ~storm ~path ~sample_km ~start_km:a ~end_km:b in
+          let emf = section_emf ~storm ~path ~start_km:a ~end_km:b in
           let r = (line_resistance_ohm_km *. len) +. (2.0 *. ground_resistance_ohm) in
-          Some { start_km = a; end_km = b; emf_v = emf; resistance_ohm = r; gic_a = emf /. r })
+          Some { emf_v = emf; resistance_ohm = r; gic_a = emf /. r })
       (pairs grounds)
   in
   let peak = List.fold_left (fun m s -> Float.max m (Float.abs s.gic_a)) 0.0 sections in
-  let total_emf = List.fold_left (fun m s -> m +. s.emf_v) 0.0 sections in
-  { sections; peak_gic_a = peak; total_emf_v = total_emf }
+  { sections; peak_gic_a = peak }
 
 let repeater_stress_ratio r ~operating_current_a =
   if operating_current_a <= 0.0 then

@@ -24,9 +24,7 @@ let dst_at p ~t_h =
     p.dst_min *. ((t_h -. p.onset_h) /. p.main_phase_h)
   else p.dst_min *. exp (-.(t_h -. peak_time_h p) /. p.recovery_tau_h)
 
-let storm_at ?period_s p ~t_h =
-  let dst = Float.min (-1.0) (dst_at p ~t_h) in
-  Disturbance.storm_of_dst ?period_s dst
+let storm_at p ~t_h = Disturbance.storm_of_dst (Float.min (-1.0) (dst_at p ~t_h))
 
 let duration_below p ~dst_threshold =
   if dst_threshold >= 0.0 || p.dst_min > dst_threshold then 0.0

@@ -20,7 +20,7 @@ val default : dst_min:float -> profile
 val dst_at : profile -> t_h:float -> float
 (** Dst at [t_h] hours after shock arrival (0 before onset). *)
 
-val storm_at : ?period_s:float -> profile -> t_h:float -> Disturbance.storm
+val storm_at : profile -> t_h:float -> Disturbance.storm
 (** Instantaneous disturbance for the GIC pipeline.  Quiet times map to a
     negligible −1 nT storm. *)
 

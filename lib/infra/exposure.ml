@@ -1,9 +1,4 @@
-type t = {
-  cable_id : int;
-  peak_gic_a : float;
-  stress_ratio : float;
-  worst_section_km : float * float;
-}
+type t = { cable_id : int; peak_gic_a : float }
 
 let path_of_cable ~network (c : Cable.t) =
   (* Sample each landing-to-landing hop so that the field integration sees
@@ -29,26 +24,11 @@ let of_cable ?interval_km ~storm ~network (c : Cable.t) =
   Obs.Metrics.incr exposure_evals;
   let path = path_of_cable ~network c in
   let grounds = Grounding.chainages ?interval_km ~length_km:c.Cable.length_km () in
-  if grounds = [] then
-    { cable_id = c.Cable.id; peak_gic_a = 0.0; stress_ratio = 0.0; worst_section_km = (0.0, 0.0) }
+  if grounds = [] then { cable_id = c.Cable.id; peak_gic_a = 0.0 }
   else
     let result = Gic.Induced.compute ~storm ~path ~ground_chainages_km:grounds () in
-    let worst =
-      List.fold_left
-        (fun ((_, _, g_best) as best) (s : Gic.Induced.section) ->
-          if Float.abs s.Gic.Induced.gic_a > g_best then
-            (s.Gic.Induced.start_km, s.Gic.Induced.end_km, Float.abs s.Gic.Induced.gic_a)
-          else best)
-        (0.0, 0.0, 0.0) result.Gic.Induced.sections
-    in
-    let a, b, _ = worst in
     Obs.Metrics.observe peak_gic_hist result.Gic.Induced.peak_gic_a;
-    {
-      cable_id = c.Cable.id;
-      peak_gic_a = result.Gic.Induced.peak_gic_a;
-      stress_ratio = result.Gic.Induced.peak_gic_a /. 1.0;
-      worst_section_km = (a, b);
-    }
+    { cable_id = c.Cable.id; peak_gic_a = result.Gic.Induced.peak_gic_a }
 
 let failure_probability ?(scale_a = 30.0) t =
   if scale_a <= 0.0 then invalid_arg "Exposure.failure_probability: scale <= 0";

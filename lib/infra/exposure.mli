@@ -7,12 +7,7 @@
     that replaces the paper's purely probabilistic repeater-failure knob
     in the physics ablation (DESIGN.md §3). *)
 
-type t = {
-  cable_id : int;
-  peak_gic_a : float;
-  stress_ratio : float;  (** peak GIC / 1 A operating current *)
-  worst_section_km : float * float;  (** chainage range of the worst section *)
-}
+type t = { cable_id : int; peak_gic_a : float }
 
 val of_cable :
   ?interval_km:float ->
@@ -23,7 +18,7 @@ val of_cable :
 (** Exposure of one cable under a storm. *)
 
 val failure_probability : ?scale_a:float -> t -> float
-(** Maps a stress ratio to a per-repeater failure probability through a
+(** Maps the peak GIC to a per-repeater failure probability through a
     saturating exponential: [1 - exp (-peak_gic / scale_a)].  [scale_a]
     defaults to 30 A (repeaters survive small GIC; a 100 A Carrington-class
     surge is near-certain destruction). *)

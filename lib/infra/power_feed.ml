@@ -10,9 +10,9 @@ let feed_current_a = 1.1
 let line_resistance_ohm_km = 0.8
 let repeater_drop_v = 18.0
 
-let budget_for ?(spacing_km = 70.0) ~length_km () =
+let budget_for ~length_km () =
   if length_km <= 0.0 then invalid_arg "Power_feed.budget_for: length <= 0";
-  let repeaters = Repeater.count_for_length ~spacing_km ~length_km in
+  let repeaters = Repeater.count_for_length ~spacing_km:70.0 ~length_km in
   let line_voltage_v = feed_current_a *. line_resistance_ohm_km *. length_km in
   let repeater_voltage_v = float_of_int repeaters *. repeater_drop_v in
   (* Earth-potential difference between the two shores plus spare-repeater
@@ -26,12 +26,11 @@ let budget_for ?(spacing_km = 70.0) ~length_km () =
     repeaters;
   }
 
-let dual_end_feasible ?(max_pfe_voltage_v = 15000.0) b =
-  b.total_v <= 2.0 *. max_pfe_voltage_v
+let dual_end_feasible b = b.total_v <= 2.0 *. 15000.0
 
-let max_span_km ?(max_pfe_voltage_v = 15000.0) ?(spacing_km = 70.0) () =
+let max_span_km () =
   (* Bisection over length: the budget is monotone in length. *)
-  let feasible l = dual_end_feasible ~max_pfe_voltage_v (budget_for ~spacing_km ~length_km:l ()) in
+  let feasible l = dual_end_feasible (budget_for ~length_km:l ()) in
   let rec bisect lo hi n =
     if n = 0 then lo
     else

@@ -12,14 +12,14 @@ type budget = {
   repeaters : int;
 }
 
-val budget_for : ?spacing_km:float -> length_km:float -> unit -> budget
-(** Voltage budget for a cable.  Default spacing 70 km (transoceanic
+val budget_for : length_km:float -> unit -> budget
+(** Voltage budget for a cable with repeaters every 70 km (transoceanic
     practice, giving ≈ 128 repeaters for 9,000 km).
-    @raise Invalid_argument on non-positive length or spacing. *)
+    @raise Invalid_argument on non-positive length. *)
 
-val dual_end_feasible : ?max_pfe_voltage_v:float -> budget -> bool
-(** Whether two PFEs (one per end, each limited to [max_pfe_voltage_v],
-    default 15 kV) can power the cable. *)
+val dual_end_feasible : budget -> bool
+(** Whether two PFEs (one per end, each limited to 15 kV) can power the
+    cable. *)
 
-val max_span_km : ?max_pfe_voltage_v:float -> ?spacing_km:float -> unit -> float
+val max_span_km : unit -> float
 (** Longest cable the dual-end feed can power under the model, km. *)

@@ -64,12 +64,12 @@ let visible_satellites t ~lat_deg ~elevation_mask_deg =
 let covered t ~lat_deg ~elevation_mask_deg =
   visible_satellites t ~lat_deg ~elevation_mask_deg >= 1.0
 
-let coverage_fraction ?(elevation_mask_deg = 25.0) t users =
+let coverage_fraction t users =
   let total = List.fold_left (fun a (_, w) -> a +. w) 0.0 users in
   if total <= 0.0 then 0.0
   else
     List.fold_left
       (fun acc (lat, w) ->
-        if covered t ~lat_deg:lat ~elevation_mask_deg then acc +. w else acc)
+        if covered t ~lat_deg:lat ~elevation_mask_deg:25.0 then acc +. w else acc)
       0.0 users
     /. total

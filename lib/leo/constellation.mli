@@ -33,7 +33,6 @@ val visible_satellites : t -> lat_deg:float -> elevation_mask_deg:float -> float
 (** Expected number of the constellation's satellites above the elevation
     mask for a user at the given latitude (0 where no shell reaches). *)
 
-val coverage_fraction :
-  ?elevation_mask_deg:float -> t -> (float * float) list -> float
+val coverage_fraction : t -> (float * float) list -> float
 (** Population-weighted fraction of [(latitude, weight)] users with
-    coverage (default 25° mask). *)
+    coverage above a 25° elevation mask. *)

@@ -46,7 +46,8 @@ let altitude_after s conditions ~alt_km ~days =
    with Exit -> ());
   !alt
 
-let lifetime_days ?(max_days = 36500.0) s conditions ~alt_km =
+let lifetime_days s conditions ~alt_km =
+  let max_days = 36500.0 in
   (* March forward in exponentially growing chunks; bisect the last one. *)
   let rec march t alt =
     if alt <= Orbit.reentry_alt_km +. 1e-6 then t

@@ -31,7 +31,5 @@ val altitude_after :
     integrated in 10-minute steps; floors at {!Orbit.reentry_alt_km}.
     @raise Invalid_argument for negative duration. *)
 
-val lifetime_days :
-  ?max_days:float -> spacecraft -> Atmosphere.conditions -> alt_km:float -> float
-(** Days until reentry without thrust (capped at [max_days],
-    default 36500). *)
+val lifetime_days : spacecraft -> Atmosphere.conditions -> alt_km:float -> float
+(** Days until reentry without thrust, capped at 36500. *)

@@ -21,14 +21,14 @@ let electronics_failure_probability ~dst_nt =
   let x = Float.abs dst_nt in
   Float.min 0.5 (0.002 *. exp ((x -. 589.0) /. 190.0))
 
-let default_users =
+let users =
   (* Coarse world-population latitude profile (share per band centre). *)
   [ (-45.0, 0.4); (-35.0, 1.5); (-25.0, 2.6); (-15.0, 3.5); (-5.0, 5.9);
     (5.0, 8.4); (15.0, 13.8); (25.0, 27.5); (35.0, 21.6); (45.0, 10.3);
     (55.0, 4.4); (65.0, 0.3) ]
 
-let assess ?(spacecraft = Decay.starlink_v1) ?(storm_days = 3.0) ?injection_batch
-    ?(users = default_users) ~dst_nt constellation =
+let assess ?(storm_days = 3.0) ?injection_batch ~dst_nt constellation =
+  let spacecraft = Decay.starlink_v1 in
   let conditions = Atmosphere.of_storm dst_nt in
   let p_elec = electronics_failure_probability ~dst_nt in
   let shells =

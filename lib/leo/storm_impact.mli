@@ -36,17 +36,16 @@ val electronics_failure_probability : dst_nt:float -> float
     ~0.2% for a 1989-class storm, ~5% for Carrington-class. *)
 
 val assess :
-  ?spacecraft:Decay.spacecraft ->
   ?storm_days:float ->
   ?injection_batch:float (* altitude km *) ->
-  ?users:(float * float) list ->
   dst_nt:float ->
   Constellation.t ->
   t
-(** Assess a storm against a constellation.  [storm_days] defaults to 3;
-    [injection_batch] adds a batch parked at the given altitude (set
-    210.0 to replay February 2022); [users] defaults to a coarse world
-    population latitude profile. *)
+(** Assess a storm against a constellation of {!Decay.starlink_v1}
+    spacecraft.  [storm_days] defaults to 3; [injection_batch] adds a
+    batch parked at the given altitude (set 210.0 to replay February
+    2022).  Coverage is weighted by a coarse world population latitude
+    profile. *)
 
 val feb_2022_starlink : unit -> t
 (** The calibration scenario: Dst −66 nT, batch at 210 km.  The batch is

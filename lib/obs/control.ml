@@ -2,4 +2,3 @@ let flag = Atomic.make false
 let enable () = Atomic.set flag true
 let disable () = Atomic.set flag false
 let enabled () = Atomic.get flag
-let on () = Atomic.get flag

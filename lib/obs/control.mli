@@ -12,9 +12,6 @@
 val flag : bool Atomic.t
 (** The raw switch, exposed so hot paths can read it with one load. *)
 
-val on : unit -> bool
-(** [Atomic.get flag] — the one-load fast-path test. *)
-
 val enable : unit -> unit
 val disable : unit -> unit
 val enabled : unit -> bool

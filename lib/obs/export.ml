@@ -30,7 +30,7 @@ let jsonl events =
     events;
   Buffer.contents buf
 
-let chrome_trace ?(process_name = "solarstorm") events =
+let chrome_trace events =
   (* Chrome/Perfetto trace-event JSON: duration events ("ph":"B"/"E"),
      one pid for the process, tid = recording domain id, timestamps in
      microseconds rebased to the earliest event so doubles keep
@@ -53,9 +53,7 @@ let chrome_trace ?(process_name = "solarstorm") events =
     Buffer.add_string buf s
   in
   emit
-    (Printf.sprintf
-       "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":\"%s\"}}"
-       (json_escape process_name));
+    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":\"solarstorm\"}}";
   List.iter
     (fun tid ->
       emit

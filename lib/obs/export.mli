@@ -21,10 +21,11 @@
 
 val jsonl : Span.event list -> string
 
-val chrome_trace : ?process_name:string -> Span.event list -> string
-(** Trace-event JSON document ([{"traceEvents":[…]}]).  Timestamps are
-    microseconds rebased to the earliest event; every distinct domain id
-    gets a [thread_name] metadata record ["domain N"].  Load in
+val chrome_trace : Span.event list -> string
+(** Trace-event JSON document ([{"traceEvents":[…]}]) for process
+    ["solarstorm"].  Timestamps are microseconds rebased to the earliest
+    event; every distinct domain id gets a [thread_name] metadata record
+    ["domain N"].  Load in
     [ui.perfetto.dev] or [chrome://tracing]. *)
 
 val prometheus : Metrics.snapshot -> string

@@ -10,11 +10,10 @@
 
 let shards = 8 (* power of two: shard pick is a mask *)
 
-type counter = { c_name : string; c_counts : int Atomic.t array }
-type gauge = { g_name : string; g_value : float Atomic.t; g_set : bool Atomic.t }
+type counter = { c_counts : int Atomic.t array }
+type gauge = { g_value : float Atomic.t; g_set : bool Atomic.t }
 
 type histogram = {
-  h_name : string;
   h_bounds : float array;
   h_counts : int Atomic.t array; (* length = Array.length h_bounds + 1; last = overflow *)
   h_sum : float Atomic.t;
@@ -53,14 +52,14 @@ let kind_mismatch name = invalid_arg ("Obs.Metrics: " ^ name ^ " registered with
 let atomic_ints n = Array.init n (fun _ -> Atomic.make 0)
 
 let counter name =
-  match registered name (fun () -> C { c_name = name; c_counts = atomic_ints shards }) with
+  match registered name (fun () -> C { c_counts = atomic_ints shards }) with
   | C c -> c
   | _ -> kind_mismatch name
 
 let gauge name =
   match
     registered name (fun () ->
-        G { g_name = name; g_value = Atomic.make 0.0; g_set = Atomic.make false })
+        G { g_value = Atomic.make 0.0; g_set = Atomic.make false })
   with
   | G g -> g
   | _ -> kind_mismatch name
@@ -79,7 +78,6 @@ let histogram name ~buckets =
     registered name (fun () ->
         H
           {
-            h_name = name;
             h_bounds = Array.copy buckets;
             h_counts = atomic_ints (Array.length buckets + 1);
             h_sum = Atomic.make 0.0;
@@ -91,8 +89,6 @@ let histogram name ~buckets =
         invalid_arg ("Obs.Metrics: " ^ name ^ " re-registered with different buckets");
       h
   | _ -> kind_mismatch name
-
-let enabled = Control.enabled
 
 (* Domain ids are handed out sequentially, and with a persistent worker
    pool they are *stable* for the life of the process — masking the raw

@@ -44,10 +44,6 @@ val histogram : string -> buckets:float array -> histogram
     @raise Invalid_argument on empty or non-increasing [buckets], or if
     the name exists with different buckets. *)
 
-val enabled : unit -> bool
-(** True when the observability layer is switched on — use to gate any
-    non-trivial work done only to feed a metric. *)
-
 val shard_of_id : int -> int
 (** Shard index a given domain id maps to — a mixed (Fibonacci) hash of
     the id, not a plain mask, because sequentially allocated domain ids

@@ -20,7 +20,7 @@ let wall_ns = Metrics.gauge "proc.wall_ns"
 let t0 = Clock.monotonic ()
 
 let sample () =
-  if Control.on () then begin
+  if Atomic.get Control.flag then begin
     let s = Gc.quick_stat () in
     Metrics.set minor_words s.Gc.minor_words;
     Metrics.set promoted_words s.Gc.promoted_words;

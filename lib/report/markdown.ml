@@ -13,7 +13,8 @@ let document ~title ~intro figures =
     figures;
   Buffer.contents buf
 
-let write_results ~path ?(title = "solarstorm results")
-    ?(intro = "Generated by the figure harness; see EXPERIMENTS.md for the paper comparison.")
-    figures =
-  Csv.write_file ~path (document ~title ~intro figures)
+let write_results ~path figures =
+  Csv.write_file ~path
+    (document ~title:"solarstorm results"
+       ~intro:"Generated by the figure harness; see EXPERIMENTS.md for the paper comparison."
+       figures)

@@ -7,6 +7,6 @@
 val document : title:string -> intro:string -> (string * string) list -> string
 (** Full document from [(figure id, text)] pairs. *)
 
-val write_results :
-  path:string -> ?title:string -> ?intro:string -> (string * string) list -> unit
-(** Render and write to a file.  @raise Sys_error on unwritable paths. *)
+val write_results : path:string -> (string * string) list -> unit
+(** Render under the title "solarstorm results" and write to a file.
+    @raise Sys_error on unwritable paths. *)

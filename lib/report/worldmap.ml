@@ -2,8 +2,8 @@ type layer =
   | Points of char * Geo.Coord.t list
   | Arcs of char * (Geo.Coord.t * Geo.Coord.t) list
 
-let render ?(width = 110) ?(height = 34) ?bounds layers =
-  let proj = Geo.Projection.equirectangular ?bounds ~width ~height () in
+let render ?(width = 110) ?(height = 34) layers =
+  let proj = Geo.Projection.equirectangular ~width ~height () in
   let grid = Array.make_matrix height width ' ' in
   (* Coastline background: sample each cell centre for land. *)
   for y = 0 to height - 1 do

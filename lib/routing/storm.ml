@@ -19,9 +19,9 @@ let draw_failures rng (t : As_topology.t) ~dst_nt =
       let p = if l > 60.0 then high else if l > 40.0 then mid else low in
       not (Rng.bernoulli rng ~p))
 
-let compare_protocols ?(seed = 29) ?(pairs = 300) ?(k = 3) t ~dst_nt =
+let compare_protocols ?(pairs = 300) ?(k = 3) t ~dst_nt =
   if k < 1 then invalid_arg "Storm.compare_protocols: k < 1";
-  let rng = Rng.create seed in
+  let rng = Rng.create 29 in
   let healthy = Bgp.all_alive t in
   let alive = draw_failures rng t ~dst_nt in
   let n = t.As_topology.n in

@@ -51,10 +51,10 @@ let fetch_json ~host ~port path =
    SVG one. *)
 let spark_levels = [| "▁"; "▂"; "▃"; "▄"; "▅"; "▆"; "▇"; "█" |]
 
-let spark ?(width = 32) vs =
-  let vs = if List.length vs > width then
-      (* keep the newest [width] values *)
-      List.filteri (fun i _ -> i >= List.length vs - width) vs
+let spark vs =
+  let vs = if List.length vs > 32 then
+      (* keep the newest 32 values *)
+      List.filteri (fun i _ -> i >= List.length vs - 32) vs
     else vs
   in
   match vs with

@@ -3,9 +3,9 @@
     screen-clear ANSI prefix is gated through {!Obs.Progress.tty_sink},
     so redirected output is plain readable frames. *)
 
-val spark : ?width:int -> float list -> string
-(** Unicode block-element sparkline, min–max scaled; at most [width]
-    (default 32) newest values. *)
+val spark : float list -> string
+(** Unicode block-element sparkline, min–max scaled; at most the 32
+    newest values. *)
 
 val render : target:string -> statusz:Obs.Json.t -> varz:Obs.Json.t -> string
 (** One frame from parsed [/statusz] and [/varz] documents.  Pure —

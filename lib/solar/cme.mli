@@ -9,27 +9,19 @@
 
 type t = {
   speed_km_s : float;  (** launch speed near the Sun, km/s *)
-  angular_width_deg : float;  (** apparent angular width *)
   southward_b_nt : float;  (** southward IMF magnitude carried, nT (≥ 0) *)
-  direction_offset_deg : float;
-      (** angle between CME axis and the Sun–Earth line; 0 = head-on *)
 }
 
-val make :
-  ?angular_width_deg:float ->
-  ?southward_b_nt:float ->
-  ?direction_offset_deg:float ->
-  speed_km_s:float ->
-  unit ->
-  t
-(** Build a CME.  Defaults: width 60°, southward field scaled from speed
-    (fast CMEs carry stronger fields), head-on.  @raise Invalid_argument if the
+val make : ?southward_b_nt:float -> speed_km_s:float -> unit -> t
+(** Build a CME.  The southward field defaults to one scaled from speed
+    (fast CMEs carry stronger fields).  @raise Invalid_argument if the
     speed is outside [(0, 5000]] km/s (faster than any observed CME). *)
 
-val transit_hours : ?solar_wind_km_s:float -> t -> float
-(** Drag-based Sun-to-Earth transit time in hours. *)
+val transit_hours : t -> float
+(** Drag-based Sun-to-Earth transit time in hours, through a 450 km/s
+    ambient solar wind. *)
 
-val arrival_speed_km_s : ?solar_wind_km_s:float -> t -> float
+val arrival_speed_km_s : t -> float
 (** Speed at 1 AU after drag. *)
 
 val expected_dst : t -> float

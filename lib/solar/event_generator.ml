@@ -1,16 +1,12 @@
-type event = { year : float; dst_nt : float; severity : Dst.severity }
-
-let default_rate ~min_dst = Probability.events_per_year_exceeding ~dst:(-.min_dst)
+type event = { year : float; dst_nt : float }
 
 (* Thinning algorithm for the inhomogeneous Poisson process: draw from a
    dominating homogeneous process at the peak modulated rate, accept with
    ratio rate(t)/peak. *)
-let generate ?(min_dst = 100.0) ?base_rate_per_year ~rng ~start ~stop () =
+let generate ?(min_dst = 100.0) ~rng ~start ~stop () =
   if stop < start then invalid_arg "Event_generator.generate: stop < start";
   if min_dst < 0.0 then invalid_arg "Event_generator.generate: min_dst must be positive";
-  let base =
-    match base_rate_per_year with Some r -> r | None -> default_rate ~min_dst
-  in
+  let base = Probability.events_per_year_exceeding ~dst:(-.min_dst) in
   if base <= 0.0 then []
   else begin
     (* Peak modulation factor of [modulated_rate] relative to base: the
@@ -30,7 +26,7 @@ let generate ?(min_dst = 100.0) ?base_rate_per_year ~rng ~start ~stop () =
              density exponent. *)
           let mag = Rng.pareto rng ~xmin:min_dst ~alpha:(Probability.riley_exponent -. 1.0) in
           let dst = -.Float.min 3000.0 mag in
-          events := { year = !t; dst_nt = dst; severity = Dst.severity_of_dst dst } :: !events
+          events := { year = !t; dst_nt = dst } :: !events
         end
       end
     done;

@@ -9,21 +9,14 @@
 type event = {
   year : float;  (** decimal year of impact *)
   dst_nt : float;  (** minimum Dst, negative *)
-  severity : Dst.severity;
 }
 
 val generate :
-  ?min_dst:float ->
-  ?base_rate_per_year:float ->
-  rng:Rng.t ->
-  start:float ->
-  stop:float ->
-  unit ->
-  event list
+  ?min_dst:float -> rng:Rng.t -> start:float -> stop:float -> unit -> event list
 (** Storms with |Dst| ≥ [min_dst] (default 100 nT, i.e. intense and
-    above) over [start, stop], chronological.  [base_rate_per_year] is
-    the long-run rate of ≥ [min_dst] storms before modulation (default
-    from the calibrated power-law tail).
+    above) over [start, stop], chronological.  The long-run rate of
+    ≥ [min_dst] storms before modulation comes from the calibrated
+    power-law tail ({!Probability.events_per_year_exceeding}).
     @raise Invalid_argument if [stop < start] or [min_dst < 0]. *)
 
 val worst : event list -> event option

@@ -7,9 +7,9 @@ type timeline = {
 
 let l1_distance_km = 1.5e6
 
-let timeline ?solar_wind_km_s cme =
-  let transit_h = Cme.transit_hours ?solar_wind_km_s cme in
-  let arrival = Cme.arrival_speed_km_s ?solar_wind_km_s cme in
+let timeline cme =
+  let transit_h = Cme.transit_hours cme in
+  let arrival = Cme.arrival_speed_km_s cme in
   let detection_delay_h = 1.0 in
   let l1_confirmation_h = l1_distance_km /. arrival /. 3600.0 in
   {

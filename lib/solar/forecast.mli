@@ -13,7 +13,7 @@ type timeline = {
   actionable_lead_h : float;  (** detection → impact: the planning window *)
 }
 
-val timeline : ?solar_wind_km_s:float -> Cme.t -> timeline
+val timeline : Cme.t -> timeline
 (** Timeline for one CME.  The actionable lead time is transit minus
     detection delay, and is at least 13 h for the fastest credible CMEs
     (§5.2). *)

@@ -596,10 +596,8 @@ let test_carrington_window_probability () =
 
 let test_worst_and_count () =
   let evs =
-    [ { Spaceweather.Event_generator.year = 2022.0; dst_nt = -150.0;
-        severity = Spaceweather.Dst.severity_of_dst (-150.0) };
-      { Spaceweather.Event_generator.year = 2024.0; dst_nt = -900.0;
-        severity = Spaceweather.Dst.severity_of_dst (-900.0) } ]
+    [ { Spaceweather.Event_generator.year = 2022.0; dst_nt = -150.0 };
+      { Spaceweather.Event_generator.year = 2024.0; dst_nt = -900.0 } ]
   in
   (match Spaceweather.Event_generator.worst evs with
   | Some w -> Alcotest.(check (float 1e-9)) "deepest" (-900.0) w.Spaceweather.Event_generator.dst_nt

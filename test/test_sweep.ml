@@ -378,7 +378,10 @@ let prop_grid_jobs_identity =
 
 (* Every flush point follows the rows of the batch it closes: one flush
    per batch, never two in a row or before the first row, the last call
-   a flush, and the rows themselves those of a run without [?flush]. *)
+   a flush, and the rows themselves those of a run without [?flush].
+   The counts hold too: the grid has the product of its axis lengths as
+   cells, and the run compiles one plan per distinct plan key and runs
+   one batch per distinct batch key. *)
 let prop_flush_per_batch =
   QCheck.Test.make ~name:"one flush per batch, after its rows" ~count:30 grid_arb
     (fun (base, specs) ->
@@ -399,10 +402,18 @@ let prop_flush_per_batch =
             | Some _ :: rest -> flushes_follow_rows true rest
           in
           let _, plain = run_to_string ~jobs:1 cells in
+          let distinct key =
+            List.length (List.sort_uniq compare (Array.to_list (Array.map key cells)))
+          in
+          let n_values spec = List.length (String.split_on_char ',' spec) in
           List.length (List.filter Option.is_none calls) = summary.Sweep.batches
           && flushes_follow_rows false calls
           && List.nth calls (List.length calls - 1) = None
-          && String.concat "" (List.filter_map Fun.id calls) = plain)
+          && String.concat "" (List.filter_map Fun.id calls) = plain
+          && Array.length cells = List.fold_left (fun n spec -> n * n_values spec) 1 specs
+          && summary.Sweep.cells = Array.length cells
+          && summary.Sweep.plans_compiled = distinct Sweep.plan_key
+          && summary.Sweep.batches = distinct Sweep.batch_key)
 
 (* --- keys and model names, against the Printf originals --- *)
 
