@@ -15,9 +15,11 @@
    caller, but a field read inside its own module counts.  A nested
    signature (Rng.Raw) is its own module.  A call that passes `?x` on
    from its own optional argument supplies `?x`, so a dead chain shows
-   up one link per run.  Names resolve through the compiler's unique ids,
-   so aliases, opens and local modules neither hide nor fake a use.
-   bin/check.sh diffs this list against bin/api_test_only.txt. *)
+   up one link per run.  A record type that re-exports another
+   ([type t = M.t = {...}]) shares M.t's fields.  Names resolve through
+   the compiler's unique ids, so aliases, opens and local modules neither
+   hide nor fake a use.  bin/check.sh diffs this list against
+   bin/api_test_only.txt. *)
 
 open Typedtree
 
@@ -36,6 +38,9 @@ let entry line =
 let values : (Shape.Uid.t, entry) Hashtbl.t = Hashtbl.create 1024
 let args : (Shape.Uid.t * string, entry) Hashtbl.t = Hashtbl.create 256
 let fields : (Shape.Uid.t, entry) Hashtbl.t = Hashtbl.create 512
+
+(* Fields by line, for the labels of the same field declared again: in
+   an implementation, or by a re-exporting type. *)
 let field_lines : (string, entry) Hashtbl.t = Hashtbl.create 512
 
 let mark tbl key = match Hashtbl.find_opt tbl key with Some e -> e.used <- true | None -> ()
@@ -56,15 +61,41 @@ let rec optional_labels ty =
   | Types.Tarrow (_, _, ret, _) -> optional_labels ret
   | _ -> []
 
-(* (Module.type.field, uid) for each label of a record declaration. *)
-let record_labels prefix (td : type_declaration) =
+(* (field, uid) for each label of a record declaration. *)
+let record_labels (td : type_declaration) =
   match td.typ_type.type_kind with
   | Types.Type_record (lds, _) ->
-      List.map
-        (fun (ld : Types.label_declaration) ->
-          (prefix ^ "." ^ td.typ_name.txt ^ "." ^ Ident.name ld.ld_id, ld.ld_uid))
-        lds
+      List.map (fun (ld : Types.label_declaration) -> (Ident.name ld.ld_id, ld.ld_uid)) lds
   | _ -> []
+
+let add_field line uid =
+  let e = entry line in
+  Hashtbl.replace fields uid e;
+  Hashtbl.replace field_lines line e
+
+(* Record types that re-export another, [(Module.type, re-exported path,
+   labels)], resolved once every interface is read. *)
+let reexports = ref []
+
+(* A label of [type t = Lib.M.u = {...}] is the field M.u.f: the longest
+   suffix of the path that names an exported field.  A type re-exported
+   from outside lib/ keeps fields of its own. *)
+let add_reexport (typ, path, labels) =
+  List.iter
+    (fun (field, uid) ->
+      let rec original = function
+        | [] -> None
+        | _ :: rest as parts -> (
+            match Hashtbl.find_opt field_lines (String.concat "." (parts @ [ field ])) with
+            | Some e -> Some e
+            | None -> original rest)
+      in
+      match original (String.split_on_char '.' (Path.name path)) with
+      | Some e ->
+          Hashtbl.replace fields uid e;
+          Hashtbl.replace field_lines (typ ^ "." ^ field) e
+      | None -> add_field (typ ^ "." ^ field) uid)
+    labels
 
 let rec export_signature prefix (sg : signature) =
   List.iter
@@ -78,13 +109,12 @@ let rec export_signature prefix (sg : signature) =
             (optional_labels vd.val_val.val_type)
       | Tsig_type (_, tds) ->
           List.iter
-            (fun td ->
-              List.iter
-                (fun (line, uid) ->
-                  let e = entry line in
-                  Hashtbl.replace fields uid e;
-                  Hashtbl.replace field_lines line e)
-                (record_labels prefix td))
+            (fun (td : type_declaration) ->
+              let typ = prefix ^ "." ^ td.typ_name.txt and labels = record_labels td in
+              match Option.map Types.get_desc td.typ_type.type_manifest with
+              | Some (Types.Tconstr (path, _, _)) when labels <> [] ->
+                  reexports := (typ, path, labels) :: !reexports
+              | _ -> List.iter (fun (field, uid) -> add_field (typ ^ "." ^ field) uid) labels)
             tds
       | Tsig_module
           { md_name = { txt = Some m; _ }; md_type = { mty_desc = Tmty_signature sg; _ }; _ } ->
@@ -100,11 +130,12 @@ let rec own_fields own prefix (str : structure) =
       match item.str_desc with
       | Tstr_type (_, tds) ->
           List.iter
-            (fun td ->
+            (fun (td : type_declaration) ->
               List.iter
-                (fun (line, uid) ->
-                  Option.iter (Hashtbl.replace own uid) (Hashtbl.find_opt field_lines line))
-                (record_labels prefix td))
+                (fun (field, uid) ->
+                  Option.iter (Hashtbl.replace own uid)
+                    (Hashtbl.find_opt field_lines (prefix ^ "." ^ td.typ_name.txt ^ "." ^ field)))
+                (record_labels td))
             tds
       | Tstr_module { mb_name = { txt = Some m; _ }; mb_expr; _ } ->
           let rec body (me : module_expr) =
@@ -120,9 +151,9 @@ let rec own_fields own prefix (str : structure) =
 (* Mark what one implementation uses.  Its references to itself carry
    its own ids: the compiler's record of which implementation value
    meets which interface value maps a call of its own exported function
-   onto that function's arguments, and [own_fields] maps its label ids
-   onto the interface's fields. *)
-let scan_uses (cmt : Cmt_format.cmt_infos) own_fields str =
+   onto that function's arguments, and [own_labels] (filled by
+   {!own_fields}) maps its label ids onto the interface's fields. *)
+let scan_uses (cmt : Cmt_format.cmt_infos) own_labels str =
   let foreign (uid : Shape.Uid.t) =
     match uid with Item { comp_unit; _ } -> comp_unit <> cmt.cmt_modname | _ -> true
   in
@@ -132,7 +163,7 @@ let scan_uses (cmt : Cmt_format.cmt_infos) own_fields str =
       Hashtbl.replace own_values impl.val_uid intf.val_uid)
     cmt.cmt_value_dependencies;
   let read (lbl : Types.label_description) =
-    if foreign lbl.lbl_uid then mark fields lbl.lbl_uid else mark own_fields lbl.lbl_uid
+    if foreign lbl.lbl_uid then mark fields lbl.lbl_uid else mark own_labels lbl.lbl_uid
   in
   let expr sub (e : expression) =
     (match e.exp_desc with
@@ -202,13 +233,14 @@ let () =
       | Interface sg when in_lib cmt -> export_signature (module_name cmt.cmt_modname) sg
       | _ -> ())
     trees;
+  List.iter add_reexport !reexports;
   List.iter
     (fun (cmt : Cmt_format.cmt_infos) ->
       match cmt.cmt_annots with
       | Implementation str ->
-          let own = Hashtbl.create 16 in
-          if in_lib cmt then own_fields own (module_name cmt.cmt_modname) str;
-          scan_uses cmt own str
+          let own_labels = Hashtbl.create 16 in
+          if in_lib cmt then own_fields own_labels (module_name cmt.cmt_modname) str;
+          scan_uses cmt own_labels str
       | _ -> ())
     trees;
   List.filter_map (fun e -> if e.used then None else Some e.line) !entries
