@@ -18,7 +18,7 @@ echo "== api scan: no export, optional argument or field without a program use =
 # code reads.  The committed bin/api_test_only.txt is that list as it
 # stands, with a tag on each entry kept on purpose (hooks, oracles,
 # helpers, dataset columns, the parked power-feed model); the untagged
-# rest is used by tests or its own module only and queued for review.
+# rest waits for review.
 # Comments and tags are dropped before the diff.  Any difference fails,
 # so a new unused export (or a deletion that leaves the list stale)
 # shows up here.
