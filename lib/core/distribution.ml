@@ -82,15 +82,3 @@ let mass_above (s : pdf_series) ~threshold =
     (fun i (lat, d) -> if Float.abs lat > threshold then acc := !acc +. (d *. width i))
     points;
   !acc
-
-let fraction_above (s : threshold_series) th =
-  (* Piecewise-linear interpolation over the threshold curve. *)
-  let rec scan = function
-    | (t1, v1) :: ((t2, v2) :: _ as rest) ->
-        if th < t1 then v1
-        else if th <= t2 then v1 +. ((th -. t1) /. (t2 -. t1) *. (v2 -. v1))
-        else scan rest
-    | [ (_, v) ] -> v
-    | [] -> 0.0
-  in
-  scan s.points

@@ -41,7 +41,3 @@ val mass_above : pdf_series -> threshold:float -> float
     each neighbour for interior points, the adjacent gap at the edges),
     so the estimate tracks the series' actual grid instead of assuming
     one. *)
-
-val fraction_above : threshold_series -> float -> float
-(** Interpolated percent-above at an arbitrary threshold (testing
-    helper). *)

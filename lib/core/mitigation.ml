@@ -7,17 +7,13 @@ type shutdown_plan = {
   benefit_pct : float;
 }
 
-let shutdown_plan ?(power_off_factor = 0.8) ~cme ~network () =
-  if power_off_factor <= 0.0 || power_off_factor > 1.0 then
-    invalid_arg "Mitigation.shutdown_plan: factor outside (0, 1]";
+let shutdown_plan ~cme ~network () =
   let dst = Spaceweather.Cme.expected_dst cme in
   let timeline = Spaceweather.Forecast.timeline cme in
   let on_model = Failure_model.Gic_physical { dst_nt = dst; scale_a = 30.0 } in
-  (* De-powering scales the peak GIC by [power_off_factor]; equivalent to
-     raising the damage scale by 1/factor. *)
-  let off_model =
-    Failure_model.Gic_physical { dst_nt = dst; scale_a = 30.0 /. power_off_factor }
-  in
+  (* De-powering scales the peak GIC by 0.8; equivalent to raising the
+     damage scale by 1/0.8. *)
+  let off_model = Failure_model.Gic_physical { dst_nt = dst; scale_a = 30.0 /. 0.8 } in
   let expected model =
     Montecarlo.expected_cables_failed_pct ~network ~spacing_km:150.0 ~model
   in
@@ -152,37 +148,33 @@ let expected_surviving_pairs ~network () =
   surviving_pairs_with ~plan:(Plan.compile ~network ~model:Failure_model.s1 ()) []
 
 (* Survival of a hypothetical new low-latitude cable between two cities
-   under the tiered model: its tier comes from its endpoint latitudes. *)
-let hypothetical_survival ~state a_city b_city =
+   under S1, the state {!plan_augmentation} scores: its tier comes from
+   its endpoint latitudes. *)
+let hypothetical_survival a_city b_city =
   let a = Datasets.Cities.find a_city and b = Datasets.Cities.find b_city in
   let length_km = 1.1 *. Geo.Distance.haversine_km a.Datasets.Cities.pos b.Datasets.Cities.pos in
   let max_abs_lat =
     Float.max (Geo.Coord.abs_lat a.Datasets.Cities.pos) (Geo.Coord.abs_lat b.Datasets.Cities.pos)
   in
   let per_repeater =
-    match state with
-    | Failure_model.Uniform p -> p
-    | Failure_model.Latitude_tiered { high; mid; low; mid_threshold; high_threshold }
-    | Failure_model.Geomag_tiered { high; mid; low; mid_threshold; high_threshold } -> (
-        (* For hypothetical cables the geographic and geomagnetic variants
-           are approximated alike from the endpoint latitudes. *)
+    match Failure_model.s1 with
+    | Failure_model.Latitude_tiered { high; mid; low; mid_threshold; high_threshold } -> (
         match Geo.Latband.tier_of_abs_lat ~mid_threshold ~high_threshold max_abs_lat with
         | Geo.Latband.High -> high
         | Geo.Latband.Mid -> mid
         | Geo.Latband.Low -> low)
-    | Failure_model.Gic_physical _ -> 0.01
+    | _ -> assert false (* S1 is latitude-tiered *)
   in
   let n = Infra.Repeater.count_for_length ~spacing_km:150.0 ~length_km in
   let surv = (1.0 -. per_repeater) ** float_of_int n in
   (a, b, length_km, surv)
 
 let plan_augmentation ?(budget = 3) ~network () =
-  let state = Failure_model.s1 in
   if budget < 0 then invalid_arg "Mitigation.plan_augmentation: negative budget";
   (* One compile serves the base score and every candidate × round
      rescore below — the greedy loop used to recompile the model for
      each. *)
-  let plan = Plan.compile ~network ~model:state () in
+  let plan = Plan.compile ~network ~model:Failure_model.s1 () in
   let base = surviving_pairs_with ~plan [] in
   let rec pick chosen chosen_extra base_score remaining budget_left =
     if budget_left = 0 then List.rev chosen
@@ -190,7 +182,7 @@ let plan_augmentation ?(budget = 3) ~network () =
       let scored =
         List.map
           (fun (ca, cb) ->
-            let a, b, len, surv = hypothetical_survival ~state ca cb in
+            let a, b, len, surv = hypothetical_survival ca cb in
             let extra =
               ( Geo.Region.continent_of_nearest a.Datasets.Cities.pos,
                 Geo.Region.continent_of_nearest b.Datasets.Cities.pos,
@@ -215,10 +207,10 @@ let plan_augmentation ?(budget = 3) ~network () =
 
 (* Partition prediction. *)
 
-let predicted_partitions ?(state = Failure_model.s1) ?(survival_cutoff = 0.5) ~network () =
+let predicted_partitions ?(survival_cutoff = 0.5) ~network () =
   if survival_cutoff < 0.0 || survival_cutoff > 1.0 then
     invalid_arg "Mitigation.predicted_partitions: cutoff outside [0, 1]";
-  let plan = Plan.compile ~network ~model:state () in
+  let plan = Plan.compile ~network ~model:Failure_model.s1 () in
   let dead =
     Array.init (Infra.Network.nb_cables network) (fun c ->
         survival plan c < survival_cutoff)

@@ -14,16 +14,11 @@ type shutdown_plan = {
   benefit_pct : float;
 }
 
-val shutdown_plan :
-  ?power_off_factor:float ->
-  cme:Spaceweather.Cme.t ->
-  network:Infra.Network.t ->
-  unit ->
-  shutdown_plan
+val shutdown_plan : cme:Spaceweather.Cme.t -> network:Infra.Network.t -> unit -> shutdown_plan
 (** Expected-failure comparison under the GIC-physical model with and
-    without de-powering.  [power_off_factor] is the GIC reduction when
-    de-powered (default 0.8: a 20% peak-current reduction, because GIC
-    still flows through a powered-off cable). *)
+    without de-powering.  De-powering scales the peak GIC by 0.8 (a 20%
+    peak-current reduction, because GIC still flows through a powered-off
+    cable). *)
 
 type shutdown_decision = {
   storm_window_h : float;  (** hours the storm holds Dst below the threshold *)
@@ -65,9 +60,8 @@ val expected_surviving_pairs : network:Infra.Network.t -> unit -> float
 (** {1 Partition prediction (§5.3)} *)
 
 val predicted_partitions :
-  ?state:Failure_model.t -> ?survival_cutoff:float -> network:Infra.Network.t -> unit ->
-  int list list
-(** Connected components of the network once every cable whose survival
-    probability falls below [survival_cutoff] (default 0.5) is removed:
-    the landmass partitions a §5.2 geo-replication plan must serve
-    independently.  Components are sorted by decreasing size. *)
+  ?survival_cutoff:float -> network:Infra.Network.t -> unit -> int list list
+(** Connected components of the network once every cable whose S1
+    survival probability falls below [survival_cutoff] (default 0.5) is
+    removed: the landmass partitions a §5.2 geo-replication plan must
+    serve independently.  Components are sorted by decreasing size. *)

@@ -110,7 +110,7 @@ type coupled_result = {
   regions_down : string list;
 }
 
-let simulate ?(trials = 30) ?(seed = 31) ~network ~model ~dst_nt () =
+let simulate ?(trials = 30) ~network ~model ~dst_nt () =
   Obs.Span.with_ ~name:"powergrid.simulate" @@ fun () ->
   let p = Plan.compile ~spacing_km:150.0 ~network ~model () in
   let n = Infra.Network.nb_nodes network in
@@ -161,7 +161,7 @@ let simulate ?(trials = 30) ?(seed = 31) ~network ~model ~dst_nt () =
   in
   (* Summed in trial order, on this domain. *)
   let cables, cable_dark, grid_dark, dark, downs =
-    Plan.run_trials_par ~jobs:1 p ~trials ~seed ~init:(0.0, 0.0, 0.0, 0.0, [])
+    Plan.run_trials_par ~jobs:1 p ~trials ~seed:31 ~init:(0.0, 0.0, 0.0, 0.0, [])
       ~map:trial
       ~merge:(fun (c, cd, gd, d, downs) (c', cd', gd', d', down) ->
         (c +. c', cd +. cd', gd +. gd', d +. d', down @ downs))

@@ -92,10 +92,10 @@ let median_series tls =
   | Some (_, _, t) -> t.series
   | None -> []
 
-let storm_recovery ?(trials = 10) ?(seed = 53) ~network ~model () =
+let storm_recovery ?(trials = 10) ~network ~model () =
   let p = Plan.compile ~spacing_km:150.0 ~network ~model () in
   let tls, deads =
-    Plan.run_trials_par p ~trials ~seed ~init:([], [])
+    Plan.run_trials_par p ~trials ~seed:53 ~init:([], [])
       ~map:(fun ~rng:_ ~dead ->
         let failed = float_of_int (Deadset.count_dead dead) in
         (plan ~network ~dead:(Deadset.to_bool_array dead) (), failed))

@@ -47,7 +47,6 @@ val us_outage_cost_usd :
 
 val storm_recovery :
   ?trials:int ->
-  ?seed:int ->
   network:Infra.Network.t ->
   model:Failure_model.t ->
   unit ->
@@ -55,4 +54,4 @@ val storm_recovery :
 (** Average repair timeline over storm trials, plus the mean number of
     dead cables per trial, with repeaters every 150 km.  Trials run
     through {!Plan.run_trials_par} on {!Exec.default_jobs} workers:
-    deterministic in [seed] (default 53) for any [--jobs]. *)
+    seed 53, the same result for any [--jobs]. *)

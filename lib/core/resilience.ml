@@ -7,7 +7,7 @@ type sweep_point = {
 
 let paper_probabilities = [ 0.001; 0.003; 0.01; 0.03; 0.1; 0.3; 1.0 ]
 
-let fig6_7 ?(trials = 10) ?(probabilities = paper_probabilities) ~networks () =
+let fig6_7 ?(trials = 10) ~networks () =
   List.concat_map
     (fun spacing_km ->
       List.concat_map
@@ -21,7 +21,7 @@ let fig6_7 ?(trials = 10) ?(probabilities = paper_probabilities) ~networks () =
                   ~network:net ~spacing_km ~model ()
               in
               { probability = p; spacing_km; network = name; series })
-            probabilities)
+            paper_probabilities)
         networks)
     Infra.Repeater.paper_spacings_km
 

@@ -12,14 +12,12 @@ type sweep_point = {
 }
 
 val fig6_7 :
-  ?trials:int ->
-  ?probabilities:float list ->
-  networks:(string * Infra.Network.t) list ->
-  unit ->
-  sweep_point list
-(** The full uniform-probability sweep (Fig. 6 reads [cables_*] of each
-    point; Fig. 7 reads [nodes_*]).  Points are ordered by (spacing,
-    network, probability); each point's seed derives from base seed 7. *)
+  ?trials:int -> networks:(string * Infra.Network.t) list -> unit -> sweep_point list
+(** The full uniform-probability sweep over the paper's seven
+    probabilities, 0.001 to 1 (Fig. 6 reads [cables_*] of each point;
+    Fig. 7 reads [nodes_*]).  Points are ordered by (spacing, network,
+    probability); each point's seed derives from base seed 7 and its own
+    (network, probability), not from the other points. *)
 
 type tiered_point = {
   state : string;  (** "S1" or "S2" *)

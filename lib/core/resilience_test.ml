@@ -38,13 +38,13 @@ let nearest_node network city =
   done;
   !best
 
-let evaluate ?(state = Failure_model.s1) ~network service =
+let evaluate ~network service =
   let n_replicas = List.length service.replicas in
   if service.write_quorum <= 0 || service.write_quorum > n_replicas then
     invalid_arg "Resilience_test.evaluate: bad write quorum";
   if service.read_quorum <= 0 || service.read_quorum > n_replicas then
     invalid_arg "Resilience_test.evaluate: bad read quorum";
-  let parts = Mitigation.predicted_partitions ~state ~survival_cutoff:0.5 ~network () in
+  let parts = Mitigation.predicted_partitions ~survival_cutoff:0.5 ~network () in
   let replica_nodes = List.map (nearest_node network) service.replicas in
   (* Partition id per node. *)
   let part_of = Hashtbl.create 1024 in

@@ -26,11 +26,11 @@ type availability = {
   reachable_replicas_mean : float;
 }
 
-val evaluate : ?state:Failure_model.t -> network:Infra.Network.t -> service -> availability
-(** Availability under the partitions of
-    {!Mitigation.predicted_partitions} at survival cutoff 0.5 (default
-    state S1): a user (at a landing node,
-    weighted 1) can read/write iff its partition contains at least the
+val evaluate : network:Infra.Network.t -> service -> availability
+(** Availability under the S1 partitions of
+    {!Mitigation.predicted_partitions} at survival cutoff 0.5: a user (at
+    a landing node, weighted 1) can read/write iff its partition contains
+    at least the
     quorum of replica sites (each replica mapped to its nearest landing
     node).  @raise Invalid_argument if a quorum exceeds the replica count
     or is not positive. *)

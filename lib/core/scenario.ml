@@ -48,12 +48,6 @@ let run ?(trials = 10) ?(use_physical = false) ~cme ~networks () =
   in
   { cme; dst_nt; severity; timeline; impacts = probabilistic @ physical }
 
-let historical ~name ~networks =
-  match Spaceweather.Storm_catalog.find name with
-  | None -> None
-  | Some event ->
-      Some (run ~cme:event.Spaceweather.Storm_catalog.cme ~networks ())
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>CME %.0f km/s -> Dst %.0f nT (%s)@,%a@,"
     t.cme.Spaceweather.Cme.speed_km_s t.dst_nt

@@ -38,8 +38,4 @@ val run :
     seed 17 (18 for the physical model), repeaters every 150 km, on
     {!Exec.default_jobs} workers: the same result for any [--jobs]. *)
 
-val historical : name:string -> networks:(string * Infra.Network.t) list -> t option
-(** Scenario for a catalogued historical event ({!Spaceweather.Storm_catalog});
-    [None] when the name does not resolve. *)
-
 val pp : Format.formatter -> t -> unit

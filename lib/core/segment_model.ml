@@ -1,7 +1,6 @@
 type comparison = {
   cable_level_nodes_pct : float;
   segment_level_nodes_pct : float;
-  cable_level_cables_pct : float;
   segment_level_segments_pct : float;
 }
 
@@ -67,11 +66,10 @@ let nodes_unreachable_pct_segments network dead_hops =
 let compare_models ?(trials = 10) ~network ~model () =
   let plan = Plan.compile ~spacing_km:150.0 ~network ~model () in
   let master = Rng.create 83 in
-  let cn = ref 0.0 and sn = ref 0.0 and cc = ref 0.0 and ss = ref 0.0 in
+  let cn = ref 0.0 and sn = ref 0.0 and ss = ref 0.0 in
   for _ = 1 to trials do
     let dead = Plan.sample plan (Rng.split master) in
     cn := !cn +. Plan.unreachable_attached_pct plan dead;
-    cc := !cc +. Montecarlo.cables_failed_pct network dead;
     let rng2 = Rng.split master in
     let hops = trial_segments rng2 ~plan in
     sn := !sn +. nodes_unreachable_pct_segments network hops;
@@ -82,6 +80,5 @@ let compare_models ?(trials = 10) ~network ~model () =
   {
     cable_level_nodes_pct = !cn /. t;
     segment_level_nodes_pct = !sn /. t;
-    cable_level_cables_pct = !cc /. t;
     segment_level_segments_pct = !ss /. t;
   }

@@ -12,7 +12,6 @@
 type comparison = {
   cable_level_nodes_pct : float;  (** nodes unreachable, paper's model *)
   segment_level_nodes_pct : float;  (** nodes unreachable, hop-level model *)
-  cable_level_cables_pct : float;
   segment_level_segments_pct : float;  (** hops failed, hop-level model *)
 }
 

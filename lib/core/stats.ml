@@ -37,36 +37,3 @@ let cdf_points l =
       Array.sort Float.compare a;
       let n = Array.length a in
       Array.to_list (Array.mapi (fun i v -> (v, float_of_int (i + 1) /. float_of_int n)) a)
-
-let cdf l =
-  (* Sort once, answer every query with a binary search: sweeping q
-     thresholds over n samples is O(n log n + q log n), where the old
-     per-query [List.filter] re-walk was O(qn). *)
-  let a = Array.of_list l in
-  Array.sort Float.compare a;
-  let n = Array.length a in
-  fun x ->
-    if n = 0 then 0.0
-    else begin
-      (* Upper bound: number of elements <= x. *)
-      let lo = ref 0 and hi = ref n in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if a.(mid) <= x then lo := mid + 1 else hi := mid
-      done;
-      float_of_int !lo /. float_of_int n
-    end
-
-let cdf_at l x = cdf l x
-
-let histogram l ~lo ~hi ~bins =
-  if bins <= 0 then invalid_arg "Stats.histogram: bins <= 0";
-  if hi <= lo then invalid_arg "Stats.histogram: hi <= lo";
-  let counts = Array.make bins 0 in
-  List.iter
-    (fun x ->
-      let i = int_of_float ((x -. lo) /. (hi -. lo) *. float_of_int bins) in
-      let i = Int.max 0 (Int.min (bins - 1) i) in
-      counts.(i) <- counts.(i) + 1)
-    l;
-  counts

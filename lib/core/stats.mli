@@ -21,18 +21,3 @@ val median : float list -> float
 val cdf_points : float list -> (float * float) list
 (** Empirical CDF steps [(value, fraction ≤ value)], values ascending.
     [] for []. *)
-
-val cdf : float list -> float -> float
-(** [cdf l] sorts the samples once (into an array) and returns an
-    evaluator answering each probe with a binary search — partially apply
-    it when sweeping many thresholds over the same samples:
-    [let f = Stats.cdf samples in List.map f thresholds] is
-    O(n log n + q log n) where per-probe {!cdf_at} re-walks the list. *)
-
-val cdf_at : float list -> float -> float
-(** Fraction of samples ≤ the probe value: [cdf l x] for a single probe.
-    Prefer {!cdf} when probing the same samples repeatedly. *)
-
-val histogram : float list -> lo:float -> hi:float -> bins:int -> int array
-(** Counts per equal-width bin; out-of-range samples clamp to the edge
-    bins.  @raise Invalid_argument if [bins <= 0] or [hi <= lo]. *)

@@ -59,9 +59,6 @@ type raw_value = Str of string | Num of float
 
 type axis = { key : string; sets : (cell -> cell) array }
 
-let axis_key a = a.key
-let axis_length a = Array.length a.sets
-
 let ( let* ) r f = match r with Ok v -> f v | Error e -> Error e
 
 let num_of_raw key = function

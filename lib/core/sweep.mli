@@ -69,10 +69,6 @@ type axis
     cells that collapse into one batch); an empty axis expands to zero
     cells. *)
 
-val axis_key : axis -> string
-
-val axis_length : axis -> int
-
 val axis_of_raw : string -> raw_value list -> (axis, string) result
 (** Validate one axis: the key must be one of [network | model |
     spacing_km | itu_scale | seed | trials] and every value must parse

@@ -52,62 +52,6 @@ let resilience_score weighted_lats =
         safe_share *. (0.5 +. (0.5 *. evenness))
       end
 
-type dns_reachability = {
-  any_root_pct : float;
-  majority_letters_pct : float;
-  mean_letters : float;
-}
-
-let dns_reachability ?(state = Failure_model.s1) ~network instances =
-  let parts = Mitigation.predicted_partitions ~state ~network () in
-  let part_of = Hashtbl.create 1024 in
-  List.iteri (fun pid nodes -> List.iter (fun n -> Hashtbl.replace part_of n pid) nodes) parts;
-  (* Nearest landing node per instance, via the spatial index. *)
-  let index =
-    Geo.Grid_index.of_list
-      (List.init (Infra.Network.nb_nodes network) (fun i ->
-           (Infra.Network.node_coord network i, i)))
-  in
-  (* Letters present per partition. *)
-  let letters_in : (int, (char, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 64 in
-  Array.iter
-    (fun (inst : Datasets.Dns_roots.instance) ->
-      match Geo.Grid_index.nearest index inst.Datasets.Dns_roots.pos with
-      | None -> ()
-      | Some (_, node, _) -> (
-          match Hashtbl.find_opt part_of node with
-          | None -> ()
-          | Some pid ->
-              let tbl =
-                match Hashtbl.find_opt letters_in pid with
-                | Some t -> t
-                | None ->
-                    let t = Hashtbl.create 13 in
-                    Hashtbl.replace letters_in pid t;
-                    t
-              in
-              Hashtbl.replace tbl inst.Datasets.Dns_roots.letter ()))
-    instances;
-  let total = ref 0 and any = ref 0 and majority = ref 0 and letters = ref 0 in
-  Hashtbl.iter
-    (fun _node pid ->
-      incr total;
-      let n_letters =
-        match Hashtbl.find_opt letters_in pid with
-        | Some t -> Hashtbl.length t
-        | None -> 0
-      in
-      letters := !letters + n_letters;
-      if n_letters >= 1 then incr any;
-      if n_letters >= 7 then incr majority)
-    part_of;
-  let pct x = if !total = 0 then 0.0 else 100.0 *. float_of_int x /. float_of_int !total in
-  {
-    any_root_pct = pct !any;
-    majority_letters_pct = pct !majority;
-    mean_letters = (if !total = 0 then 0.0 else float_of_int !letters /. float_of_int !total);
-  }
-
 type dc_summary = {
   operator : Datasets.Datacenters.operator;
   sites : int;

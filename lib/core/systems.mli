@@ -35,23 +35,6 @@ type dns_summary = {
 
 val analyze_dns : Datasets.Dns_roots.instance array -> dns_summary
 
-type dns_reachability = {
-  any_root_pct : float;
-      (** landing nodes whose predicted partition holds ≥ 1 root instance *)
-  majority_letters_pct : float;  (** partition holds ≥ 7 of the 13 letters *)
-  mean_letters : float;  (** distinct letters reachable per node *)
-}
-
-val dns_reachability :
-  ?state:Failure_model.t ->
-  network:Infra.Network.t ->
-  Datasets.Dns_roots.instance array ->
-  dns_reachability
-(** Partition-aware DNS availability: the §4.4.3 claim made quantitative.
-    Each anycast instance is pinned to its nearest landing node; a user's
-    partition (from {!Mitigation.predicted_partitions}, default state S1)
-    then determines which instances remain reachable. *)
-
 val resilience_score : (float * float) list -> float
 (** Geo-resilience score in [[0, 1]] for weighted latitudes: the product
     of (a) the share of weight outside the vulnerable |40°|+ band and (b)

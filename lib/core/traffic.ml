@@ -48,8 +48,8 @@ let gateways network ~alive_graph =
   done;
   best
 
-(* [dead] is a predicate on cable ids; [route] adapts the public
-   [bool array] form, the trial driver passes its bitvector directly. *)
+(* [dead] is a predicate on cable ids (default: none dead); the trial
+   driver passes its bitvector directly. *)
 let route_internal ?dead ?baseline_max ~network ~demands () =
   let dead = match dead with Some d -> d | None -> fun _ -> false in
   let g = Infra.Network.graph_surviving network ~dead in
@@ -131,22 +131,9 @@ let route_internal ?dead ?baseline_max ~network ~demands () =
 
 let routes = Obs.Metrics.counter "traffic.routes"
 
-let route ?dead ?baseline_max ~network ~demands () =
+let route ~network ~demands () =
   Obs.Metrics.incr routes;
-  Obs.Span.with_ ~name:"traffic.route" @@ fun () ->
-  (* A damaged-network call without an explicit baseline routes the
-     healthy network first: the overload threshold must come from *this*
-     network, never from whatever network a previous call happened to
-     route (the old global memo went stale exactly that way). *)
-  let baseline_max =
-    match (baseline_max, dead) with
-    | (Some _ as b), _ -> b
-    | None, Some d when not (Array.for_all not d) ->
-        Some (route_internal ~network ~demands ()).max_cable_load
-    | None, _ -> None
-  in
-  let dead = Option.map (fun d c -> d.(c)) dead in
-  route_internal ?dead ?baseline_max ~network ~demands ()
+  Obs.Span.with_ ~name:"traffic.route" @@ fun () -> route_internal ~network ~demands ()
 
 let storm_shift ?(trials = 10) ~network ~model () =
   let demands = gravity_demands () in

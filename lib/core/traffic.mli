@@ -24,22 +24,12 @@ type routing = {
   overloaded_cables : int;  (** cables above [overload_factor] × baseline max *)
 }
 
-val route :
-  ?dead:bool array ->
-  ?baseline_max:float ->
-  network:Infra.Network.t ->
-  demands:demand list ->
-  unit ->
-  routing
-(** Route each continent-pair demand along one shortest (by length) path
-    between the continents' highest-degree surviving landing stations.
-    [dead] marks failed cables (default: none).  Overload counts cables
-    whose load exceeds twice [baseline_max], the healthy network's peak
-    load; when absent it is computed by routing the healthy network first
-    ([dead] with failures) or taken from this very run (healthy call).
-    Callers looping over many failure samples should pass the healthy
-    [max_cable_load] explicitly to avoid re-routing the baseline each
-    time — {!storm_shift} does. *)
+val route : network:Infra.Network.t -> demands:demand list -> unit -> routing
+(** Route each continent-pair demand over the healthy network, along one
+    shortest (by length) path between the continents' highest-degree
+    landing stations.  This run is its own overload baseline, so it
+    reports no overloaded cable; {!storm_shift} routes each failure
+    sample against this routing's [max_cable_load]. *)
 
 val storm_shift :
   ?trials:int -> network:Infra.Network.t -> model:Failure_model.t -> unit -> routing * routing

@@ -32,6 +32,3 @@ val in_country : string -> t array
 
 val by_population : unit -> t array
 (** Descending population. *)
-
-val nearest : Geo.Coord.t -> t
-(** Closest gazetteer city to a coordinate. *)

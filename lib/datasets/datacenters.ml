@@ -72,8 +72,6 @@ let facebook =
     site Facebook "Singapore" "Singapore" 1.35 103.82;
   ]
 
-let all = google @ facebook
-
 let operator_to_string = function Google -> "Google" | Facebook -> "Facebook"
 
 let sites_of = function Google -> google | Facebook -> facebook

@@ -19,7 +19,6 @@ type site = {
 
 val google : site list
 val facebook : site list
-val all : site list
 
 val operator_to_string : operator -> string
 

@@ -28,10 +28,6 @@ let share_between ~lat_lo ~lat_hi =
       if hi <= lo then acc else acc +. (share *. (hi -. lo) /. (b_hi -. b_lo)))
     0.0 band_shares
 
-let fraction_above t =
-  let t = Float.abs t in
-  share_between ~lat_lo:t ~lat_hi:90.0 +. share_between ~lat_lo:(-90.0) ~lat_hi:(-.t)
-
 let latitude_weights ~bin_deg =
   if bin_deg <= 0.0 then invalid_arg "Population.latitude_weights: bin <= 0";
   let nbins_f = 180.0 /. bin_deg in

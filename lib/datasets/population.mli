@@ -13,9 +13,6 @@ val share_between : lat_lo:float -> lat_hi:float -> float
 (** Population share in a latitude interval (linear interpolation within
     the embedded bands).  @raise Invalid_argument if [lat_hi < lat_lo]. *)
 
-val fraction_above : float -> float
-(** [fraction_above t] is the share living above |latitude| [t]. *)
-
 val latitude_weights : bin_deg:float -> (float * float) list
 (** [(band-centre latitude, weight)] pairs suitable for
     {!Geo.Latband.histogram} / [threshold_curve].  @raise Invalid_argument

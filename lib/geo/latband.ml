@@ -11,12 +11,6 @@ let tier_of_abs_lat ?(mid_threshold = 40.0) ?(high_threshold = 60.0) l =
 
 let tier_to_string = function High -> "high" | Mid -> "mid" | Low -> "low"
 
-let rank = function High -> 2 | Mid -> 1 | Low -> 0
-
-let compare_tier a b = Int.compare (rank a) (rank b)
-
-let max_tier a b = if compare_tier a b >= 0 then a else b
-
 type histogram = { bin_deg : float; counts : float array }
 
 let histogram ~bin_deg items =

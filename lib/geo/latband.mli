@@ -14,11 +14,6 @@ val tier_of_abs_lat : ?mid_threshold:float -> ?high_threshold:float -> float -> 
 
 val tier_to_string : tier -> string
 
-val compare_tier : tier -> tier -> int
-(** [High > Mid > Low]. *)
-
-val max_tier : tier -> tier -> tier
-
 type histogram = {
   bin_deg : float;  (** width of each latitude bin, degrees *)
   counts : float array;  (** weight per bin, index 0 = [-90, -90+bin) *)

@@ -19,17 +19,6 @@ let continent_to_string = function
   | Oceania -> "Oceania"
   | Antarctica -> "Antarctica"
 
-let continent_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "africa" -> Some Africa
-  | "asia" -> Some Asia
-  | "europe" -> Some Europe
-  | "north america" | "north_america" -> Some North_america
-  | "south america" | "south_america" -> Some South_america
-  | "oceania" | "australia" -> Some Oceania
-  | "antarctica" -> Some Antarctica
-  | _ -> None
-
 let equal_continent a b = a = b
 
 type polygon = { vertices : (float * float) array (* (lat, lon) *) }

@@ -18,7 +18,6 @@ type continent =
 val all_continents : continent list
 
 val continent_to_string : continent -> string
-val continent_of_string : string -> continent option
 val equal_continent : continent -> continent -> bool
 
 type polygon

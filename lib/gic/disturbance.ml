@@ -1,9 +1,8 @@
 type storm = { dst_nt : float; period_s : float }
 
-let storm_of_dst ?(period_s = 120.0) dst =
+let storm_of_dst dst =
   if dst > 0.0 then invalid_arg "Disturbance.storm_of_dst: Dst must be <= 0";
-  if period_s <= 0.0 then invalid_arg "Disturbance.storm_of_dst: period <= 0";
-  { dst_nt = dst; period_s }
+  { dst_nt = dst; period_s = 120.0 }
 
 (* Two-point calibration in log10 |Dst|: (100 nT, 62 deg) for intense
    storms and (1200 nT, 25 deg) for Carrington-class, linear between,

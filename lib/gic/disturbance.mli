@@ -10,11 +10,12 @@
 
 type storm = {
   dst_nt : float;  (** minimum Dst, negative nT *)
-  period_s : float;  (** characteristic variation period (default 120 s) *)
+  period_s : float;  (** characteristic variation period *)
 }
 
-val storm_of_dst : ?period_s:float -> float -> storm
-(** @raise Invalid_argument if [dst > 0.] or [period_s <= 0.]. *)
+val storm_of_dst : float -> storm
+(** The storm of a minimum Dst, with a 120 s variation period.
+    @raise Invalid_argument if [dst > 0.]. *)
 
 val auroral_boundary_deg : storm -> float
 (** Equatorward edge (geomagnetic degrees) of the strongly disturbed

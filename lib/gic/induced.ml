@@ -1,4 +1,4 @@
-type section = { emf_v : float; resistance_ohm : float; gic_a : float }
+type section = { gic_a : float }
 
 type result = { sections : section list; peak_gic_a : float }
 
@@ -18,9 +18,10 @@ let section_emf ~storm ~path ~start_km ~end_km =
   in
   go 0.0 start_km
 
-let compute ?(line_resistance_ohm_km = 0.8) ~storm ~path ~ground_chainages_km () =
+let line_resistance_ohm_km = 0.8
+
+let compute ~storm ~path ~ground_chainages_km () =
   if path = [] then invalid_arg "Induced.compute: empty path";
-  if line_resistance_ohm_km <= 0.0 then invalid_arg "Induced.compute: non-positive parameter";
   let total = Geo.Distance.path_length_km path in
   let grounds =
     List.sort_uniq Float.compare
@@ -39,13 +40,8 @@ let compute ?(line_resistance_ohm_km = 0.8) ~storm ~path ~ground_chainages_km ()
         else
           let emf = section_emf ~storm ~path ~start_km:a ~end_km:b in
           let r = (line_resistance_ohm_km *. len) +. (2.0 *. ground_resistance_ohm) in
-          Some { emf_v = emf; resistance_ohm = r; gic_a = emf /. r })
+          Some { gic_a = emf /. r })
       (pairs grounds)
   in
   let peak = List.fold_left (fun m s -> Float.max m (Float.abs s.gic_a)) 0.0 sections in
   { sections; peak_gic_a = peak }
-
-let repeater_stress_ratio r ~operating_current_a =
-  if operating_current_a <= 0.0 then
-    invalid_arg "Induced.repeater_stress_ratio: non-positive operating current";
-  r.peak_gic_a /. operating_current_a

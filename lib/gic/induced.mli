@@ -9,9 +9,9 @@
 
 (** The conductor between two consecutive grounds. *)
 type section = {
-  emf_v : float;  (** induced EMF magnitude along the section, volts *)
-  resistance_ohm : float;  (** total loop resistance of the section *)
-  gic_a : float;  (** resulting quasi-DC current, amperes *)
+  gic_a : float;
+      (** quasi-DC current, amperes: the section's induced EMF over its
+          loop resistance *)
 }
 
 type result = {
@@ -20,7 +20,6 @@ type result = {
 }
 
 val compute :
-  ?line_resistance_ohm_km:float ->
   storm:Disturbance.storm ->
   path:Geo.Coord.t list ->
   ground_chainages_km:float list ->
@@ -30,12 +29,5 @@ val compute :
     geoelectric field along each grounded section of the path.  The path's
     two endpoints are always treated as grounds; interior chainages are
     sorted and deduplicated, and the field is sampled every 100 km.  The
-    line resistance defaults to 0.8 Ω/km, the figure quoted in §3.2.1,
-    and each ground's is 2 Ω.
-    @raise Invalid_argument on an empty path or a non-positive line
-    resistance. *)
-
-val repeater_stress_ratio : result -> operating_current_a:float -> float
-(** Peak GIC divided by the repeater operating current: the "~100×
-    operational range" figure of §3.2.1 for Carrington-scale events on
-    transoceanic cables. *)
+    line resistance is 0.8 Ω/km, the figure quoted in §3.2.1, and each
+    ground's is 2 Ω.  @raise Invalid_argument on an empty path. *)

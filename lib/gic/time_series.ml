@@ -24,8 +24,6 @@ let dst_at p ~t_h =
     p.dst_min *. ((t_h -. p.onset_h) /. p.main_phase_h)
   else p.dst_min *. exp (-.(t_h -. peak_time_h p) /. p.recovery_tau_h)
 
-let storm_at p ~t_h = Disturbance.storm_of_dst (Float.min (-1.0) (dst_at p ~t_h))
-
 let duration_below p ~dst_threshold =
   if dst_threshold >= 0.0 || p.dst_min > dst_threshold then 0.0
   else begin
@@ -36,11 +34,3 @@ let duration_below p ~dst_threshold =
     let t_exit = peak_time_h p +. (p.recovery_tau_h *. log (p.dst_min /. dst_threshold)) in
     Float.max 0.0 (t_exit -. t_enter)
   end
-
-let sample p ~step_h ~horizon_h =
-  if step_h <= 0.0 || horizon_h <= 0.0 then
-    invalid_arg "Time_series.sample: non-positive step or horizon";
-  let n = int_of_float (Float.ceil (horizon_h /. step_h)) in
-  List.init (n + 1) (fun i ->
-      let t = float_of_int i *. step_h in
-      (t, dst_at p ~t_h:t))

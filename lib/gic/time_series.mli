@@ -20,17 +20,9 @@ val default : dst_min:float -> profile
 val dst_at : profile -> t_h:float -> float
 (** Dst at [t_h] hours after shock arrival (0 before onset). *)
 
-val storm_at : profile -> t_h:float -> Disturbance.storm
-(** Instantaneous disturbance for the GIC pipeline.  Quiet times map to a
-    negligible −1 nT storm. *)
-
 val duration_below : profile -> dst_threshold:float -> float
 (** Hours during which Dst ≤ [dst_threshold] (e.g. how long the storm
     stays in the "severe" band).  0 when never reached. *)
 
 val peak_time_h : profile -> float
 (** Hours from shock arrival to the Dst minimum. *)
-
-val sample : profile -> step_h:float -> horizon_h:float -> (float * float) list
-(** [(t, Dst)] series for plotting.  @raise Invalid_argument on
-    non-positive step/horizon. *)

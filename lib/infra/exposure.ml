@@ -1,4 +1,4 @@
-type t = { cable_id : int; peak_gic_a : float }
+type t = { peak_gic_a : float }
 
 let path_of_cable ~network (c : Cable.t) =
   (* Sample each landing-to-landing hop so that the field integration sees
@@ -20,37 +20,36 @@ let peak_gic_hist =
   Obs.Metrics.histogram "gic.peak_gic_a"
     ~buckets:[| 1.0; 3.0; 10.0; 30.0; 100.0; 300.0; 1000.0 |]
 
-let of_cable ?interval_km ~storm ~network (c : Cable.t) =
+let of_cable ~storm ~network (c : Cable.t) =
   Obs.Metrics.incr exposure_evals;
   let path = path_of_cable ~network c in
-  let grounds = Grounding.chainages ?interval_km ~length_km:c.Cable.length_km () in
-  if grounds = [] then { cable_id = c.Cable.id; peak_gic_a = 0.0 }
+  let grounds = Grounding.chainages ~length_km:c.Cable.length_km () in
+  if grounds = [] then { peak_gic_a = 0.0 }
   else
     let result = Gic.Induced.compute ~storm ~path ~ground_chainages_km:grounds () in
     Obs.Metrics.observe peak_gic_hist result.Gic.Induced.peak_gic_a;
-    { cable_id = c.Cable.id; peak_gic_a = result.Gic.Induced.peak_gic_a }
+    { peak_gic_a = result.Gic.Induced.peak_gic_a }
 
 let failure_probability ?(scale_a = 30.0) t =
   if scale_a <= 0.0 then invalid_arg "Exposure.failure_probability: scale <= 0";
   1.0 -. exp (-.t.peak_gic_a /. scale_a)
 
-(* Exposures depend only on (network, storm, interval), and a damage-scale
+(* Exposures depend only on (network, storm), and a damage-scale
    study compiles one storm at several [scale_a]s, each compile asking for
    the same array.  The cache is keyed by network identity (nothing writes
    into a network after [Network.create]; an equal network built
-   separately just misses) and by storm and interval values.  Plans are
+   separately just misses) and by storm values.  Plans are
    compiled on server worker domains too, so a mutex guards the list; it
    is not held while computing, and two domains missing on one key both
    compute the same values and the second insert is dropped.  The newest
    [cache_capacity] entries are kept.  Callers get a copy, so nothing they
    write can reach the cache. *)
-type key = { net : Network.t; storm : Gic.Disturbance.storm; interval_km : float option }
+type key = { net : Network.t; storm : Gic.Disturbance.storm }
 
 let same_key a b =
   a.net == b.net
   && Float.equal a.storm.Gic.Disturbance.dst_nt b.storm.Gic.Disturbance.dst_nt
   && Float.equal a.storm.Gic.Disturbance.period_s b.storm.Gic.Disturbance.period_s
-  && Option.equal Float.equal a.interval_km b.interval_km
 
 let cache_capacity = 8
 let cache_mu = Mutex.create ()
@@ -58,8 +57,8 @@ let cache : (key * t array) list ref = ref [] (* newest first *)
 
 let cached key = List.find_map (fun (k, v) -> if same_key k key then Some v else None) !cache
 
-let network_exposures ?interval_km ~storm network =
-  let key = { net = network; storm; interval_km } in
+let network_exposures ~storm network =
+  let key = { net = network; storm } in
   let exposures =
     match Mutex.protect cache_mu (fun () -> cached key) with
     | Some v -> v
@@ -67,7 +66,7 @@ let network_exposures ?interval_km ~storm network =
         let v =
           Obs.Span.with_ ~name:"gic.network_exposures" @@ fun () ->
           Array.init (Network.nb_cables network) (fun i ->
-              of_cable ?interval_km ~storm ~network (Network.cable network i))
+              of_cable ~storm ~network (Network.cable network i))
         in
         Mutex.protect cache_mu (fun () ->
             if cached key = None then

@@ -7,15 +7,11 @@
     that replaces the paper's purely probabilistic repeater-failure knob
     in the physics ablation (DESIGN.md §3). *)
 
-type t = { cable_id : int; peak_gic_a : float }
+type t = { peak_gic_a : float }
 
-val of_cable :
-  ?interval_km:float ->
-  storm:Gic.Disturbance.storm ->
-  network:Network.t ->
-  Cable.t ->
-  t
-(** Exposure of one cable under a storm. *)
+val of_cable : storm:Gic.Disturbance.storm -> network:Network.t -> Cable.t -> t
+(** Exposure of one cable under a storm, grounded at its
+    {!Grounding.chainages}. *)
 
 val failure_probability : ?scale_a:float -> t -> float
 (** Maps the peak GIC to a per-repeater failure probability through a
@@ -23,13 +19,9 @@ val failure_probability : ?scale_a:float -> t -> float
     defaults to 30 A (repeaters survive small GIC; a 100 A Carrington-class
     surge is near-certain destruction). *)
 
-val network_exposures :
-  ?interval_km:float ->
-  storm:Gic.Disturbance.storm ->
-  Network.t ->
-  t array
+val network_exposures : storm:Gic.Disturbance.storm -> Network.t -> t array
 (** Exposure of every cable, indexed by cable id.  Memoized: the last
-    {!cache_capacity} distinct [(network, storm, interval_km)] keys are
+    {!cache_capacity} distinct [(network, storm)] keys are
     kept, the network compared by physical identity, so repeated calls
     (one storm compiled at several damage scales) evaluate each cable
     once.  Each call returns a fresh array.  Safe to call from concurrent

@@ -1,9 +1,8 @@
 let needs_grounding ~length_km = length_km >= 50.0
 
-let default_interval_km = 1400.0
+let interval_km = 1400.0
 
-let chainages ?(interval_km = default_interval_km) ~length_km () =
-  if interval_km <= 0.0 then invalid_arg "Grounding.chainages: interval <= 0";
+let chainages ~length_km () =
   if length_km < 0.0 then invalid_arg "Grounding.chainages: negative length";
   if not (needs_grounding ~length_km) then []
   else

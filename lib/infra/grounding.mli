@@ -6,8 +6,8 @@
     points — branching units — every few hundred to a few thousand
     kilometres (Equiano: 9 branching units over ~12,000 km). *)
 
-val chainages : ?interval_km:float -> length_km:float -> unit -> float list
+val chainages : length_km:float -> unit -> float list
 (** Chainages (km from cable start) of every ground, endpoints included,
-    with intermediate grounds every [interval_km] (default 1,400 km,
-    Equiano-like).  [[]] for a cable under 50 km, which needs no ground.
-    @raise Invalid_argument if [interval_km <= 0.] or [length_km < 0.]. *)
+    with intermediate grounds every 1,400 km (Equiano-like).  [[]] for a
+    cable under 50 km, which needs no ground.
+    @raise Invalid_argument if [length_km < 0.]. *)

@@ -1,17 +1,3 @@
-type spec = {
-  spacing_km : float;
-  operating_current_a : float;
-  lifetime_years : float;
-}
-
-let default ~spacing_km =
-  if spacing_km <= 0.0 then invalid_arg "Repeater.default: spacing <= 0";
-  {
-    spacing_km;
-    operating_current_a = 1.0;
-    lifetime_years = 25.0;
-  }
-
 let paper_spacings_km = [ 50.0; 100.0; 150.0 ]
 
 let count_for_length ~spacing_km ~length_km =

@@ -5,16 +5,6 @@
     superstorm can reach ~100× the operating current, which is the damage
     mechanism the paper's failure models abstract. *)
 
-type spec = {
-  spacing_km : float;  (** inter-repeater distance *)
-  operating_current_a : float;  (** nominal feed current, ≈ 1 A *)
-  lifetime_years : float;  (** design lifetime (25 y, §3.2.2) *)
-}
-
-val default : spacing_km:float -> spec
-(** Spec with the paper's nominal electrical figures at the given spacing.
-    @raise Invalid_argument if [spacing_km <= 0.]. *)
-
 val paper_spacings_km : float list
 (** The three spacings swept in Figs 6–8: [[50.; 100.; 150.]]. *)
 

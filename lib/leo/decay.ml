@@ -9,11 +9,6 @@ type spacecraft = {
 let starlink_v1 =
   { name = "starlink-v1"; mass_kg = 260.0; drag_area_m2 = 3.0; cd = 2.2; thrust_n = 0.08 }
 
-let starlink_v1_safe_mode =
-  { name = "starlink-v1-safe"; mass_kg = 260.0; drag_area_m2 = 12.0; cd = 2.2; thrust_n = 0.0 }
-
-let cubesat_3u = { name = "cubesat-3u"; mass_kg = 4.0; drag_area_m2 = 0.03; cd = 2.2; thrust_n = 0.0 }
-
 let ballistic_coefficient s = s.cd *. s.drag_area_m2 /. s.mass_kg
 
 let thrust_margin s conditions ~alt_km =

@@ -11,13 +11,6 @@ type spacecraft = {
 val starlink_v1 : spacecraft
 (** 260 kg, ion thruster, drag-minimized area ~3 m². *)
 
-val starlink_v1_safe_mode : spacecraft
-(** The same vehicle "sheet-flying" edge cases during the Feb 2022 event:
-    larger effective area, thruster unavailable while in safe mode. *)
-
-val cubesat_3u : spacecraft
-(** A passive 4 kg 3U cubesat. *)
-
 val thrust_margin : spacecraft -> Atmosphere.conditions -> alt_km:float -> float
 (** Thrust acceleration over drag deceleration; > 1 means the vehicle can
     climb.  [infinity] in vacuum, 0 without a thruster. *)

@@ -7,10 +7,6 @@ let semi_major_m ~alt_km =
     invalid_arg "Orbit.semi_major_m: altitude outside (0, 10000] km";
   earth_radius_m +. (alt_km *. 1000.0)
 
-let period_s ~alt_km =
-  let a = semi_major_m ~alt_km in
-  2.0 *. Float.pi *. sqrt (a ** 3.0 /. mu_earth)
-
 let speed_m_s ~alt_km = sqrt (mu_earth /. semi_major_m ~alt_km)
 
 let decay_rate_m_per_s ~alt_km ~density_kg_m3 ~ballistic_m2_kg =

@@ -2,8 +2,8 @@
 
     The satellite-impact analysis (§3.3 of the paper: "orbital decay and
     uncontrolled reentry ... particularly in low earth orbit satellites
-    such as Starlink") only needs circular-orbit energetics: period,
-    speed, and the decay rate under drag. *)
+    such as Starlink") only needs circular-orbit energetics: speed and
+    the decay rate under drag. *)
 
 val earth_radius_m : float
 
@@ -11,9 +11,6 @@ val semi_major_m : alt_km:float -> float
 (** Semi-major axis of a circular orbit at the given altitude.
     @raise Invalid_argument for altitudes ≤ 0 or above 10,000 km (not
     LEO). *)
-
-val period_s : alt_km:float -> float
-(** Orbital period. *)
 
 val speed_m_s : alt_km:float -> float
 (** Orbital speed. *)

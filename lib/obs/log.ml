@@ -72,7 +72,6 @@ let log level event fields =
     Fun.protect ~finally:(fun () -> Mutex.unlock sink_lock) (fun () -> !sink line)
   end
 
-let debug event fields = log Debug event fields
 let info event fields = log Info event fields
 let warn event fields = log Warn event fields
 let error event fields = log Error event fields

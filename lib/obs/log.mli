@@ -1,6 +1,6 @@
 (** Leveled, structured JSONL logging.
 
-    [info event fields] (and likewise {!debug}, {!warn}, {!error}) emits
+    [info event fields] (and likewise {!warn}, {!error}) emits
     one compact JSON object per line:
 
     {v {"ts_ns":…,"level":"info","event":"http.access","trace":"…",…} v}
@@ -32,11 +32,10 @@ val set_sink : (string -> unit) -> unit
 (** Where complete lines go (default: stderr, flushed per line).  Calls
     are serialized under an internal mutex so lines never interleave. *)
 
-val debug : string -> (string * Json.t) list -> unit
+val info : string -> (string * Json.t) list -> unit
 (** [event] names the line, [fields] are appended in order.  No-op when
-    disabled or below {!set_level}; the same holds for the other three
+    disabled or below {!set_level}; the same holds for the other two
     levels. *)
 
-val info : string -> (string * Json.t) list -> unit
 val warn : string -> (string * Json.t) list -> unit
 val error : string -> (string * Json.t) list -> unit

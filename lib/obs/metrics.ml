@@ -202,31 +202,3 @@ let reset () =
           Atomic.set h.h_sum 0.0;
           Atomic.set h.h_count 0)
     registry
-
-let merge_value name a b =
-  match (a, b) with
-  | Counter x, Counter y -> Counter (x + y)
-  | Gauge _, Gauge y -> Gauge y (* right-biased: the later snapshot wins *)
-  | Histogram x, Histogram y ->
-      if x.bounds <> y.bounds then
-        invalid_arg ("Obs.Metrics.merge: " ^ name ^ " has mismatched buckets");
-      Histogram
-        {
-          bounds = x.bounds;
-          counts = Array.init (Array.length x.counts) (fun i -> x.counts.(i) + y.counts.(i));
-          sum = x.sum +. y.sum;
-          count = x.count + y.count;
-        }
-  | _ -> invalid_arg ("Obs.Metrics.merge: " ^ name ^ " has mismatched kinds")
-
-let merge a b =
-  let tbl = Hashtbl.create 64 in
-  List.iter (fun (name, v) -> Hashtbl.replace tbl name v) a;
-  List.iter
-    (fun (name, v) ->
-      match Hashtbl.find_opt tbl name with
-      | None -> Hashtbl.replace tbl name v
-      | Some prev -> Hashtbl.replace tbl name (merge_value name prev v))
-    b;
-  Hashtbl.fold (fun name v acc -> (name, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)

@@ -8,8 +8,7 @@
     branch on the disabled path.
 
     [snapshot] freezes the registry into a plain, order-stable value that
-    exporters consume; snapshots from different runs (or shards) can be
-    combined with [merge].
+    exporters consume.
 
     The registry is domain-safe: mutations are [Atomic] (counters are
     sharded per domain so hot counters like [rng.draws] don't serialize
@@ -73,8 +72,3 @@ val quantile : bounds:float array -> counts:int array -> float -> float option
 
 val reset : unit -> unit
 (** Zero every registered metric (registrations are kept). *)
-
-val merge : snapshot -> snapshot -> snapshot
-(** Counters add, histograms add bucket-wise, gauges take the
-    right-hand (later) value.  @raise Invalid_argument on kind or bucket
-    mismatches. *)

@@ -52,12 +52,8 @@ let default_sink =
 let sink = ref default_sink
 let set_sink f = sink := f
 
-(* Default: repaint at most five times a second. *)
-let interval_ns = ref 200_000_000L
-
-let set_interval_ns ns =
-  if ns < 0L then invalid_arg "Obs.Progress.set_interval_ns: interval < 0";
-  interval_ns := ns
+(* Repaint at most five times a second. *)
+let interval_ns = 200_000_000L
 
 type run = {
   label : string;
@@ -99,7 +95,7 @@ let tick ?(n = 1) r =
     let now = !clock () in
     let last = Atomic.get r.last_render in
     if
-      Int64.compare (Int64.sub now last) !interval_ns >= 0
+      Int64.compare (Int64.sub now last) interval_ns >= 0
       && Atomic.compare_and_set r.last_render last now
     then render ~final:false r
   end

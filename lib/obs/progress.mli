@@ -14,7 +14,7 @@
     server worker domains each running a plan) own independent meters
     and cannot clobber each other.  Rendering — ["label done/total
     (pct)  rate trials/s  ETA s"], carriage-return style — goes to the
-    sink (stderr by default) at most once per interval; a CAS on the
+    sink (stderr by default) at most five times a second; a CAS on the
     run's last-render timestamp keeps concurrent domains from painting
     over each other. *)
 
@@ -60,6 +60,3 @@ val set_clock : Clock.t -> unit
 (** Clock used for rate/ETA and render throttling (default
     {!Clock.monotonic}). *)
 
-val set_interval_ns : int64 -> unit
-(** Minimum nanoseconds between repaints (default 2×10⁸ = 5 Hz; 0 =
-    repaint on every tick).  @raise Invalid_argument if negative. *)

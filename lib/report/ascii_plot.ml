@@ -2,23 +2,6 @@ type series = { label : string; points : (float * float) list }
 
 let glyphs = [| '*'; 'o'; '+'; 'x'; '#'; '@'; '%'; '&' |]
 
-let sparkline values =
-  match values with
-  | [] -> ""
-  | _ ->
-      let levels = [| '_'; '.'; '-'; '='; '#' |] in
-      let lo = List.fold_left Float.min (List.hd values) values in
-      let hi = List.fold_left Float.max (List.hd values) values in
-      let span = if hi -. lo < 1e-12 then 1.0 else hi -. lo in
-      String.concat ""
-        (List.map
-           (fun v ->
-             let i =
-               Int.min 4 (Int.max 0 (int_of_float ((v -. lo) /. span *. 4.999)))
-             in
-             String.make 1 levels.(i))
-           values)
-
 let plot ?(width = 72) ?(height = 20) ?(log_x = false) ?(x_label = "") ?(y_label = "")
     ?(title = "") series =
   let all_points = List.concat_map (fun s -> s.points) series in

@@ -5,10 +5,6 @@
 
 type series = { label : string; points : (float * float) list }
 
-val sparkline : float list -> string
-(** One-line block-character sparkline ("▁▃▆█"-style using ASCII
-    [_.-=#] levels); "" for an empty list. *)
-
 val plot :
   ?width:int ->
   ?height:int ->

@@ -2,8 +2,11 @@ type layer =
   | Points of char * Geo.Coord.t list
   | Arcs of char * (Geo.Coord.t * Geo.Coord.t) list
 
-let render ?(width = 110) ?(height = 34) layers =
-  let proj = Geo.Projection.equirectangular ~width ~height () in
+let width = 110
+let height = 34
+
+let render layers =
+  let proj = Geo.Projection.equirectangular ~width ~height in
   let grid = Array.make_matrix height width ' ' in
   (* Coastline background: sample each cell centre for land. *)
   for y = 0 to height - 1 do
@@ -13,9 +16,8 @@ let render ?(width = 110) ?(height = 34) layers =
     done
   done;
   let put glyph coord =
-    match Geo.Projection.to_xy proj coord with
-    | Some (x, y) -> grid.(y).(x) <- glyph
-    | None -> ()
+    let x, y = Geo.Projection.to_xy proj coord in
+    grid.(y).(x) <- glyph
   in
   let draw_arc glyph a b =
     let n = Int.max 2 (int_of_float (Geo.Distance.haversine_km a b /. 300.0)) in

@@ -8,9 +8,9 @@ type layer =
   | Points of char * Geo.Coord.t list
   | Arcs of char * (Geo.Coord.t * Geo.Coord.t) list
 
-val render : ?width:int -> ?height:int -> layer list -> string
-(** Later layers draw over earlier ones, on the whole-world
-    {!Geo.Projection.equirectangular} grid. *)
+val render : layer list -> string
+(** 110 columns by 34 rows; later layers draw over earlier ones, on the
+    whole-world {!Geo.Projection.equirectangular} grid. *)
 
 val network_layers : ?cable_glyph:char -> ?node_glyph:char -> Infra.Network.t -> layer list
 (** Cable arcs (hop by hop) under landing-point markers. *)

@@ -20,15 +20,6 @@ module Raw = struct
     t.state <- Int64.add t.state golden_gamma;
     mix t.state
 
-  let next_float53 t =
-    (* 53 random bits into [0, 1). *)
-    let bits = Int64.shift_right_logical (next_int64 t) 11 in
-    Int64.to_float bits *. (1.0 /. 9007199254740992.0)
-
-  let bernoulli t ~p =
-    let p = Float.max 0.0 (Float.min 1.0 p) in
-    next_float53 t < p
-
   (* Batched bernoulli sweep over the listed positions only.  Draw [i]'s
      state is [base + (i+1)·gamma] — a pure function of the base state
      and the index — so a position left out moves no other position's
@@ -193,10 +184,3 @@ let shuffle t a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let sample_without_replacement t a ~k =
-  let n = Array.length a in
-  if k < 0 || k > n then invalid_arg "Rng.sample_without_replacement: bad k";
-  let idx = Array.init n (fun i -> i) in
-  shuffle t idx;
-  List.init k (fun i -> a.(idx.(i)))

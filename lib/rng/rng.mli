@@ -37,14 +37,10 @@ module Raw : sig
 
   val next_int64 : t -> int64
 
-  val bernoulli : t -> p:float -> bool
-  (** Same draw pattern (one 53-bit uniform float in [[0, 1)]) and
-      results as {!val:bernoulli}. *)
-
   val fill_bernoulli : t -> float array -> idx:int array -> Bytes.t -> unit
   (** [fill_bernoulli t probs ~idx bits] is [Array.length probs]
-      successive {!bernoulli} calls with only the positions in [idx]
-      drawn.  Position [i] reads stream position [i] — the float53 of
+      successive {!val:bernoulli} draws, uncounted, with only the
+      positions in [idx] drawn.  Position [i] reads stream position [i] — the float53 of
       [mix (state + (i+1)·gamma)], the draw the [(i+1)]-th call would
       make — so leaving a position out moves no other position's draw.
       For each [i] in [idx], bit [i land 7] of byte [i lsr 3] of [bits]
@@ -116,7 +112,3 @@ val weighted_sampler : ('a * float) array -> t -> 'a
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates. *)
-
-val sample_without_replacement : t -> 'a array -> k:int -> 'a list
-(** [k] distinct elements.  @raise Invalid_argument if [k] exceeds the
-    array length or is negative. *)

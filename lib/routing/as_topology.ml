@@ -87,32 +87,6 @@ let generate ?(seed = 42) ?(n = 2000) () =
     tier;
   { n; tier; home_lat; providers; customers; peers }
 
-let provider_cone t dst =
-  let mark = Array.make t.n false in
-  let q = Queue.create () in
-  mark.(dst) <- true;
-  Queue.add dst q;
-  while not (Queue.is_empty q) do
-    let x = Queue.pop q in
-    List.iter
-      (fun p ->
-        if not mark.(p) then begin
-          mark.(p) <- true;
-          Queue.add p q
-        end)
-      t.providers.(x)
-  done;
-  mark
-
-let degree_stats t =
-  let total = ref 0 and dmax = ref 0 in
-  for i = 0 to t.n - 1 do
-    let d = List.length t.providers.(i) + List.length t.customers.(i) + List.length t.peers.(i) in
-    total := !total + d;
-    if d > !dmax then dmax := d
-  done;
-  (float_of_int !total /. float_of_int t.n, !dmax)
-
 let validate t =
   let check_pair_consistency () =
     let ok = ref true in

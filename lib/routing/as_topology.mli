@@ -26,14 +26,6 @@ val generate : ?seed:int -> ?n:int -> unit -> t
     follows real proportions (most stubs are multi-homed).
     @raise Invalid_argument if [n < 20]. *)
 
-val provider_cone : t -> int -> bool array
-(** [provider_cone t dst] marks every AS that can reach [dst] by
-    descending customer links only (i.e. [dst] is in its customer cone,
-    including [dst] itself).  O(V+E). *)
-
-val degree_stats : t -> float * int
-(** (mean provider+peer+customer degree, max degree). *)
-
 val validate : t -> (unit, string) result
 (** Structural sanity: relationships are consistent (x in providers(y) iff
     y in customers(x)), peers symmetric, no self-links, every stub has a

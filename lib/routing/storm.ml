@@ -19,8 +19,7 @@ let draw_failures rng (t : As_topology.t) ~dst_nt =
       let p = if l > 60.0 then high else if l > 40.0 then mid else low in
       not (Rng.bernoulli rng ~p))
 
-let compare_protocols ?(pairs = 300) ?(k = 3) t ~dst_nt =
-  if k < 1 then invalid_arg "Storm.compare_protocols: k < 1";
+let compare_protocols ?(pairs = 300) t ~dst_nt =
   let rng = Rng.create 29 in
   let healthy = Bgp.all_alive t in
   let alive = draw_failures rng t ~dst_nt in
@@ -36,9 +35,9 @@ let compare_protocols ?(pairs = 300) ?(k = 3) t ~dst_nt =
     incr guard;
     let src = Rng.int rng n and dst = Rng.int rng n in
     if src <> dst && alive.(src) && alive.(dst) then begin
-      (* Pre-storm state: k disjoint paths on the healthy topology.  The
+      (* Pre-storm state: 3 disjoint paths on the healthy topology.  The
          first is the shortest path, i.e. BGP's best. *)
-      match Bgp.disjoint_paths ~k t ~alive:healthy ~src ~dst with
+      match Bgp.disjoint_paths ~k:3 t ~alive:healthy ~src ~dst with
       | [] -> () (* unreachable even before the storm: skip the pair *)
       | best :: _ as dpaths ->
           incr sampled;

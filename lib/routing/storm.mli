@@ -28,7 +28,7 @@ val tier_probabilities : dst_nt:float -> float * float * float
 val draw_failures : Rng.t -> As_topology.t -> dst_nt:float -> bool array
 (** Alive mask after the storm. *)
 
-val compare_protocols : ?pairs:int -> ?k:int -> As_topology.t -> dst_nt:float -> outcome
+val compare_protocols : ?pairs:int -> As_topology.t -> dst_nt:float -> outcome
 (** Sample [pairs] (default 300) alive src/dst pairs on one failure draw
-    (seed 29) and measure the four metrics.  @raise Invalid_argument if
-    [k < 1]. *)
+    (seed 29) and measure the four metrics, with [k] = 3 disjoint paths
+    for multipath. *)

@@ -29,12 +29,3 @@ let rank = function
   | Carrington -> 6
 
 let compare_severity a b = Int.compare (rank a) (rank b)
-
-let representative_dst = function
-  | Quiet -> -15.0
-  | Minor -> -40.0
-  | Moderate -> -75.0
-  | Intense -> -175.0
-  | Severe -> -425.0
-  | Extreme -> -725.0
-  | Carrington -> -1200.0

@@ -23,7 +23,3 @@ val severity_to_string : severity -> string
 
 val compare_severity : severity -> severity -> int
 (** Orders by strength: [Quiet] least, [Carrington] greatest. *)
-
-val representative_dst : severity -> float
-(** A representative Dst for a class (its midpoint; −1200 for
-    [Carrington]), used when scenarios are specified by class. *)

@@ -3,9 +3,10 @@ type event = { year : float; dst_nt : float }
 (* Thinning algorithm for the inhomogeneous Poisson process: draw from a
    dominating homogeneous process at the peak modulated rate, accept with
    ratio rate(t)/peak. *)
-let generate ?(min_dst = 100.0) ~rng ~start ~stop () =
+let min_dst = 100.0
+
+let generate ~rng ~start ~stop () =
   if stop < start then invalid_arg "Event_generator.generate: stop < start";
-  if min_dst < 0.0 then invalid_arg "Event_generator.generate: min_dst must be positive";
   let base = Probability.events_per_year_exceeding ~dst:(-.min_dst) in
   if base <= 0.0 then []
   else begin
@@ -32,14 +33,6 @@ let generate ?(min_dst = 100.0) ~rng ~start ~stop () =
     done;
     List.rev !events
   end
-
-let worst events =
-  List.fold_left
-    (fun acc e ->
-      match acc with
-      | None -> Some e
-      | Some best -> if e.dst_nt < best.dst_nt then Some e else acc)
-    None events
 
 let carrington_in_window ?(trials = 400) ~seed ~start ~stop () =
   let master = Rng.create seed in

@@ -11,16 +11,12 @@ type event = {
   dst_nt : float;  (** minimum Dst, negative *)
 }
 
-val generate :
-  ?min_dst:float -> rng:Rng.t -> start:float -> stop:float -> unit -> event list
-(** Storms with |Dst| ≥ [min_dst] (default 100 nT, i.e. intense and
-    above) over [start, stop], chronological.  The long-run rate of
-    ≥ [min_dst] storms before modulation comes from the calibrated
-    power-law tail ({!Probability.events_per_year_exceeding}).
-    @raise Invalid_argument if [stop < start] or [min_dst < 0]. *)
-
-val worst : event list -> event option
-(** Deepest-Dst event of a sequence. *)
+val generate : rng:Rng.t -> start:float -> stop:float -> unit -> event list
+(** Storms with |Dst| ≥ 100 nT (intense and above) over [start, stop],
+    chronological.  The long-run rate of such storms before modulation
+    comes from the calibrated power-law tail
+    ({!Probability.events_per_year_exceeding}).
+    @raise Invalid_argument if [stop < start]. *)
 
 val carrington_in_window :
   ?trials:int -> seed:int -> start:float -> stop:float -> unit -> float

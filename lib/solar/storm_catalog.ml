@@ -69,7 +69,6 @@ let near_miss_2012 =
 
 let all = [ carrington; new_york_railroad; quebec; halloween; near_miss_2012 ]
 
-let strongest = carrington
 
 let contains_ci hay needle =
   let hay = String.lowercase_ascii hay and needle = String.lowercase_ascii needle in
@@ -81,4 +80,3 @@ let contains_ci hay needle =
 
 let find name = List.find_opt (fun e -> contains_ci e.name name) all
 
-let severity e = Dst.severity_of_dst e.dst_nt

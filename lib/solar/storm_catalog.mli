@@ -13,10 +13,5 @@ type event = {
 val all : event list
 (** Chronological list of the catalogued events. *)
 
-val strongest : event
-(** The strongest Earth-impacting event on record (Carrington). *)
-
 val find : string -> event option
 (** Case-insensitive lookup by name substring. *)
-
-val severity : event -> Dst.severity

@@ -19,8 +19,6 @@ let cycles =
 let cycle_25_weak = { number = 25; start_year = 2019.9; peak_ssn = 115.0 }
 let cycle_25_strong = { number = 25; start_year = 2019.9; peak_ssn = 233.0 }
 
-let find_cycle n = List.find_opt (fun c -> c.number = n) cycles
-
 (* Hathaway (1994)-style shape: R(t) = A (t/b)^3 / (exp((t/b)^2) - c),
    t in months, c = 0.71.  The rise-time parameter b encodes the
    Waldmeier effect (stronger cycles rise faster): peak occurs near
@@ -104,8 +102,3 @@ let series ?cycle25 ~start ~stop ~step () =
   List.init (n + 1) (fun i ->
       let year = start +. (float_of_int i *. step) in
       (year, ssn_at ?cycle25 year))
-
-let cycle_peak_year c =
-  let b = shape_b c.peak_ssn in
-  (* The unit shape peaks near t = 1.08 b months. *)
-  c.start_year +. (1.08 *. b /. 12.0)

@@ -21,8 +21,6 @@ val cycle_25_weak : cycle
 val cycle_25_strong : cycle
 (** The two cycle-25 forecasts discussed in §2.3. *)
 
-val find_cycle : int -> cycle option
-
 val shape : amplitude:float -> months_since_min:float -> float
 (** Hathaway shape function: SSN at [months_since_min] for a cycle of the
     given amplitude.  Zero before the minimum. *)
@@ -36,7 +34,3 @@ val series :
   ?cycle25:cycle -> start:float -> stop:float -> step:float -> unit -> (float * float) list
 (** Sampled [(year, ssn)] series.  @raise Invalid_argument if
     [step <= 0.] or [stop < start]. *)
-
-val cycle_peak_year : cycle -> float
-(** Approximate decimal year of the cycle's maximum under the shape
-    model. *)

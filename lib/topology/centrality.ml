@@ -1,7 +1,3 @@
-let degree g =
-  Graph.fold_nodes g ~init:[] ~f:(fun acc n -> (n, Graph.degree g n) :: acc)
-  |> List.sort (fun (_, a) (_, b) -> Int.compare b a)
-
 (* Brandes 2001, unweighted variant. *)
 let betweenness g =
   let cb = Hashtbl.create 64 in

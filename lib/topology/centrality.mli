@@ -2,9 +2,6 @@
     infrastructure analysis (e.g. identifying hub landing stations like
     Singapore). *)
 
-val degree : Graph.t -> (Graph.node * int) list
-(** All nodes with their degree, descending degree order. *)
-
 val betweenness : Graph.t -> (Graph.node, float) Hashtbl.t
 (** Unweighted betweenness centrality (Brandes' algorithm).  Each pair is
     counted once (undirected normalization: scores halved). *)

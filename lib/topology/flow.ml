@@ -2,12 +2,6 @@
    to a dense range; each undirected graph edge becomes two arcs with the
    full capacity plus their residual twins. *)
 
-type result = {
-  value : float;
-  edge_flow : int -> float;
-  source_side : Graph.node -> bool;
-}
-
 type network = {
   n : int;
   (* arcs as parallel arrays *)
@@ -131,56 +125,6 @@ let graph_edges g ~capacity =
   in
   (List.length nodes, id_map, edges)
 
-let max_flow g ~capacity ~source ~sink =
-  if source = sink then invalid_arg "Flow.max_flow: source = sink";
-  if not (Graph.mem_node g source && Graph.mem_node g sink) then
-    invalid_arg "Flow.max_flow: absent terminal";
-  let nodes, id_map, edges = graph_edges g ~capacity in
-  let net = build ~nodes ~extra:0 ~max_arcs:(2 * Graph.nb_edges g) edges in
-  let s = Hashtbl.find id_map source and t = Hashtbl.find id_map sink in
-  let original_cap = Array.sub net.arc_cap 0 net.m in
-  let value = dinic net ~s ~t in
-  (* Per-edge |flow|: each arc starts at the edge capacity, so the net
-     transfer equals the capacity shift of the forward arc (pushes in the
-     two directions cancel in the residual). *)
-  let edge_flow_tbl = Hashtbl.create 64 in
-  let a = ref 0 in
-  while !a < net.m do
-    let e = net.arc_edge.(!a) in
-    if e >= 0 && not (Hashtbl.mem edge_flow_tbl e) then begin
-      let delta = Float.abs (net.arc_cap.(!a) -. original_cap.(!a)) in
-      Hashtbl.replace edge_flow_tbl e delta
-    end;
-    a := !a + 2
-  done;
-  (* Residual reachability from s. *)
-  let reach = Array.make net.n false in
-  let q = Queue.create () in
-  reach.(s) <- true;
-  Queue.add s q;
-  while not (Queue.is_empty q) do
-    let u = Queue.pop q in
-    let a = ref net.head.(u) in
-    while !a <> -1 do
-      let v = net.arc_to.(!a) in
-      if net.arc_cap.(!a) > 1e-12 && not reach.(v) then begin
-        reach.(v) <- true;
-        Queue.add v q
-      end;
-      a := net.arc_next.(!a)
-    done
-  done;
-  {
-    value;
-    edge_flow =
-      (fun e -> Option.value ~default:0.0 (Hashtbl.find_opt edge_flow_tbl e));
-    source_side =
-      (fun node ->
-        match Hashtbl.find_opt id_map node with
-        | Some i -> reach.(i)
-        | None -> false);
-  }
-
 (* Super-source [nodes] and super-sink [nodes + 1] over the edge stream,
    or [None] when a side is empty. *)
 let multi_network ~nodes ~max_edges ~edges ~sources ~sinks =
@@ -246,11 +190,3 @@ let min_cut_edges_multi g ~capacity ~sources ~sinks =
             e.Graph.id :: acc
           else acc)
       |> List.sort Int.compare
-
-let min_cut_edges g ~capacity ~source ~sink =
-  let r = max_flow g ~capacity ~source ~sink in
-  Graph.fold_edges g ~init:[] ~f:(fun acc e ->
-      if e.Graph.u <> e.Graph.v && r.source_side e.Graph.u <> r.source_side e.Graph.v then
-        e.Graph.id :: acc
-      else acc)
-  |> List.sort Int.compare

@@ -5,27 +5,17 @@
     edges are modeled as two opposing arcs, each with the edge's full
     capacity (standard undirected max-flow construction). *)
 
-type result = {
-  value : float;  (** maximum flow value *)
-  edge_flow : int -> float;  (** |flow| routed across an edge id *)
-  source_side : Graph.node -> bool;
-      (** residual-reachability from the source: defines the min cut *)
-}
-
-val max_flow :
-  Graph.t -> capacity:(int -> float) -> source:Graph.node -> sink:Graph.node -> result
-(** @raise Invalid_argument if source = sink, either is absent, or a
-    capacity is negative. *)
-
 val max_flow_multi :
   Graph.t ->
   capacity:(int -> float) ->
   sources:Graph.node list ->
   sinks:Graph.node list ->
   float
-(** Multi-source/multi-sink value via virtual super-terminals.
-    0 when either side is empty after dropping absent nodes.
-    @raise Invalid_argument if the groups overlap. *)
+(** Multi-source/multi-sink value via virtual super-terminals (a
+    one-source, one-sink call is plain max flow).  0 when either side is
+    empty after dropping absent nodes.
+    @raise Invalid_argument if the groups overlap or a capacity is
+    negative. *)
 
 val max_flow_multi_edges :
   nodes:int ->
@@ -53,8 +43,3 @@ val min_cut_edges_multi :
   int list
 (** Edge ids crossing the multi-terminal minimum cut (ascending); [] when
     either group is empty. *)
-
-val min_cut_edges :
-  Graph.t -> capacity:(int -> float) -> source:Graph.node -> sink:Graph.node -> int list
-(** Edge ids crossing the minimum cut (saturated source-side → sink-side
-    edges), ascending. *)

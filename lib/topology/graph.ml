@@ -43,13 +43,6 @@ let remove_edge g id =
       let adj = if e.u = e.v then adj else drop e.v adj in
       { adj; edge_tbl = Imap.remove id g.edge_tbl }
 
-let remove_node g n =
-  match Imap.find_opt n g.adj with
-  | None -> g
-  | Some incident ->
-      let g = List.fold_left (fun g (_, eid) -> remove_edge g eid) g incident in
-      { g with adj = Imap.remove n g.adj }
-
 let mem_node g n = Imap.mem n g.adj
 let find_edge g id = Imap.find_opt id g.edge_tbl
 

@@ -24,9 +24,6 @@ val add_edge : t -> id:int -> node -> node -> t
 val remove_edge : t -> int -> t
 (** Remove an edge by id; no-op when absent.  Endpoints stay. *)
 
-val remove_node : t -> node -> t
-(** Removes the node and all incident edges; no-op when absent. *)
-
 val mem_node : t -> node -> bool
 val find_edge : t -> int -> edge option
 

@@ -46,38 +46,6 @@ module Heap = struct
     end
 end
 
-let dijkstra g ~weight src =
-  let dist = Hashtbl.create 64 in
-  if not (Graph.mem_node g src) then dist
-  else begin
-    let heap = Heap.create () in
-    Heap.push heap 0.0 src;
-    let finalized = Hashtbl.create 64 in
-    Hashtbl.replace dist src 0.0;
-    let rec loop () =
-      match Heap.pop heap with
-      | None -> ()
-      | Some (d, n) ->
-          if not (Hashtbl.mem finalized n) then begin
-            Hashtbl.replace finalized n ();
-            List.iter
-              (fun (m, eid) ->
-                let w = weight eid in
-                if w < 0.0 then invalid_arg "Paths.dijkstra: negative weight";
-                let nd = d +. w in
-                match Hashtbl.find_opt dist m with
-                | Some old when old <= nd -> ()
-                | _ ->
-                    Hashtbl.replace dist m nd;
-                    Heap.push heap nd m)
-              (Graph.neighbors g n)
-          end;
-          loop ()
-    in
-    loop ();
-    dist
-  end
-
 let shortest_path g ~weight src dst =
   if not (Graph.mem_node g src && Graph.mem_node g dst) then None
   else begin

@@ -93,14 +93,3 @@ let articulation_points g =
     (fun root children -> if children >= 2 then Hashtbl.replace cut root ())
     st.root_children;
   Hashtbl.fold (fun n () acc -> n :: acc) cut [] |> List.sort Int.compare
-
-let k_core g ~k =
-  if k < 0 then invalid_arg "Structure.k_core: negative k";
-  let rec strip g =
-    let victims =
-      Graph.fold_nodes g ~init:[] ~f:(fun acc n ->
-          if Graph.degree g n < k then n :: acc else acc)
-    in
-    if victims = [] then g else strip (List.fold_left Graph.remove_node g victims)
-  in
-  strip g

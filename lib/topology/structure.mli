@@ -1,4 +1,4 @@
-(** Structural fragility: bridges, articulation points, k-cores.
+(** Structural fragility: bridges and articulation points.
 
     A bridge cable is a single point of disconnection — exactly the
     situation the paper flags for single-cable countries (e.g. the one
@@ -10,7 +10,3 @@ val bridges : Graph.t -> int list
 
 val articulation_points : Graph.t -> Graph.node list
 (** Nodes whose removal increases the number of components. *)
-
-val k_core : Graph.t -> k:int -> Graph.t
-(** Maximal subgraph in which every node has degree ≥ k.
-    @raise Invalid_argument if [k < 0]. *)

@@ -39,38 +39,14 @@ let test_coord_make_valid () =
 let test_coord_make_invalid () =
   Alcotest.check_raises "lat 91" (Coord.Invalid_coordinate "latitude 91.000000 out of [-90, 90]")
     (fun () -> ignore (Coord.make ~lat:91.0 ~lon:0.0));
-  (match Coord.make_opt ~lat:Float.nan ~lon:0.0 with
-  | None -> ()
-  | Some _ -> Alcotest.fail "NaN accepted")
+  Alcotest.check_raises "NaN" (Coord.Invalid_coordinate "non-finite coordinate (nan, 0.000000)")
+    (fun () -> ignore (Coord.make ~lat:Float.nan ~lon:0.0))
 
 let test_coord_antipode () =
   (* Antipode distance is half the Earth's circumference. *)
   let a = Coord.make ~lat:(-40.71) ~lon:105.99 in
   check_close 5.0 "antipode distance" (Float.pi *. Distance.earth_radius_km)
     (Distance.haversine_km nyc a)
-
-let test_coord_parse_roundtrip () =
-  List.iter
-    (fun c ->
-      match Coord.of_string (Coord.to_string c) with
-      | Some c' -> Alcotest.(check bool) "parse(pp) = id" true (Coord.equal ~eps:0.01 c c')
-      | None -> Alcotest.fail "roundtrip parse failed")
-    [ nyc; london; sydney; singapore ]
-
-let test_coord_parse_decimal () =
-  match Coord.of_string "40.71, -74.01" with
-  | Some c -> Alcotest.(check bool) "decimal pair" true (Coord.equal ~eps:1e-6 c nyc)
-  | None -> Alcotest.fail "decimal parse failed"
-
-let test_coord_parse_garbage () =
-  Alcotest.(check (option reject)) "garbage"
-    None
-    (Option.map (fun _ -> ()) (Coord.of_string "not a coordinate"))
-
-let test_coord_compare_total () =
-  Alcotest.(check bool) "self" true (Coord.compare nyc nyc = 0);
-  Alcotest.(check bool) "antisym" true
-    (Coord.compare nyc london = -Coord.compare london nyc)
 
 (* --- Distance --- *)
 
@@ -106,8 +82,8 @@ let test_path_length () =
 (* --- Geodesic --- *)
 
 let test_intermediate_endpoints () =
-  Alcotest.(check bool) "f=0" true (Coord.equal ~eps:1e-9 nyc (Geodesic.intermediate nyc london 0.0));
-  Alcotest.(check bool) "f=1" true (Coord.equal ~eps:1e-9 london (Geodesic.intermediate nyc london 1.0))
+  Alcotest.(check bool) "f=0" true (Coord.equal nyc (Geodesic.intermediate nyc london 0.0));
+  Alcotest.(check bool) "f=1" true (Coord.equal london (Geodesic.intermediate nyc london 1.0))
 
 let test_midpoint_equidistant () =
   let m = Geodesic.intermediate nyc london 0.5 in
@@ -128,9 +104,9 @@ let test_waypoints_invalid () =
 let test_point_at_km_clamps () =
   let path = Geodesic.waypoints nyc london ~n:8 in
   Alcotest.(check bool) "d=0 is start" true
-    (Coord.equal ~eps:1e-9 nyc (Geodesic.point_at_km path 0.0));
+    (Coord.equal nyc (Geodesic.point_at_km path 0.0));
   Alcotest.(check bool) "d>len is end" true
-    (Coord.equal ~eps:1e-6 london (Geodesic.point_at_km path 1e9))
+    (Coord.equal london (Geodesic.point_at_km path 1e9))
 
 let test_point_at_km_midway () =
   let path = Geodesic.waypoints nyc london ~n:50 in
@@ -180,10 +156,6 @@ let test_tiers () =
   Alcotest.(check bool) "60 mid (strict)" true (Latband.tier_of_abs_lat 60.0 = Latband.Mid);
   Alcotest.(check bool) "61 high" true (Latband.tier_of_abs_lat 61.0 = Latband.High);
   Alcotest.(check bool) "negative symmetric" true (Latband.tier_of_abs_lat (-65.0) = Latband.High)
-
-let test_tier_order () =
-  Alcotest.(check bool) "High > Mid" true (Latband.compare_tier Latband.High Latband.Mid > 0);
-  Alcotest.(check bool) "max" true (Latband.max_tier Latband.Low Latband.Mid = Latband.Mid)
 
 let test_tier_custom_thresholds () =
   Alcotest.(check bool) "custom" true
@@ -271,14 +243,6 @@ let test_polygon_contains () =
   let square = Region.polygon [ (0.0, 0.0); (0.0, 10.0); (10.0, 10.0); (10.0, 0.0) ] in
   Alcotest.(check bool) "inside" true (Region.contains square (Coord.make ~lat:5.0 ~lon:5.0));
   Alcotest.(check bool) "outside" false (Region.contains square (Coord.make ~lat:15.0 ~lon:5.0))
-
-let test_continent_of_string_roundtrip () =
-  List.iter
-    (fun k ->
-      match Region.continent_of_string (Region.continent_to_string k) with
-      | Some k' -> Alcotest.(check bool) "roundtrip" true (Region.equal_continent k k')
-      | None -> Alcotest.fail "roundtrip failed")
-    Region.all_continents
 
 (* --- Grid_index --- *)
 
@@ -573,37 +537,25 @@ let prop_grid_index_matches_oracle =
 (* --- Projection --- *)
 
 let test_projection_corners () =
-  let p = Projection.equirectangular ~width:100 ~height:50 () in
-  (match Projection.to_xy p (Coord.make ~lat:89.99 ~lon:(-179.99)) with
-  | Some (x, y) ->
-      Alcotest.(check int) "NW x" 0 x;
-      Alcotest.(check int) "NW y" 0 y
-  | None -> Alcotest.fail "NW corner out");
-  match Projection.to_xy p (Coord.make ~lat:(-89.99) ~lon:179.99) with
-  | Some (x, y) ->
-      Alcotest.(check int) "SE x" 99 x;
-      Alcotest.(check int) "SE y" 49 y
-  | None -> Alcotest.fail "SE corner out"
-
-let test_projection_out_of_bounds () =
-  let p =
-    Projection.equirectangular ~bounds:(20.0, 60.0, -20.0, 40.0) ~width:10 ~height:10 ()
-  in
-  Alcotest.(check bool) "outside" true (Projection.to_xy p sydney = None)
+  let p = Projection.equirectangular ~width:100 ~height:50 in
+  let x, y = Projection.to_xy p (Coord.make ~lat:89.99 ~lon:(-179.99)) in
+  Alcotest.(check int) "NW x" 0 x;
+  Alcotest.(check int) "NW y" 0 y;
+  let x, y = Projection.to_xy p (Coord.make ~lat:(-89.99) ~lon:179.99) in
+  Alcotest.(check int) "SE x" 99 x;
+  Alcotest.(check int) "SE y" 49 y
 
 let test_projection_roundtrip () =
-  let p = Projection.equirectangular ~width:360 ~height:180 () in
-  match Projection.to_xy p nyc with
-  | Some (x, y) ->
-      let c = Projection.of_xy p x y in
-      Alcotest.(check bool) "roundtrip within a cell" true
-        (Float.abs (Coord.lat c -. Coord.lat nyc) < 1.5
-        && Float.abs (Coord.lon c -. Coord.lon nyc) < 1.5)
-  | None -> Alcotest.fail "projection failed"
+  let p = Projection.equirectangular ~width:360 ~height:180 in
+  let x, y = Projection.to_xy p nyc in
+  let c = Projection.of_xy p x y in
+  Alcotest.(check bool) "roundtrip within a cell" true
+    (Float.abs (Coord.lat c -. Coord.lat nyc) < 1.5
+    && Float.abs (Coord.lon c -. Coord.lon nyc) < 1.5)
 
 let test_projection_invalid () =
   Alcotest.check_raises "zero width" (Invalid_argument "Projection: non-positive size")
-    (fun () -> ignore (Projection.equirectangular ~width:0 ~height:10 ()))
+    (fun () -> ignore (Projection.equirectangular ~width:0 ~height:10))
 
 (* --- QCheck properties --- *)
 
@@ -673,11 +625,7 @@ let () =
       ( "coord",
         [ Alcotest.test_case "make wraps lon" `Quick test_coord_make_valid;
           Alcotest.test_case "make rejects bad input" `Quick test_coord_make_invalid;
-          Alcotest.test_case "antipode" `Quick test_coord_antipode;
-          Alcotest.test_case "parse/pp roundtrip" `Quick test_coord_parse_roundtrip;
-          Alcotest.test_case "parse decimal pair" `Quick test_coord_parse_decimal;
-          Alcotest.test_case "parse garbage" `Quick test_coord_parse_garbage;
-          Alcotest.test_case "total order" `Quick test_coord_compare_total ] );
+          Alcotest.test_case "antipode" `Quick test_coord_antipode ] );
       ( "distance",
         [ Alcotest.test_case "known distances" `Quick test_haversine_known;
           Alcotest.test_case "zero distance" `Quick test_haversine_zero;
@@ -701,7 +649,6 @@ let () =
           Alcotest.test_case "north atlantic anomaly" `Quick test_dipole_north_atlantic_higher ] );
       ( "latband",
         [ Alcotest.test_case "tier boundaries" `Quick test_tiers;
-          Alcotest.test_case "tier order" `Quick test_tier_order;
           Alcotest.test_case "custom thresholds" `Quick test_tier_custom_thresholds;
           Alcotest.test_case "histogram binning" `Quick test_histogram_binning;
           Alcotest.test_case "histogram invalid" `Quick test_histogram_invalid;
@@ -714,9 +661,7 @@ let () =
           Alcotest.test_case "ocean is not land" `Quick test_ocean_is_not_land;
           Alcotest.test_case "nearest is total" `Quick test_continent_of_nearest_total;
           Alcotest.test_case "polygon validation" `Quick test_polygon_validation;
-          Alcotest.test_case "polygon contains" `Quick test_polygon_contains;
-          Alcotest.test_case "continent string roundtrip" `Quick
-            test_continent_of_string_roundtrip ] );
+          Alcotest.test_case "polygon contains" `Quick test_polygon_contains ] );
       ( "grid_index",
         [ Alcotest.test_case "within matches brute force" `Quick
             test_grid_index_within_matches_brute_force;
@@ -731,7 +676,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_grid_index_matches_oracle ] );
       ( "projection",
         [ Alcotest.test_case "corners" `Quick test_projection_corners;
-          Alcotest.test_case "out of bounds" `Quick test_projection_out_of_bounds;
           Alcotest.test_case "roundtrip" `Quick test_projection_roundtrip;
           Alcotest.test_case "invalid" `Quick test_projection_invalid ] );
       ("properties", qcheck_tests);

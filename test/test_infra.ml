@@ -30,11 +30,6 @@ let test_repeater_count_validation () =
     (Invalid_argument "Repeater.count_for_length: negative length") (fun () ->
       ignore (Infra.Repeater.count_for_length ~spacing_km:50.0 ~length_km:(-1.0)))
 
-let test_repeater_spec () =
-  let spec = Infra.Repeater.default ~spacing_km:100.0 in
-  check_close 1e-9 "1 A operating" 1.0 spec.Infra.Repeater.operating_current_a;
-  check_close 1e-9 "25 y lifetime" 25.0 spec.Infra.Repeater.lifetime_years
-
 let test_paper_spacings () =
   Alcotest.(check (list (float 1e-9))) "50/100/150" [ 50.0; 100.0; 150.0 ]
     Infra.Repeater.paper_spacings_km
@@ -142,12 +137,12 @@ let test_grounding_short_cables () =
     (Infra.Grounding.chainages ~length_km:30.0 ())
 
 let test_grounding_endpoints_and_intervals () =
-  let ch = Infra.Grounding.chainages ~interval_km:1000.0 ~length_km:3500.0 () in
-  Alcotest.(check (list (float 1e-9))) "grounds" [ 0.0; 1000.0; 2000.0; 3000.0; 3500.0 ] ch
+  let ch = Infra.Grounding.chainages ~length_km:3500.0 () in
+  Alcotest.(check (list (float 1e-9))) "grounds every 1400 km" [ 0.0; 1400.0; 2800.0; 3500.0 ] ch
 
 let test_grounding_validation () =
-  Alcotest.check_raises "bad interval" (Invalid_argument "Grounding.chainages: interval <= 0")
-    (fun () -> ignore (Infra.Grounding.chainages ~interval_km:0.0 ~length_km:100.0 ()))
+  Alcotest.check_raises "negative length" (Invalid_argument "Grounding.chainages: negative length")
+    (fun () -> ignore (Infra.Grounding.chainages ~length_km:(-1.0) ()))
 
 (* --- Network --- *)
 
@@ -269,10 +264,7 @@ let test_network_exposures_indexed () =
   let net = mini_network () in
   let storm = Gic.Disturbance.storm_of_dst (-589.0) in
   let exposures = Infra.Exposure.network_exposures ~storm net in
-  Alcotest.(check int) "one per cable" 3 (Array.length exposures);
-  Array.iteri
-    (fun i e -> Alcotest.(check int) "indexed by cable id" i e.Infra.Exposure.cable_id)
-    exposures
+  Alcotest.(check int) "one per cable" 3 (Array.length exposures)
 
 (* [f ()] and the cable evaluations it ran, from [gic.exposure_evals]. *)
 let evals_during f =
@@ -291,9 +283,7 @@ let test_network_exposures_cache_keys () =
   let net = mini_network () in
   let m = Infra.Network.nb_cables net in
   let storm = Gic.Disturbance.storm_of_dst (-611.0) in
-  let exposures ?interval_km ?(storm = storm) net () =
-    Infra.Exposure.network_exposures ?interval_km ~storm net
-  in
+  let exposures ?(storm = storm) net () = Infra.Exposure.network_exposures ~storm net in
   let first, cold = evals_during (exposures net) in
   Alcotest.(check int) "cold key evaluates every cable" m cold;
   let fresh =
@@ -302,15 +292,12 @@ let test_network_exposures_cache_keys () =
   Alcotest.(check bool) "equal to a fresh computation" true (first = fresh);
   (* The caller owns the returned array: a write must not reach the cache. *)
   let kept = Array.copy first in
-  first.(0) <- { (first.(0)) with Infra.Exposure.peak_gic_a = 1e9 };
+  first.(0) <- { Infra.Exposure.peak_gic_a = 1e9 };
   let again, warm = evals_during (exposures net) in
   Alcotest.(check int) "same key evaluates nothing" 0 warm;
   Alcotest.(check bool) "same values" true (again = kept);
   let misses name f = Alcotest.(check int) name m (snd (evals_during f)) in
   misses "other Dst" (exposures ~storm:(Gic.Disturbance.storm_of_dst (-612.0)) net);
-  misses "other period"
-    (exposures ~storm:(Gic.Disturbance.storm_of_dst ~period_s:60.0 (-611.0)) net);
-  misses "other interval" (exposures ~interval_km:50.0 net);
   let twin = mini_network () in
   let twin_values, twin_evals = evals_during (exposures twin) in
   Alcotest.(check int) "equal network, distinct value" m twin_evals;
@@ -387,7 +374,6 @@ let () =
         [ Alcotest.test_case "count basics" `Quick test_repeater_count_basics;
           Alcotest.test_case "9000 km anchor" `Quick test_repeater_count_9000km_anchor;
           Alcotest.test_case "validation" `Quick test_repeater_count_validation;
-          Alcotest.test_case "spec" `Quick test_repeater_spec;
           Alcotest.test_case "paper spacings" `Quick test_paper_spacings ] );
       ( "power_feed",
         [ Alcotest.test_case "11 kV anchor" `Quick test_power_budget_9000km_anchor;

@@ -31,16 +31,6 @@ let test_carrington_end_to_end_severity () =
     true
     (s.Stormsim.Montecarlo.cables_mean > 18.0 && s.Stormsim.Montecarlo.cables_mean < 50.0)
 
-let test_storm_profile_peak_matches_disturbance () =
-  (* The time-series peak must reproduce the static disturbance model. *)
-  let dst = -589.0 in
-  let profile = Gic.Time_series.default ~dst_min:dst in
-  let peak_storm = Gic.Time_series.storm_at profile ~t_h:(Gic.Time_series.peak_time_h profile) in
-  let static = Gic.Disturbance.storm_of_dst dst in
-  Alcotest.(check (float 1e-6)) "same boundary"
-    (Gic.Disturbance.auroral_boundary_deg static)
-    (Gic.Disturbance.auroral_boundary_deg peak_storm)
-
 let test_noaa_announcement_consistent_with_model_tiers () =
   (* A storm NOAA would announce as G5 (Dst −700 nT) must map to a model
      at least as harsh as S2 through the scenario severity mapping. *)
@@ -162,8 +152,6 @@ let () =
     [
       ( "pipeline",
         [ Alcotest.test_case "carrington end-to-end" `Quick test_carrington_end_to_end_severity;
-          Alcotest.test_case "profile peak = static" `Quick
-            test_storm_profile_peak_matches_disturbance;
           Alcotest.test_case "noaa vs tiers" `Quick
             test_noaa_announcement_consistent_with_model_tiers ] );
       ( "physics",

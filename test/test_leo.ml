@@ -2,12 +2,25 @@
    mechanics, storm-heated thermosphere, drag decay, constellations and
    storm impact.  Calibration anchors are real events. *)
 
+(* Two vehicles without a thruster: a Starlink v1 "sheet-flying" in safe
+   mode as in the Feb 2022 event (larger effective area, thruster
+   unavailable) and a passive 4 kg 3U cubesat. *)
+let starlink_v1_safe_mode =
+  { Leo.Decay.name = "starlink-v1-safe"; mass_kg = 260.0; drag_area_m2 = 12.0; cd = 2.2;
+    thrust_n = 0.0 }
+
+let cubesat_3u =
+  { Leo.Decay.name = "cubesat-3u"; mass_kg = 4.0; drag_area_m2 = 0.03; cd = 2.2; thrust_n = 0.0 }
 
 (* --- Orbit --- *)
 
 let test_iss_period () =
-  (* ISS at ~420 km: period ~92.8 min. *)
-  let p = Leo.Orbit.period_s ~alt_km:420.0 /. 60.0 in
+  (* ISS at ~420 km: period ~92.8 min, one circumference at orbital
+     speed. *)
+  let p =
+    2.0 *. Float.pi *. Leo.Orbit.semi_major_m ~alt_km:420.0
+    /. Leo.Orbit.speed_m_s ~alt_km:420.0 /. 60.0
+  in
   Alcotest.(check bool) (Printf.sprintf "%.1f min in [91, 94]" p) true (p > 91.0 && p < 94.0)
 
 let test_leo_speed () =
@@ -100,10 +113,10 @@ let test_low_parking_orbit_is_marginal () =
 
 let test_no_thruster_never_holds () =
   Alcotest.(check bool) "cubesat" false
-    (Leo.Decay.can_hold_altitude Leo.Decay.cubesat_3u Leo.Atmosphere.quiet ~alt_km:500.0)
+    (Leo.Decay.can_hold_altitude cubesat_3u Leo.Atmosphere.quiet ~alt_km:500.0)
 
 let test_altitude_after_monotone_in_days () =
-  let sc = Leo.Decay.starlink_v1_safe_mode in
+  let sc = starlink_v1_safe_mode in
   let c = Leo.Atmosphere.of_storm (-300.0) in
   let a1 = Leo.Decay.altitude_after sc c ~alt_km:300.0 ~days:1.0 in
   let a5 = Leo.Decay.altitude_after sc c ~alt_km:300.0 ~days:5.0 in
@@ -216,7 +229,7 @@ let prop_coast_never_gains_altitude =
   QCheck.Test.make ~name:"coasting never raises the orbit" ~count:50
     QCheck.(pair (float_range 180.0 800.0) (float_range 0.0 30.0))
     (fun (alt, days) ->
-      Leo.Decay.altitude_after Leo.Decay.starlink_v1_safe_mode Leo.Atmosphere.quiet
+      Leo.Decay.altitude_after starlink_v1_safe_mode Leo.Atmosphere.quiet
         ~alt_km:alt ~days
       <= alt +. 1e-9)
 

@@ -118,30 +118,6 @@ let test_histogram_rejects_bad_buckets () =
     (Invalid_argument "Obs.Metrics.histogram: bucket bounds must increase strictly")
     (fun () -> ignore (Obs.Metrics.histogram "test.hist.bad" ~buckets:[| 1.0; 1.0 |]))
 
-(* --- merge --- *)
-
-let test_merge () =
-  with_obs_enabled @@ fun () ->
-  let c = Obs.Metrics.counter "m.c" in
-  let h = Obs.Metrics.histogram "m.h" ~buckets:[| 1.0; 2.0 |] in
-  Obs.Metrics.incr c;
-  Obs.Metrics.observe h 0.5;
-  let a = Obs.Metrics.snapshot () in
-  Obs.Metrics.reset ();
-  Obs.Metrics.add c 2;
-  Obs.Metrics.observe h 1.5;
-  Obs.Metrics.observe h 5.0;
-  let b = Obs.Metrics.snapshot () in
-  let m = Obs.Metrics.merge a b in
-  (match List.assoc "m.c" m with
-  | Obs.Metrics.Counter n -> Alcotest.(check int) "counters add" 3 n
-  | _ -> Alcotest.fail "not a counter");
-  match List.assoc "m.h" m with
-  | Obs.Metrics.Histogram { counts; count; _ } ->
-      Alcotest.(check (array int)) "bucketwise add" [| 1; 1; 1 |] counts;
-      Alcotest.(check int) "count" 3 count
-  | _ -> Alcotest.fail "not a histogram"
-
 (* --- histogram quantile estimation --- *)
 
 let test_quantile_empty_is_none () =
@@ -282,12 +258,10 @@ let test_log_disabled_is_silent () =
 let test_log_level_filter () =
   with_log_captured @@ fun buf ->
   Obs.Log.set_level Obs.Log.Warn;
-  Obs.Log.debug "d" [];
   Obs.Log.info "i" [];
   Obs.Log.warn "w" [];
   Obs.Log.error "e" [];
   let out = Buffer.contents buf in
-  Alcotest.(check bool) "debug dropped" false (contains out "\"event\":\"d\"");
   Alcotest.(check bool) "info dropped" false (contains out "\"event\":\"i\"");
   Alcotest.(check bool) "warn kept" true (contains out "\"level\":\"warn\",\"event\":\"w\"");
   Alcotest.(check bool) "error kept" true (contains out "\"level\":\"error\",\"event\":\"e\"")
@@ -712,15 +686,13 @@ let with_progress_captured f =
   let buf = Buffer.create 256 in
   Obs.Progress.enable ();
   Obs.Progress.set_sink (Buffer.add_string buf);
-  Obs.Progress.set_interval_ns 0L;
   Fun.protect
     ~finally:(fun () ->
       Obs.Progress.disable ();
       Obs.Progress.set_sink (fun s ->
           output_string stderr s;
           flush stderr);
-      Obs.Progress.set_clock Obs.Clock.monotonic;
-      Obs.Progress.set_interval_ns 200_000_000L)
+      Obs.Progress.set_clock Obs.Clock.monotonic)
     (fun () -> f buf)
 
 let test_progress_meter () =
@@ -1464,8 +1436,7 @@ let () =
           Alcotest.test_case "gauge" `Quick test_gauge_set;
           Alcotest.test_case "kind clash" `Quick test_kind_clash_rejected;
           Alcotest.test_case "histogram boundaries" `Quick test_histogram_bucket_boundaries;
-          Alcotest.test_case "histogram bad buckets" `Quick test_histogram_rejects_bad_buckets;
-          Alcotest.test_case "merge" `Quick test_merge ] );
+          Alcotest.test_case "histogram bad buckets" `Quick test_histogram_rejects_bad_buckets ] );
       ( "quantile",
         [ Alcotest.test_case "empty is none" `Quick test_quantile_empty_is_none;
           Alcotest.test_case "single observation" `Quick test_quantile_single_observation;

@@ -10,8 +10,8 @@
 
    The "satellites" section holds the regression tests for the latent-bug
    sweep that rode along with the engine: the weighted pick's trailing
-   zero-weight fallthrough, Stats.cdf's sorted binary search, the dead
-   [?seed] dropped from Recovery.plan, and Mitigation's greedy
+   zero-weight fallthrough, the dead [?seed] dropped from Recovery.plan,
+   and Mitigation's greedy
    augmentation after the dead-binding cleanup. *)
 
 open Stormsim
@@ -284,25 +284,6 @@ let test_weighted_choice_trailing_zero () =
       (pick = "a" || pick = "b")
   done
 
-let test_cdf_binary_search () =
-  let samples = [ 5.0; 1.0; 3.0; 3.0; 2.0; 8.0 ] in
-  let n = float_of_int (List.length samples) in
-  let naive x =
-    float_of_int (List.length (List.filter (fun v -> v <= x) samples)) /. n
-  in
-  let f = Stats.cdf samples in
-  List.iter
-    (fun x ->
-      Alcotest.(check (float 1e-12))
-        (Printf.sprintf "cdf agrees with the O(n) filter at %g" x)
-        (naive x) (f x);
-      Alcotest.(check (float 1e-12))
-        (Printf.sprintf "cdf_at agrees at %g" x)
-        (naive x)
-        (Stats.cdf_at samples x))
-    [ -1.0; 1.0; 1.5; 2.0; 3.0; 4.5; 5.0; 8.0; 9.0 ];
-  Alcotest.(check (float 1e-12)) "empty sample" 0.0 (Stats.cdf_at [] 3.0)
-
 let test_recovery_plan_deterministic () =
   (* Recovery.plan carried a [?seed] it silently ignored; now that the
      signature is honest, pin the behaviour the parameter lied about:
@@ -349,7 +330,6 @@ let () =
       ( "satellites",
         [ Alcotest.test_case "weighted_choice trailing zero" `Quick
             test_weighted_choice_trailing_zero;
-          Alcotest.test_case "cdf binary search" `Quick test_cdf_binary_search;
           Alcotest.test_case "recovery plan deterministic" `Quick
             test_recovery_plan_deterministic;
           Alcotest.test_case "augmentation greedy" `Quick test_augmentation_greedy ] );

@@ -177,8 +177,9 @@ let test_compile_validates () =
 let test_recovery_median_series () =
   let network = Lazy.force network in
   let model = Failure_model.s2 in
-  let trials = 5 and seed = 7 in
-  let combined, _ = Recovery.storm_recovery ~trials ~seed ~network ~model () in
+  (* storm_recovery draws its trials at seed 53. *)
+  let trials = 5 and seed = 53 in
+  let combined, _ = Recovery.storm_recovery ~trials ~network ~model () in
   (* Replay the same trials and pick the median-by-days_to_90_pct curve
      ourselves (lower median, ties by trial order). *)
   let p = Plan.compile ~network ~model () in
@@ -202,74 +203,13 @@ let test_recovery_median_series () =
     (Stats.mean (List.map (fun t -> t.Recovery.days_to_90_pct) tls))
     combined.Recovery.days_to_90_pct
 
-(* --- Traffic.route: the overload baseline belongs to *this* network --- *)
+(* --- reachability from dead cables vs the allocating network oracle --- *)
 
 let node id name country ~lat ~lon =
   { Infra.Network.id; name; country; pos = Geo.Coord.make ~lat ~lon }
 
 let cable id name a pa b pb =
   Infra.Cable.make ~id ~name ~kind:Infra.Cable.Submarine ~landings:[ (a, pa); (b, pb) ] ()
-
-(* One landing station per continent, addressed by representative
-   coordinates so [continent_of_nearest] resolves them. *)
-let paris = Geo.Coord.make ~lat:48.86 ~lon:2.35 (* Europe *)
-let lagos = Geo.Coord.make ~lat:6.5 ~lon:3.4 (* Africa *)
-let new_york = Geo.Coord.make ~lat:40.7 ~lon:(-74.0) (* North America *)
-let sao_paulo = Geo.Coord.make ~lat:(-23.5) ~lon:(-46.6) (* South America *)
-let mumbai = Geo.Coord.make ~lat:19.0 ~lon:72.8 (* Asia *)
-
-(* Big network: one fat Asia-Europe trunk; its healthy peak load (the
-   Asia-Europe demand) dwarfs anything the small network below carries. *)
-let big_network =
-  Infra.Network.create ~name:"big"
-    ~nodes:[ node 0 "mumbai" "IN" ~lat:19.0 ~lon:72.8;
-             node 1 "paris" "FR" ~lat:48.86 ~lon:2.35 ]
-    ~cables:[ cable 0 "asia-europe" 0 mumbai 1 paris ]
-
-(* Small network: a 4-clique over Europe/Africa/NA/SA.  Killing the two
-   Europe spokes to NA and SA reroutes their demand through Africa, and
-   the Europe-Africa cable ends up above twice its own healthy peak. *)
-let small_network =
-  Infra.Network.create ~name:"small"
-    ~nodes:[ node 0 "paris" "FR" ~lat:48.86 ~lon:2.35;
-             node 1 "lagos" "NG" ~lat:6.5 ~lon:3.4;
-             node 2 "new-york" "US" ~lat:40.7 ~lon:(-74.0);
-             node 3 "sao-paulo" "BR" ~lat:(-23.5) ~lon:(-46.6) ]
-    ~cables:[ cable 0 "eu-af" 0 paris 1 lagos;
-              cable 1 "eu-na" 0 paris 2 new_york;
-              cable 2 "eu-sa" 0 paris 3 sao_paulo;
-              cable 3 "af-na" 1 lagos 2 new_york;
-              cable 4 "af-sa" 1 lagos 3 sao_paulo;
-              cable 5 "na-sa" 2 new_york 3 sao_paulo ]
-
-let test_traffic_baseline_per_network () =
-  let demands = Traffic.gravity_demands () in
-  (* Route the big network first: under the old global memo this planted
-     a stale, oversized baseline for every later call. *)
-  let big = Traffic.route ~network:big_network ~demands () in
-  Alcotest.(check bool) "big network carries load" true (big.Traffic.max_cable_load > 0.0);
-  let dead = Array.make 6 false in
-  dead.(1) <- true;
-  dead.(2) <- true;
-  let storm = Traffic.route ~dead ~network:small_network ~demands () in
-  (* Europe-Africa now carries EU-AF + EU-NA + EU-SA demand — more than
-     twice the small network's own healthy peak (the EU-AF demand), but
-     far below twice the big network's peak.  The stale-memo bug reported
-     0 here. *)
-  Alcotest.(check int) "overload vs own baseline" 1 storm.Traffic.overloaded_cables;
-  (* An explicit oversized baseline still suppresses the overload count. *)
-  let suppressed =
-    Traffic.route ~dead ~baseline_max:big.Traffic.max_cable_load ~network:small_network
-      ~demands ()
-  in
-  Alcotest.(check int) "explicit baseline wins" 0 suppressed.Traffic.overloaded_cables;
-  (* Order independence: a fresh healthy small-network routing reports the
-     same peak the storm call derived its baseline from. *)
-  let healthy = Traffic.route ~network:small_network ~demands () in
-  Alcotest.(check bool) "healthy small peak < storm load" true
-    (2.0 *. healthy.Traffic.max_cable_load < storm.Traffic.max_cable_load)
-
-(* --- reachability from dead cables vs the allocating network oracle --- *)
 
 (* Small networks in which every kind of cable and node turns up.  Nodes
    [2k] and [2k+1] sit 0.01 degrees of longitude apart, so a cable
@@ -462,8 +402,6 @@ let () =
           Alcotest.test_case "allocation per call" `Quick test_trial_allocation ] );
       ( "satellites",
         [ Alcotest.test_case "recovery median series" `Quick test_recovery_median_series;
-          Alcotest.test_case "traffic per-network baseline" `Quick
-            test_traffic_baseline_per_network;
           Alcotest.test_case "mass_above grids" `Quick test_mass_above_nonuniform_grid;
           Alcotest.test_case "dataset cache" `Quick test_cache_memoizes;
           Alcotest.test_case "dataset cache single flight" `Quick test_cache_single_flight;

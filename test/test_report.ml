@@ -52,15 +52,6 @@ let test_plot_log_x_skips_nonpositive () =
   in
   Alcotest.(check bool) "renders" true (contains p "log scale")
 
-let test_sparkline () =
-  Alcotest.(check string) "empty" "" (Report.Ascii_plot.sparkline []);
-  Alcotest.(check string) "flat uses low level" "___"
-    (Report.Ascii_plot.sparkline [ 5.0; 5.0; 5.0 ]);
-  let s = Report.Ascii_plot.sparkline [ 0.0; 10.0; 5.0 ] in
-  Alcotest.(check int) "one char per value" 3 (String.length s);
-  Alcotest.(check char) "min level" '_' s.[0];
-  Alcotest.(check char) "max level" '#' s.[1]
-
 let test_plot_constant_series () =
   let p =
     Report.Ascii_plot.plot
@@ -71,18 +62,18 @@ let test_plot_constant_series () =
 (* --- Worldmap --- *)
 
 let test_worldmap_dimensions () =
-  let m = Report.Worldmap.render ~width:60 ~height:20 [] in
+  let m = Report.Worldmap.render [] in
   let lines = String.split_on_char '\n' m |> List.filter (fun l -> l <> "") in
-  Alcotest.(check int) "20 rows" 20 (List.length lines);
-  List.iter (fun l -> Alcotest.(check int) "60 cols" 60 (String.length l)) lines
+  Alcotest.(check int) "34 rows" 34 (List.length lines);
+  List.iter (fun l -> Alcotest.(check int) "110 cols" 110 (String.length l)) lines
 
 let test_worldmap_has_coastline () =
-  let m = Report.Worldmap.render ~width:80 ~height:24 [] in
+  let m = Report.Worldmap.render [] in
   Alcotest.(check bool) "land dots present" true (contains m ".")
 
 let test_worldmap_plots_points () =
   let m =
-    Report.Worldmap.render ~width:80 ~height:24
+    Report.Worldmap.render
       [ Report.Worldmap.Points ('Z', [ Geo.Coord.make ~lat:48.86 ~lon:2.35 ]) ]
   in
   Alcotest.(check bool) "glyph present" true (contains m "Z")
@@ -207,8 +198,7 @@ let () =
         [ Alcotest.test_case "legend and axes" `Quick test_plot_contains_legend_and_axes;
           Alcotest.test_case "empty series" `Quick test_plot_empty_series;
           Alcotest.test_case "log x" `Quick test_plot_log_x_skips_nonpositive;
-          Alcotest.test_case "constant series" `Quick test_plot_constant_series;
-          Alcotest.test_case "sparkline" `Quick test_sparkline ] );
+          Alcotest.test_case "constant series" `Quick test_plot_constant_series ] );
       ( "worldmap",
         [ Alcotest.test_case "dimensions" `Quick test_worldmap_dimensions;
           Alcotest.test_case "coastline" `Quick test_worldmap_has_coastline;

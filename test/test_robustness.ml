@@ -168,14 +168,6 @@ let test_country_routed_metric () =
   Alcotest.(check bool) "loss observed under geomagnetic S1" true
     (f1.Stormsim.Country.loss_probability > 0.0)
 
-let test_resilience_sweep_custom_probabilities () =
-  let net = Datasets.Intertubes.build () in
-  let pts =
-    Stormsim.Resilience.fig6_7 ~trials:2 ~probabilities:[ 0.5 ]
-      ~networks:[ ("X", net) ] ()
-  in
-  Alcotest.(check int) "3 spacings x 1 net x 1 p" 3 (List.length pts)
-
 let test_scenario_pp_mentions_networks () =
   let nets = [ ("alpha", Datasets.Intertubes.build ()) ] in
   let s = Stormsim.Scenario.run ~trials:2 ~cme:Spaceweather.Cme.quebec_1989 ~networks:nets () in
@@ -206,6 +198,5 @@ let () =
             test_montecarlo_empty_model_boundaries;
           Alcotest.test_case "country empty group" `Quick test_country_empty_group_is_loss;
           Alcotest.test_case "country routed metric" `Quick test_country_routed_metric;
-          Alcotest.test_case "custom sweep" `Quick test_resilience_sweep_custom_probabilities;
           Alcotest.test_case "scenario pp" `Quick test_scenario_pp_mentions_networks ] );
     ]

@@ -62,20 +62,6 @@ let test_generated_validation_arg () =
     (Invalid_argument "As_topology.generate: need at least 20 ASes") (fun () ->
       ignore (As_topology.generate ~n:5 ()))
 
-let test_provider_cone () =
-  (* Cone membership of stub 4: itself, 2 (its provider is on the path
-     down? no: cone t dst = ASes that can descend to dst), i.e. 4, 2, 0. *)
-  let cone = As_topology.provider_cone tiny 4 in
-  Alcotest.(check bool) "self" true cone.(4);
-  Alcotest.(check bool) "direct provider" true cone.(2);
-  Alcotest.(check bool) "transit top" true cone.(0);
-  Alcotest.(check bool) "other branch excluded" false cone.(3)
-
-let test_degree_stats () =
-  let mean, dmax = As_topology.degree_stats (Lazy.force generated) in
-  Alcotest.(check bool) "mean degree 2-20" true (mean > 2.0 && mean < 20.0);
-  Alcotest.(check bool) "hub exists" true (dmax > 10)
-
 (* --- BGP --- *)
 
 let alive = Bgp.all_alive tiny
@@ -208,10 +194,6 @@ let test_compare_protocols_storm_ordering () =
   Alcotest.(check bool) "stronger storm, less continuity" true
     (strong.Storm.bgp_continuity_pct <= weak.Storm.bgp_continuity_pct);
   Alcotest.(check bool) "mild storm barely hurts" true (weak.Storm.bgp_continuity_pct > 85.0)
-
-let test_compare_protocols_needs_a_path () =
-  Alcotest.check_raises "k = 0" (Invalid_argument "Storm.compare_protocols: k < 1") (fun () ->
-      ignore (Storm.compare_protocols ~k:0 tiny ~dst_nt:(-300.0)))
 
 (* --- Oracle: the allocation-per-call phase BFS --- *)
 
@@ -409,9 +391,7 @@ let () =
         [ Alcotest.test_case "tiny valid" `Quick test_tiny_valid;
           Alcotest.test_case "generated valid" `Quick test_generated_valid;
           Alcotest.test_case "tier mix" `Quick test_generated_tier_mix;
-          Alcotest.test_case "size validation" `Quick test_generated_validation_arg;
-          Alcotest.test_case "provider cone" `Quick test_provider_cone;
-          Alcotest.test_case "degree stats" `Quick test_degree_stats ] );
+          Alcotest.test_case "size validation" `Quick test_generated_validation_arg ] );
       ( "bgp",
         [ Alcotest.test_case "healthy reachability" `Quick test_reachability_healthy;
           Alcotest.test_case "shortest path shape" `Quick test_shortest_path_shape;
@@ -428,7 +408,6 @@ let () =
         [ Alcotest.test_case "tier probabilities" `Quick test_tier_probabilities_ordering;
           Alcotest.test_case "latitude bias" `Quick test_draw_failures_latitude_bias;
           Alcotest.test_case "protocol invariants" `Quick test_compare_protocols_invariants;
-          Alcotest.test_case "storm ordering" `Quick test_compare_protocols_storm_ordering;
-          Alcotest.test_case "k validation" `Quick test_compare_protocols_needs_a_path ] );
+          Alcotest.test_case "storm ordering" `Quick test_compare_protocols_storm_ordering ] );
       ("properties", qcheck_tests);
     ]

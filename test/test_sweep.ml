@@ -108,9 +108,11 @@ let test_axis_rejects =
     cases
 
 let test_axis_accepts_models () =
-  let a = axis "model=s1,s2,physical,s1-geomag,0.25" in
-  Alcotest.(check string) "key" "model" (Sweep.axis_key a);
-  Alcotest.(check int) "length" 5 (Sweep.axis_length a)
+  let cells = expand_ok [ "model=s1,s2,physical,s1-geomag,0.25" ] in
+  Alcotest.(check (list string)) "one cell per model, in order"
+    (List.map Failure_model.to_string
+       Failure_model.[ s1; s2; carrington_physical; s1_geomag; uniform 0.25 ])
+    (Array.to_list (Array.map (fun (c : Sweep.cell) -> Failure_model.to_string c.model) cells))
 
 let test_axis_of_raw_matches_spec () =
   (* JSON numbers and CLI strings must land on the same cells. *)
