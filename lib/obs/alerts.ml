@@ -55,10 +55,16 @@ let parse_window s =
         | 'h' -> (String.sub s 0 (n - 1), Some 3_600_000_000_000L)
         | _ -> (s, Some 1_000_000_000L))
   in
-  match (float_of_string_opt num, unit_ns) with
-  | Some v, Some ns when v > 0.0 && Float.is_finite v ->
-      Ok (Int64.of_float (v *. Int64.to_float ns))
-  | _ -> Error (Printf.sprintf "bad window %S (expected e.g. 30s, 5m, 1h)" s)
+  let ns =
+    match (float_of_string_opt num, unit_ns) with
+    | Some v, Some unit_ns -> v *. Int64.to_float unit_ns
+    | _ -> Float.nan
+  in
+  (* A whole count of nanoseconds in [1, Int64.max_int]: [Int64.of_float]
+     overflows at 2^63 ns (~292 years) and truncates anything under 1 ns
+     to an empty window.  NaN fails both tests. *)
+  if ns >= 1.0 && ns < 0x1p63 then Ok (Int64.of_float ns)
+  else Error (Printf.sprintf "bad window %S (expected e.g. 30s, 5m, 1h)" s)
 
 let parse_agg s =
   match s with

@@ -35,7 +35,9 @@ val parse_rule : string -> (rule, string) result
 
 val parse_window : string -> (int64, string) result
 (** Parse a duration like ["30s"], ["5m"], ["1h"] or ["45"] (seconds)
-    into nanoseconds.  Shared with the [/varz?window=] query grammar. *)
+    into nanoseconds.  [Error] unless the count of whole nanoseconds
+    lies in [[1, Int64.max_int]].  Shared with the [/varz?window=] query
+    grammar. *)
 
 val window_s : rule -> float
 val agg_to_string : agg -> string

@@ -1206,6 +1206,10 @@ let test_alerts_parse_rules () =
       "m:p99<50:0s";
       "m:p99<50:-5m";
       "m:p99<50:5y";
+      (* Past 2^63 ns (~292 years) or below 1 ns: no int64 window. *)
+      "m:p99<50:1e300";
+      "m:p99<50:9.3e9s";
+      "m:p99<50:1e-12s";
     ]
 
 let test_alerts_fire_and_resolve () =

@@ -1689,7 +1689,9 @@ let test_varz_end_to_end () =
   | Some r -> Alcotest.(check bool) "windowed rate positive" true (r > 0.0)
   | None -> Alcotest.fail "rate missing");
   let bad_status, _, _ = get_response port "/varz?window=banana" in
-  Alcotest.(check int) "bad window is 400" 400 bad_status
+  Alcotest.(check int) "bad window is 400" 400 bad_status;
+  let huge_status, _, _ = get_response port "/varz?window=1e300" in
+  Alcotest.(check int) "overflowing window is 400" 400 huge_status
 
 let test_alertz_fire_and_resolve_end_to_end () =
   (* A throughput objective ("stay under 100 req/s") over a tiny
