@@ -19,9 +19,14 @@ echo "== api scan: no export, optional argument or field without a program use =
 # stands, with a tag on each entry kept on purpose (hooks, oracles,
 # helpers, dataset columns, the parked power-feed model); the untagged
 # rest waits for review.
-# Comments and tags are dropped before the diff.  Any difference fails,
-# so a new unused export (or a deletion that leaves the list stale)
-# shows up here.
+# A tag must be one of the five the list's header defines, so a
+# misspelt tag fails instead of passing as a comment.  Comments and tags
+# are then dropped before the diff.  Any difference fails, so a new
+# unused export (or a deletion that leaves the list stale) shows up here.
+BAD_TAGS=$(grep -v '^#' bin/api_test_only.txt | grep '#' \
+  | grep -v -E '#[[:space:]]*(hook|oracle|helper|column|parked)[[:space:]]*$' || true)
+[ -z "$BAD_TAGS" ] \
+  || { printf '%s\n' "$BAD_TAGS" >&2; echo "check.sh: bin/api_test_only.txt entries above carry an unknown tag (want hook, oracle, helper, column or parked)" >&2; exit 1; }
 dune build @check bin/api_scan.exe
 ./_build/default/bin/api_scan.exe _build/default > /tmp/api_scan.txt
 sed -e 's/[[:space:]]*#.*//' -e '/^$/d' bin/api_test_only.txt | diff -u - /tmp/api_scan.txt \
