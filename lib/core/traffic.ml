@@ -48,8 +48,8 @@ let gateways network ~alive_graph =
   done;
   best
 
-(* [dead] is a predicate on cable ids (default: none dead); the trial
-   driver passes its bitvector directly. *)
+(* [dead] is a predicate on cable ids (default: none dead);
+   [storm_shift]'s trials pass their bitvector directly. *)
 let route_internal ?dead ?baseline_max ~network ~demands () =
   let dead = match dead with Some d -> d | None -> fun _ -> false in
   let g = Infra.Network.graph_surviving network ~dead in
