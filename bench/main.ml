@@ -293,7 +293,7 @@ let write_json ~path ~mode ~kernel_rows ~metrics =
       (List.map
          (fun (name, ns, estimator) ->
            Printf.sprintf "{\"name\":\"%s\",\"ns_per_run\":%s,\"estimator\":\"%s\"}"
-             (Obs.Export.json_escape name) (Obs.Export.json_float ns) estimator)
+             (Obs.Json.escape name) (Obs.Json.number_repr ns) estimator)
          kernel_rows)
   in
   let doc =

@@ -10,9 +10,12 @@
      Module.value ?arg      optional argument that no program call supplies,
      Module.type.field      exported record field that no code reads.
 
-   Program code is every implementation under lib/, bin/, bench/ and
-   examples/; tests are not callers.  A value's own module is not its
-   caller, but a field read inside its own module counts.  A nested
+   Program code is code a program can run: every implementation under
+   bin/, bench/ and examples/, the initialisation of each lib/ module,
+   and every lib/ binding that those reach by name; tests are not
+   callers, and neither is a lib/ function that only tests reach.  A
+   value's own module is not its caller, but a field read inside its
+   own module counts.  A nested
    signature (Rng.Raw) is its own module.  A call that passes `?x` on
    from its own optional argument supplies `?x`, so a dead chain shows
    up one link per run.  A record type that re-exports another
@@ -122,6 +125,12 @@ let rec export_signature prefix (sg : signature) =
       | _ -> ())
     sg.sig_items
 
+let rec structure_of (me : module_expr) =
+  match me.mod_desc with
+  | Tmod_structure str -> Some str
+  | Tmod_constraint (me, _, _, _) -> structure_of me
+  | _ -> None
+
 (* An implementation's own copy of its exported record types: maps the
    implementation's label ids onto the interface's entries. *)
 let rec own_fields own prefix (str : structure) =
@@ -138,22 +147,36 @@ let rec own_fields own prefix (str : structure) =
                 (record_labels td))
             tds
       | Tstr_module { mb_name = { txt = Some m; _ }; mb_expr; _ } ->
-          let rec body (me : module_expr) =
-            match me.mod_desc with
-            | Tmod_structure str -> own_fields own (prefix ^ "." ^ m) str
-            | Tmod_constraint (me, _, _, _) -> body me
-            | _ -> ()
-          in
-          body mb_expr
+          Option.iter (own_fields own (prefix ^ "." ^ m)) (structure_of mb_expr)
       | _ -> ())
     str.str_items
 
-(* Mark what one implementation uses.  Its references to itself carry
-   its own ids: the compiler's record of which implementation value
-   meets which interface value maps a call of its own exported function
-   onto that function's arguments, and [own_labels] (filled by
-   {!own_fields}) maps its label ids onto the interface's fields. *)
-let scan_uses (cmt : Cmt_format.cmt_infos) own_labels str =
+(* Reachability.  A use counts only in code a program can run: all of
+   bin/, bench/ and examples/, a lib/ module's initialisation (a
+   top-level binding that is not a function, and [let () =]) and every
+   lib/ binding that those reach by name, calls within a module
+   included.  A lib/ binding is a node; reaching it scans its body once. *)
+type node = { mutable reached : bool; body : unit -> unit }
+
+let pending = Queue.create ()
+
+let reach n =
+  if not n.reached then begin
+    n.reached <- true;
+    Queue.add n.body pending
+  end
+
+(* The bindings that other modules name: by interface id, or by
+   implementation id for a module without an interface. *)
+let exported : (Shape.Uid.t, node) Hashtbl.t = Hashtbl.create 1024
+
+(* The iterator that marks what one implementation uses and reaches the
+   bindings it names.  Its references to itself carry its own ids: the
+   compiler's record of which implementation value meets which interface
+   value maps a call of its own exported function onto that function's
+   arguments, [own_labels] (filled by {!own_fields}) maps its label ids
+   onto the interface's fields, and [own_nodes] holds its bindings. *)
+let uses (cmt : Cmt_format.cmt_infos) own_labels own_nodes =
   let foreign (uid : Shape.Uid.t) =
     match uid with Item { comp_unit; _ } -> comp_unit <> cmt.cmt_modname | _ -> true
   in
@@ -165,9 +188,18 @@ let scan_uses (cmt : Cmt_format.cmt_infos) own_labels str =
   let read (lbl : Types.label_description) =
     if foreign lbl.lbl_uid then mark fields lbl.lbl_uid else mark own_labels lbl.lbl_uid
   in
+  let name (vd : Types.value_description) =
+    if foreign vd.val_uid then begin
+      mark values vd.val_uid;
+      Option.iter reach (Hashtbl.find_opt exported vd.val_uid)
+    end
+    else Option.iter reach (Hashtbl.find_opt own_nodes vd.val_uid)
+  in
   let expr sub (e : expression) =
     (match e.exp_desc with
-    | Texp_ident (_, _, vd) when foreign vd.val_uid -> mark values vd.val_uid
+    | Texp_ident (_, _, vd) -> name vd
+    (* A binding operator names its definition here, not by an ident. *)
+    | Texp_letop { let_; ands; _ } -> List.iter (fun b -> name b.bop_op_val) (let_ :: ands)
     | Texp_field (_, _, lbl) -> read lbl
     | _ -> ());
     (match e.exp_desc with
@@ -195,8 +227,36 @@ let scan_uses (cmt : Cmt_format.cmt_infos) own_labels str =
     | _ -> ());
     Tast_iterator.default_iterator.pat sub p
   in
-  let it = { Tast_iterator.default_iterator with expr; pat } in
-  it.structure it str
+  { Tast_iterator.default_iterator with expr; pat }
+
+(* One node per top-level binding of a lib/ implementation, nested
+   modules included, under the ids its binding declares; the ones that
+   run at initialisation are reached now. *)
+let add_nodes (cmt : Cmt_format.cmt_infos) own_nodes (it : Tast_iterator.iterator) str =
+  let uid_at = Hashtbl.create 256 in
+  Shape.Uid.Tbl.iter (fun uid loc -> Hashtbl.replace uid_at loc uid) cmt.cmt_uid_to_loc;
+  let rec items (str : structure) =
+    List.iter
+      (fun item ->
+        match item.str_desc with
+        | Tstr_value (_, vbs) ->
+            List.iter
+              (fun vb ->
+                let n = { reached = false; body = (fun () -> it.expr it vb.vb_expr) } in
+                List.iter
+                  (fun (_, (var : string Location.loc), _) ->
+                    Option.iter
+                      (fun uid -> Hashtbl.replace own_nodes uid n)
+                      (Hashtbl.find_opt uid_at var.loc))
+                  (let_bound_idents_full [ vb ]);
+                match vb.vb_expr.exp_desc with Texp_function _ -> () | _ -> reach n)
+              vbs
+        | Tstr_eval (e, _) -> reach { reached = false; body = (fun () -> it.expr it e) }
+        | Tstr_module { mb_expr; _ } -> Option.iter items (structure_of mb_expr)
+        | _ -> ())
+      str.str_items
+  in
+  items str
 
 let rec typed_trees dir acc =
   Array.fold_left
@@ -234,14 +294,34 @@ let () =
       | _ -> ())
     trees;
   List.iter add_reexport !reexports;
+  let interfaces =
+    List.filter_map
+      (fun (cmt : Cmt_format.cmt_infos) ->
+        match cmt.cmt_annots with Interface _ -> Some cmt.cmt_modname | _ -> None)
+      trees
+  in
   List.iter
     (fun (cmt : Cmt_format.cmt_infos) ->
       match cmt.cmt_annots with
       | Implementation str ->
-          let own_labels = Hashtbl.create 16 in
-          if in_lib cmt then own_fields own_labels (module_name cmt.cmt_modname) str;
-          scan_uses cmt own_labels str
+          let own_labels = Hashtbl.create 16 and own_nodes = Hashtbl.create 64 in
+          let it = uses cmt own_labels own_nodes in
+          if not (in_lib cmt) then reach { reached = false; body = (fun () -> it.structure it str) }
+          else begin
+            own_fields own_labels (module_name cmt.cmt_modname) str;
+            add_nodes cmt own_nodes it str;
+            if List.mem cmt.cmt_modname interfaces then
+              List.iter
+                (fun ((impl : Types.value_description), (intf : Types.value_description)) ->
+                  Option.iter (Hashtbl.replace exported intf.val_uid)
+                    (Hashtbl.find_opt own_nodes impl.val_uid))
+                cmt.cmt_value_dependencies
+            else Hashtbl.iter (Hashtbl.replace exported) own_nodes
+          end
       | _ -> ())
     trees;
+  while not (Queue.is_empty pending) do
+    (Queue.pop pending) ()
+  done;
   List.filter_map (fun e -> if e.used then None else Some e.line) !entries
   |> List.sort_uniq compare |> List.iter print_endline

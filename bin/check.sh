@@ -15,18 +15,19 @@ echo "== api scan: no export, optional argument or field without a program use =
 # bin/api_scan.exe reads the typed trees that `dune build @check` leaves
 # and lists the lib/ values that no program code names, the optional
 # arguments that no program call supplies and the record fields that no
-# code reads.  The committed bin/api_test_only.txt is that list as it
-# stands, with a tag on each entry kept on purpose (hooks, oracles,
-# helpers, dataset columns, the parked power-feed model); the untagged
-# rest waits for review.
-# A tag must be one of the five the list's header defines, so a
-# misspelt tag fails instead of passing as a comment.  Comments and tags
-# are then dropped before the diff.  Any difference fails, so a new
+# code reads; program code is what a program can run, so a lib/
+# function that only tests reach is no caller.  The committed
+# bin/api_test_only.txt is that list, with a tag on every entry that
+# says why it stays (hooks, oracles, helpers, dataset columns, the
+# parked power-feed model, unit-tested internals).
+# Each entry must carry one of the six tags the list's header defines,
+# so an untagged entry or a misspelt tag fails, naming its line.  The
+# tags are then dropped before the diff.  Any difference fails, so a new
 # unused export (or a deletion that leaves the list stale) shows up here.
-BAD_TAGS=$(grep -v '^#' bin/api_test_only.txt | grep '#' \
-  | grep -v -E '#[[:space:]]*(hook|oracle|helper|column|parked)[[:space:]]*$' || true)
+BAD_TAGS=$(grep -n -v -e '^#' -e '^$' bin/api_test_only.txt \
+  | grep -v -E '#[[:space:]]*(hook|oracle|helper|column|parked|unit)[[:space:]]*$' || true)
 [ -z "$BAD_TAGS" ] \
-  || { printf '%s\n' "$BAD_TAGS" >&2; echo "check.sh: bin/api_test_only.txt entries above carry an unknown tag (want hook, oracle, helper, column or parked)" >&2; exit 1; }
+  || { printf '%s\n' "$BAD_TAGS" >&2; echo "check.sh: bin/api_test_only.txt lines above carry no tag or an unknown one (want hook, oracle, helper, column, parked or unit)" >&2; exit 1; }
 dune build @check bin/api_scan.exe
 ./_build/default/bin/api_scan.exe _build/default > /tmp/api_scan.txt
 sed -e 's/[[:space:]]*#.*//' -e '/^$/d' bin/api_test_only.txt | diff -u - /tmp/api_scan.txt \

@@ -17,6 +17,9 @@ open Cmdliner
 let ctx_of ~seed ~itu_scale ~caida_ases =
   Report.Figures.make_context ~seed ~itu_scale ~caida_ases ()
 
+(* The subcommands that print one figure: its [figures --id] text. *)
+let print_figure ctx id = print_string (Option.get (Report.Figures.render ctx id))
+
 (* Shared options. *)
 let seed_t =
   Arg.(value & opt int Datasets.default_seed & info [ "seed" ] ~doc:"Dataset seed.")
@@ -367,40 +370,21 @@ let scenario_cmd =
   in
   let run seed trials event speed physical json jobs progress metrics trace profile log =
     with_obs ~cmd:"scenario" jobs progress metrics trace profile log @@ fun () ->
-    if json then begin
-      let source =
-        match speed with
-        | Some v -> Server.Api.Speed v
-        | None -> Server.Api.Event (Option.value ~default:"carrington" event)
-      in
-      match
-        Server.Api.scenario_body
-          { Server.Api.source; sc_seed = seed; sc_trials = trials; physical }
-      with
-      | Ok body -> print_string body
-      | Error msg ->
-          Printf.eprintf "%s\n" msg;
-          exit 1
-    end
-    else begin
-      let networks =
-        [ ("submarine", Datasets.Cache.submarine ~seed ());
-          ("intertubes", Datasets.Cache.intertubes ~seed ()) ]
-      in
-      let cme =
-        match speed with
-        | Some v -> Spaceweather.Cme.make ~speed_km_s:v ()
-        | None -> (
-            let name = Option.value ~default:"carrington" event in
-            match Spaceweather.Storm_catalog.find name with
-            | Some e -> e.Spaceweather.Storm_catalog.cme
-            | None ->
-                Printf.eprintf "unknown event %s\n" name;
-                exit 1)
-      in
-      let s = Stormsim.Scenario.run ~trials ~use_physical:physical ~cme ~networks () in
-      Format.printf "%a@." Stormsim.Scenario.pp s
-    end
+    let source =
+      match speed with
+      | Some v -> Server.Api.Speed v
+      | None -> Server.Api.Event (Option.value ~default:"carrington" event)
+    in
+    let params = { Server.Api.source; sc_seed = seed; sc_trials = trials; physical } in
+    let out =
+      if json then Server.Api.scenario_body params
+      else Result.map (Format.asprintf "%a@." Stormsim.Scenario.pp) (Server.Api.scenario params)
+    in
+    match out with
+    | Ok text -> print_string text
+    | Error msg ->
+        Printf.eprintf "%s\n" msg;
+        exit 1
   in
   Cmd.v (Cmd.info "scenario" ~doc:"End-to-end CME impact scenario")
     (obs_args
@@ -434,7 +418,7 @@ let systems_cmd =
   let run seed caida_ases jobs progress metrics trace profile log =
     with_obs ~cmd:"systems" jobs progress metrics trace profile log @@ fun () ->
     let ctx = ctx_of ~seed ~itu_scale:0.05 ~caida_ases in
-    print_string (Report.Figures.systems ctx)
+    print_figure ctx "systems"
   in
   Cmd.v (Cmd.info "systems" ~doc:"AS / data-center / DNS resilience")
     (obs_args Term.(const run $ seed_t $ caida_t))
@@ -444,7 +428,7 @@ let mitigate_cmd =
   let run seed jobs progress metrics trace profile log =
     with_obs ~cmd:"mitigate" jobs progress metrics trace profile log @@ fun () ->
     let ctx = ctx_of ~seed ~itu_scale:0.05 ~caida_ases:1000 in
-    print_string (Report.Figures.mitigation ctx)
+    print_figure ctx "mitigation"
   in
   Cmd.v (Cmd.info "mitigate" ~doc:"Shutdown, augmentation and partition planning")
     (obs_args Term.(const run $ seed_t))
@@ -799,7 +783,8 @@ let top_cmd =
 (* probability *)
 let probability_cmd =
   let run () jobs progress metrics trace profile log =
-    with_obs ~cmd:"probability" jobs progress metrics trace profile log @@ fun () -> print_string (Report.Figures.probability ())
+    with_obs ~cmd:"probability" jobs progress metrics trace profile log @@ fun () ->
+    print_figure (Report.Figures.make_context ()) "probability"
   in
   Cmd.v (Cmd.info "probability" ~doc:"Occurrence-probability table")
     (obs_args Term.(const run $ const ()))

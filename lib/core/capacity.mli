@@ -6,28 +6,17 @@
     and measures surviving inter-region capacity with max-flow, including
     the min-cut cables that bottleneck a corridor. *)
 
-val cable_capacity_tbps : Infra.Cable.t -> float
-(** Deterministic design capacity: [pairs × 15 Tbps] with 8 pairs below
-    2,000 km, 6 below 8,000 km, 4 above (repeater power limits pair
-    count on long spans). *)
-
 val network_capacity_tbps : Infra.Network.t -> float
-(** Total installed capacity. *)
+(** Total installed capacity: the sum of each cable's deterministic
+    design capacity, [pairs × 15 Tbps] with 8 pairs below 2,000 km, 6
+    below 8,000 km, 4 above (repeater power limits pair count on long
+    spans). *)
 
 type corridor = {
   name : string;
   from_countries : string list;
   to_countries : string list;
 }
-
-val atlantic : corridor
-(** US/Canada ↔ Europe. *)
-
-val brazil_europe : corridor
-val pacific : corridor
-(** US ↔ East Asia. *)
-
-val asia_europe : corridor
 
 type corridor_report = {
   corridor : corridor;
@@ -44,18 +33,15 @@ val terminals : network:Infra.Network.t -> corridor -> int list * int list
 val flow_between :
   Infra.Network.t -> dead:(int -> bool) -> sources:int list -> sinks:int list -> float
 (** Max-flow Tbps between two node groups over the cables not [dead],
-    each hop carrying its cable's {!cable_capacity_tbps}: the value
+    each hop carrying its cable's design capacity: the value
     {!Netgraph.Flow.max_flow_multi} gives on
     [Infra.Network.graph_surviving], without building that graph. *)
 
-val analyze_corridor :
-  ?trials:int -> network:Infra.Network.t -> model:Failure_model.t -> corridor -> corridor_report
-(** Max-flow capacity between the corridor's country groups, healthy and
-    after Monte-Carlo storm failures: {!Plan.run_trials_par} at seed 71,
-    repeaters every 150 km, on {!Exec.default_jobs} workers (the same
-    result for any [--jobs]).  Corridors whose side resolves to no nodes
-    report zeros. *)
-
 val standard_report :
   ?trials:int -> network:Infra.Network.t -> model:Failure_model.t -> unit -> corridor_report list
-(** The four standard corridors. *)
+(** Max-flow capacity of the four standard corridors, in this order:
+    US/Canada ↔ Europe, Brazil ↔ Europe, US ↔ East Asia and Asia ↔
+    Europe.  Each is measured healthy and after Monte-Carlo storm
+    failures: {!Plan.run_trials_par} at seed 71, repeaters every 150 km,
+    on {!Exec.default_jobs} workers (the same result for any [--jobs]).
+    A corridor whose side resolves to no nodes reports zeros. *)

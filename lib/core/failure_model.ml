@@ -32,8 +32,6 @@ let tiered ~high ~mid ~low =
 let s1 = tiered ~high:1.0 ~mid:0.1 ~low:0.01
 let s2 = tiered ~high:0.1 ~mid:0.01 ~low:0.001
 
-let carrington_physical = Gic_physical { dst_nt = -1200.0; scale_a = 30.0 }
-
 let geomag_tiered ~high ~mid ~low =
   check_prob high;
   check_prob mid;
@@ -47,7 +45,7 @@ let of_string s =
   match String.lowercase_ascii (String.trim s) with
   | "s1" -> Ok s1
   | "s2" -> Ok s2
-  | "physical" -> Ok carrington_physical
+  | "physical" -> Ok (Gic_physical { dst_nt = -1200.0; scale_a = 30.0 })
   | "s1-geomag" -> Ok s1_geomag
   | "s2-geomag" -> Ok s2_geomag
   | s -> (

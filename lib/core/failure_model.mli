@@ -47,9 +47,6 @@ val tiered : high:float -> mid:float -> low:float -> t
 (** Tiered model with the paper's 40°/60° thresholds.
     @raise Invalid_argument if any probability is outside [[0, 1]]. *)
 
-val carrington_physical : t
-(** {!Gic_physical} at Dst −1200 nT with a 30 A damage scale. *)
-
 val s1_geomag : t
 (** S1's probabilities with geomagnetic-latitude tiers. *)
 
@@ -59,8 +56,9 @@ val s2_geomag : t
 val of_string : string -> (t, string) result
 (** Parse a model spec as the CLI and the HTTP service accept it:
     [s1 | s2 | physical | s1-geomag | s2-geomag], or a bare probability
-    in [[0, 1]] meaning {!uniform}.  Case-insensitive; [Error] carries a
-    usage message. *)
+    in [[0, 1]] meaning {!uniform}.  [physical] is {!Gic_physical} at
+    Dst −1200 nT with a 30 A damage scale.  Case-insensitive; [Error]
+    carries a usage message. *)
 
 val to_string : t -> string
 

@@ -21,10 +21,6 @@ type t = {
   impacts : impact list;
 }
 
-val model_for_severity : Spaceweather.Dst.severity -> Failure_model.t
-(** Paper-style tiered model matched to the storm class: S2 for
-    severe/extreme storms, S1 for Carrington-class, a mild tier below. *)
-
 val run :
   ?trials:int ->
   ?use_physical:bool ->
@@ -32,10 +28,13 @@ val run :
   networks:(string * Infra.Network.t) list ->
   unit ->
   t
-(** Evaluate a scenario.  With [use_physical] (default false) the
-    GIC-physical model is also run per network and appended to
-    [impacts].  Monte-Carlo trials run on {!Plan.run_trials_par} at
-    seed 17 (18 for the physical model), repeaters every 150 km, on
-    {!Exec.default_jobs} workers: the same result for any [--jobs]. *)
+(** Evaluate a scenario.  Each network's first impact comes from the
+    paper-style tiered model matched to the storm class: S1 for
+    Carrington-class, S2 for severe/extreme storms, a mild tier below.
+    With [use_physical] (default false) the GIC-physical model is also
+    run per network and appended to [impacts].  Monte-Carlo trials run
+    on {!Plan.run_trials_par} at seed 17 (18 for the physical model),
+    repeaters every 150 km, on {!Exec.default_jobs} workers: the same
+    result for any [--jobs]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -11,7 +11,8 @@
 
 type comparison = {
   cable_level_nodes_pct : float;  (** nodes unreachable, paper's model *)
-  segment_level_nodes_pct : float;  (** nodes unreachable, hop-level model *)
+  segment_level_nodes_pct : float;
+      (** nodes unreachable, hop-level model: every incident hop dead *)
   segment_level_segments_pct : float;  (** hops failed, hop-level model *)
 }
 
@@ -21,9 +22,6 @@ val trial_segments : Rng.t -> plan:Plan.t -> bool array
     {!Infra.Network.to_graph}).  Per-hop death probabilities are derived
     from the plan's per-repeater probabilities and the hop lengths, so
     this does {e not} consume the plan's per-cable draw sequence. *)
-
-val nodes_unreachable_pct_segments : Infra.Network.t -> bool array -> float
-(** A node is unreachable when every incident {e hop} is dead. *)
 
 val compare_models :
   ?trials:int -> network:Infra.Network.t -> model:Failure_model.t -> unit -> comparison

@@ -26,12 +26,7 @@ let gravity_demands () =
       { from_continent = a; to_continent = b; volume = 100.0 *. v /. total })
     pairs
 
-type routing = {
-  delivered_pct : float;
-  max_cable_load : float;
-  mean_cable_load : float;
-  overloaded_cables : int;
-}
+type routing = { delivered_pct : float; max_cable_load : float }
 
 (* Gateway: the surviving landing station of a continent with the most
    live cables. *)
@@ -48,14 +43,13 @@ let gateways network ~alive_graph =
   done;
   best
 
-(* [dead] is a predicate on cable ids (default: none dead);
+(* [dead] is a predicate on cable ids: [route] passes none dead, and
    [storm_shift]'s trials pass their bitvector directly. *)
-let route_internal ?dead ?baseline_max ~network ~demands () =
-  let dead = match dead with Some d -> d | None -> fun _ -> false in
+let route_internal ~dead ~network ~demands () =
   let g = Infra.Network.graph_surviving network ~dead in
-  (* Edge ids of graph_without_cables are renumbered; rebuild with mapping
-     via to_graph-style expansion: we need cable lengths as weights, so we
-     recompute a fresh expansion with the same keep predicate. *)
+  (* Number the live hops as [graph_surviving] numbers its edges (live
+     cables by id, hops in landing order), so that an edge id finds its
+     cable and its share of the cable's length as a weight. *)
   let gw = gateways network ~alive_graph:g in
   (* Edge weight: spread the cable's length over its hops. *)
   let edge_weights = Hashtbl.create 1024 in
@@ -114,26 +108,17 @@ let route_internal ?dead ?baseline_max ~network ~demands () =
           | None -> ())
       | _ -> ())
     demands;
-  let loaded = Array.to_list cable_load |> List.filter (fun l -> l > 0.0) in
-  let max_load = List.fold_left Float.max 0.0 loaded in
-  let mean_load = Stats.mean loaded in
-  (* The overload threshold compares against the healthy network's peak
-     load; when the caller didn't supply one (healthy routing), this run
-     is its own baseline. *)
-  let base = Option.value ~default:max_load baseline_max in
   {
     delivered_pct = (if !total <= 0.0 then 0.0 else 100.0 *. !delivered /. !total);
-    max_cable_load = max_load;
-    mean_cable_load = mean_load;
-    overloaded_cables =
-      List.length (List.filter (fun l -> l > 2.0 *. Float.max 1e-9 base) loaded);
+    max_cable_load = Array.fold_left Float.max 0.0 cable_load;
   }
 
 let routes = Obs.Metrics.counter "traffic.routes"
 
 let route ~network ~demands () =
   Obs.Metrics.incr routes;
-  Obs.Span.with_ ~name:"traffic.route" @@ fun () -> route_internal ~network ~demands ()
+  Obs.Span.with_ ~name:"traffic.route" @@ fun () ->
+  route_internal ~dead:(fun _ -> false) ~network ~demands ()
 
 let storm_shift ?(trials = 10) ~network ~model () =
   let demands = gravity_demands () in
@@ -141,19 +126,12 @@ let storm_shift ?(trials = 10) ~network ~model () =
   let p = Plan.compile ~spacing_km:150.0 ~network ~model () in
   let acc =
     Plan.run_trials_par p ~trials ~seed:47 ~init:[]
-      ~map:(fun ~rng:_ ~dead ->
-        route_internal ~dead:(Deadset.get dead) ~baseline_max:baseline.max_cable_load
-          ~network ~demands ())
+      ~map:(fun ~rng:_ ~dead -> route_internal ~dead:(Deadset.get dead) ~network ~demands ())
       ~merge:(fun acc r -> r :: acc)
   in
   let avg f = Stats.mean (List.map f acc) in
-  let after =
+  ( baseline,
     {
       delivered_pct = avg (fun r -> r.delivered_pct);
       max_cable_load = avg (fun r -> r.max_cable_load);
-      mean_cable_load = avg (fun r -> r.mean_cable_load);
-      overloaded_cables =
-        int_of_float (Float.round (avg (fun r -> float_of_int r.overloaded_cables)));
-    }
-  in
-  (baseline, after)
+    } )

@@ -20,16 +20,12 @@ val gravity_demands : unit -> demand list
 type routing = {
   delivered_pct : float;  (** demand share with a surviving path *)
   max_cable_load : float;  (** largest per-cable load, demand units *)
-  mean_cable_load : float;  (** over cables carrying any traffic *)
-  overloaded_cables : int;  (** cables above [overload_factor] × baseline max *)
 }
 
 val route : network:Infra.Network.t -> demands:demand list -> unit -> routing
 (** Route each continent-pair demand over the healthy network, along one
     shortest (by length) path between the continents' highest-degree
-    landing stations.  This run is its own overload baseline, so it
-    reports no overloaded cable; {!storm_shift} routes each failure
-    sample against this routing's [max_cable_load]. *)
+    landing stations. *)
 
 val storm_shift :
   ?trials:int -> network:Infra.Network.t -> model:Failure_model.t -> unit -> routing * routing

@@ -21,8 +21,6 @@ val all : t array
 val find : string -> t
 (** Lookup by exact name.  @raise Not_found when absent. *)
 
-val find_opt : string -> t option
-
 val coord : string -> Geo.Coord.t
 (** [coord name] is [(find name).pos].  @raise Not_found when absent. *)
 

@@ -5,15 +5,12 @@
     arc-length intervals along those paths, which is what this module
     provides. *)
 
-val intermediate : Coord.t -> Coord.t -> float -> Coord.t
-(** [intermediate a b f] is the point at fraction [f] (in [[0, 1]]) of the
-    great-circle arc from [a] to [b].  [f = 0.] gives [a]; [f = 1.] gives
-    [b].  For (near-)antipodal endpoints the arc is ambiguous; the
-    implementation keeps a deterministic choice. *)
-
 val waypoints : Coord.t -> Coord.t -> n:int -> Coord.t list
 (** [waypoints a b ~n] is a polyline of [n + 1] points ([a] ... [b]) evenly
-    spaced along the arc.  @raise Invalid_argument if [n < 1]. *)
+    spaced along the great-circle arc from [a] to [b]: exactly [a] and
+    [b] at the ends.  For (near-)antipodal endpoints the arc is
+    ambiguous; the implementation keeps a deterministic choice.
+    @raise Invalid_argument if [n < 1]. *)
 
 val sample_every_km : Coord.t -> Coord.t -> step_km:float -> Coord.t list
 (** Points every [step_km] kilometres along the arc, including both

@@ -14,14 +14,12 @@
 
 type 'a t
 
-val create : ?cell_deg:float -> unit -> 'a t
-(** Fresh empty index.  @raise Invalid_argument unless [cell_deg] lies
-    in [[0.25, 90]]. *)
-
 val add : 'a t -> Coord.t -> 'a -> unit
 
 val of_list : ?cell_deg:float -> (Coord.t * 'a) list -> 'a t
-(** [add]s the entries in list order. *)
+(** A fresh index of [cell_deg]-degree cells (default 5) that [add]s
+    the entries in list order.  @raise Invalid_argument unless
+    [cell_deg] lies in [[0.25, 90]]. *)
 
 val remove : 'a t -> Coord.t -> 'a -> unit
 (** [remove t pos v] deletes the earliest-added entry whose position has

@@ -32,15 +32,11 @@ val contains : polygon -> Coord.t -> bool
 (** Ray-casting point-in-polygon test.  Points exactly on an edge may fall
     on either side; callers treat membership statistically. *)
 
-val continent_of : Coord.t -> continent option
-(** [continent_of c] is the continent whose (coarse) polygon contains [c],
-    or [None] over open ocean.  Overlapping boundary zones resolve in the
-    order of {!all_continents}. *)
-
 val continent_of_nearest : Coord.t -> continent
-(** Like {!continent_of} but falls back to the continent with the nearest
-    anchor point when the coordinate is offshore, so every point gets a
-    label. *)
+(** The continent whose (coarse) polygon contains the coordinate, with
+    overlapping boundary zones resolved in the order of
+    {!all_continents}; offshore, the continent with the nearest anchor
+    point, so every point gets a label. *)
 
 val on_land : Coord.t -> bool
-(** [on_land c] is [continent_of c <> None]. *)
+(** Whether some continent's polygon contains the coordinate. *)

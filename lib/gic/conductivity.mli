@@ -22,29 +22,20 @@ val make_profile : name:string -> layer list -> profile
 (** @raise Invalid_argument on an empty layer list or non-positive
     resistivity/thickness. *)
 
-val shield : profile
-(** Resistive Precambrian shield (e.g. Canadian/Fennoscandian shield):
-    worst case on land, large E fields. *)
-
-val plains : profile
-(** Sedimentary continental interior: moderately conductive. *)
-
-val coastal : profile
-(** Conductive coastal margin. *)
-
-val ocean : profile
-(** Deep ocean: 4 km of seawater (0.3 Ω·m) over oceanic crust. *)
-
 val profile_for : Geo.Coord.t -> profile
-(** Heuristic profile assignment: ocean off-land, shield above 55°
-    absolute latitude on land, plains otherwise. *)
-
-val surface_impedance : profile -> angular_freq:float -> Complex.t
-(** [surface_impedance p ~angular_freq] is [Z(ω)] in Ω (SI field units:
-    E = Z·H).  @raise Invalid_argument if [angular_freq <= 0.]. *)
+(** Heuristic profile assignment, one of four:
+    - ["ocean"] off land: 4 km of seawater (0.3 Ω·m) over oceanic crust;
+    - ["shield"] above 55° absolute latitude on land: resistive
+      Precambrian shield (e.g. Canadian/Fennoscandian), the worst case
+      on land, with large E fields;
+    - ["coastal"] below 20° on land: a conductive coastal margin;
+    - ["plains"] otherwise: a moderately conductive sedimentary
+      continental interior. *)
 
 val impedance_magnitude : profile -> period_s:float -> float
-(** [|Z|] at the given period, Ω. *)
+(** [|Z(ω)|] at the given period, Ω (SI field units: E = Z·H), with
+    [ω = 2π / period_s].  @raise Invalid_argument if [period_s <= 0.],
+    and for an infinite period (ω = 0). *)
 
 val mu0 : float
 (** Vacuum permeability, H/m. *)

@@ -1,8 +1,8 @@
-type storm = { dst_nt : float; period_s : float }
+type storm = { dst_nt : float }
 
 let storm_of_dst dst =
   if dst > 0.0 then invalid_arg "Disturbance.storm_of_dst: Dst must be <= 0";
-  { dst_nt = dst; period_s = 120.0 }
+  { dst_nt = dst }
 
 (* Two-point calibration in log10 |Dst|: (100 nT, 62 deg) for intense
    storms and (1200 nT, 25 deg) for Carrington-class, linear between,

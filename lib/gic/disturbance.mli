@@ -8,13 +8,10 @@
     Carrington event reached ≈ 20°); and (iii) small equatorial GIC exists
     but is much weaker (electrojet effects). *)
 
-type storm = {
-  dst_nt : float;  (** minimum Dst, negative nT *)
-  period_s : float;  (** characteristic variation period *)
-}
+type storm = { dst_nt : float  (** minimum Dst, negative nT *) }
 
 val storm_of_dst : float -> storm
-(** The storm of a minimum Dst, with a 120 s variation period.
+(** The storm of a minimum Dst.
     @raise Invalid_argument if [dst > 0.]. *)
 
 val auroral_boundary_deg : storm -> float

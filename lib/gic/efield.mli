@@ -7,11 +7,8 @@
 
 val amplitude_v_per_km : Disturbance.storm -> Geo.Coord.t -> float
 (** Geoelectric-field amplitude at a location for a storm, in V/km, using
-    {!Conductivity.profile_for} for the local ground. *)
-
-val amplitude_with_profile :
-  Disturbance.storm -> Conductivity.profile -> Geo.Coord.t -> float
-(** Same with an explicit conductivity profile. *)
+    {!Conductivity.profile_for} for the local ground and a 120 s
+    variation period. *)
 
 val projection_factor_mean : float
 (** E[|cos θ|] for uniformly random θ: [2/π], the mean projection of a

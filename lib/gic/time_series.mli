@@ -18,11 +18,10 @@ val default : dst_min:float -> profile
     tau 15–40 h).  @raise Invalid_argument if [dst_min > 0.]. *)
 
 val dst_at : profile -> t_h:float -> float
-(** Dst at [t_h] hours after shock arrival (0 before onset). *)
+(** Dst at [t_h] hours after shock arrival: 0 before onset, then a
+    linear drop to [dst_min] at [onset_h + main_phase_h], then an
+    exponential recovery. *)
 
 val duration_below : profile -> dst_threshold:float -> float
 (** Hours during which Dst ≤ [dst_threshold] (e.g. how long the storm
     stays in the "severe" band).  0 when never reached. *)
-
-val peak_time_h : profile -> float
-(** Hours from shock arrival to the Dst minimum. *)

@@ -35,8 +35,6 @@ let make ~id ~name ~kind ~landings ?length_km () =
 let repeater_count c ~spacing_km =
   Repeater.count_for_length ~spacing_km ~length_km:c.length_km
 
-let needs_repeaters c ~spacing_km = repeater_count c ~spacing_km > 0
-
 let hop_count c = List.length c.landings - 1
 
 let risk_tier c = Geo.Latband.tier_of_abs_lat c.max_abs_lat

@@ -36,8 +36,6 @@ val make :
 val repeater_count : t -> spacing_km:float -> int
 (** Repeaters needed at a given spacing (uniform along the route). *)
 
-val needs_repeaters : t -> spacing_km:float -> bool
-
 val hop_count : t -> int
 (** Number of consecutive landing pairs ([length of landings - 1]). *)
 

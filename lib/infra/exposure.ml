@@ -38,18 +38,15 @@ let failure_probability ?(scale_a = 30.0) t =
    study compiles one storm at several [scale_a]s, each compile asking for
    the same array.  The cache is keyed by network identity (nothing writes
    into a network after [Network.create]; an equal network built
-   separately just misses) and by storm values.  Plans are
+   separately just misses) and by the storm's Dst, all a storm holds.  Plans are
    compiled on server worker domains too, so a mutex guards the list; it
    is not held while computing, and two domains missing on one key both
    compute the same values and the second insert is dropped.  The newest
    [cache_capacity] entries are kept.  Callers get a copy, so nothing they
    write can reach the cache. *)
-type key = { net : Network.t; storm : Gic.Disturbance.storm }
+type key = { net : Network.t; dst_nt : float }
 
-let same_key a b =
-  a.net == b.net
-  && Float.equal a.storm.Gic.Disturbance.dst_nt b.storm.Gic.Disturbance.dst_nt
-  && Float.equal a.storm.Gic.Disturbance.period_s b.storm.Gic.Disturbance.period_s
+let same_key a b = a.net == b.net && Float.equal a.dst_nt b.dst_nt
 
 let cache_capacity = 8
 let cache_mu = Mutex.create ()
@@ -58,7 +55,7 @@ let cache : (key * t array) list ref = ref [] (* newest first *)
 let cached key = List.find_map (fun (k, v) -> if same_key k key then Some v else None) !cache
 
 let network_exposures ~storm network =
-  let key = { net = network; storm } in
+  let key = { net = network; dst_nt = storm.Gic.Disturbance.dst_nt } in
   let exposures =
     match Mutex.protect cache_mu (fun () -> cached key) with
     | Some v -> v

@@ -114,7 +114,7 @@ let mean_repeaters_per_cable t ~spacing_km =
 
 let cables_without_repeaters t ~spacing_km =
   Array.fold_left
-    (fun acc c -> if Cable.needs_repeaters c ~spacing_km then acc else acc + 1)
+    (fun acc c -> if Cable.repeater_count c ~spacing_km > 0 then acc else acc + 1)
     0 t.cables
 
 let pp_summary ppf t =

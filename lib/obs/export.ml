@@ -1,10 +1,3 @@
-(* The canonical escaping/float spelling lives in {!Json} (the writer
-   side of the parser); these aliases keep the exporter's historical
-   surface. *)
-let json_escape = Json.escape
-
-let json_float = Json.number_repr
-
 let prom_float v =
   (* Prometheus exposition, unlike JSON, spells non-finite values out. *)
   if Float.is_nan v then "NaN"
@@ -15,7 +8,7 @@ let prom_float v =
 (* Events recorded outside any trace context keep the historical line
    shape; only traced events grow the extra field. *)
 let trace_suffix (e : Span.event) =
-  if e.Span.trace = "" then "" else Printf.sprintf ",\"trace\":\"%s\"" (json_escape e.Span.trace)
+  if e.Span.trace = "" then "" else Printf.sprintf ",\"trace\":\"%s\"" (Json.escape e.Span.trace)
 
 let jsonl events =
   let buf = Buffer.create 4096 in
@@ -24,7 +17,7 @@ let jsonl events =
       Buffer.add_string buf
         (Printf.sprintf
            "{\"name\":\"%s\",\"ph\":\"%s\",\"ts_ns\":%Ld,\"depth\":%d,\"domain\":%d%s}\n"
-           (json_escape e.Span.name)
+           (Json.escape e.Span.name)
            (match e.Span.phase with Span.Begin -> "B" | Span.End -> "E")
            e.Span.t_ns e.Span.depth e.Span.domain (trace_suffix e)))
     events;
@@ -68,12 +61,12 @@ let chrome_trace events =
          one request's spans across every domain row. *)
       let args =
         if e.Span.trace = "" then ""
-        else Printf.sprintf ",\"args\":{\"trace\":\"%s\"}" (json_escape e.Span.trace)
+        else Printf.sprintf ",\"args\":{\"trace\":\"%s\"}" (Json.escape e.Span.trace)
       in
       emit
         (Printf.sprintf
            "{\"name\":\"%s\",\"cat\":\"span\",\"ph\":\"%s\",\"ts\":%.3f,\"pid\":1,\"tid\":%d%s}"
-           (json_escape e.Span.name)
+           (Json.escape e.Span.name)
            (match e.Span.phase with Span.Begin -> "B" | Span.End -> "E")
            (Int64.to_float (Int64.sub e.Span.t_ns base) /. 1e3)
            e.Span.domain args))
@@ -134,21 +127,23 @@ let prometheus (snap : Metrics.snapshot) =
 
 let json_of_value = function
   | Metrics.Counter n -> string_of_int n
-  | Metrics.Gauge g -> json_float g
+  | Metrics.Gauge g -> Json.number_repr g
   | Metrics.Histogram { bounds; counts; sum; count } ->
       let buckets =
         List.init (Array.length counts) (fun i ->
             let le =
-              if i < Array.length bounds then Printf.sprintf "%s" (json_float bounds.(i))
+              if i < Array.length bounds then Printf.sprintf "%s" (Json.number_repr bounds.(i))
               else "\"+Inf\""
             in
             Printf.sprintf "{\"le\":%s,\"n\":%d}" le counts.(i))
       in
-      Printf.sprintf "{\"count\":%d,\"sum\":%s,\"buckets\":[%s]}" count (json_float sum)
+      Printf.sprintf "{\"count\":%d,\"sum\":%s,\"buckets\":[%s]}" count (Json.number_repr sum)
         (String.concat "," buckets)
 
 let json_of_snapshot (snap : Metrics.snapshot) =
   "{"
   ^ String.concat ","
-      (List.map (fun (name, v) -> Printf.sprintf "\"%s\":%s" (json_escape name) (json_of_value v)) snap)
+      (List.map
+         (fun (name, v) -> Printf.sprintf "\"%s\":%s" (Json.escape name) (json_of_value v))
+         snap)
   ^ "}"

@@ -29,19 +29,8 @@ val chrome_trace : Span.event list -> string
     [ui.perfetto.dev] or [chrome://tracing]. *)
 
 val prometheus : Metrics.snapshot -> string
+(** Floats spell as {!Json.number_repr} does, except that non-finite
+    values spell out as ["NaN"], ["+Inf"] and ["-Inf"], as the
+    exposition format requires. *)
 
 val json_of_snapshot : Metrics.snapshot -> string
-
-val json_escape : string -> string
-(** Escape a string for embedding inside a JSON string literal (quotes
-    not included). *)
-
-val json_float : float -> string
-(** Compact JSON float formatting (integers render as ["n.0"]).  JSON
-    has no non-finite literals, so [nan]/[inf]/[-inf] render as
-    ["null"]. *)
-
-val prom_float : float -> string
-(** Prometheus exposition float formatting: like {!json_float} for
-    finite values, but non-finite values spell out as ["NaN"], ["+Inf"]
-    and ["-Inf"] as the exposition format requires. *)

@@ -2,8 +2,7 @@
     repository itself writes (solarstorm-bench/1 perf documents, chrome
     traces) and to parse/serve the simulation service's request and
     response bodies, without an external dependency.  Numbers are
-    floats; [null] is what {!number_repr} (and {!Export.json_float})
-    emits for non-finite values. *)
+    floats; [null] is what {!number_repr} emits for non-finite values. *)
 
 type t =
   | Null

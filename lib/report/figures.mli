@@ -1,8 +1,7 @@
 (** Figure-regeneration harness: every table and figure of the paper
     (DESIGN.md §3), rendered by id through {!render} or {!all}.  Each
     renders to text (data rows plus an ASCII plot where the paper has a
-    plot); the bench executable and the CLI print them.  The per-figure
-    functions below are the ones that other code also calls directly. *)
+    plot); the bench executable and the CLI print them. *)
 
 type context
 (** The figure datasets' parameters.  Construction is free; each dataset
@@ -25,40 +24,6 @@ val ixps : context -> Datasets.Ixp.t array
 (** Dataset accessors; each builds (and caches) its dataset on first
     call. *)
 
-val fig8 : ?trials:int -> context -> string
-
-val countries : ?trials:int -> context -> string
-(** §4.3.4 case-study table. *)
-
-val systems : context -> string
-(** §4.4 systems table (ASes / DCs / DNS). *)
-
-val probability : unit -> string
-(** §2.3 occurrence-probability table. *)
-
-val mitigation : context -> string
-(** §5 planning outputs: shutdown benefit, augmentation plan,
-    predicted partitions. *)
-
-(** {1 Extension experiments} (DESIGN.md §3 ablations and the paper's
-    future-work items) *)
-
-val ablations : ?trials:int -> context -> string
-(** Threshold / geomagnetic-tier / spacing / repeater-fragility
-    sensitivity tables. *)
-
-val risk_horizon : unit -> string
-(** Stochastic storm sequences: decadal Carrington probabilities under
-    the modulated Poisson model. *)
-
-val interdomain : unit -> string
-(** §5.3: BGP vs. multipath continuity on a Gao–Rexford AS topology under
-    storm-induced AS failures. *)
-
-val capacity : ?trials:int -> context -> string
-(** Capacity-weighted corridor analysis: max-flow Tbps between shores,
-    surviving share under S1/S2 and the min-cut cables. *)
-
 val ids : string list
 (** Every figure id, in paper order: paper figures first, extension
     experiments after. *)
@@ -66,7 +31,9 @@ val ids : string list
 val render : ?trials:int -> context -> string -> string option
 (** [render ctx id] renders figure [id] alone: the text {!all} pairs
     with [id], byte for byte, building only the datasets that figure
-    reads.  [None] for an id not in {!ids}, before anything is built. *)
+    reads.  [None] for an id not in {!ids}, before anything is built.
+    [trials] (default 10) is the Monte-Carlo trial count: [countries]
+    runs at least 20, [aftermath] and [capacity] at most 5. *)
 
 val all : ?trials:int -> context -> (string * string) list
 (** [(figure id, rendered text)] for every id, in {!ids} order.

@@ -4,9 +4,7 @@
     per figure so results can be committed/diffed alongside the paper
     comparison in EXPERIMENTS.md. *)
 
-val document : title:string -> intro:string -> (string * string) list -> string
-(** Full document from [(figure id, text)] pairs. *)
-
 val write_results : path:string -> (string * string) list -> unit
-(** Render under the title "solarstorm results" and write to a file.
+(** Write the document of [(figure id, text)] pairs, titled "solarstorm
+    results", to a file: one [## id] section and fenced block each.
     @raise Sys_error on unwritable paths. *)

@@ -15,17 +15,14 @@ val reachability_fraction : As_topology.t -> alive:bool array -> dst:int -> floa
 (** Fraction of alive ASes (dst excluded) with a valley-free route to
     [dst]. *)
 
-val shortest_path :
-  As_topology.t -> alive:bool array -> src:int -> dst:int -> int list option
-(** Shortest valley-free AS path (inclusive), [None] if unreachable.
-    Ties break deterministically. *)
-
 val disjoint_paths :
   ?k:int -> As_topology.t -> alive:bool array -> src:int -> dst:int -> int list list
 (** Up to [k] (default 3) valley-free paths with pairwise-disjoint
     intermediate ASes, found greedily (successive shortest paths with
     intermediate removal) — the "multiple paths" a SCION-like
-    architecture keeps ready. *)
+    architecture keeps ready.  Each path lists its ASes, ends included;
+    the first is a shortest valley-free path, ties broken
+    deterministically, and [[src]] when [src = dst]. *)
 
 val is_valley_free : As_topology.t -> int list -> bool
 (** Checks the Gao–Rexford shape of an explicit path (used by tests). *)

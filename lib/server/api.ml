@@ -275,8 +275,8 @@ let simulate_body p =
          body := doc (("endpoint", String "simulate") :: Stormsim.Sweep.row_fields row)));
   !body
 
-let scenario_body p =
-  let cme =
+let scenario p =
+  let* cme =
     match p.source with
     | Speed v -> Ok (Spaceweather.Cme.make ~speed_km_s:v ())
     | Event name -> (
@@ -284,16 +284,16 @@ let scenario_body p =
         | Some e -> Ok e.Spaceweather.Storm_catalog.cme
         | None -> Error (Printf.sprintf "unknown event %S" name))
   in
-  let* cme = cme in
   let networks =
     [
       ("submarine", Datasets.Cache.submarine ~seed:p.sc_seed ());
       ("intertubes", Datasets.Cache.intertubes ~seed:p.sc_seed ());
     ]
   in
-  let s =
-    Stormsim.Scenario.run ~trials:p.sc_trials ~use_physical:p.physical ~cme ~networks ()
-  in
+  Ok (Stormsim.Scenario.run ~trials:p.sc_trials ~use_physical:p.physical ~cme ~networks ())
+
+let scenario_body p =
+  let* s = scenario p in
   let impact (i : Stormsim.Scenario.impact) =
     Object
       [

@@ -75,8 +75,14 @@ val scenario_of_json :
 
 val scenario_key : scenario_params -> string
 
+val scenario : scenario_params -> (Stormsim.Scenario.t, string) result
+(** Resolve the CME (a catalog event or a custom speed), build the
+    submarine and Intertubes maps at [sc_seed] and run
+    {!Stormsim.Scenario.run}: what [solarstorm scenario] prints.
+    [Error] when the event name is not in the catalog. *)
+
 val scenario_body : scenario_params -> (string, string) result
-(** [Error] when the event name is not in the catalog. *)
+(** {!scenario}, encoded. *)
 
 type countries_params = { co_seed : int; co_trials : int }
 

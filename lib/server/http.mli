@@ -73,13 +73,10 @@ val header : request -> string -> string option
 val path : request -> string
 (** {!request.target} with any [?query] suffix removed. *)
 
-val query_params : request -> (string * string) list
-(** Key/value pairs from the target's query string, in order.  A key
-    with no [=] maps to [""].  No percent-decoding — our query grammar
-    ([window=60s]) never needs it. *)
-
 val query_param : request -> string -> string option
-(** First value of one query key. *)
+(** First value of one key of the target's query string.  A key with no
+    [=] maps to [""].  No percent-decoding — our query grammar
+    ([window=60s]) never needs it. *)
 
 val wants_close : request -> bool
 (** True when the peer asked for [Connection: close], or spoke HTTP/1.0

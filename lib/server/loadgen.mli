@@ -57,8 +57,6 @@ val run :
     @raise Invalid_argument on non-positive parameters ([warmup] may be
     0). *)
 
-val req_per_s : result -> float
-
 val quantile_exact : float array -> float -> float
 (** Linear-interpolated quantile over sorted samples.
     @raise Invalid_argument on an empty array or [q] outside [0, 1]. *)

@@ -7,19 +7,12 @@
     the paper argues the Internet grew up during anomalously quiet
     decades. *)
 
-val period_years : float
-(** Nominal period used by the model (88 years). *)
-
-val reference_minimum : float
-(** Decimal year of the 20th-century Gleissberg minimum (1910). *)
-
-val phase : float -> float
-(** [phase year] in [[0, 1)]: 0 at a Gleissberg minimum. *)
-
 val modulation : float -> float
 (** [modulation year] is a multiplicative factor in [[0.5, 2.0]] applied to
     extreme-event rates: 0.5 at a Gleissberg minimum, 2.0 at a maximum
-    (factor 4 swing). *)
+    (factor 4 swing).  The model's minima fall every 88 years (its
+    nominal period) from the 20th-century minimum of 1910, with the
+    maxima half a period after them. *)
 
 val next_maximum_after : float -> float
 (** Decimal year of the first Gleissberg maximum after the given year. *)

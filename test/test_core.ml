@@ -15,8 +15,8 @@ let itu_small = lazy (Datasets.Itu.build ~scale:0.1 ())
 let test_stats_mean_stddev () =
   check_close 1e-9 "mean" 2.0 (Stats.mean [ 1.0; 2.0; 3.0 ]);
   check_close 1e-9 "empty mean" 0.0 (Stats.mean []);
-  check_close 1e-9 "constant stddev" 0.0 (Stats.stddev [ 5.0; 5.0; 5.0 ]);
-  check_close 1e-6 "known stddev" (sqrt (2.0 /. 3.0)) (Stats.stddev [ 1.0; 2.0; 3.0 ])
+  check_close 1e-9 "constant stddev" 0.0 (snd (Stats.mean_stddev [ 5.0; 5.0; 5.0 ]));
+  check_close 1e-6 "known stddev" (sqrt (2.0 /. 3.0)) (snd (Stats.mean_stddev [ 1.0; 2.0; 3.0 ]))
 
 let test_stats_percentile () =
   let l = [ 1.0; 2.0; 3.0; 4.0; 5.0; 6.0; 7.0; 8.0; 9.0; 10.0 ] in
@@ -85,7 +85,7 @@ let test_unrepeatered_cable_immortal () =
 
 let test_gic_physical_compiles () =
   let net = Lazy.force intertubes in
-  let p = Failure_model.compile Failure_model.carrington_physical ~network:net in
+  let p = Failure_model.compile (Result.get_ok (Failure_model.of_string "physical")) ~network:net in
   for i = 0 to 20 do
     let v = p (Infra.Network.cable net i) in
     Alcotest.(check bool) "probability in [0,1]" true (v >= 0.0 && v <= 1.0)
@@ -433,12 +433,20 @@ let test_resilience_score_properties () =
 
 (* --- Scenario --- *)
 
+(* The probabilistic model [Scenario.run] picks for a CME's storm class. *)
 let test_scenario_model_mapping () =
-  let open Spaceweather.Dst in
-  Alcotest.(check string) "carrington -> S1" "tiered[1; 0.1; 0.01]"
-    (Failure_model.to_string (Scenario.model_for_severity Carrington));
-  Alcotest.(check string) "extreme -> S2" "tiered[0.1; 0.01; 0.001]"
-    (Failure_model.to_string (Scenario.model_for_severity Extreme))
+  let run cme =
+    let s = Scenario.run ~trials:1 ~cme ~networks:[ ("Intertubes", Lazy.force intertubes) ] () in
+    match s.Scenario.impacts with
+    | [ i ] ->
+        ( Spaceweather.Dst.severity_to_string s.Scenario.severity,
+          Failure_model.to_string i.Scenario.model )
+    | _ -> Alcotest.fail "expected one impact"
+  in
+  Alcotest.(check (pair string string)) "carrington -> S1" ("carrington", "tiered[1; 0.1; 0.01]")
+    (run Spaceweather.Cme.carrington_1859);
+  Alcotest.(check (pair string string)) "extreme -> S2" ("extreme", "tiered[0.1; 0.01; 0.001]")
+    (run (Spaceweather.Cme.make ~speed_km_s:1800.0 ()))
 
 let test_scenario_run_carrington () =
   let nets = [ ("Intertubes", Lazy.force intertubes) ] in

@@ -357,8 +357,10 @@ let test_segment_p0_p1 () =
       ~plan:(Plan.compile ~network:net ~model:(Failure_model.uniform 0.0) ())
   in
   Alcotest.(check bool) "p=0 kills nothing" true (Array.for_all not all_alive);
-  Alcotest.(check (float 1e-9)) "no unreachable" 0.0
-    (Segment_model.nodes_unreachable_pct_segments net all_alive)
+  let c =
+    Segment_model.compare_models ~trials:2 ~network:net ~model:(Failure_model.uniform 0.0) ()
+  in
+  Alcotest.(check (float 1e-9)) "no unreachable" 0.0 c.Segment_model.segment_level_nodes_pct
 
 let test_segment_less_pessimistic () =
   (* The headline of the ablation: hop-level failures isolate far fewer
@@ -381,16 +383,25 @@ let test_segment_less_pessimistic () =
 
 (* --- Capacity --- *)
 
-let test_cable_capacity_tiers () =
-  let mk len =
-    Infra.Cable.make ~id:0 ~name:"c" ~kind:Infra.Cable.Submarine
-      ~landings:[ (0, Geo.Coord.make ~lat:0.0 ~lon:0.0); (1, Geo.Coord.make ~lat:0.0 ~lon:1.0) ]
-      ~length_km:len ()
+(* A network of one two-landing cable of [length_km], its landings in no
+   corridor country. *)
+let one_cable length_km =
+  let node id lon =
+    { Infra.Network.id; name = "n"; country = "Narnia"; pos = Geo.Coord.make ~lat:0.0 ~lon }
   in
-  Alcotest.(check (float 1e-9)) "festoon 8 pairs" 120.0 (Capacity.cable_capacity_tbps (mk 500.0));
-  Alcotest.(check (float 1e-9)) "regional 6 pairs" 90.0 (Capacity.cable_capacity_tbps (mk 5000.0));
-  Alcotest.(check (float 1e-9)) "transoceanic 4 pairs" 60.0
-    (Capacity.cable_capacity_tbps (mk 12000.0))
+  Infra.Network.create ~name:"one" ~nodes:[ node 0 0.0; node 1 1.0 ]
+    ~cables:
+      [ Infra.Cable.make ~id:0 ~name:"c" ~kind:Infra.Cable.Submarine
+          ~landings:[ (0, Geo.Coord.make ~lat:0.0 ~lon:0.0); (1, Geo.Coord.make ~lat:0.0 ~lon:1.0) ]
+          ~length_km () ]
+
+(* A cable's design capacity: the total of a network that holds it alone. *)
+let cable_tbps length_km = Capacity.network_capacity_tbps (one_cable length_km)
+
+let test_cable_capacity_tiers () =
+  Alcotest.(check (float 1e-9)) "festoon 8 pairs" 120.0 (cable_tbps 500.0);
+  Alcotest.(check (float 1e-9)) "regional 6 pairs" 90.0 (cable_tbps 5000.0);
+  Alcotest.(check (float 1e-9)) "transoceanic 4 pairs" 60.0 (cable_tbps 12000.0)
 
 let test_network_capacity_positive () =
   let net = Lazy.force submarine in
@@ -398,12 +409,16 @@ let test_network_capacity_positive () =
   Alcotest.(check bool) (Printf.sprintf "%.0f Tbps plausible" c) true
     (c > 20000.0 && c < 100000.0)
 
+(* The four standard corridors under S1, in order: US/Canada - Europe,
+   Brazil - Europe, US - East Asia, Asia - Europe. *)
+let s1_corridors =
+  lazy
+    (Capacity.standard_report ~trials:5 ~network:(Lazy.force submarine) ~model:Failure_model.s1
+       ())
+
 let test_corridor_atlantic_collapses_under_s1 () =
-  let net = Lazy.force submarine in
-  let r =
-    Capacity.analyze_corridor ~trials:5 ~network:net ~model:Failure_model.s1
-      Capacity.atlantic
-  in
+  let r = List.nth (Lazy.force s1_corridors) 0 in
+  Alcotest.(check string) "atlantic first" "US/Canada - Europe" r.Capacity.corridor.Capacity.name;
   Alcotest.(check bool) "healthy capacity large" true (r.Capacity.healthy_tbps > 500.0);
   Alcotest.(check bool)
     (Printf.sprintf "surviving %.0f%% < 30%%" r.Capacity.surviving_pct)
@@ -413,25 +428,19 @@ let test_corridor_atlantic_collapses_under_s1 () =
        r.Capacity.min_cut_cables)
 
 let test_corridor_brazil_beats_atlantic () =
-  let net = Lazy.force submarine in
-  let atlantic =
-    Capacity.analyze_corridor ~trials:5 ~network:net ~model:Failure_model.s1
-      Capacity.atlantic
-  in
-  let brazil =
-    Capacity.analyze_corridor ~trials:5 ~network:net ~model:Failure_model.s1
-      Capacity.brazil_europe
-  in
+  let atlantic = List.nth (Lazy.force s1_corridors) 0 in
+  let brazil = List.nth (Lazy.force s1_corridors) 1 in
+  Alcotest.(check string) "brazil second" "Brazil - Europe" brazil.Capacity.corridor.Capacity.name;
   Alcotest.(check bool) "brazil survives better" true
     (brazil.Capacity.surviving_pct > atlantic.Capacity.surviving_pct)
 
+(* No corridor country lands on [one_cable]: every side resolves to no
+   nodes. *)
 let test_corridor_empty_side () =
-  let net = Lazy.force submarine in
-  let r =
-    Capacity.analyze_corridor ~trials:2 ~network:net ~model:Failure_model.s1
-      { Capacity.name = "nowhere"; from_countries = [ "Narnia" ]; to_countries = [ "Brazil" ] }
-  in
-  Alcotest.(check (float 1e-9)) "zero healthy" 0.0 r.Capacity.healthy_tbps
+  List.iter
+    (fun (r : Capacity.corridor_report) ->
+      Alcotest.(check (float 1e-9)) "zero healthy" 0.0 r.Capacity.healthy_tbps)
+    (Capacity.standard_report ~trials:2 ~network:(one_cable 500.0) ~model:Failure_model.s1 ())
 
 let test_standard_report_complete () =
   let net = Lazy.force submarine in
@@ -458,22 +467,22 @@ let graph_flow net ~dead ~sources ~sinks =
         incr next
       done
   done;
-  let capacity e =
-    match Hashtbl.find_opt edge_cable e with
-    | Some c -> Capacity.cable_capacity_tbps (Infra.Network.cable net c)
-    | None -> 0.0
+  let tbps =
+    Array.init (Infra.Network.nb_cables net) (fun c ->
+        cable_tbps (Infra.Network.cable net c).Infra.Cable.length_km)
   in
+  let capacity e = match Hashtbl.find_opt edge_cable e with Some c -> tbps.(c) | None -> 0.0 in
   Netgraph.Flow.max_flow_multi g ~capacity ~sources ~sinks
 
 let prop_flow_between_matches_graph =
   let corridors =
-    [| Capacity.atlantic; Capacity.brazil_europe; Capacity.pacific; Capacity.asia_europe |]
+    lazy (Array.of_list (List.map (fun r -> r.Capacity.corridor) (Lazy.force s1_corridors)))
   in
   QCheck.Test.make ~name:"flow_between = max_flow_multi over graph_surviving" ~count:60
     QCheck.(triple (int_bound 3) (float_range 0.0 1.0) int)
     (fun (k, share_dead, seed) ->
       let net = Lazy.force submarine in
-      let sources, sinks = Capacity.terminals ~network:net corridors.(k) in
+      let sources, sinks = Capacity.terminals ~network:net (Lazy.force corridors).(k) in
       let st = Random.State.make [| seed |] in
       let dead_arr =
         Array.init (Infra.Network.nb_cables net) (fun _ -> Random.State.float st 1.0 < share_dead)

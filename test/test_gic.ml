@@ -10,6 +10,12 @@ let intense = Gic.Disturbance.storm_of_dst (-100.0)
 let high_lat = Geo.Coord.make ~lat:62.0 ~lon:25.0 (* Finland *)
 let equator = Geo.Coord.make ~lat:0.0 ~lon:20.0
 
+(* The four ground profiles, each where [profile_for] assigns it. *)
+let shield = Gic.Conductivity.profile_for high_lat
+let plains = Gic.Conductivity.profile_for (Geo.Coord.make ~lat:38.5 ~lon:(-98.0)) (* Kansas *)
+let coastal = Gic.Conductivity.profile_for (Geo.Coord.make ~lat:6.52 ~lon:3.38) (* Lagos *)
+let ocean = Gic.Conductivity.profile_for (Geo.Coord.make ~lat:0.0 ~lon:(-150.0))
+
 (* --- Conductivity --- *)
 
 let test_profile_validation () =
@@ -22,15 +28,15 @@ let test_profile_validation () =
            [ { Gic.Conductivity.thickness_km = 1.0; resistivity_ohm_m = -1.0 } ]))
 
 let test_impedance_positive_and_period_dependent () =
-  let z120 = Gic.Conductivity.impedance_magnitude Gic.Conductivity.shield ~period_s:120.0 in
-  let z600 = Gic.Conductivity.impedance_magnitude Gic.Conductivity.shield ~period_s:600.0 in
+  let z120 = Gic.Conductivity.impedance_magnitude shield ~period_s:120.0 in
+  let z600 = Gic.Conductivity.impedance_magnitude shield ~period_s:600.0 in
   Alcotest.(check bool) "positive" true (z120 > 0.0);
   Alcotest.(check bool) "longer period, lower |Z|" true (z600 < z120)
 
 let test_shield_more_resistive_than_coastal () =
   let z p = Gic.Conductivity.impedance_magnitude p ~period_s:120.0 in
-  let zs = z Gic.Conductivity.shield and zc = z Gic.Conductivity.coastal in
-  let zo = z Gic.Conductivity.ocean in
+  let zs = z shield and zc = z coastal in
+  let zo = z ocean in
   Alcotest.(check bool) "shield |Z| larger" true (zs > zc);
   (* The paper's New Zealand example: seawater conducts far better than
      land, so the ocean profile's |Z| sits an order of magnitude lower. *)
@@ -38,15 +44,16 @@ let test_shield_more_resistive_than_coastal () =
     (zo *. 10.0 < zc)
 
 let test_profile_for_assignment () =
-  Alcotest.(check string) "ocean offshore" "ocean"
-    (Gic.Conductivity.profile_for (Geo.Coord.make ~lat:0.0 ~lon:(-150.0))).Gic.Conductivity.name;
-  Alcotest.(check string) "shield at high latitude" "shield"
-    (Gic.Conductivity.profile_for high_lat).Gic.Conductivity.name
+  Alcotest.(check string) "ocean offshore" "ocean" ocean.Gic.Conductivity.name;
+  Alcotest.(check string) "shield at high latitude" "shield" shield.Gic.Conductivity.name;
+  Alcotest.(check string) "plains at mid latitude" "plains" plains.Gic.Conductivity.name;
+  Alcotest.(check string) "coastal in the tropics" "coastal" coastal.Gic.Conductivity.name
 
+(* An infinite period is angular frequency 0. *)
 let test_impedance_invalid () =
   Alcotest.check_raises "w <= 0" (Invalid_argument "Conductivity.surface_impedance: w <= 0")
     (fun () ->
-      ignore (Gic.Conductivity.surface_impedance Gic.Conductivity.shield ~angular_freq:0.0))
+      ignore (Gic.Conductivity.impedance_magnitude shield ~period_s:Float.infinity))
 
 (* --- Disturbance --- *)
 
@@ -105,9 +112,7 @@ let test_efield_positive_and_latitude_ordered () =
 let test_efield_magnitude_sane () =
   (* Pulkkinen et al. 100-year benchmark: extreme storms drive fields of a
      few V/km at high geomagnetic latitudes on resistive ground. *)
-  let e =
-    Gic.Efield.amplitude_with_profile carrington Gic.Conductivity.shield high_lat
-  in
+  let e = Gic.Efield.amplitude_v_per_km carrington high_lat in
   Alcotest.(check bool) (Printf.sprintf "%.2f V/km in [0.5, 50]" e) true
     (e > 0.5 && e < 50.0)
 
@@ -166,9 +171,9 @@ let test_induced_validation () =
 let test_profile_shape () =
   let p = Gic.Time_series.default ~dst_min:(-589.0) in
   Alcotest.(check (float 1e-9)) "quiet before onset" 0.0 (Gic.Time_series.dst_at p ~t_h:0.5);
-  check_close 1e-6 "minimum at peak" (-589.0)
-    (Gic.Time_series.dst_at p ~t_h:(Gic.Time_series.peak_time_h p));
-  let after = Gic.Time_series.dst_at p ~t_h:(Gic.Time_series.peak_time_h p +. 30.0) in
+  let peak_h = p.Gic.Time_series.onset_h +. p.Gic.Time_series.main_phase_h in
+  check_close 1e-6 "minimum at peak" (-589.0) (Gic.Time_series.dst_at p ~t_h:peak_h);
+  let after = Gic.Time_series.dst_at p ~t_h:(peak_h +. 30.0) in
   Alcotest.(check bool) "recovering" true (after > -589.0 && after < 0.0);
   for t = 0 to 48 do
     Alcotest.(check bool) "dst <= 0" true (Gic.Time_series.dst_at p ~t_h:(float_of_int t) <= 0.0)
@@ -222,7 +227,7 @@ let prop_impedance_positive =
   QCheck.Test.make ~name:"impedance magnitude positive over periods" ~count:100
     (QCheck.float_range 10.0 10000.0)
     (fun period_s ->
-      Gic.Conductivity.impedance_magnitude Gic.Conductivity.plains ~period_s > 0.0)
+      Gic.Conductivity.impedance_magnitude plains ~period_s > 0.0)
 
 let prop_efield_nonnegative =
   QCheck.Test.make ~name:"E-field amplitude nonnegative everywhere" ~count:100

@@ -12,6 +12,15 @@ let contains hay needle =
 
 (* --- CME -> storm -> failure pipeline --- *)
 
+(* The probabilistic model [Scenario.run] picks for a CME's storm. *)
+let scenario_model cme =
+  let s =
+    Stormsim.Scenario.run ~trials:1 ~cme ~networks:[ ("submarine", Lazy.force submarine) ] ()
+  in
+  match s.Stormsim.Scenario.impacts with
+  | [ i ] -> i.Stormsim.Scenario.model
+  | _ -> Alcotest.fail "expected one impact"
+
 let test_carrington_end_to_end_severity () =
   (* The catalog CME must map to a Carrington-class Dst, which must map to
      the S1 model, whose submarine impact must sit in the Fig. 8 band. *)
@@ -19,7 +28,7 @@ let test_carrington_end_to_end_severity () =
   let dst = Spaceweather.Cme.expected_dst cme in
   Alcotest.(check string) "class" "carrington"
     (Spaceweather.Dst.severity_to_string (Spaceweather.Dst.severity_of_dst dst));
-  let model = Stormsim.Scenario.model_for_severity (Spaceweather.Dst.severity_of_dst dst) in
+  let model = scenario_model cme in
   Alcotest.(check string) "model is S1" "tiered[1; 0.1; 0.01]"
     (Stormsim.Failure_model.to_string model);
   let s =
@@ -34,12 +43,10 @@ let test_carrington_end_to_end_severity () =
 let test_noaa_announcement_consistent_with_model_tiers () =
   (* A storm NOAA would announce as G5 (Dst −700 nT) must map to a model
      at least as harsh as S2 through the scenario severity mapping. *)
-  let dst = -700.0 in
-  let model =
-    Stormsim.Scenario.model_for_severity (Spaceweather.Dst.severity_of_dst dst)
-  in
+  let cme = Spaceweather.Cme.make ~speed_km_s:1800.0 () in
+  Alcotest.(check (float 10.0)) "a -700 nT storm" (-700.0) (Spaceweather.Cme.expected_dst cme);
   Alcotest.(check string) "at least S2" "tiered[0.1; 0.01; 0.001]"
-    (Stormsim.Failure_model.to_string model)
+    (Stormsim.Failure_model.to_string (scenario_model cme))
 
 (* --- GIC physics vs probabilistic model --- *)
 
@@ -77,9 +84,9 @@ let test_exposure_latitude_structure () =
 
 let test_figures_deterministic () =
   let c = Lazy.force ctx in
-  let once = Report.Figures.fig8 ~trials:3 c in
-  let again = Report.Figures.fig8 ~trials:3 c in
-  Alcotest.(check string) "same output" once again
+  let once = Report.Figures.render ~trials:3 c "fig8" in
+  let again = Report.Figures.render ~trials:3 c "fig8" in
+  Alcotest.(check (option string)) "same output" once again
 
 let test_dataset_rebuild_identical () =
   let a = Datasets.Submarine.build () and b = Datasets.Submarine.build () in
@@ -91,7 +98,11 @@ let test_dataset_rebuild_identical () =
 
 let test_markdown_document_covers_all_figures () =
   let figures = [ ("fig3", "data3"); ("countries", "data-c") ] in
-  let doc = Report.Markdown.document ~title:"t" ~intro:"i" figures in
+  let path = Filename.temp_file "stormmd" ".md" in
+  Report.Markdown.write_results ~path figures;
+  let doc = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  Alcotest.(check bool) "title" true (contains doc "# solarstorm results\n");
   List.iter
     (fun (id, body) ->
       Alcotest.(check bool) (id ^ " section") true (contains doc ("## " ^ id));
@@ -109,8 +120,9 @@ let test_country_and_capacity_agree_on_atlantic () =
          Stormsim.Country.paper_case_studies)
   in
   let corridor =
-    Stormsim.Capacity.analyze_corridor ~trials:5 ~network:net
-      ~model:Stormsim.Failure_model.s1 Stormsim.Capacity.atlantic
+    List.hd
+      (Stormsim.Capacity.standard_report ~trials:5 ~network:net
+         ~model:Stormsim.Failure_model.s1 ())
   in
   (* If the NE-Europe direct cables almost surely die, the corridor's
      surviving capacity share must also be small. *)

@@ -447,16 +447,26 @@ let test_chrome_trace_golden () =
      ],\"displayTimeUnit\":\"ms\"}"
     (Obs.Export.chrome_trace (Obs.Span.events ()))
 
+(* A float as Prometheus spells it: the sample of a one-gauge
+   exposition. *)
+let prom_float v =
+  let text = Obs.Export.prometheus [ ("g", Obs.Metrics.Gauge v) ] in
+  let head = "# TYPE g gauge\ng " in
+  let n = String.length head in
+  if not (String.starts_with ~prefix:head text && String.ends_with ~suffix:"\n" text) then
+    Alcotest.fail text;
+  String.sub text n (String.length text - n - 1)
+
 let test_json_float_nonfinite () =
-  Alcotest.(check string) "nan is null" "null" (Obs.Export.json_float Float.nan);
-  Alcotest.(check string) "inf is null" "null" (Obs.Export.json_float Float.infinity);
-  Alcotest.(check string) "-inf is null" "null" (Obs.Export.json_float Float.neg_infinity);
-  Alcotest.(check string) "integer" "2.0" (Obs.Export.json_float 2.0);
-  Alcotest.(check string) "fraction" "2.5" (Obs.Export.json_float 2.5);
-  Alcotest.(check string) "prom nan" "NaN" (Obs.Export.prom_float Float.nan);
-  Alcotest.(check string) "prom +inf" "+Inf" (Obs.Export.prom_float Float.infinity);
-  Alcotest.(check string) "prom -inf" "-Inf" (Obs.Export.prom_float Float.neg_infinity);
-  Alcotest.(check string) "prom finite" "2.0" (Obs.Export.prom_float 2.0)
+  Alcotest.(check string) "nan is null" "null" (Obs.Json.number_repr Float.nan);
+  Alcotest.(check string) "inf is null" "null" (Obs.Json.number_repr Float.infinity);
+  Alcotest.(check string) "-inf is null" "null" (Obs.Json.number_repr Float.neg_infinity);
+  Alcotest.(check string) "integer" "2.0" (Obs.Json.number_repr 2.0);
+  Alcotest.(check string) "fraction" "2.5" (Obs.Json.number_repr 2.5);
+  Alcotest.(check string) "prom nan" "NaN" (prom_float Float.nan);
+  Alcotest.(check string) "prom +inf" "+Inf" (prom_float Float.infinity);
+  Alcotest.(check string) "prom -inf" "-Inf" (prom_float Float.neg_infinity);
+  Alcotest.(check string) "prom finite" "2.0" (prom_float 2.0)
 
 let test_json_snapshot_nonfinite_gauge () =
   with_obs_enabled @@ fun () ->
@@ -801,7 +811,7 @@ let test_json_rejects_garbage () =
 
 let test_json_escape_roundtrip () =
   let original = "a\"\\\n\t\rb\x01c" in
-  match Obs.Json.parse (Printf.sprintf "\"%s\"" (Obs.Export.json_escape original)) with
+  match Obs.Json.parse (Printf.sprintf "\"%s\"" (Obs.Json.escape original)) with
   | Ok (Obs.Json.String s) -> Alcotest.(check string) "roundtrip" original s
   | Ok _ -> Alcotest.fail "not a string"
   | Error e -> Alcotest.fail e
@@ -1212,6 +1222,54 @@ let test_alerts_parse_rules () =
       "m:p99<50:1e-12s";
     ]
 
+(* Rules built from the grammar's pieces, junk included (numbers at the
+   edges, every unit, good and bad aggregators and comparisons), and
+   arbitrary strings. *)
+let rule_gen =
+  let open QCheck.Gen in
+  let number =
+    oneof
+      [ oneofl
+          [ "0"; "-0"; "-5"; "1e300"; "-1e300"; "nan"; "-nan"; "inf"; "-inf"; "0x1p4"; "0x10";
+            "-0x1p-3"; "1e-12"; "1e-9"; "9.223372036854775e9"; "9.223372036854776e9"; "9.3e9";
+            "2562047.788015215"; "153722867.28091288"; ""; "." ];
+        map string_of_int (int_range (-100) 100_000);
+        map (Printf.sprintf "%h") float;
+        map (Printf.sprintf "%.17g") float ]
+  in
+  let structured =
+    let* metric = oneofl [ "server.request.ms"; "m"; "" ] in
+    let* agg = oneofl [ "p0"; "p50"; "p100"; "p99.9"; "rate"; "value"; "p"; "pword"; ""; "max" ] in
+    let* cmp = oneofl [ "<"; ">"; "<>"; "=" ] in
+    let* threshold = number in
+    let* window = number in
+    let+ unit_ = oneofl [ "s"; "m"; "h"; ""; "y" ] in
+    String.concat "" [ metric; ":"; agg; cmp; threshold; ":"; window; unit_ ]
+  in
+  frequency [ (6, structured); (1, string_printable); (1, string ?gen:None) ]
+
+(* Neither parser raises; an accepted window is 1 to [Int64.max_int] ns;
+   an accepted rule has a finite threshold and its window field's
+   window. *)
+let prop_rule_grammar =
+  QCheck.Test.make ~name:"rule and window grammar" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") rule_gen)
+    (fun src ->
+      let window_ok w =
+        match Obs.Alerts.parse_window w with Ok ns -> Int64.compare ns 1L >= 0 | Error _ -> true
+      in
+      let window_field =
+        match String.split_on_char ':' src with [ _; _; w ] -> Some w | _ -> None
+      in
+      window_ok src
+      && Option.fold ~none:true ~some:window_ok window_field
+      &&
+      match Obs.Alerts.parse_rule src with
+      | Error _ -> true
+      | Ok r ->
+          Float.is_finite r.Obs.Alerts.r_threshold
+          && Option.map Obs.Alerts.parse_window window_field = Some (Ok r.Obs.Alerts.r_window_ns))
+
 let test_alerts_fire_and_resolve () =
   with_obs_enabled @@ fun () ->
   with_log_captured @@ fun buf ->
@@ -1321,7 +1379,7 @@ let printf_escape s =
 
 let same_float_spelling v =
   Obs.Json.number_repr v = printf_number_repr v
-  && Obs.Export.prom_float v = printf_prom_float v
+  && prom_float v = printf_prom_float v
 
 (* Where the two branches meet (10^15, 2^53), the signed zeros, the
    subnormals and the values JSON cannot spell. *)
@@ -1340,7 +1398,7 @@ let test_float_spelling_edge_cases () =
       Alcotest.(check string) (Printf.sprintf "number_repr %h" v) (printf_number_repr v)
         (Obs.Json.number_repr v);
       Alcotest.(check string) (Printf.sprintf "prom_float %h" v) (printf_prom_float v)
-        (Obs.Export.prom_float v))
+        (prom_float v))
     float_edge_cases
 
 let float_gen =
@@ -1526,5 +1584,6 @@ let () =
         [ Alcotest.test_case "rule grammar" `Quick test_alerts_parse_rules;
           Alcotest.test_case "fire and resolve" `Quick test_alerts_fire_and_resolve;
           Alcotest.test_case "empty timeseries is a no-op" `Quick
-            test_alerts_empty_timeseries_noop ] );
+            test_alerts_empty_timeseries_noop;
+          QCheck_alcotest.to_alcotest prop_rule_grammar ] );
     ]

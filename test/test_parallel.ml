@@ -36,7 +36,7 @@ let models =
       Failure_model.Geomag_tiered
         { high = 0.5; mid = 0.05; low = 0.005;
           mid_threshold = 40.0; high_threshold = 60.0 } );
-    ("carrington-physical", Failure_model.carrington_physical);
+    ("carrington-physical", Result.get_ok (Failure_model.of_string "physical"));
   ]
 
 (* The oracle: the historical trial loop, one [Rng.split] of the master

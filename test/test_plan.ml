@@ -75,7 +75,7 @@ let goldens =
       g_cm = 24.498480243161094; g_cs = 1.0754897272312538;
       g_nm = 16.749165419592494; g_ns = 1.3893137415570442;
       g_expected = 24.792552546225586 };
-    { gname = "carrington-physical"; model = Failure_model.carrington_physical;
+    { gname = "carrington-physical"; model = Result.get_ok (Failure_model.of_string "physical");
       g_dead = 212; g_hash = -111982140042745036L;
       g_cables = 45.106382978723403; g_nodes = 41.176470588235297;
       g_cm = 45.471124620060792; g_cs = 2.027152826812531;

@@ -9,6 +9,9 @@ let contains hay needle =
 (* Shared small context so the figure harness tests stay fast. *)
 let ctx = lazy (Report.Figures.make_context ~itu_scale:0.05 ~caida_ases:1000 ())
 
+(* One figure's text, as [figures --id] renders it. *)
+let figure ?trials ?(ctx = ctx) id = Option.get (Report.Figures.render ?trials (Lazy.force ctx) id)
+
 (* --- Table --- *)
 
 let test_table_renders_rows () =
@@ -85,10 +88,12 @@ let test_worldmap_network_layers () =
 
 (* --- Csv --- *)
 
+(* A field's RFC-4180 quoting, as a series header spells it. *)
 let test_csv_escape () =
-  Alcotest.(check string) "plain" "abc" (Report.Csv.escape "abc");
-  Alcotest.(check string) "comma" "\"a,b\"" (Report.Csv.escape "a,b");
-  Alcotest.(check string) "quote" "\"a\"\"b\"" (Report.Csv.escape "a\"b")
+  let header x = Report.Csv.of_series ~header:(x, "y") [] in
+  Alcotest.(check string) "plain" "abc,y\n" (header "abc");
+  Alcotest.(check string) "comma" "\"a,b\",y\n" (header "a,b");
+  Alcotest.(check string) "quote" "\"a\"\"b\",y\n" (header "a\"b")
 
 let test_csv_of_series () =
   let c = Report.Csv.of_series ~header:("x", "y") [ (1.0, 2.0); (3.5, 4.25) ] in
@@ -129,20 +134,20 @@ let test_render_builds_only_its_datasets () =
   Alcotest.(check int) "fig3 builds one dataset" 1 (Datasets.Cache.build_count ())
 
 let test_fig8_mentions_states () =
-  let text = Report.Figures.fig8 ~trials:2 (Lazy.force ctx) in
+  let text = figure ~trials:2 "fig8" in
   Alcotest.(check bool) "S1" true (contains text "S1");
   Alcotest.(check bool) "S2" true (contains text "S2");
   Alcotest.(check bool) "both networks" true
     (contains text "Submarine" && contains text "Intertubes")
 
 let test_countries_table_has_cases () =
-  let text = Report.Figures.countries ~trials:5 (Lazy.force ctx) in
+  let text = figure ~trials:20 "countries" in
   List.iter
     (fun case -> Alcotest.(check bool) case true (contains text case))
     [ "us-europe-s1"; "singapore-hub-s1"; "brazil-europe-s1" ]
 
 let test_probability_table_values () =
-  let text = Report.Figures.probability () in
+  let text = figure "probability" in
   Alcotest.(check bool) "kirchen" true (contains text "0.016");
   Alcotest.(check bool) "bernoulli" true (contains text "0.096")
 
@@ -153,21 +158,21 @@ let golden name expected text =
   Alcotest.(check string) name expected (Digest.to_hex (Digest.string text))
 
 let test_risk_horizon_golden () =
-  golden "risk-horizon" "37bc0283a214b9b28b39d90525806b86" (Report.Figures.risk_horizon ())
+  golden "risk-horizon" "37bc0283a214b9b28b39d90525806b86" (figure "risk-horizon")
 
 let test_probability_golden () =
-  golden "probability" "645ee504e37df2a99e3cd30c608d8390" (Report.Figures.probability ())
+  golden "probability" "645ee504e37df2a99e3cd30c608d8390" (figure "probability")
 
 let test_interdomain_golden () =
-  golden "interdomain" "d8708614f99f673fdfbac0c9dc6cad97" (Report.Figures.interdomain ())
+  golden "interdomain" "d8708614f99f673fdfbac0c9dc6cad97" (figure "interdomain")
 
 let test_ablations_golden () =
   golden "ablations" "4c127fc3a6b5939c7f707dc51a6f3fa1"
-    (Report.Figures.ablations ~trials:10 (Lazy.force ctx))
+    (figure ~trials:10 "ablations")
 
 let test_mitigation_golden () =
   golden "mitigation" "1881d938f9ff6feb373278ba95266044"
-    (Report.Figures.mitigation (Lazy.force ctx))
+    (figure "mitigation")
 
 (* Measured while capacity's max-flow still went through a persistent
    graph of the surviving cables, before it laid out its arcs straight
@@ -177,11 +182,11 @@ let test_capacity_golden () =
   List.iter
     (fun (name, ctx) ->
       golden ("capacity, " ^ name) "5de35ea30aed3dca4b90233de7e34761"
-        (Report.Figures.capacity ~trials:5 ctx))
-    [ ("test context", Lazy.force ctx); ("default context", Report.Figures.make_context ()) ]
+        (figure ~trials:5 ~ctx "capacity"))
+    [ ("test context", ctx); ("default context", lazy (Report.Figures.make_context ())) ]
 
 let test_systems_output () =
-  let text = Report.Figures.systems (Lazy.force ctx) in
+  let text = figure "systems" in
   Alcotest.(check bool) "google" true (contains text "Google");
   Alcotest.(check bool) "facebook" true (contains text "Facebook");
   Alcotest.(check bool) "dns" true (contains text "DNS")

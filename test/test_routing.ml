@@ -3,6 +3,11 @@
 
 open Interdomain
 
+(* The shortest valley-free path: the first of [Bgp.disjoint_paths]'s
+   successive shortest paths. *)
+let shortest_path t ~alive ~src ~dst =
+  match Bgp.disjoint_paths ~k:1 t ~alive ~src ~dst with [ p ] -> Some p | _ -> None
+
 (* A tiny hand-built topology:
      T1 core: 0, 1 (peers)
      T2: 2 (customer of 0), 3 (customer of 1); 2-3 peer
@@ -76,7 +81,7 @@ let test_reachability_healthy () =
   done
 
 let test_shortest_path_shape () =
-  match Bgp.shortest_path tiny ~alive ~src:4 ~dst:5 with
+  match shortest_path tiny ~alive ~src:4 ~dst:5 with
   | None -> Alcotest.fail "no path"
   | Some path ->
       Alcotest.(check bool) "valley free" true (Bgp.is_valley_free tiny path);
@@ -84,7 +89,7 @@ let test_shortest_path_shape () =
       Alcotest.(check (list int)) "route" [ 4; 2; 3; 5 ] path
 
 let test_shortest_path_self () =
-  Alcotest.(check (option (list int))) "self" (Some [ 4 ]) (Bgp.shortest_path tiny ~alive ~src:4 ~dst:4)
+  Alcotest.(check (option (list int))) "self" (Some [ 4 ]) (shortest_path tiny ~alive ~src:4 ~dst:4)
 
 let test_valley_enforcement () =
   (* 4 -> 2 -> 0 -> 1 -> 3 -> 5 is valley-free (up up peer down down);
@@ -136,7 +141,7 @@ let test_generated_paths_valley_free () =
   let rng = Rng.create 3 in
   for _ = 1 to 50 do
     let src = Rng.int rng t.As_topology.n and dst = Rng.int rng t.As_topology.n in
-    match Bgp.shortest_path t ~alive ~src ~dst with
+    match shortest_path t ~alive ~src ~dst with
     | Some path ->
         if not (Bgp.is_valley_free t path) then
           Alcotest.fail
@@ -296,7 +301,7 @@ end
 let agrees_with_oracle t ~alive ~src ~dst =
   let check name ok = if not ok then QCheck.Test.fail_reportf "%s(%d, %d) differs" name src dst in
   check "shortest_path"
-    (Bgp.shortest_path t ~alive ~src ~dst = Oracle.shortest_path t ~alive ~src ~dst);
+    (shortest_path t ~alive ~src ~dst = Oracle.shortest_path t ~alive ~src ~dst);
   check "reachable" (Bgp.reachable t ~alive ~src ~dst = Oracle.reachable t ~alive ~src ~dst);
   check "disjoint_paths"
     (Bgp.disjoint_paths ~k:3 t ~alive ~src ~dst = Oracle.disjoint_paths ~k:3 t ~alive ~src ~dst);
@@ -367,7 +372,7 @@ let prop_paths_are_simple =
     QCheck.(pair (int_bound 599) (int_bound 599))
     (fun (src, dst) ->
       let t = Lazy.force generated in
-      match Bgp.shortest_path t ~alive:(Bgp.all_alive t) ~src ~dst with
+      match shortest_path t ~alive:(Bgp.all_alive t) ~src ~dst with
       | None -> true
       | Some p -> List.length p = List.length (List.sort_uniq Int.compare p))
 

@@ -1324,7 +1324,6 @@ let test_loadgen_end_to_end () =
   Alcotest.(check int) "healthz body bytes" (10 * String.length "{\"status\":\"ok\"}\n")
     r.Server.Loadgen.bytes;
   Alcotest.(check bool) "elapsed counts" true (r.Server.Loadgen.elapsed_s > 0.0);
-  Alcotest.(check bool) "throughput computed" true (Server.Loadgen.req_per_s r > 0.0);
   let l = r.Server.Loadgen.latencies_ns in
   Array.iteri
     (fun i v -> if i > 0 then Alcotest.(check bool) "latencies sorted" true (l.(i - 1) <= v))
@@ -1335,6 +1334,9 @@ let test_loadgen_end_to_end () =
   | Ok doc ->
       Alcotest.(check (option string)) "schema" (Some "solarstorm-bench/1")
         (Option.bind (Obs.Json.member "schema" doc) Obs.Json.string_);
+      Alcotest.(check (option (float 0.0))) "throughput computed"
+        (Some (float_of_int r.Server.Loadgen.requests /. r.Server.Loadgen.elapsed_s))
+        (jnum [ "metrics"; "loadgen.req_per_s" ] doc);
       Alcotest.(check (option string)) "mode" (Some "loadgen")
         (Option.bind (Obs.Json.member "mode" doc) Obs.Json.string_);
       let kernel_names =
@@ -1774,10 +1776,12 @@ let test_http_query_params () =
   let req target =
     { Server.Http.meth = GET; target; version = "HTTP/1.1"; headers = []; body = "" }
   in
-  Alcotest.(check (list (pair string string))) "no query" []
-    (Server.Http.query_params (req "/varz"));
-  Alcotest.(check (list (pair string string))) "pairs" [ ("window", "60s"); ("raw", "") ]
-    (Server.Http.query_params (req "/varz?window=60s&raw"));
+  Alcotest.(check (option string)) "no query" None
+    (Server.Http.query_param (req "/varz") "window");
+  Alcotest.(check (list (option string))) "pairs" [ Some "60s"; Some ""; None ]
+    (List.map (Server.Http.query_param (req "/varz?window=60s&&raw")) [ "window"; "raw"; "" ]);
+  Alcotest.(check (option string)) "first value" (Some "1")
+    (Server.Http.query_param (req "/varz?a=1&a=2") "a");
   Alcotest.(check (option string)) "lookup" (Some "60s")
     (Server.Http.query_param (req "/varz?window=60s") "window");
   Alcotest.(check (option string)) "missing" None

@@ -174,11 +174,17 @@ let test_series_invalid () =
 
 (* --- Gleissberg --- *)
 
+(* The model's 88-year period, from the 1910 minimum. *)
+let period_years = 88.0
+
+(* A year's phase lies in [0, 1): its next maximum comes within one
+   period, and is a maximum. *)
 let test_gleissberg_phase_range () =
   List.iter
     (fun y ->
-      let p = Gleissberg.phase y in
-      Alcotest.(check bool) "phase in [0,1)" true (p >= 0.0 && p < 1.0))
+      let m = Gleissberg.next_maximum_after y in
+      Alcotest.(check bool) "phase in [0,1)" true (m > y && m <= y +. period_years);
+      check_close 1e-6 "a maximum" 2.0 (Gleissberg.modulation m))
     [ 1850.0; 1910.0; 1960.0; 1998.0; 2021.0; 2100.0 ]
 
 let test_gleissberg_modulation_bounds () =
@@ -189,8 +195,8 @@ let test_gleissberg_modulation_bounds () =
     (List.init 30 (fun i -> 1900.0 +. (float_of_int i *. 10.0)))
 
 let test_gleissberg_minimum_at_reference () =
-  check_close 1e-6 "minimum = 0.5" 0.5 (Gleissberg.modulation Gleissberg.reference_minimum);
-  let max_year = Gleissberg.reference_minimum +. (Gleissberg.period_years /. 2.0) in
+  check_close 1e-6 "minimum = 0.5" 0.5 (Gleissberg.modulation 1910.0);
+  let max_year = 1910.0 +. (period_years /. 2.0) in
   check_close 1e-6 "maximum = 2" 2.0 (Gleissberg.modulation max_year)
 
 let test_gleissberg_factor_4_swing () =
@@ -202,7 +208,7 @@ let test_gleissberg_factor_4_swing () =
 let test_next_maximum_after () =
   let m = Gleissberg.next_maximum_after 2021.0 in
   Alcotest.(check bool) "in the future" true (m > 2021.0);
-  Alcotest.(check bool) "within one period" true (m < 2021.0 +. Gleissberg.period_years)
+  Alcotest.(check bool) "within one period" true (m < 2021.0 +. period_years)
 
 (* --- Probability --- *)
 

@@ -111,7 +111,8 @@ let test_axis_accepts_models () =
   let cells = expand_ok [ "model=s1,s2,physical,s1-geomag,0.25" ] in
   Alcotest.(check (list string)) "one cell per model, in order"
     (List.map Failure_model.to_string
-       Failure_model.[ s1; s2; carrington_physical; s1_geomag; uniform 0.25 ])
+       Failure_model.
+         [ s1; s2; Gic_physical { dst_nt = -1200.0; scale_a = 30.0 }; s1_geomag; uniform 0.25 ])
     (Array.to_list (Array.map (fun (c : Sweep.cell) -> Failure_model.to_string c.model) cells))
 
 let test_axis_of_raw_matches_spec () =
@@ -324,7 +325,7 @@ let named_models =
   [ Failure_model.uniform 0.01; Failure_model.s1; Failure_model.s2; Failure_model.s1_geomag;
     Failure_model.Geomag_tiered
       { high = 0.5; mid = 0.05; low = 0.005; mid_threshold = 40.0; high_threshold = 60.0 };
-    Failure_model.carrington_physical ]
+    Result.get_ok (Failure_model.of_string "physical") ]
 
 (* Seeds and ITU scales come from small pools: each distinct pair builds
    (and caches) a dataset. *)
