@@ -8,17 +8,16 @@
 
      Module.value           exported value that no program code names,
      Module.value ?arg      optional argument that no program call supplies,
-     Module.type.field      exported record field that no code reads.
+     Module.type.field      exported record field that no program code reads.
 
    Program code is code a program can run: every implementation under
    bin/, bench/ and examples/, the initialisation of each lib/ module,
    and every lib/ binding that those reach by name; tests are not
    callers, and neither is a lib/ function that only tests reach.  A
    value's own module is not its caller, but a field read inside its
-   own module counts.  A nested
-   signature (Rng.Raw) is its own module.  A call that passes `?x` on
-   from its own optional argument supplies `?x`, so a dead chain shows
-   up one link per run.  A record type that re-exports another
+   own module counts.  A nested signature (Rng.Raw) is its own module.
+   A call that passes `?x` on from its own optional argument supplies
+   `?x`, so a dead chain shows up one link per run.  A record type that re-exports another
    ([type t = M.t = {...}]) shares M.t's fields.  Names resolve through
    the compiler's unique ids, so aliases, opens and local modules neither
    hide nor fake a use.  bin/check.sh diffs this list against

@@ -199,9 +199,6 @@ let read_body ~limits ~what c len =
     | Some body -> Ok body
     | None -> Error (Bad_request ("truncated " ^ what ^ " body"))
 
-let header req name =
-  List.assoc_opt (String.lowercase_ascii name) req.headers
-
 let path req =
   match String.index_opt req.target '?' with
   | None -> req.target
@@ -226,7 +223,7 @@ let query_params req =
 let query_param req name = List.assoc_opt name (query_params req)
 
 let wants_close req =
-  let conn = Option.map String.lowercase_ascii (header req "connection") in
+  let conn = Option.map String.lowercase_ascii (List.assoc_opt "connection" req.headers) in
   match (req.version, conn) with
   | _, Some "close" -> true
   | "HTTP/1.0", Some "keep-alive" -> false

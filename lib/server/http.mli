@@ -67,9 +67,6 @@ val parse_request : ?limits:limits -> conn -> (request, parse_error) result
     body stay buffered for the next call.  Never raises: source timeouts
     and EOFs come back as [Error]. *)
 
-val header : request -> string -> string option
-(** Case-insensitive header lookup. *)
-
 val path : request -> string
 (** {!request.target} with any [?query] suffix removed. *)
 

@@ -39,9 +39,9 @@ let test_parse_valid_get () =
       Alcotest.(check string) "target keeps query" "/healthz?probe=1" req.Server.Http.target;
       Alcotest.(check string) "path strips query" "/healthz" (Server.Http.path req);
       Alcotest.(check (option string)) "case-insensitive header" (Some "localhost")
-        (Server.Http.header req "HOST");
+        (List.assoc_opt "host" req.Server.Http.headers);
       Alcotest.(check (option string)) "value trimmed" (Some "spaced")
-        (Server.Http.header req "x-extra");
+        (List.assoc_opt "x-extra" req.Server.Http.headers);
       Alcotest.(check string) "no body" "" req.Server.Http.body;
       Alcotest.(check bool) "keep-alive by default" false (Server.Http.wants_close req)
 
