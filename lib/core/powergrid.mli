@@ -16,11 +16,12 @@ type region = {
           lines make some grids more exposed), ~1.0 nominal *)
 }
 
-val world_regions : region list
-(** ~15 regional grids covering the gazetteer countries (US East/West/
-    Texas separated, per the paper's §5.5 example). *)
-
 val region_of_country : string -> region option
+(** The grid serving a country: the first, in table order, of ~15
+    regional grids that cover the gazetteer countries.  The US has
+    three, Eastern, Western and ERCOT-Texas (the paper's §5.5 example),
+    in that order, so a US query gives US-Eastern; {!simulate} picks a
+    US landing station's grid by its longitude. *)
 
 val failure_probability : region -> dst_nt:float -> float
 (** Probability the regional grid collapses during the storm: driven by

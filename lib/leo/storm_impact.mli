@@ -17,7 +17,11 @@ type shell_outcome = {
   shell : Constellation.shell;
   altitude_loss_km : float;  (** coasting loss over the storm for non-thrusting craft *)
   can_station_keep : bool;  (** thrusters beat peak drag at shell altitude *)
-  lost_fraction : float;  (** satellites permanently lost in this shell *)
+  lost_fraction : float;
+      (** satellites permanently lost in this shell: the per-satellite
+          particle-dose failure probability (~0.2% for a 1989-class
+          storm, ~5% for Carrington-class, at most 50%), plus drag
+          losses when the shell cannot station-keep *)
 }
 
 type t = {
@@ -30,10 +34,6 @@ type t = {
   coverage_before : float;
   coverage_after : float;  (** population-weighted, 25° mask *)
 }
-
-val electronics_failure_probability : dst_nt:float -> float
-(** Per-satellite permanent-failure probability from particle dose:
-    ~0.2% for a 1989-class storm, ~5% for Carrington-class. *)
 
 val assess :
   ?storm_days:float ->

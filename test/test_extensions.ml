@@ -21,29 +21,34 @@ let test_regions_cover_dataset_countries () =
   let missing = Hashtbl.fold (fun c () acc -> c :: acc) missing [] in
   Alcotest.(check (list string)) "no uncovered countries" [] (List.sort compare missing)
 
+(* The grid serving [country], checked to be [name]. *)
+let grid country name =
+  let r = Option.get (Powergrid.region_of_country country) in
+  Alcotest.(check string) (country ^ "'s grid") name r.Powergrid.name;
+  r
+
 let test_grid_failure_latitude_ordering () =
-  let find name = List.find (fun (r : Powergrid.region) -> r.Powergrid.name = name) Powergrid.world_regions in
-  let p_nordic = Powergrid.failure_probability (find "Nordic") ~dst_nt:(-589.0) in
-  let p_sea = Powergrid.failure_probability (find "Southeast Asia") ~dst_nt:(-589.0) in
+  let p_nordic = Powergrid.failure_probability (grid "Norway" "Nordic") ~dst_nt:(-589.0) in
+  let p_sea =
+    Powergrid.failure_probability (grid "Singapore" "Southeast Asia") ~dst_nt:(-589.0)
+  in
   Alcotest.(check bool) "nordic >> southeast asia" true (p_nordic > 3.0 *. p_sea)
 
 let test_quebec_1989_anchor () =
   (* The 1989 storm collapsed the (high-latitude, high-GIC) Canadian grid. *)
-  let canada =
-    List.find (fun (r : Powergrid.region) -> r.Powergrid.name = "Canada") Powergrid.world_regions
-  in
+  let canada = grid "Canada" "Canada" in
   let p = Powergrid.failure_probability canada ~dst_nt:(-589.0) in
   Alcotest.(check bool) (Printf.sprintf "P %.2f >= 0.8" p) true (p >= 0.8)
 
 let test_grid_failure_monotone_in_storm () =
-  let region = List.hd Powergrid.world_regions in
+  let region = grid "United States" "US-Eastern" in
   Alcotest.(check bool) "stronger storm, likelier collapse" true
     (Powergrid.failure_probability region ~dst_nt:(-1200.0)
     >= Powergrid.failure_probability region ~dst_nt:(-100.0))
 
 let test_outage_duration_scales () =
   let rng = Rng.create 5 in
-  let region = List.hd Powergrid.world_regions in
+  let region = grid "United States" "US-Eastern" in
   let sample dst =
     Stats.mean (List.init 200 (fun _ -> Powergrid.outage_days rng region ~dst_nt:dst))
   in

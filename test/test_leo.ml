@@ -203,13 +203,20 @@ let test_storm_losses_monotone () =
   in
   Alcotest.(check bool) "carrington worse than quebec" true (lost (-1200.0) > lost (-589.0))
 
+(* A shell that holds its altitude loses satellites to particle dose
+   alone. *)
+let electronics_loss dst_nt =
+  let r = Leo.Storm_impact.assess ~dst_nt Leo.Constellation.starlink_phase1 in
+  let s = List.hd r.Leo.Storm_impact.shells in
+  Alcotest.(check bool) "holds altitude" true s.Leo.Storm_impact.can_station_keep;
+  s.Leo.Storm_impact.lost_fraction
+
 let test_electronics_probability_anchors () =
-  let p1989 = Leo.Storm_impact.electronics_failure_probability ~dst_nt:(-589.0) in
-  let pcar = Leo.Storm_impact.electronics_failure_probability ~dst_nt:(-1200.0) in
+  let p1989 = electronics_loss (-589.0) in
+  let pcar = electronics_loss (-1200.0) in
   Alcotest.(check bool) "1989 small" true (p1989 > 0.0005 && p1989 < 0.01);
   Alcotest.(check bool) "carrington percent-level" true (pcar > 0.01 && pcar < 0.2);
-  Alcotest.(check bool) "capped" true
-    (Leo.Storm_impact.electronics_failure_probability ~dst_nt:(-5000.0) <= 0.5)
+  Alcotest.(check bool) "capped" true (electronics_loss (-5000.0) <= 0.5)
 
 (* --- QCheck --- *)
 
