@@ -142,7 +142,7 @@ SOLARSTORM_JOBS=2 dune exec bin/solarstorm.exe -- simulate --trials 2000 \
 
 test -s "$PROFILE_JSON" || { echo "check.sh: $PROFILE_JSON missing or empty" >&2; exit 1; }
 for needle in '"traceEvents":[' '"ph":"B"' '"ph":"E"' '"name":"exec.worker"' \
-              '"name":"mc.trial"' '"tid":0' '"tid":1'; do
+              '"name":"plan.chunk"' '"tid":0' '"tid":1'; do
   grep -q -F "$needle" "$PROFILE_JSON" \
     || { echo "check.sh: $PROFILE_JSON malformed (missing $needle)" >&2; exit 1; }
 done

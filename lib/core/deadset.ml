@@ -2,8 +2,8 @@
    byte (plus header) — an 8× smaller per-trial footprint, a memset
    [clear], and a table-driven popcount for the failed-cable count the
    drivers take after every trial.  The trial kernel clears and then
-   ORs a 0/1 bit per uncertain cable into [bits] directly
-   ([unsafe_bits]). *)
+   ORs the 0/1 bits of the uncertain cables into [bits] directly, one
+   byte at a time ([unsafe_bits]). *)
 
 type t = { bits : Bytes.t; length : int }
 

@@ -5,11 +5,12 @@
     trial, and a counting fold per consumer.  A bitvector is 8× denser
     (the whole submarine network's flags fit in a few cache lines),
     clears with one [Bytes.fill], and counts deaths with a table-driven
-    popcount.  The trial kernel ({!Plan.sample_into}) ORs one 0/1 bit per
-    cable that can die into its byte, with no branch on the outcome, and
-    never touches the bits of cables whose death probability is 0; the
-    reachability count ({!Plan.unreachable_attached_pct}) skips whole
-    zero bytes and visits only the dead bits.
+    popcount.  The trial kernel ({!Plan.sample_into}) builds each byte's
+    0/1 bits for the cables that can die in a register, with no branch
+    on the outcome, ORs it into the set once, and never touches the bits
+    of cables whose death probability is 0; the reachability count
+    ({!Plan.unreachable_attached_pct}) skips whole zero bytes and visits
+    only the dead bits.
 
     Indices are cable ids, [0 .. length - 1].  A [Deadset.t] is a
     mutable scratch buffer with the same ownership contract the [bool
@@ -43,7 +44,7 @@ val unsafe_bits : t -> Bytes.t
 (** The backing store itself, not a copy: cable [c] is bit [c land 7]
     (least significant first) of byte [c lsr 3], and there are
     [(length + 7) / 8] bytes.  For the bulk kernels that write it
-    ({!Rng.Raw.fill_bernoulli}) and scan it byte by byte.  A writer must
+    ({!Rng.Raw.fill_below}) and scan it byte by byte.  A writer must
     leave the bits past [length] clear: {!count_dead} counts whole
     bytes. *)
 

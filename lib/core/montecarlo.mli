@@ -34,7 +34,10 @@ val run_plan : ?trials:int -> ?jobs:int -> seed:int -> Plan.t -> series
     of an already-compiled plan through {!Plan.run_trials_par}.
     Deterministic in [seed] alone — [jobs] (default
     {!Exec.default_jobs}) only changes how many domains sample, never
-    the result.  @raise Invalid_argument if [trials <= 0]. *)
+    the result.  Does no observability work per trial: the run is one
+    ["mc.run"] span, and [mc.trials_total] and [mc.cables_failed] (the
+    dead cables summed over trials) are each added once per run.
+    @raise Invalid_argument if [trials <= 0]. *)
 
 val run :
   ?trials:int ->

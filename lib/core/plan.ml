@@ -3,6 +3,9 @@ type t = {
   spacing_km : float;
   per_repeater : float array;
   death : float array;
+  threshold : int array;
+      (* [Rng.Raw.threshold] of each death probability: the sweep's
+         integer form of [death] *)
   per_repeater_fn : Infra.Cable.t -> float;
       (* kept for [sample_recompute_into], the legacy reference path *)
   uncertain : int array;
@@ -11,13 +14,17 @@ type t = {
      published mutable field would be a data race under the OCaml 5
      memory model once worker domains read it).  [node_off]/[node_cables]
      is the node->cable incidence; [own_off]/[owned] lists, per cable,
-     the attached nodes it owns.  A node's owner is its incident cable
-     least likely to die, so [unreachable_attached_pct] starts from the
-     dead cables and checks only the nodes they own. *)
+     the shared nodes (two or more cables) it owns.  A node's owner is
+     its incident cable least likely to die, so [unreachable_attached_pct]
+     starts from the dead cables and checks only the nodes they own.  A
+     node with one cable is unreachable exactly when that cable dies, so
+     it is counted in its cable's [weight] instead of listed. *)
   node_off : int array; (* length nb_nodes + 1 *)
   node_cables : int array; (* incident cable ids per node, its owner first *)
   own_off : int array; (* length nb_cables + 1 *)
-  owned : int array; (* every attached node once, grouped per owner *)
+  owned : int array; (* every shared node once, grouped per owner *)
+  weight : int array; (* per cable, the nodes it is the only cable of *)
+  attached : int; (* nodes with at least one cable *)
 }
 
 let compiles = Obs.Metrics.counter "plan.compiles"
@@ -88,17 +95,21 @@ let compile ?(spacing_km = 150.0) ~network ~model () =
       node_cables.(s) <- o
     end
   done;
-  let own_off = Array.make (m + 1) 0 in
+  let own_off = Array.make (m + 1) 0 and weight = Array.make m 0 in
+  let attached = ref 0 in
   for v = 0 to n - 1 do
-    if node_off.(v + 1) > node_off.(v) then begin
-      let o = node_cables.(node_off.(v)) in
-      own_off.(o) <- own_off.(o) + 1
+    let s = node_off.(v) in
+    let degree = node_off.(v + 1) - s in
+    if degree > 0 then begin
+      incr attached;
+      let o = node_cables.(s) in
+      if degree = 1 then weight.(o) <- weight.(o) + 1 else own_off.(o) <- own_off.(o) + 1
     end
   done;
   prefix_sum own_off;
   let owned = Array.make own_off.(m) 0 in
   for v = n - 1 downto 0 do
-    if node_off.(v + 1) > node_off.(v) then begin
+    if node_off.(v + 1) - node_off.(v) >= 2 then begin
       let o = node_cables.(node_off.(v)) in
       own_off.(o) <- own_off.(o) - 1;
       owned.(own_off.(o)) <- v
@@ -109,12 +120,15 @@ let compile ?(spacing_km = 150.0) ~network ~model () =
     spacing_km;
     per_repeater;
     death;
+    threshold = Array.map Rng.Raw.threshold death;
     per_repeater_fn;
     uncertain;
     node_off;
     node_cables;
     own_off;
     owned;
+    weight;
+    attached = !attached;
   }
 
 let network t = t.network
@@ -136,7 +150,7 @@ let sample_raw t rng dead =
   (* Only the uncertain cables are drawn, each at its own stream
      position, so skipping a death-0 cable moves no other cable's draw;
      the generator still advances [nb_cables] positions. *)
-  Rng.Raw.fill_bernoulli rng t.death ~idx:t.uncertain (Deadset.unsafe_bits dead);
+  Rng.Raw.fill_below rng t.threshold ~idx:t.uncertain (Deadset.unsafe_bits dead);
   Array.length t.uncertain
 
 let sample_into t rng dead =
@@ -169,22 +183,24 @@ let lowest_bit =
 
 let unreachable_attached_pct t dead =
   check_buffer "Plan.unreachable_attached_pct" t dead;
-  let attached = Array.length t.owned in
-  if attached = 0 then 0.0
+  if t.attached = 0 then 0.0
   else begin
     let bits = Deadset.unsafe_bits dead in
-    let own_off = t.own_off and owned = t.owned in
+    let own_off = t.own_off and owned = t.owned and weight = t.weight in
     let off = t.node_off and cables = t.node_cables in
     let unreachable = ref 0 in
     (* A node is unreachable only if all its cables died, its owner
-       included, and it has exactly one owner: visiting the nodes owned
-       by dead cables counts each unreachable node once.  Plain loops
-       over the dead bits, not a closure, so nothing is allocated. *)
+       included.  A dead cable's [weight] counts the nodes it was the
+       only cable of; each shared node has exactly one owner, so
+       visiting the nodes owned by dead cables counts each of the rest
+       once.  Plain loops over the dead bits, not a closure, so nothing
+       is allocated. *)
     for byte = 0 to Bytes.length bits - 1 do
       let x = ref (Char.code (Bytes.unsafe_get bits byte)) in
       while !x <> 0 do
         let c = (byte lsl 3) lor Array.unsafe_get lowest_bit !x in
         x := !x land (!x - 1);
+        unreachable := !unreachable + Array.unsafe_get weight c;
         for j = own_off.(c) to own_off.(c + 1) - 1 do
           let v = Array.unsafe_get owned j in
           let e = Array.unsafe_get off (v + 1) in
@@ -198,7 +214,7 @@ let unreachable_attached_pct t dead =
         done
       done
     done;
-    100.0 *. float_of_int !unreachable /. float_of_int attached
+    100.0 *. float_of_int !unreachable /. float_of_int t.attached
   end
 
 let expected_cables_failed_pct t =
@@ -246,10 +262,14 @@ let run_trials_par ?jobs t ~trials ~seed ~init ~map ~merge =
   let chunk_results = Array.make nchunks [||] in
   let progress = Obs.Progress.start ~label:"trials" ~total:trials in
   Exec.parallel_for ~chunk ~jobs ~n:trials (fun ~lo ~hi ->
-      (* One dead buffer per claimed chunk, reused across its trials and
-         owned by the worker.  Counter updates are batched per chunk:
-         one draw per split plus one per uncertain cable, the count the
-         counted [Rng.split] and {!sample_into} would make. *)
+      (* One span per claimed chunk, not per trial: a profile still shows
+         which domain ran which trials, and a long run cannot flood the
+         span ring.  One dead buffer per claimed chunk, reused across
+         its trials and owned by the worker.  Counter updates are
+         batched per chunk: one draw per split plus one per uncertain
+         cable, the count the counted [Rng.split] and {!sample_into}
+         would make. *)
+      Obs.Span.with_ ~name:"plan.chunk" @@ fun () ->
       let dead = Deadset.create m in
       let draws = ref 0 in
       let run_one i =

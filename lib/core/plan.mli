@@ -5,20 +5,25 @@
     probability under a failure model, then measure something on the
     surviving topology.  A {!t} compiles the [(network, model,
     repeater-spacing)] triple once: the per-repeater and per-cable death
-    probabilities become flat [float array]s indexed by cable id, so the
-    hot loop of a trial is an array read and one Bernoulli draw per cable
-    that can die, instead of a closure application and a [**] per cable
-    per trial.  Compilation also indexes what a trial touches, so that a
-    trial costs what the storm touches rather than the size of the map:
+    probabilities become flat [float array]s indexed by cable id, and
+    each death probability [p] also the integer [⌈p·2^53⌉]
+    ({!Rng.Raw.threshold}), so the hot loop of a trial is an array read,
+    one draw and one integer compare per cable that can die, instead of
+    a closure application and a [**] per cable per trial.  Compilation
+    also indexes what a trial touches, so that a trial costs what the
+    storm touches rather than the size of the map:
     - the {e uncertain} cables, whose death probability is above 0 —
       the only ones {!sample} draws;
-    - the node→cable incidence (CSR), and for every cable-bearing node
-      one {e owner}: its incident cable least likely to die, the first
-      in cable order on ties.  {!unreachable_attached_pct} scans the
-      dead set and checks only the nodes that dead cables own.
-    These indices add [nb_cables + 1 + attached + uncertain] words to a
-    plan ([attached] cable-bearing nodes, [uncertain] cables that can
-    die).
+    - the node→cable incidence (CSR); per cable, the number of nodes it
+      is the only cable of (its {e weight}: such a node is unreachable
+      exactly when that cable dies); and for every {e shared} node (two
+      or more cables) one {e owner}: its incident cable least likely to
+      die, the first in cable order on ties.  {!unreachable_attached_pct}
+      scans the dead set, adds each dead cable's weight and checks only
+      the shared nodes that dead cables own.
+    These tables add [3·nb_cables + 1 + shared + uncertain] words to a
+    plan besides the incidence ([shared] nodes with two or more cables,
+    [uncertain] cables that can die).
 
     Trial outcomes are {!Deadset.t} bitvectors — see that module for the
     representation and the reuse contract ([dead] buffers are scratch;
@@ -38,16 +43,19 @@
 
     Observability: compiles and trials are counted on the [plan.compiles]
     and [plan.trials] metrics ([plan.par_runs] counts {!run_trials_par}
-    invocations), and compilation runs under a ["plan.compile"] span (all
-    off-by-default, see DESIGN.md).  Hot loops draw through the
-    uncounted {!Rng.Raw} stream and settle [rng.draws] in batched
-    {!Rng.note_draws} calls — per call in {!sample_into}, per
-    work-stealing chunk in the driver — so [rng.draws] counts the draws made
-    (one per uncertain cable per trial, plus one per split) and its
-    totals stay exactly equal across job counts without a sharded-atomic
-    hit per draw.  The driver feeds the live progress meter
-    ({!Obs.Progress}, batched per chunk), rendered on stderr under the
-    [--progress] CLI flag and costing one branch per batch otherwise. *)
+    invocations), compilation runs under a ["plan.compile"] span, and a
+    driver run under a ["plan.run_trials"] span with one ["plan.chunk"]
+    span per chunk of trials a domain claims, none per trial, so a long
+    run cannot flood the span ring (all off-by-default, see DESIGN.md).
+    Hot loops draw through the uncounted {!Rng.Raw} stream and settle
+    [rng.draws] in batched {!Rng.note_draws} calls — per call in
+    {!sample_into}, per work-stealing chunk in the driver — so
+    [rng.draws] counts the draws made (one per uncertain cable per
+    trial, plus one per split) and its totals stay exactly equal across
+    job counts without a sharded-atomic hit per draw.  The driver feeds
+    the live progress meter ({!Obs.Progress}, batched per chunk),
+    rendered on stderr under the [--progress] CLI flag and costing one
+    branch per batch otherwise. *)
 
 type t
 
@@ -58,8 +66,9 @@ val compile :
   unit ->
   t
 (** Precompute per-cable probabilities (default spacing 150 km, the
-    paper's baseline), the uncertain-cable index, the node→cable
-    incidence and the node owners.  For {!Failure_model.Gic_physical}
+    paper's baseline) and their integer thresholds, the uncertain-cable
+    index, the node→cable incidence, the cable weights and the owners
+    of shared nodes.  For {!Failure_model.Gic_physical}
     this runs the full GIC exposure pipeline once.
     @raise Invalid_argument if [spacing_km <= 0.]. *)
 
@@ -80,8 +89,10 @@ val per_repeater_prob : t -> int -> float
 
 val sample : t -> Rng.t -> Deadset.t
 (** One storm trial: a fresh per-cable death set.  Cable [c] reads
-    stream position [c] of the generator; death-0 cables are not drawn;
-    the generator advances [nb_cables] positions either way. *)
+    stream position [c] of the generator and dies when that draw's 53
+    bits are below its threshold, exactly when [Rng.bernoulli] with its
+    death probability would return [true]; death-0 cables are not
+    drawn; the generator advances [nb_cables] positions either way. *)
 
 val sample_into : t -> Rng.t -> Deadset.t -> unit
 (** {!sample} into a caller-owned buffer of length {!nb_cables} — the
@@ -101,12 +112,13 @@ val sample_recompute_into : t -> Rng.t -> Deadset.t -> unit
 val unreachable_attached_pct : t -> Deadset.t -> float
 (** Percentage of cable-bearing nodes whose every incident cable is dead
     — the same value as [Montecarlo.nodes_unreachable_pct] on the plan's
-    network.  A node can only be unreachable if its owner died, and each
-    node has one owner, so the count visits only the nodes owned by dead
-    cables (early exit on their first live cable) and counts each
-    unreachable node once.  The cost follows the dead cables, not the
-    node count; the only allocation is the result.  @raise
-    Invalid_argument on size mismatch. *)
+    network.  Each dead cable adds its weight, the nodes it is the only
+    cable of.  A shared node can only be unreachable if its owner died,
+    and it has one owner, so the count visits only the shared nodes
+    owned by dead cables (early exit on their first live cable) and
+    counts each unreachable node once.  The cost follows the dead
+    cables, not the node count; the only allocation is the result.
+    @raise Invalid_argument on size mismatch. *)
 
 val expected_cables_failed_pct : t -> float
 (** Closed-form expectation (no sampling): mean of the per-cable death
@@ -147,8 +159,9 @@ val run_trials_par :
     pool).  [map] runs on worker domains: it must not touch shared
     mutable state — [Obs] metrics are fine (atomic), [Obs.Span] records
     into a per-domain ring (worker spans show up in profiles with their
-    domain id), and [dead] is a worker-owned buffer reused across that
-    worker's trials, valid only for the duration of the call (copy it
-    to keep it).  [merge] runs on the calling domain.
+    domain id, under their chunk's ["plan.chunk"] span; a span per trial
+    would fill the ring), and [dead] is a worker-owned buffer reused
+    across that worker's trials, valid only for the duration of the call
+    (copy it to keep it).  [merge] runs on the calling domain.
 
     @raise Invalid_argument if [trials <= 0] or [jobs <= 0]. *)

@@ -123,7 +123,7 @@ let execute job =
     (* Trace context is domain-local (see {!Obs.Span.with_trace}), so a
        pool worker picking up this job does not carry the caller's
        request id.  Re-install it so one request's [exec.worker] /
-       [mc.trial] spans stay attributable when N requests run plans
+       [plan.chunk] spans stay attributable when N requests run plans
        concurrently on N server domains. *)
     if job.trace = "" then steal_all () else Obs.Span.with_trace job.trace steal_all
   in

@@ -19,16 +19,6 @@ type 'a t = {
   mutable count : int;
 }
 
-(* The flat cell array costs one word per cell, used or not: 0.25°
-   cells are about a million words. *)
-let create ?(cell_deg = 5.0) () =
-  if not (cell_deg >= 0.25 && cell_deg <= 90.0) then
-    invalid_arg "Grid_index.create: cell_deg out of [0.25, 90]";
-  let nlat = int_of_float (Float.ceil (180.0 /. cell_deg)) in
-  let nlon = int_of_float (Float.ceil (360.0 /. cell_deg)) in
-  let empty = { n = 0; pos = [||]; cos = [||]; value = [||] } in
-  { cell_deg; nlat; nlon; cells = Array.make (nlat * nlon) empty; empty; count = 0 }
-
 (* Row and column of a point.  Latitude 90 and longitude 180 (where
    [Coord.make] puts -180) land one past the last row and column; they
    fold into the last row and, across the antimeridian, the first
@@ -63,8 +53,15 @@ let add t pos value =
   cell.n <- cell.n + 1;
   t.count <- t.count + 1
 
-let of_list ?cell_deg entries =
-  let t = create ?cell_deg () in
+(* The flat cell array costs one word per cell, used or not: 0.25°
+   cells are about a million words. *)
+let of_list ?(cell_deg = 5.0) entries =
+  if not (cell_deg >= 0.25 && cell_deg <= 90.0) then
+    invalid_arg "Grid_index.of_list: cell_deg out of [0.25, 90]";
+  let nlat = int_of_float (Float.ceil (180.0 /. cell_deg)) in
+  let nlon = int_of_float (Float.ceil (360.0 /. cell_deg)) in
+  let empty = { n = 0; pos = [||]; cos = [||]; value = [||] } in
+  let t = { cell_deg; nlat; nlon; cells = Array.make (nlat * nlon) empty; empty; count = 0 } in
   List.iter (fun (pos, v) -> add t pos v) entries;
   t
 

@@ -56,7 +56,6 @@ let profile_for c =
      r_n   = (1 - k_n Z_{n+1} / (i w mu0)) / (1 + k_n Z_{n+1} / (i w mu0))
      Z_n   = i w mu0 (1 - r_n e^{-2 k_n d}) / (k_n (1 + r_n e^{-2 k_n d})) *)
 let surface_impedance p ~angular_freq =
-  if angular_freq <= 0.0 then invalid_arg "Conductivity.surface_impedance: w <= 0";
   let open Complex in
   let iwu = { re = 0.0; im = angular_freq *. mu0 } in
   let k_of rho = sqrt (div iwu { re = rho; im = 0.0 }) in
@@ -75,6 +74,10 @@ let surface_impedance p ~angular_freq =
   in
   up p.layers
 
+(* A finite positive period makes ω > 0 ([surface_impedance] has no
+   check of its own): 2π over the largest float is still a normal
+   float. *)
 let impedance_magnitude p ~period_s =
-  if period_s <= 0.0 then invalid_arg "Conductivity.impedance_magnitude: period <= 0";
+  if not (period_s > 0.0 && Float.is_finite period_s) then
+    invalid_arg "Conductivity.impedance_magnitude: period not finite and > 0";
   Complex.norm (surface_impedance p ~angular_freq:(2.0 *. Float.pi /. period_s))

@@ -34,8 +34,8 @@ val profile_for : Geo.Coord.t -> profile
 
 val impedance_magnitude : profile -> period_s:float -> float
 (** [|Z(ω)|] at the given period, Ω (SI field units: E = Z·H), with
-    [ω = 2π / period_s].  @raise Invalid_argument if [period_s <= 0.],
-    and for an infinite period (ω = 0). *)
+    [ω = 2π / period_s].  @raise Invalid_argument unless [period_s] is
+    finite and positive (so also for NaN). *)
 
 val mu0 : float
 (** Vacuum permeability, H/m. *)

@@ -22,7 +22,7 @@ let now () = !clock ()
    context — whoever spawns must capture [current_trace] and re-install
    it in the child ({!Exec.parallel_for} does exactly that for its
    workers, which is how a request's id still reaches
-   [exec.worker]/[mc.trial] spans). *)
+   [exec.worker]/[plan.chunk] spans). *)
 let trace_key : string ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref "")
 
 let current_trace () = !(Domain.DLS.get trace_key)

@@ -50,7 +50,7 @@ val with_trace : string -> (unit -> 'a) -> 'a
     interfering.  Spawned domains start with no context: a spawner that
     wants the id to follow must capture {!current_trace} and re-install
     it in the child — {!Exec.parallel_for} does, which is how a request
-    id set by the service reaches [exec.worker]/[mc.trial] spans.  Works
+    id set by the service reaches [exec.worker]/[plan.chunk] spans.  Works
     whether or not the span layer is enabled, so {!Log} lines pick the
     id up even when tracing is off. *)
 

@@ -20,24 +20,41 @@ module Raw = struct
     t.state <- Int64.add t.state golden_gamma;
     mix t.state
 
-  (* Batched bernoulli sweep over the listed positions only.  Draw [i]'s
+  (* [⌈p·2^53⌉], clamped to [[0, 2^53]].  For an integer [x] in
+     [[0, 2^53)], [float53 x = x·2^-53] exactly, and [x < y] iff
+     [x < ⌈y⌉] for any real [y], so [x < threshold p] iff
+     [float53 x < p]: for [p >= 1] every draw is below, for [p <= 0]
+     and NaN none is. *)
+  let threshold p =
+    if p >= 1.0 then 1 lsl 53
+    else if p > 0.0 then int_of_float (Float.ceil (p *. 9007199254740992.0))
+    else 0
+
+  let or_byte bits b x =
+    Bytes.unsafe_set bits b (Char.unsafe_chr (Char.code (Bytes.unsafe_get bits b) lor x))
+
+  (* Batched Bernoulli sweep over the listed positions only.  Draw [i]'s
      state is [base + (i+1)·gamma] — a pure function of the base state
      and the index — so a position left out moves no other position's
      draw, and the loop never stores to [t.state] until the end.  Every
      intermediate is a local the compiler keeps unboxed (the generic
-     per-draw path allocates ~10 words of Int64 boxes), and the outcome
-     is ORed into its byte as a 0/1 integer instead of branched on: at
-     death rates of 8–37% that branch is mispredicted on a large share
-     of draws. *)
-  let fill_bernoulli t probs ~idx bits =
-    let n = Array.length probs in
+     per-draw path allocates ~10 words of Int64 boxes).  The outcome is
+     an integer compare of the 53-bit draw against its threshold, with
+     no int-to-float conversion, and it is ORed into a register byte as
+     a 0/1 integer instead of branched on: at death rates of 8–37% that
+     branch is mispredicted on a large share of draws.  The register is
+     ORed into memory once per run of positions that share a byte. *)
+  let fill_below t thresholds ~idx bits =
+    let n = Array.length thresholds in
     if Bytes.length bits < (n + 7) lsr 3 then
-      invalid_arg "Rng.Raw.fill_bernoulli: bits shorter than probs";
+      invalid_arg "Rng.Raw.fill_below: bits shorter than thresholds";
     let s0 = t.state in
+    (* [acc] holds the bits drawn so far for byte [byte]. *)
+    let byte = ref 0 and acc = ref 0 in
     for k = 0 to Array.length idx - 1 do
       let i = Array.unsafe_get idx k in
       (* Bounds-checked: keeps [i] in [0, n), so the byte below exists. *)
-      let p = probs.(i) in
+      let threshold = thresholds.(i) in
       (* [mix], hand-inlined: a non-inlined call boxes its Int64 argument
          and result, which is exactly the allocation this loop exists to
          avoid. *)
@@ -45,18 +62,18 @@ module Raw = struct
       let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
       let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
       let z = Int64.logxor z (Int64.shift_right_logical z 31) in
-      (* The 53 bits fit a native int, and [float_of_int] is one
-         instruction where [Int64.to_float] is a C call; both are exact
-         below 2^53, so [u] is the float [next_float53] returns. *)
-      let u =
-        float_of_int (Int64.to_int (Int64.shift_right_logical z 11))
-        *. (1.0 /. 9007199254740992.0)
-      in
+      (* The 53 bits fit a native int. *)
+      let x = Int64.to_int (Int64.shift_right_logical z 11) in
       let b = i lsr 3 in
-      Bytes.unsafe_set bits b
-        (Char.unsafe_chr
-           (Char.code (Bytes.unsafe_get bits b) lor (Bool.to_int (u < p) lsl (i land 7))))
+      if b <> !byte then begin
+        (* [!byte] is 0 or an earlier position's byte: it exists. *)
+        or_byte bits !byte !acc;
+        byte := b;
+        acc := 0
+      end;
+      acc := !acc lor (Bool.to_int (x < threshold) lsl (i land 7))
     done;
+    if !acc <> 0 then or_byte bits !byte !acc;
     t.state <- Int64.add s0 (Int64.mul (Int64.of_int n) golden_gamma)
 end
 

@@ -37,26 +37,35 @@ module Raw : sig
 
   val next_int64 : t -> int64
 
-  val fill_bernoulli : t -> float array -> idx:int array -> Bytes.t -> unit
-  (** [fill_bernoulli t probs ~idx bits] is [Array.length probs]
-      successive {!val:bernoulli} draws, uncounted, with only the
-      positions in [idx] drawn.  Position [i] reads stream position [i] — the float53 of
-      [mix (state + (i+1)·gamma)], the draw the [(i+1)]-th call would
-      make — so leaving a position out moves no other position's draw.
-      For each [i] in [idx], bit [i land 7] of byte [i lsr 3] of [bits]
-      is ORed with [draw i < probs.(i)]; no other bit is touched.
-      Afterwards [t] has advanced [Array.length probs] positions, drawn
-      or not, so later draws from [t] are unchanged.
+  val threshold : float -> int
+  (** [threshold p] is [⌈p·2^53⌉] clamped to [[0, 2^53]], and [0] for
+      NaN: the integer a 53-bit draw [x] must lie below for
+      [x·2^-53 < p], the test {!val:bernoulli} makes.  The two tests
+      agree for every [x] in [[0, 2^53)] and every float [p]. *)
 
-      A position whose probability is [0.] can never come out true, so
+  val fill_below : t -> int array -> idx:int array -> Bytes.t -> unit
+  (** [fill_below t thresholds ~idx bits] is [Array.length thresholds]
+      successive {!val:bernoulli} draws, uncounted, with only the
+      positions in [idx] drawn.  Position [i] reads stream position [i]
+      — the 53-bit draw [x] of [mix (state + (i+1)·gamma)], the draw the
+      [(i+1)]-th call would make — so leaving a position out moves no
+      other position's draw.  For each [i] in [idx], bit [i land 7] of
+      byte [i lsr 3] of [bits] is ORed with [x < thresholds.(i)]; no
+      other bit is touched.  With [thresholds.(i) = threshold p_i] that
+      is exactly [bernoulli ~p:p_i] for [p_i] in [[0, 1]].  Afterwards
+      [t] has advanced [Array.length thresholds] positions, drawn or
+      not, so later draws from [t] are unchanged.
+
+      A position whose threshold is [0] can never come out true, so
       leaving it out of [idx] gives the same bits; a position left out
-      with a positive probability is simply never set.  Probabilities
-      must already be in [[0, 1]] (no clamping).  The loop keeps the
-      generator state in unboxed locals and has no branch on the
-      outcome, so it allocates nothing.
+      with a positive threshold is simply never set.  The loop keeps
+      the generator state in unboxed locals, has no branch on the
+      outcome, and ORs each byte's bits into memory once per run of
+      [idx] entries in that byte (once per byte when [idx] ascends), so
+      it allocates nothing.
       @raise Invalid_argument if an entry of [idx] is outside
-      [[0, Array.length probs)] or [bits] has fewer than
-      [(Array.length probs + 7) / 8] bytes. *)
+      [[0, Array.length thresholds)] or [bits] has fewer than
+      [(Array.length thresholds + 7) / 8] bytes. *)
 end
 
 val copy : t -> t

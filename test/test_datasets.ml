@@ -633,9 +633,101 @@ let prop_weighted_sampler_matches_scan =
             (List.init 20 Fun.id)
           && Rng.weighted_sampler a (Rng.copy t) = scan_weighted_choice (Rng.copy t) a)
 
+(* The kernel sweep tests [x < threshold p] on the 53-bit draw [x]; the
+   reference below draws every position in order and tests
+   [x·2^-53 < p] in floats, as [Rng.bernoulli] does.  Probabilities
+   include the edges of the integer form: 0, -0, 1, NaN, subnormals,
+   k·2^-53 (k up to 2^53), values outside [0, 1] and the float
+   neighbours of all of these.  Random draws almost never land next to
+   a fixed probability, so [At_draw d] puts one there: the position's
+   own draw x·2^-53, its float neighbours ([d] = 1, -1) or (x ± 1)·2^-53
+   ([d] = 2, -2), where an off-by-one threshold would flip the outcome.
+   [idx] is any list of positions, unsorted and with repeats as often as
+   not, and [bits] starts as random bytes, possibly longer than needed,
+   so the OR-into-byte contract shows. *)
+type sweep_prob = Fixed of float | At_draw of int
+
+type sweep_case = { seed : int; probs : sweep_prob array; idx : int array; init : string }
+
+let two53 = 9007199254740992.0
+
+let sweep_case_gen =
+  let open QCheck.Gen in
+  let k_over_2_53 =
+    map
+      (fun k -> float_of_int k /. two53)
+      (oneof [ int_bound 64; map (fun k -> k land ((1 lsl 53) - 1)) int; return (1 lsl 53) ])
+  in
+  let edge =
+    frequency
+      [ (1, oneofl [ 0.0; -0.0; 1.0; Float.nan ]);
+        (1, oneofl [ Float.succ 0.0; Float.min_float /. 3.0; Float.pred Float.min_float ]);
+        (4, k_over_2_53);
+        (2, float_bound_inclusive 1.0);
+        (1, oneofl [ -0.5; 1.5; Float.infinity; Float.neg_infinity ]) ]
+  in
+  let prob =
+    frequency
+      [ (3, map (fun p -> Fixed p) (oneof [ edge; map Float.pred edge; map Float.succ edge ]));
+        (1, map (fun d -> At_draw d) (int_range (-2) 2)) ]
+  in
+  let* n = int_bound 40 in
+  let* probs = array_size (return n) prob in
+  let* idx =
+    if n = 0 then return [||]
+    else
+      let* l = list_size (int_bound (2 * n)) (int_bound (n - 1)) in
+      let* sorted = bool in
+      return (Array.of_list (if sorted then List.sort_uniq compare l else l))
+  in
+  let* extra = int_bound 2 in
+  let* init = string_size ~gen:char (return (((n + 7) / 8) + extra)) in
+  let* seed = int_bound 1_000_000 in
+  return { seed; probs; idx; init }
+
+let print_sweep_case c =
+  let prob = function Fixed p -> Printf.sprintf "%h" p | At_draw d -> Printf.sprintf "draw%+d" d in
+  Printf.sprintf "seed %d probs [%s] idx [%s] init %S" c.seed
+    (String.concat "; " (Array.to_list (Array.map prob c.probs)))
+    (String.concat "; " (Array.to_list (Array.map string_of_int c.idx)))
+    c.init
+
+let prop_fill_below_matches_float_draw =
+  QCheck.Test.make ~name:"fill_below = per-position float53 < p, bits and state" ~count:2000
+    (QCheck.make ~print:print_sweep_case sweep_case_gen)
+    (fun c ->
+      let n = Array.length c.probs in
+      let swept = Rng.create c.seed in
+      let reference = Rng.copy swept in
+      let draws =
+        Array.init n (fun _ ->
+            Int64.to_float (Int64.shift_right_logical (Rng.Raw.next_int64 reference) 11) /. two53)
+      in
+      let probs =
+        Array.mapi
+          (fun i -> function
+            | Fixed p -> p
+            | At_draw 0 -> draws.(i)
+            | At_draw 1 -> Float.succ draws.(i)
+            | At_draw -1 -> Float.pred draws.(i)
+            | At_draw d -> draws.(i) +. (float_of_int (d / 2) /. two53))
+          c.probs
+      in
+      let bits = Bytes.of_string c.init in
+      Rng.Raw.fill_below swept (Array.map Rng.Raw.threshold probs) ~idx:c.idx bits;
+      let expected = Bytes.of_string c.init in
+      Array.iter
+        (fun i ->
+          if draws.(i) < probs.(i) then
+            Bytes.set expected (i / 8)
+              (Char.chr (Char.code (Bytes.get expected (i / 8)) lor (1 lsl (i mod 8)))))
+        c.idx;
+      Bytes.equal bits expected && Rng.Raw.next_int64 swept = Rng.Raw.next_int64 reference)
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_rng_normal_mean; prop_rng_pareto_above_xmin; prop_weighted_sampler_matches_scan ]
+    [ prop_rng_normal_mean; prop_rng_pareto_above_xmin; prop_weighted_sampler_matches_scan;
+      prop_fill_below_matches_float_draw ]
 
 let () =
   Alcotest.run "datasets"

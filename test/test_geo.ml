@@ -337,7 +337,7 @@ let test_grid_index_cell_bounds () =
   List.iter
     (fun cell_deg ->
       Alcotest.check_raises (Printf.sprintf "cell_deg %g" cell_deg)
-        (Invalid_argument "Grid_index.create: cell_deg out of [0.25, 90]") (fun () ->
+        (Invalid_argument "Grid_index.of_list: cell_deg out of [0.25, 90]") (fun () ->
           ignore (Grid_index.of_list ~cell_deg [])))
     [ 0.0; -1.0; 0.01; 90.5; Float.nan ];
   List.iter

@@ -49,11 +49,16 @@ let test_profile_for_assignment () =
   Alcotest.(check string) "plains at mid latitude" "plains" plains.Gic.Conductivity.name;
   Alcotest.(check string) "coastal in the tropics" "coastal" coastal.Gic.Conductivity.name
 
-(* An infinite period is angular frequency 0. *)
+(* An infinite period would be angular frequency 0, and NaN compares
+   false with everything: both are rejected by name, as are 0 and
+   negative periods. *)
 let test_impedance_invalid () =
-  Alcotest.check_raises "w <= 0" (Invalid_argument "Conductivity.surface_impedance: w <= 0")
-    (fun () ->
-      ignore (Gic.Conductivity.impedance_magnitude shield ~period_s:Float.infinity))
+  List.iter
+    (fun period_s ->
+      Alcotest.check_raises (Printf.sprintf "period %g" period_s)
+        (Invalid_argument "Conductivity.impedance_magnitude: period not finite and > 0")
+        (fun () -> ignore (Gic.Conductivity.impedance_magnitude shield ~period_s)))
+    [ Float.infinity; Float.nan; 0.0; -60.0; Float.neg_infinity ]
 
 (* --- Disturbance --- *)
 

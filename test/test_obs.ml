@@ -977,8 +977,56 @@ let test_montecarlo_metrics_flow () =
       (List.map (fun (e : Obs.Span.event) -> e.Obs.Span.name) (Obs.Span.events ()))
   in
   Alcotest.(check bool) "mc.run span" true (List.mem "mc.run" names);
-  Alcotest.(check bool) "mc.trial span" true (List.mem "mc.trial" names);
+  Alcotest.(check bool) "plan.chunk span" true (List.mem "plan.chunk" names);
   Alcotest.(check bool) "fm.compile span" true (List.mem "fm.compile" names)
+
+(* A run pushes a fixed number of span events whatever its trial count
+   (one span per claimed chunk, none per trial), and its counters are
+   settled in batches that still add up to the exact totals, at any job
+   count. *)
+let test_montecarlo_batched_obs () =
+  let network = Datasets.Cache.submarine () in
+  let plan = Stormsim.Plan.compile ~network ~model:Stormsim.Failure_model.s1 () in
+  let names = [ "mc.trials_total"; "mc.cables_failed"; "plan.trials"; "rng.draws" ] in
+  let run ~jobs ~trials =
+    with_obs_enabled @@ fun () ->
+    ignore (Stormsim.Montecarlo.run_plan ~jobs ~trials ~seed:5 plan);
+    (* How many pool domains join a section varies with scheduling, and
+       each one that does records one [exec.worker] span. *)
+    let spans =
+      List.length
+        (List.filter
+           (fun (e : Obs.Span.event) -> e.Obs.Span.name <> "exec.worker")
+           (Obs.Span.events ()))
+    in
+    let counter name =
+      match List.assoc name (Obs.Metrics.snapshot ()) with
+      | Obs.Metrics.Counter n -> n
+      | _ -> Alcotest.fail (name ^ " is not a counter")
+    in
+    (spans, List.map counter names)
+  in
+  let trials = 4000 in
+  let failed =
+    Stormsim.Plan.run_trials_par ~jobs:1 plan ~trials ~seed:5 ~init:0
+      ~map:(fun ~rng:_ ~dead -> Stormsim.Deadset.count_dead dead)
+      ~merge:( + )
+  in
+  let uncertain = ref 0 in
+  for c = 0 to Stormsim.Plan.nb_cables plan - 1 do
+    if Stormsim.Plan.death_prob plan c > 0.0 then incr uncertain
+  done;
+  let exact = [ trials; failed; trials; trials * (1 + !uncertain) ] in
+  List.iter
+    (fun jobs ->
+      let few, _ = run ~jobs ~trials:400 in
+      let many, counters = run ~jobs ~trials in
+      Alcotest.(check int) (Printf.sprintf "jobs %d: span events at 400 = at 4000" jobs) few many;
+      List.iter2
+        (fun name (want, got) ->
+          Alcotest.(check int) (Printf.sprintf "jobs %d: %s exact" jobs name) want got)
+        names (List.combine exact counters))
+    [ 1; 2 ]
 
 let test_montecarlo_determinism_under_instrumentation () =
   Obs.reset ();
@@ -1566,7 +1614,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_json_roundtrip ] );
       ( "pipeline",
         [ Alcotest.test_case "montecarlo metrics" `Quick test_montecarlo_metrics_flow;
-          Alcotest.test_case "determinism" `Quick test_montecarlo_determinism_under_instrumentation ] );
+          Alcotest.test_case "determinism" `Quick test_montecarlo_determinism_under_instrumentation;
+          Alcotest.test_case "batched spans and counters" `Quick test_montecarlo_batched_obs ] );
       ( "timeseries",
         [ Alcotest.test_case "ring wrap-around" `Quick test_timeseries_ring_wraparound;
           Alcotest.test_case "counter reset clamps" `Quick

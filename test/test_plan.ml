@@ -286,6 +286,84 @@ let prop_unreachable_matches_oracle =
       in
       sampled && List.for_all same arbitrary)
 
+(* --- Monte-Carlo means against the exact expectations --- *)
+
+(* With independent cable deaths, a node is unreachable with probability
+   the product of its distinct cables' death probabilities, so
+   E[unreachable %] is 100 · Σ over attached v of that product / the
+   number of attached nodes, from the plan's own probabilities and the
+   network's landings alone. *)
+let exact_unreachable_pct network plan =
+  let n = Infra.Network.nb_nodes network in
+  let cables = Array.make n [] in
+  for c = 0 to Infra.Network.nb_cables network - 1 do
+    List.iter
+      (fun v -> if not (List.mem c cables.(v)) then cables.(v) <- c :: cables.(v))
+      (Infra.Network.cable network c).Infra.Cable.landings
+  done;
+  let attached = ref 0 and sum = ref 0.0 in
+  Array.iter
+    (fun cs ->
+      if cs <> [] then begin
+        incr attached;
+        sum := !sum +. List.fold_left (fun acc c -> acc *. Plan.death_prob plan c) 1.0 cs
+      end)
+    cables;
+  100.0 *. !sum /. float_of_int !attached
+
+let expectation_networks =
+  [ ("submarine", network);
+    ("intertubes", lazy (Datasets.Cache.intertubes ()));
+    ("itu 0.3", lazy (Datasets.Cache.itu ~scale:0.3 ())) ]
+
+let test_means_match_exact () =
+  let trials = 2000 in
+  List.iter
+    (fun (net_name, network) ->
+      let network = Lazy.force network in
+      List.iter
+        (fun (g : golden) ->
+          let plan = Plan.compile ~network ~model:g.model () in
+          let s = Montecarlo.run_plan ~trials ~seed:61 plan in
+          let within what mean std exact =
+            let se = std /. sqrt (float_of_int trials) in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s %s %s: mean %g within 5 SE (%g) of exact %g" net_name g.gname
+                 what mean se exact)
+              true
+              (Float.abs (mean -. exact) <= 5.0 *. se)
+          in
+          within "cables" s.Montecarlo.cables_mean s.Montecarlo.cables_std
+            (Plan.expected_cables_failed_pct plan);
+          within "nodes" s.Montecarlo.nodes_mean s.Montecarlo.nodes_std
+            (exact_unreachable_pct network plan))
+        goldens)
+    expectation_networks
+
+(* At p = 0 and p = 1 every death probability is 0 or 1, so every trial
+   is the exact value, to the bit. *)
+let test_certain_trials_exact () =
+  List.iter
+    (fun (net_name, network) ->
+      let network = Lazy.force network in
+      List.iter
+        (fun p ->
+          let plan = Plan.compile ~network ~model:(Failure_model.uniform p) () in
+          let cables = Plan.expected_cables_failed_pct plan in
+          let nodes = exact_unreachable_pct network plan in
+          let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+          let all_exact =
+            Plan.run_trials_par ~jobs:1 plan ~trials:20 ~seed:61 ~init:true
+              ~map:(fun ~rng:_ ~dead ->
+                same cables (Montecarlo.cables_failed_pct network dead)
+                && same nodes (Plan.unreachable_attached_pct plan dead))
+              ~merge:( && )
+          in
+          Alcotest.(check bool) (Printf.sprintf "%s p=%g: every trial exact" net_name p) true
+            all_exact)
+        [ 0.0; 1.0 ])
+    expectation_networks
+
 (* --- allocation per call: independent of the network's size --- *)
 
 let minor_words_per_call f =
@@ -399,7 +477,10 @@ let () =
         [ Alcotest.test_case "sample = recompute" `Quick test_sample_matches_recompute;
           Alcotest.test_case "validation" `Quick test_compile_validates;
           QCheck_alcotest.to_alcotest prop_unreachable_matches_oracle;
-          Alcotest.test_case "allocation per call" `Quick test_trial_allocation ] );
+          Alcotest.test_case "allocation per call" `Quick test_trial_allocation;
+          Alcotest.test_case "means match exact expectations" `Quick test_means_match_exact;
+          Alcotest.test_case "certain deaths: every trial exact" `Quick
+            test_certain_trials_exact ] );
       ( "satellites",
         [ Alcotest.test_case "recovery median series" `Quick test_recovery_median_series;
           Alcotest.test_case "mass_above grids" `Quick test_mass_above_nonuniform_grid;
